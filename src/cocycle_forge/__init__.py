@@ -2,14 +2,14 @@
 semigroups: cocycle checking, gauge actions, ring isomorphism testing, and
 outer-automorphism reports."""
 
-from .cochain import TwoCochain, TwoCocycle, is_cocycle, is_normal, normalize
+from .cochain import TwoCochain, is_cocycle, is_normal, normalize
 from .cohomology import (
     AutTriple, H1Report, OutRReport, SesReport, aut0_enumerate, b1_enumerate,
     h1, inner_triples, lambda_map, out_r, star_act, verify_ses, z1_enumerate,
 )
 from .errors import (
     DivisionByZero, DomainMismatch, ForgeError, InstanceFileInvalid, NotAUnit,
-    NotEnumerable, NotNilpotent, RingMismatch, SemigroupInvalid,
+    NotEnumerable, NotNilpotent, NotNormal, RingMismatch, SemigroupInvalid,
     SettingMismatch, UnknownElement, WitnessInvalid,
 )
 from .gauge import (

@@ -18,10 +18,10 @@ from .cohomology import (
     aut0_enumerate, b1_enumerate, h1, out_r, verify_ses, z1_enumerate,
 )
 from .errors import ForgeError, InstanceFileInvalid, NotEnumerable, SettingMismatch
-from .gauge import Gauge, act_gauge, act_phi, gauge_to_json
+from .gauge import Gauge, IsoWitness, act_gauge, act_phi, gauge_to_json
 from .instances import (
     Instance, RunConfig, diamond_demo_instance, instance_to_json, load_instance,
-    parse_witness, save_instance,
+    parse_witness, read_json, save_instance, witness_to_json,
 )
 from .ring import TwistedRing, find_ring_iso, verify_ring_hom
 from .scalars import scalar_to_json
@@ -29,22 +29,29 @@ from .semigroup import auto_to_json as sg_auto_to_json
 
 
 def _emit(cfg, payload, lines):
+    # given no file, click caches every sys.stdout it meets, which keeps
+    # each redirected stream and its buffer alive for the process lifetime
     if cfg.output == "json":
-        click.echo(json.dumps(payload, indent=2, sort_keys=True))
+        click.echo(json.dumps(payload, indent=2, sort_keys=True), file=sys.stdout)
     else:
         for line in lines:
-            click.echo(line)
+            click.echo(line, file=sys.stdout)
+
+
+def _reject(cfg, label, exc):
+    """Report an invalid input file by JSON pointer and exit 2."""
+    payload = {"ok": False,
+               "errors": [{"pointer": p, "message": m} for p, m in exc.issues]}
+    _emit(cfg, payload, [f"{label}: INVALID"]
+          + [f"  {p or '/'}: {m}" for p, m in exc.issues])
+    sys.exit(2)
 
 
 def _load(cfg, path):
     try:
         return load_instance(path, max_idempotents=cfg.max_idempotents)
     except InstanceFileInvalid as exc:
-        payload = {"ok": False,
-                   "errors": [{"pointer": p, "message": m} for p, m in exc.issues]}
-        _emit(cfg, payload, [f"{path}: INVALID"]
-              + [f"  {p or '/'}: {m}" for p, m in exc.issues])
-        sys.exit(2)
+        _reject(cfg, path, exc)
 
 
 def _require_same_setting(a, b):
@@ -58,15 +65,14 @@ def _require_same_setting(a, b):
               help="Seed for sampled verification scalars.")
 @click.option("--jobs", type=int, default=1, show_default=True,
               envvar="COCYCLE_FORGE_JOBS",
-              help="Worker processes for the heavy enumerations.")
+              help="Accepted for compatibility and ignored.")
 @click.option("--output", type=click.Choice(["text", "json"]), default="text",
               show_default=True)
 @click.option("--max-idempotents", type=int, default=8, show_default=True)
 @click.pass_context
 def main(ctx, seed, jobs, output, max_idempotents):
     """Exact-arithmetic workbench for twisted semigroup rings."""
-    ctx.obj = RunConfig(seed=seed, max_idempotents=max_idempotents,
-                        jobs=jobs, output=output)
+    ctx.obj = RunConfig(seed=seed, max_idempotents=max_idempotents, output=output)
 
 
 @main.command()
@@ -144,15 +150,10 @@ def normalize_cmd(cfg, file, out, gauge_out):
 def act_cmd(cfg, file, witness):
     """Apply a witness (phi relabeling, then gauge) to the instance."""
     inst = _load(cfg, file)
-    with open(witness) as fh:
-        wdata = json.load(fh)
     try:
-        w = parse_witness(inst, wdata)
+        w = parse_witness(inst, read_json(witness))
     except InstanceFileInvalid as exc:
-        _emit(cfg, {"ok": False, "errors": [{"pointer": p, "message": m}
-                                            for p, m in exc.issues]},
-              [f"witness: INVALID"] + [f"  {p}: {m}" for p, m in exc.issues])
-        sys.exit(2)
+        _reject(cfg, "witness", exc)
     c = inst.cocycle
     if w.phi is not None:
         c = act_phi(w.phi, c)
@@ -187,10 +188,8 @@ def iso_check_cmd(cfg, file_a, file_b):
     verdict = verify_ring_hom(iso, seed=cfg.seed)
     payload = {
         "isomorphic": True,
-        "witness": {
-            "gauge": gauge_to_json(Gauge(a.sg, a.domain, iso.mu, iso.eta)),
-            "phi": sg_auto_to_json(iso.phi),
-        },
+        "witness": witness_to_json(
+            IsoWitness(Gauge(a.sg, a.domain, iso.mu, iso.eta), iso.phi)),
         "hom_check": {"ok": bool(verdict.ok), "failures": len(verdict.failures)},
     }
     _emit(cfg, payload, [
@@ -260,10 +259,12 @@ def _cohomology_command(name, runner):
         inst = _load(cfg, file)
         try:
             payload, lines = runner(cfg, inst)
-        except (NotEnumerable, ValueError, ForgeError) as exc:
+        except ForgeError as exc:
             _emit(cfg, {"ok": False, "error": str(exc)}, [f"error: {exc}"])
             sys.exit(2)
         _emit(cfg, payload, lines)
+        if payload.get("ok") is False:
+            sys.exit(1)
     cmd.__doc__ = runner.__doc__
     return cmd
 
@@ -295,7 +296,7 @@ def _run_h1(cfg, inst):
 
 def _run_aut0(cfg, inst):
     """Enumerate the idempotent-permuting ring automorphisms."""
-    triples = aut0_enumerate(inst.cocycle, jobs=cfg.jobs)
+    triples = aut0_enumerate(inst.cocycle)
     payload = {"order": len(triples),
                "triples": [{"gauge": gauge_to_json(
                                Gauge(inst.sg, inst.domain, t.mu, t.eta)),
@@ -305,7 +306,7 @@ def _run_aut0(cfg, inst):
 
 def _run_out_r(cfg, inst):
     """Compute Out R = Aut0 / inner and the realized permutations."""
-    rep = out_r(inst.cocycle, jobs=cfg.jobs)
+    rep = out_r(inst.cocycle)
     payload = {"aut0_order": rep.aut0_order, "inn0_order": rep.inn0_order,
                "out_order": rep.out_order,
                "phi_image": [sg_auto_to_json(p) for p in rep.phi_image]}
@@ -317,7 +318,7 @@ def _run_out_r(cfg, inst):
 
 def _run_verify_ses(cfg, inst):
     """Verify exactness of 1 -> H1 -> Out R -> Stab -> 1."""
-    rep = verify_ses(inst.cocycle, jobs=cfg.jobs)
+    rep = verify_ses(inst.cocycle)
     payload = {"ok": rep.ok, "orders": rep.orders,
                "clauses": [{"name": cl.name, "ok": cl.ok, "detail": cl.detail}
                            for cl in rep.clauses]}
@@ -335,22 +336,7 @@ _cohomology_command("b1", _run_b1)
 _cohomology_command("h1", _run_h1)
 _cohomology_command("aut0", _run_aut0)
 _cohomology_command("out-r", _run_out_r)
-
-
-@main.command("verify-ses")
-@click.argument("file", type=click.Path(exists=True))
-@click.pass_obj
-def verify_ses_cmd(cfg, file):
-    """Verify exactness of 1 -> H1 -> Out R -> Stab -> 1."""
-    inst = _load(cfg, file)
-    try:
-        payload, lines = _run_verify_ses(cfg, inst)
-    except (NotEnumerable, ValueError, ForgeError) as exc:
-        _emit(cfg, {"ok": False, "error": str(exc)}, [f"error: {exc}"])
-        sys.exit(2)
-    _emit(cfg, payload, lines)
-    if not payload["ok"]:
-        sys.exit(1)
+_cohomology_command("verify-ses", _run_verify_ses)
 
 
 DEMO_EXPECTED = {"aut_s": 2, "z1": 162, "b1": 81, "h1": 2, "out_r": 4, "stab": 2}
@@ -365,7 +351,7 @@ def demo_cmd(cfg, write_instance):
     inst = diamond_demo_instance()
     if write_instance:
         save_instance(write_instance, inst)
-    rep = verify_ses(inst.cocycle, jobs=cfg.jobs)
+    rep = verify_ses(inst.cocycle)
     ok = rep.ok
     lines = []
     payload = {"orders": rep.orders, "expected": DEMO_EXPECTED,

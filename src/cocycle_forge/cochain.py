@@ -81,9 +81,6 @@ class TwoCochain:
         return f"TwoCochain(alpha on {sorted(self.alpha)}, xi on {sorted(self.xi)})"
 
 
-TwoCocycle = TwoCochain  # alias used in signatures where the identities are required
-
-
 @dataclass(frozen=True)
 class CocycleViolation:
     identity: str   # "scalar" | "automorphism"

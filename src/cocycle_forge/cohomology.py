@@ -10,18 +10,23 @@ For a normal cocycle c over an enumerable coefficient field:
   * H1(c) = Z1/B1, reported through coset representatives and a coset
     multiplication table rather than an abstract isomorphism claim.
 
-Aut0 R, the automorphisms permuting the idempotent set, is enumerated by
-brute force: every candidate triple (mu, eta, phi) with eta = 1 on E is
-kept exactly when its induced map d.s -> mu_e(d) eta(s) phi(s) passes the
-ring-homomorphism check. Out R is then Aut0 R modulo the idempotent-fixing
-inner automorphisms, and `verify_ses` checks exactness of
+Aut0 R, the automorphisms permuting the idempotent set, is found by
+propagation over multiplicativity probes: for each (phi, mu) the probes of
+every composable pair, taken with eta = 1, fix the value u that
+eta(s) alpha_{phi(s)}(eta(t)) eta(s.t)^{-1} must take for the induced map
+d.s -> mu_e(d) eta(s) phi(s) to multiply (or rule the choice out when
+they disagree), and `solve_eta` backtracks eta with eta = 1 on E. Out R is
+then Aut0 R modulo the idempotent-fixing inner automorphisms, and
+`verify_ses` checks exactness of
 
     1 -> H1 -> Out R -> Stab(Aut S) -> 1
 
 clause by clause, with a split-section check when the class is trivial.
 
 The enumeration route here (homomorphism testing) is deliberately
-independent of the gauge-search route in `gauge.py`; `verify_ses` gains
+independent of the gauge-search route in `gauge.py`: the two share the eta
+search but take the required values from different places, ring
+multiplicativity here and the action formula there. `verify_ses` gains
 its force from comparing the two.
 """
 
@@ -29,12 +34,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from multiprocessing import Pool
 
 from .cochain import TwoCochain, is_normal
-from .errors import NotEnumerable
-from .gauge import Gauge, act_phi, cohomologous, gauge_stabilizer, stabilizer_of_class
-from .ring import RingIso, TwistedRing, _scalar_samples, is_ring_hom
+from .errors import NotEnumerable, NotNormal
+from .gauge import Gauge, cohomologous, gauge_stabilizer, solve_eta, stabilizer_of_class
+from .ring import RingIso, TwistedRing, _scalar_samples, pair_sides, verify_ring_hom
 from .scalars import RingAuto, enumerate_autos, enumerate_units, rho
 from .semigroup import SemigroupAuto
 
@@ -47,8 +51,8 @@ def _require_enumerable(c):
 
 def _require_normal(c):
     if not is_normal(c):
-        raise ValueError("normalize the cocycle first; these enumerations "
-                         "assume a normal representative")
+        raise NotNormal("normalize the cocycle first; these enumerations "
+                        "assume a normal representative")
 
 
 # ---------------------------------------------------------------------------
@@ -197,100 +201,65 @@ def lambda_map(oc, c):
 
 def inner_triples(c):
     """The idempotent-fixing inner automorphisms r = sum eps(e) e, as
-    triples: mu_e = rho_{eps(e)}, eta(s) = eps(e) alpha_s(eps(f)^{-1})."""
-    _require_enumerable(c)
-    _require_normal(c)
-    sg = c.sg
-    units = enumerate_units(c.domain)
-    seen = {}
-    for choice in itertools.product(units, repeat=len(sg.idempotents)):
-        eps = dict(zip(sg.idempotents, choice))
-        mu = {e: rho(eps[e]) for e in sg.idempotents}
-        eta = {s: eps[sg.src[s]] * c.alpha_at(s)(eps[sg.tgt[s]].inv())
-               for s in sg.elements}
-        t = AutTriple(sg, c.domain, mu, eta, SemigroupAuto.identity(sg))
-        seen[t.key()] = t
-    return sorted(seen.values(), key=lambda t: t.sort_key())
+    triples: the lambda images of B1 (mu_e = rho_{eps(e)},
+    eta(s) = eps(e) alpha_s(eps(f)^{-1}))."""
+    return sorted((lambda_map(g, c) for g in b1_enumerate(c)),
+                  key=lambda t: t.sort_key())
 
 
-def _aut0_candidates(c):
-    """(phi, mu) outer candidates; eta is enumerated inside each chunk."""
-    autos = enumerate_autos(c.domain)
-    for phi in c.sg.enumerate_autos():
-        for mu_choice in itertools.product(autos, repeat=len(c.sg.idempotents)):
-            yield phi, mu_choice
+def _aut0_constraints(c, phi, mu, samples):
+    """The solve_eta constraints a ring automorphism over (phi, mu) puts on
+    eta, or None when the probes already rule (phi, mu) out.
 
-
-def _aut0_chunk(args):
-    """Keep the triples over one (phi, mu) choice whose map multiplies.
-
-    The check is multiplicativity of sigma(d.s) = mu_e(d) eta(s) phi(s) on
-    every composable basis pair with both scalars ranging over the probe
-    sample, exactly as in is_ring_hom. Two simplifications apply here and
-    are vacuous rather than lossy: pairs hitting theta vanish on both
-    sides because phi preserves products, and sigma(1) = 1 holds
-    identically since the cocycle is normal and eta = 1 on idempotents.
-    Enumeration only happens over fields, so the scalar factors commute
-    and everything not involving eta is hoisted out of the eta loop:
-    the pair condition becomes  L = R . eta(s) alpha'(eta(t)) eta(s.t)^{-1}
-    with L, R precomputed per scalar pair.
+    Over a field, with L, R the two sides of pair_sides at eta = 1, the
+    composable pair (s, t) multiplies for eta exactly when
+    L eta(s.t) = R eta(s) alpha_{phi(s)}(eta(t)), i.e. when
+    eta(s) alpha_{phi(s)}(eta(t)) eta(s.t)^{-1} = L / R; every probe must
+    ask for the same u = L / R. Pairs hitting theta are vacuous because phi
+    preserves products, and sigma(1) = 1 holds identically because the
+    cocycle is normal and eta = 1 on the idempotents.
     """
-    c, phi, mu_choice = args
     sg = c.sg
-    units = enumerate_units(c.domain)
     one = c.domain.one()
-    mu = dict(zip(sg.idempotents, mu_choice))
-    arrows = sg.arrows()
-    samples = _scalar_samples(c.domain, 0)
-
-    pair_tests = []  # (s, t, st, alpha', [(L, R), ...])
+    unit_eta = {s: one for s in sg.elements}
+    constraints = []
     for s, t in sg.tuples(2):
-        e, f = sg.src[s], sg.src[t]
-        st = sg.compose(s, t)
-        ps, pt = phi(s), phi(t)
-        a_src = c.alpha_at(s)
-        a_img = c.alpha_at(ps)
-        xi_in = c.xi_at(s, t)
-        xi_out = c.xi_at(ps, pt)
-        checks = []
+        u = None
         for d1 in samples:
             for d2 in samples:
-                lhs = mu[e](d1 * a_src(d2) * xi_in)
-                rhs = mu[e](d1) * a_img(mu[f](d2)) * xi_out
-                checks.append((lhs, rhs))
-        pair_tests.append((s, t, st, a_img, checks))
-
-    found = []
-    for eta_choice in itertools.product(units, repeat=len(arrows)):
-        eta = {e: one for e in sg.idempotents}
-        eta.update(zip(arrows, eta_choice))
-        ok = True
-        for s, t, st, a_img, checks in pair_tests:
-            u = eta[s] * a_img(eta[t]) * eta[st].inv()
-            if any(lhs != rhs * u for lhs, rhs in checks):
-                ok = False
-                break
-        if ok:
-            found.append(AutTriple(sg, c.domain, mu, eta, phi))
-    return found
+                lhs, rhs = pair_sides(c, c, mu, unit_eta, phi, s, t, d1, d2)
+                q = lhs * rhs.inv()
+                if u is None:
+                    u = q
+                elif q != u:
+                    return None
+        constraints.append((s, t, sg.compose(s, t), c.alpha_at(phi(s)), u))
+    return constraints
 
 
 def aut0_enumerate(c, jobs=1):
     """Every (mu, eta, phi) whose induced map is a ring homomorphism.
 
-    Exhaustive over |Aut D|^|E| x |D*|^#arrows x |Aut S| candidates, each
-    checked directly against the multiplication; bijectivity is automatic
-    for maps of this shape.
+    Exhaustive over Aut S x Aut(D)^E, with eta propagated from the
+    multiplicativity probes (see _aut0_constraints) instead of listed;
+    bijectivity is automatic for maps of this shape. `jobs` is accepted and
+    ignored.
     """
     _require_enumerable(c)
     _require_normal(c)
-    tasks = [(c, phi, mu_choice) for phi, mu_choice in _aut0_candidates(c)]
-    if jobs and jobs > 1:
-        with Pool(jobs) as pool:
-            chunks = pool.map(_aut0_chunk, tasks)
-    else:
-        chunks = [_aut0_chunk(t) for t in tasks]
-    out = [t for chunk in chunks for t in chunk]
+    sg, domain = c.sg, c.domain
+    units = enumerate_units(domain)
+    samples = _scalar_samples(domain, 0)
+    fixed = {e: domain.one() for e in sg.idempotents}
+    out = []
+    for phi in sg.enumerate_autos():
+        for mu_choice in itertools.product(enumerate_autos(domain),
+                                           repeat=len(sg.idempotents)):
+            mu = dict(zip(sg.idempotents, mu_choice))
+            constraints = _aut0_constraints(c, phi, mu, samples)
+            if constraints is not None:
+                out.extend(AutTriple(sg, domain, mu, eta, phi)
+                           for eta in solve_eta(sg, units, constraints, fixed))
     out.sort(key=lambda t: t.sort_key())
     return out
 
@@ -333,9 +302,9 @@ def _coset_partition(aut0, inn0):
     return coset_of, count
 
 
-def out_r(c, jobs=1):
+def out_r(c):
     """Aut0 modulo the idempotent-fixing inner automorphisms."""
-    aut0 = aut0_enumerate(c, jobs=jobs)
+    aut0 = aut0_enumerate(c)
     inn0 = inner_triples(c)
     coset_of, count = _coset_partition(aut0, inn0)
     if count * len(inn0) != len(aut0):
@@ -368,7 +337,7 @@ class SesReport:
         return self.ok
 
 
-def verify_ses(c, jobs=1):
+def verify_ses(c):
     """Check exactness of 1 -> H1 -> Out R -> Stab -> 1 by enumeration.
 
     Clauses: injectivity of the cohomology-to-outer map, image = kernel in
@@ -378,7 +347,7 @@ def verify_ses(c, jobs=1):
     _require_enumerable(c)
     _require_normal(c)
     report_h1 = h1(c)
-    outer = out_r(c, jobs=jobs)
+    outer = out_r(c)
     stab = stabilizer_of_class(c)
     clauses = []
 
@@ -425,7 +394,7 @@ def verify_ses(c, jobs=1):
                 c.sg, c.domain,
                 {e: RingAuto.identity(c.domain) for e in c.sg.idempotents},
                 {s: c.domain.one() for s in c.sg.elements}, phi)
-            if not is_ring_hom(section.as_iso(ring)) or section.phi != phi:
+            if not verify_ring_hom(section.as_iso(ring)) or section.phi != phi:
                 ok_v = False
         clauses.append(SesClause(
             "split_section", ok_v,

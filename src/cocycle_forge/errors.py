@@ -17,6 +17,10 @@ class NotEnumerable(ForgeError):
     """An exhaustive enumeration was requested over an infinite set."""
 
 
+class NotNormal(ForgeError, ValueError):
+    """An enumeration that assumes a normal cocycle got a non-normal one."""
+
+
 class UnknownElement(ForgeError):
     """A name does not belong to the semigroup."""
 

@@ -23,10 +23,12 @@ act_phi(phi o psi, c) == act_phi(psi, act_phi(phi, c)) and is compatible
 with the gauge action through g^phi = (e -> mu_{phi(e)}, s -> eta(phi(s))).
 
 `cohomologous` decides whether two cocycles lie in the same gauge orbit:
-over a finite field by a pruned backtracking search (idempotent values are
-forced first, each further assignment is checked against every relation it
-completes), over the rationals by exact multiplicative elimination. Both
-negative answers are definitive; the quaternions raise NotEnumerable.
+over a finite field by the pruned backtracking search `solve_eta` (each
+assignment is checked against every relation it completes), over the
+rationals by exact multiplicative elimination of the same relations. Both
+negative answers are definitive; the quaternions raise NotEnumerable. The
+Aut0 enumeration runs `solve_eta` too, on relations it derives from ring
+multiplicativity rather than from the action formula.
 """
 
 from __future__ import annotations
@@ -57,6 +59,12 @@ class Gauge:
         eta = eta or {}
         self.mu = {e: mu.get(e, ident) for e in sg.idempotents}
         self.eta = {s: eta.get(s, one) for s in sg.elements}
+        if not mu.keys() <= self.mu.keys():
+            raise ValueError(f"mu defined off the idempotents: "
+                             f"{sorted(mu.keys() - self.mu.keys())}")
+        if not eta.keys() <= self.eta.keys():
+            raise ValueError(f"eta defined on unknown elements: "
+                             f"{sorted(eta.keys() - self.eta.keys())}")
         for e, a in self.mu.items():
             if a.domain != domain:
                 raise DomainMismatch(f"mu[{e!r}] lives in {a.domain!r}")
@@ -160,54 +168,66 @@ def act_phi(phi, c):
 # orbit membership: find g with act_gauge(g, c1) == c2
 
 
-def _eta_constraints(sg):
-    """Pair constraints grouped by the last element they mention, in the
-    canonical assignment order."""
-    pos = {s: i for i, s in enumerate(sg.elements)}
-    grouped = {i: [] for i in range(len(sg.elements))}
-    for s, t in sg.tuples(2):
-        st = sg.compose(s, t)
-        grouped[max(pos[s], pos[t], pos[st])].append((s, t, st))
-    return grouped
+def solve_eta(sg, units, constraints, fixed=None):
+    """Yield every eta: S* -> D* meeting each constraint, in canonical order.
+
+    A constraint (s, t, st, a, u) asks eta(s) . a(eta(t)) . eta(st)^{-1} = u;
+    coefficients commute (finite fields), so it is tested as
+    eta(s) . a(eta(t)) == u . eta(st). Elements are assigned in the
+    semigroup's canonical order, each ranging over `units` in order unless
+    `fixed` pins it, and each constraint is checked as soon as the last
+    element it mentions is assigned. The search is exhaustive.
+    """
+    elements = sg.elements
+    pos = {s: i for i, s in enumerate(elements)}
+    grouped = [[] for _ in elements]
+    for con in constraints:
+        grouped[max(pos[con[0]], pos[con[1]], pos[con[2]])].append(con)
+    fixed = fixed or {}
+    choices = [[fixed[s]] if s in fixed else units for s in elements]
+    eta = {}
+
+    def extend(i):
+        if i == len(elements):
+            yield dict(eta)
+            return
+        name = elements[i]
+        for v in choices[i]:
+            eta[name] = v
+            if all(eta[s] * a(eta[t]) == u * eta[st] for s, t, st, a, u in grouped[i]):
+                yield from extend(i + 1)
+        del eta[name]
+
+    yield from extend(0)
+
+
+def _gauge_constraints(c1, c2, mu):
+    """The scalar relations of act_gauge((mu, eta), c1) == c2 in solve_eta
+    form: eta(s) alpha_s(eta(t)) eta(st)^{-1} = mu_e(xi2(s, t)) xi1(s, t)^{-1}
+    (commutative coefficients, so xi1 moves to the right-hand side)."""
+    sg = c1.sg
+    return [(s, t, sg.compose(s, t), c1.alpha_at(s),
+             mu[sg.src[s]](c2.xi_at(s, t)) * c1.xi_at(s, t).inv())
+            for s, t in sg.tuples(2)]
 
 
 def _gauge_solutions_ff(c1, c2):
     """Yield every gauge carrying c1 to c2 over a finite field, in
     deterministic order. Exhaustive: mu ranges over all automorphism
-    assignments, eta is backtracked with constraints checked as soon as
-    their support is assigned."""
+    assignments, eta is backtracked by solve_eta."""
     sg, domain = c1.sg, c1.domain
     autos = enumerate_autos(domain)
     units = enumerate_units(domain)
-    elements = sg.elements
-    grouped = _eta_constraints(sg)
 
     for mu_choice in itertools.product(autos, repeat=len(sg.idempotents)):
         mu = dict(zip(sg.idempotents, mu_choice))
         # rho is trivial on a field, so the automorphism relation is
         # eta-independent: check it before touching eta at all
         if any(mu[sg.src[s]].inverse().compose(c1.alpha_at(s)).compose(mu[sg.tgt[s]])
-               != c2.alpha_at(s) for s in elements):
+               != c2.alpha_at(s) for s in sg.elements):
             continue
-        eta = {}
-
-        def satisfied(con):
-            s, t, st = con
-            lhs = eta[s] * c1.alpha_at(s)(eta[t]) * c1.xi_at(s, t) * eta[st].inv()
-            return lhs == mu[sg.src[s]](c2.xi_at(s, t))
-
-        def extend(i):
-            if i == len(elements):
-                yield Gauge(sg, domain, dict(mu), dict(eta))
-                return
-            name = elements[i]
-            for u in units:
-                eta[name] = u
-                if all(satisfied(con) for con in grouped[i]):
-                    yield from extend(i + 1)
-            del eta[name]
-
-        yield from extend(0)
+        for eta in solve_eta(sg, units, _gauge_constraints(c1, c2, mu)):
+            yield Gauge(sg, domain, mu, eta)
 
 
 def _cohomologous_rational(c1, c2):
@@ -215,14 +235,13 @@ def _cohomologous_rational(c1, c2):
     identity there, so only the scalar relations constrain eta; they form a
     multiplicative linear system solved by elimination."""
     sg, domain = c1.sg, c1.domain
+    ident = RingAuto.identity(domain)
     equations = []
-    for s, t in sg.tuples(2):
-        st = sg.compose(s, t)
+    for s, t, st, _, u in _gauge_constraints(c1, c2, {e: ident for e in sg.idempotents}):
         coeffs = {}
         for name, c in ((s, 1), (t, 1), (st, -1)):
             coeffs[name] = coeffs.get(name, 0) + c
-        const = c2.xi_at(s, t).payload / c1.xi_at(s, t).payload
-        equations.append((coeffs, const))
+        equations.append((coeffs, u.payload))
     solution = solve_multiplicative(equations, list(sg.elements))
     if solution is None:
         return None
@@ -274,6 +293,8 @@ def gauge_to_json(g):
 
 
 def gauge_from_json(sg, domain, data):
+    if not isinstance(data, dict):
+        raise TypeError("a gauge is a JSON object")
     mu = {entry["on"]: auto_from_json(domain, entry["auto"])
           for entry in data.get("mu", [])}
     eta = {entry["on"]: scalar_from_json(domain, entry["value"])

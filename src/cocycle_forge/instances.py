@@ -31,7 +31,6 @@ class Instance:
 class RunConfig:
     seed: int = 0
     max_idempotents: int = 8
-    jobs: int = 1
     output: str = "text"  # "json" | "text"
 
 
@@ -114,15 +113,20 @@ def instance_to_json(inst):
     }
 
 
-def load_instance(path, max_idempotents=8):
+def read_json(path):
+    """Decode a JSON file; a syntax error is an InstanceFileInvalid at the
+    root pointer."""
     with open(path) as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise InstanceFileInvalid(
                 [("", f"not valid JSON: {exc.msg} at line {exc.lineno}, "
                       f"column {exc.colno}")]) from None
-    return parse_instance(data, max_idempotents=max_idempotents)
+
+
+def load_instance(path, max_idempotents=8):
+    return parse_instance(read_json(path), max_idempotents=max_idempotents)
 
 
 def save_instance(path, inst):
@@ -136,6 +140,8 @@ def save_instance(path, inst):
 
 
 def parse_witness(inst, data):
+    if not isinstance(data, dict):
+        raise InstanceFileInvalid([("", "witness must be a JSON object")])
     issues = []
     gauge = None
     phi = None

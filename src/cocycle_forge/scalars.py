@@ -537,19 +537,6 @@ class RingAuto:
         return f"inner{Scalar(self.domain, self.data)!r}"
 
 
-def auto_eq(a, b):
-    """Equality of automorphisms, decided on canonical forms."""
-    return a == b
-
-
-def compose_autos(a, b):
-    return a.compose(b)
-
-
-def apply_auto(a, x):
-    return a(x)
-
-
 def rho(d):
     """The inner automorphism x -> d x d^{-1} of d's domain."""
     return RingAuto.inner(d.domain, d)

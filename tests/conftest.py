@@ -21,6 +21,23 @@ def make_diamond():
     )
 
 
+def make_triangle():
+    """Arrows a: e1->e2, b: e2->e3 with a.b = ab."""
+    return SquareFreeSemigroup.validate(
+        ["e1", "e2", "e3"],
+        [("a", "e1", "e2"), ("b", "e2", "e3"), ("ab", "e1", "e3")],
+        {("a", "b"): "ab"})
+
+
+def make_chain4():
+    """e1 -> e2 -> e3 -> e4 with every composite arrow present."""
+    return SquareFreeSemigroup.validate(
+        ["e1", "e2", "e3", "e4"],
+        [("a", "e1", "e2"), ("b", "e2", "e3"), ("c", "e3", "e4"),
+         ("ab", "e1", "e3"), ("bc", "e2", "e4"), ("abc", "e1", "e4")],
+        {("a", "b"): "ab", ("b", "c"): "bc", ("ab", "c"): "abc", ("a", "bc"): "abc"})
+
+
 def make_demo_cocycle(domain, sg=None):
     """The demo twist: alpha is the Frobenius on s34 only, xi = 1."""
     sg = sg or make_diamond()

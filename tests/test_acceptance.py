@@ -41,7 +41,7 @@ def test_criterion_1_demo_instance_counts():
     c = make_demo_cocycle(GF4, sg)
     start = time.perf_counter()
     aut_s = sg.enumerate_autos()
-    rep = verify_ses(c, jobs=1)
+    rep = verify_ses(c)
     elapsed = time.perf_counter() - start
     assert len(aut_s) == 2
     assert rep.orders["stab"] == 2

@@ -272,3 +272,56 @@ def test_demo_json_deterministic(runner):
 def test_jobs_flag(runner, demo_file):
     payload = run_json(runner, ["--jobs", "2", "out-r", demo_file])
     assert payload["out_order"] == 4
+
+
+def test_json_output_keeps_no_redirected_stdout():
+    import contextlib
+    import gc
+    import io
+    import weakref
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        main.main(["--output", "json", "demo"], standalone_mode=False)
+    assert json.loads(buf.getvalue())["ok"]
+    ref = weakref.ref(buf)
+    del buf
+    gc.collect()
+    assert ref() is None
+
+
+@pytest.mark.parametrize("witness,pointer", [
+    ('{"gauge": {"eta": [{"on": "zz", "value": [0, 1]}]}}', "/gauge"),
+    ('[]', ""),
+    ('{"gauge": ', ""),
+], ids=["unknown-name", "list", "not-json"])
+def test_act_rejects_bad_witness(runner, tmp_path, demo_file, witness, pointer):
+    wpath = tmp_path / "w.json"
+    wpath.write_text(witness)
+    result = runner.invoke(main, ["--output", "json", "act", demo_file, str(wpath)])
+    assert result.exit_code == 2, result.output
+    payload = json.loads(result.output)
+    assert not payload["ok"]
+    assert [e["pointer"] for e in payload["errors"]] == [pointer]
+
+
+def test_internal_value_error_is_not_a_usage_error(runner, demo_file, monkeypatch):
+    from cocycle_forge import cli
+
+    def broken(c):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr(cli, "z1_enumerate", broken)
+    result = runner.invoke(main, ["z1", demo_file])
+    assert result.exit_code != 2
+    assert isinstance(result.exception, ValueError)
+
+
+def test_verify_ses_failure_exits_1(runner, demo_file, monkeypatch):
+    from cocycle_forge import cli
+    from cocycle_forge.cohomology import SesClause, SesReport
+
+    monkeypatch.setattr(cli, "verify_ses", lambda c, **kw: SesReport(
+        False, (SesClause("order_equation", False, "forced"),), {}))
+    result = runner.invoke(main, ["--output", "json", "verify-ses", demo_file])
+    assert result.exit_code == 1
+    assert json.loads(result.output)["ok"] is False

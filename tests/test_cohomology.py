@@ -339,6 +339,15 @@ def test_verify_ses_demo(demo):
                              "aut0": 324, "inn0": 81, "out_r": 4, "stab": 2}
 
 
+def test_verify_ses_gf9_demo(demo_gf9):
+    # the README's GF(9) variant of the demo
+    report = verify_ses(demo_gf9)
+    assert report.ok
+    assert report.orders["z1"] == 8192
+    assert report.orders["h1"] == 4
+    assert report.orders["out_r"] == 8
+
+
 def test_verify_ses_trivial_class_splits(gf4_mod, diamond_mod):
     report = verify_ses(TwoCochain.trivial(diamond_mod, gf4_mod))
     assert report.ok

@@ -15,7 +15,7 @@ from cocycle_forge.ring import (
 from cocycle_forge.scalars import rho, random_scalar
 from cocycle_forge.semigroup import SemigroupAuto
 
-from conftest import make_demo_cocycle, random_gauge
+from conftest import make_demo_cocycle, make_triangle, random_gauge
 
 
 @pytest.fixture()
@@ -264,12 +264,7 @@ def test_build_iso_rejects_bad_witness(demo_gf4, diamond, gf4):
 def triangle_ring(gf4):
     """Arrows a: e1->e2, b: e2->e3 with a.b = ab; here eta is pinned by the
     composite, so corrupting one value must break multiplicativity."""
-    from cocycle_forge.semigroup import SquareFreeSemigroup
-    sg = SquareFreeSemigroup.validate(
-        ["e1", "e2", "e3"],
-        [("a", "e1", "e2"), ("b", "e2", "e3"), ("ab", "e1", "e3")],
-        {("a", "b"): "ab"})
-    return TwistedRing(TwoCochain.trivial(sg, gf4))
+    return TwistedRing(TwoCochain.trivial(make_triangle(), gf4))
 
 
 def test_corrupted_eta_fails_verification(gf4):

@@ -8,9 +8,9 @@ from .cohomology import (
     h1, inner_triples, lambda_map, out_r, star_act, verify_ses, z1_enumerate,
 )
 from .errors import (
-    DivisionByZero, DomainMismatch, ForgeError, InstanceFileInvalid, NotAUnit,
-    NotEnumerable, NotNilpotent, NotNormal, RingMismatch, SemigroupInvalid,
-    SettingMismatch, UnknownElement, WitnessInvalid,
+    DivisionByZero, DomainMismatch, ForgeError, InstanceFileInvalid, NotACocycle,
+    NotAUnit, NotEnumerable, NotNilpotent, NotNormal, RingMismatch,
+    SemigroupInvalid, SettingMismatch, UnknownElement, WitnessInvalid,
 )
 from .gauge import (
     Gauge, IsoWitness, act_gauge, act_phi, cohomologous, gauge_stabilizer,

@@ -13,7 +13,7 @@ import sys
 
 import click
 
-from .cochain import cochain_to_json, is_cocycle, is_normal, normalize
+from .cochain import is_cocycle, is_normal, normalize
 from .cohomology import (
     aut0_enumerate, b1_enumerate, h1, out_r, verify_ses, z1_enumerate,
 )
@@ -209,7 +209,7 @@ def ring_table_cmd(cfg, file):
     inst = _load(cfg, file)
     try:
         ring = TwistedRing(inst.cocycle)
-    except (ValueError, ForgeError) as exc:
+    except ForgeError as exc:
         _emit(cfg, {"ok": False, "error": str(exc)}, [f"error: {exc}"])
         sys.exit(2)
     basis = list(inst.sg.elements)

@@ -75,7 +75,7 @@ class TwoCochain:
                 and self.domain == other.domain and self.key() == other.key())
 
     def __hash__(self):
-        return hash((self.domain.key(), self.key()))
+        return hash((self.domain, self.key()))
 
     def __repr__(self):
         return f"TwoCochain(alpha on {sorted(self.alpha)}, xi on {sorted(self.xi)})"
@@ -157,6 +157,8 @@ def cochain_to_json(c):
 
 def cochain_from_json(sg, domain, data):
     data = data or {}
+    if not isinstance(data, dict):
+        raise TypeError("a cocycle is a JSON object")
     alpha = {entry["on"]: auto_from_json(domain, entry["auto"])
              for entry in data.get("alpha", [])}
     xi = {(entry["left"], entry["right"]): scalar_from_json(domain, entry["value"])

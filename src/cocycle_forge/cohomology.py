@@ -10,6 +10,10 @@ For a normal cocycle c over an enumerable coefficient field:
   * H1(c) = Z1/B1, reported through coset representatives and a coset
     multiplication table rather than an abstract isomorphism claim.
 
+H1 = Z1/B1 and Out R = Aut0 R/Inn0 (Inn0 the lambda image of B1) are both
+partitioned by `_cosets`, which walks the sorted group and makes each
+unassigned element the representative, hence the least element, of its coset.
+
 Aut0 R, the automorphisms permuting the idempotent set, is found by
 propagation over multiplicativity probes: for each (phi, mu) the probes of
 every composable pair, taken with eta = 1, fix the value u that
@@ -108,32 +112,35 @@ class H1Report:
         return len(self.b1)
 
 
+def _cosets(group, sub):
+    """Left cosets sub . g in a group sorted by sort_key: (coset_of, reps),
+    coset_of mapping each member's key to its coset index and reps[i] the
+    least element of coset i."""
+    coset_of = dict.fromkeys(g.key() for g in group)
+    reps = []
+    for g in group:
+        if coset_of[g.key()] is not None:
+            continue
+        for h in sub:
+            key = h.compose(g).key()
+            if key not in coset_of:
+                raise AssertionError("a translate by the subgroup left the group")
+            coset_of[key] = len(reps)
+        reps.append(g)
+    if len(reps) * len(sub) != len(group):
+        raise AssertionError("|group| != |subgroup| x |cosets|")
+    return coset_of, reps
+
+
 def h1(c):
     """Group Z1 into B1-cosets; the factor group is reported by table."""
     z1 = z1_enumerate(c)
     b1 = b1_enumerate(c)
-    z1_keys = {g.key() for g in z1}
-    if not all(g.key() in z1_keys for g in b1):
+    coset_of, reps = _cosets(z1, b1)
+    if not all(g.key() in coset_of for g in b1):
         raise AssertionError("coboundaries failed to stabilize the cocycle")
-
-    coset_of = {}
-    cosets = []
-    for g in z1:
-        if g.key() in coset_of:
-            continue
-        members = sorted((b.compose(g) for b in b1), key=lambda x: x.sort_key())
-        idx = len(cosets)
-        cosets.append(members[0])
-        for m in members:
-            if m.key() not in z1_keys:
-                raise AssertionError("a B1-translate left Z1")
-            coset_of[m.key()] = idx
-    order = len(cosets)
-    if order * len(b1) != len(z1):
-        raise AssertionError("|Z1| != |B1| x |H1|")
-
-    table = [[coset_of[(a.compose(b)).key()] for b in cosets] for a in cosets]
-    return H1Report(z1, b1, order, cosets, table)
+    table = [[coset_of[(a.compose(b)).key()] for b in reps] for a in reps]
+    return H1Report(z1, b1, len(reps), reps, table)
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +210,11 @@ def inner_triples(c):
     """The idempotent-fixing inner automorphisms r = sum eps(e) e, as
     triples: the lambda images of B1 (mu_e = rho_{eps(e)},
     eta(s) = eps(e) alpha_s(eps(f)^{-1}))."""
-    return sorted((lambda_map(g, c) for g in b1_enumerate(c)),
-                  key=lambda t: t.sort_key())
+    return _lambda_image(b1_enumerate(c), c)
+
+
+def _lambda_image(b1, c):
+    return sorted((lambda_map(g, c) for g in b1), key=lambda t: t.sort_key())
 
 
 def _aut0_constraints(c, phi, mu, samples):
@@ -285,35 +295,15 @@ class OutRReport:
         return len(self.inn0)
 
 
-def _coset_partition(aut0, inn0):
-    """Left cosets Inn . t inside Aut0; returns (coset index map, count)."""
-    keyed = {t.key(): t for t in aut0}
-    coset_of = {}
-    count = 0
-    for t in aut0:
-        if t.key() in coset_of:
-            continue
-        for i in inn0:
-            m = i.compose(t)
-            if m.key() not in keyed:
-                raise AssertionError("inner translate escaped Aut0")
-            coset_of[m.key()] = count
-        count += 1
-    return coset_of, count
-
-
 def out_r(c):
     """Aut0 modulo the idempotent-fixing inner automorphisms."""
-    aut0 = aut0_enumerate(c)
-    inn0 = inner_triples(c)
-    coset_of, count = _coset_partition(aut0, inn0)
-    if count * len(inn0) != len(aut0):
-        raise AssertionError("|Aut0| != |Inn0| x |Out|")
-    phis = {}
-    for t in aut0:
-        phis[t.phi.sort_key()] = t.phi
-    phi_image = [phis[k] for k in sorted(phis)]
-    return OutRReport(aut0, inn0, count, phi_image, coset_of)
+    return _out_r(aut0_enumerate(c), inner_triples(c))
+
+
+def _out_r(aut0, inn0):
+    coset_of, reps = _cosets(aut0, inn0)
+    phis = {t.phi.sort_key(): t.phi for t in aut0}
+    return OutRReport(aut0, inn0, len(reps), [phis[k] for k in sorted(phis)], coset_of)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +337,7 @@ def verify_ses(c):
     _require_enumerable(c)
     _require_normal(c)
     report_h1 = h1(c)
-    outer = out_r(c)
+    outer = _out_r(aut0_enumerate(c), _lambda_image(report_h1.b1, c))
     stab = stabilizer_of_class(c)
     clauses = []
 
@@ -388,14 +378,10 @@ def verify_ses(c):
     trivial = TwoCochain.trivial(c.sg, c.domain)
     if cohomologous(c, trivial) is not None:
         ring = TwistedRing(trivial, validate=False)
-        ok_v = True
-        for phi in c.sg.enumerate_autos():
-            section = AutTriple(
-                c.sg, c.domain,
-                {e: RingAuto.identity(c.domain) for e in c.sg.idempotents},
-                {s: c.domain.one() for s in c.sg.elements}, phi)
-            if not verify_ring_hom(section.as_iso(ring)) or section.phi != phi:
-                ok_v = False
+        mu = {e: RingAuto.identity(c.domain) for e in c.sg.idempotents}
+        eta = {s: c.domain.one() for s in c.sg.elements}
+        ok_v = all(verify_ring_hom(AutTriple(c.sg, c.domain, mu, eta, phi).as_iso(ring))
+                   for phi in c.sg.enumerate_autos())
         clauses.append(SesClause(
             "split_section", ok_v,
             "phi -> (id, 1, phi) lands in Aut0 with Phi o Psi = id"))

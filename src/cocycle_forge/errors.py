@@ -21,6 +21,10 @@ class NotNormal(ForgeError, ValueError):
     """An enumeration that assumes a normal cocycle got a non-normal one."""
 
 
+class NotACocycle(ForgeError, ValueError):
+    """Twist data violates the cocycle identities."""
+
+
 class UnknownElement(ForgeError):
     """A name does not belong to the semigroup."""
 

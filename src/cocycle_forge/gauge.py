@@ -115,7 +115,7 @@ class Gauge:
                 and self.domain == other.domain and self.key() == other.key())
 
     def __hash__(self):
-        return hash((self.domain.key(), self.key()))
+        return hash((self.domain, self.key()))
 
     def __repr__(self):
         mu = {e: a for e, a in self.mu.items() if not a.is_identity()}

@@ -8,10 +8,10 @@ reports every problem with its location instead of failing at the first.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .cochain import TwoCochain, cochain_from_json, cochain_to_json
-from .errors import InstanceFileInvalid, SemigroupInvalid
+from .errors import ForgeError, InstanceFileInvalid, SemigroupInvalid
 from .gauge import Gauge, IsoWitness, gauge_from_json, gauge_to_json
 from .scalars import RingAuto, ScalarDomain, domain_from_json, domain_to_json
 from .semigroup import (
@@ -62,16 +62,18 @@ def parse_instance(data, max_idempotents=8):
                 issues.append(("/semigroup/idempotents",
                                f"{len(idempotents)} idempotents exceed the cap "
                                f"{max_idempotents}"))
+            issues.extend((f"/semigroup/idempotents/{i}", "names are strings")
+                          for i, e in enumerate(idempotents) if not isinstance(e, str))
             arrows = []
-            eset = set(idempotents)
-            for i, el in enumerate(sgdata.get("elements", [])):
+            eset = {e for e in idempotents if isinstance(e, str)}
+            for i, el in enumerate(_list_section(sgdata, "elements", issues)):
                 ptr = f"/semigroup/elements/{i}"
                 if not isinstance(el, dict):
                     issues.append((ptr, "element entries are objects"))
                     continue
-                missing = [k for k in ("name", "src", "tgt") if k not in el]
-                if missing:
-                    issues.append((ptr, f"missing keys {missing}"))
+                bad = [k for k in ("name", "src", "tgt") if not isinstance(el.get(k), str)]
+                if bad:
+                    issues.append((ptr, f"missing or non-string keys {bad}"))
                     continue
                 if el["name"] in eset:
                     if el["src"] != el["name"] or el["tgt"] != el["name"]:
@@ -80,10 +82,13 @@ def parse_instance(data, max_idempotents=8):
                     continue
                 arrows.append((el["name"], el["src"], el["tgt"]))
             products = []
-            for i, pr in enumerate(sgdata.get("products", [])):
+            for i, pr in enumerate(_list_section(sgdata, "products", issues)):
                 ptr = f"/semigroup/products/{i}"
-                if not isinstance(pr, dict) or "left" not in pr or "right" not in pr:
-                    issues.append((ptr, "product entries carry left/right"))
+                if not (isinstance(pr, dict) and isinstance(pr.get("left"), str)
+                        and isinstance(pr.get("right"), str)
+                        and isinstance(pr.get("result"), (str, type(None)))):
+                    issues.append((ptr, "product entries carry string left/right "
+                                        "and a string or null result"))
                     continue
                 products.append(((pr["left"], pr["right"]), pr.get("result", "theta")))
             if not issues:
@@ -103,6 +108,14 @@ def parse_instance(data, max_idempotents=8):
     if issues:
         raise InstanceFileInvalid(issues)
     return Instance(domain, sg, cocycle)
+
+
+def _list_section(sgdata, key, issues):
+    value = sgdata.get(key, [])
+    if isinstance(value, list):
+        return value
+    issues.append((f"/semigroup/{key}", "must be a list"))
+    return []
 
 
 def instance_to_json(inst):
@@ -153,7 +166,7 @@ def parse_witness(inst, data):
     if "phi" in data:
         try:
             phi = sg_auto_from_json(inst.sg, data["phi"])
-        except Exception as exc:
+        except (ForgeError, TypeError) as exc:
             issues.append(("/phi", str(exc)))
     if issues:
         raise InstanceFileInvalid(issues)

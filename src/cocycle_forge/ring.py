@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass
 
 from .cochain import is_cocycle
-from .errors import NotAUnit, NotNilpotent, RingMismatch, WitnessInvalid
+from .errors import NotACocycle, NotAUnit, NotNilpotent, RingMismatch, WitnessInvalid
 from .gauge import act_gauge, act_phi
 from .scalars import Scalar, random_scalar, scalar_from_json, scalar_to_json
 from .semigroup import SemigroupAuto
@@ -45,7 +45,7 @@ class TwistedRing:
         if validate:
             verdict = is_cocycle(cocycle)
             if not verdict.ok:
-                raise ValueError(
+                raise NotACocycle(
                     f"twist data violates the cocycle identities at "
                     f"{[v.members for v in verdict.violations[:3]]}")
         self.nilpotency_index = self._check_nilpotent()
@@ -83,13 +83,13 @@ class TwistedRing:
     # -- identity ------------------------------------------------------------
 
     def key(self):
-        return (self.sg.key(), self.domain.key(), self.cocycle.key())
+        return (self.sg.key(), self.domain, self.cocycle.key())
 
     def __eq__(self, other):
         return isinstance(other, TwistedRing) and self.key() == other.key()
 
     def __hash__(self):
-        return hash((self.domain.key(), self.cocycle.key()))
+        return hash((self.domain, self.cocycle.key()))
 
     def __repr__(self):
         return f"TwistedRing({self.domain!r}, |S*|={len(self.sg.elements)})"

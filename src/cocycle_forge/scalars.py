@@ -15,8 +15,8 @@ or conjugation by a unit quaternion scaled so its first nonzero Hamilton
 coefficient is 1 (conjugation by d and by c*d agree for central c, and the
 center of the rational quaternions is the rationals).
 
-Everything here is an immutable value; instances may be shared freely
-between concurrent workers.
+There is one domain object per field per process, so domains compare by
+identity; scalars and automorphisms are immutable values over them.
 """
 
 from __future__ import annotations
@@ -118,7 +118,7 @@ def _poly_is_irreducible(m, p):
 
 
 def _is_prime(n):
-    if n < 2:
+    if not isinstance(n, int) or n < 2:
         return False
     d = 2
     while d * d <= n:
@@ -150,10 +150,11 @@ def _default_modulus(p, k):
 
 
 class ScalarDomain:
-    """A concrete coefficient division ring, compared by value.
+    """A concrete coefficient division ring, compared by identity.
 
     Use the factory classmethods :meth:`rational`, :meth:`finite_field`
-    and :meth:`quaternion`.
+    and :meth:`quaternion`; each returns the one domain of its field in
+    this process.
     """
 
     __slots__ = ("kind", "p", "k", "modulus", "_cache")
@@ -167,20 +168,22 @@ class ScalarDomain:
 
     @classmethod
     def rational(cls):
-        return cls(RATIONAL)
+        return _RATIONALS
 
     @classmethod
     def quaternion(cls):
-        return cls(QUATERNION)
+        return _QUATERNIONS
 
     @classmethod
     def finite_field(cls, p, k=1, modulus=None):
         if not _is_prime(p):
             raise ValueError(f"p = {p} is not prime")
-        if k < 1:
+        if not isinstance(k, int) or k < 1:
             raise ValueError("k must be a positive integer")
         if modulus is None:
             modulus = _default_modulus(p, k)
+        if not all(isinstance(c, int) for c in modulus):
+            raise ValueError("modulus coefficients must be integers")
         modulus = tuple(c % p for c in modulus)
         if len(_poly_trim(modulus)) != k + 1:
             raise ValueError(f"modulus must have degree exactly {k}")
@@ -188,32 +191,13 @@ class ScalarDomain:
             raise ValueError("modulus must be monic")
         if not _poly_is_irreducible(modulus, p):
             raise ValueError(f"modulus {list(modulus)} is reducible over Z_{p}")
-        return cls(FINITE_FIELD, p, k, modulus)
-
-    # -- identity of the domain as a value
-
-    def key(self):
-        if self.kind == FINITE_FIELD:
-            return (self.kind, self.p, self.modulus)
-        return (self.kind,)
-
-    def __eq__(self, other):
-        return isinstance(other, ScalarDomain) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
+        # k is implied by the modulus, so (p, modulus) names the field
+        return _FIELDS.setdefault((p, modulus), cls(FINITE_FIELD, p, k, modulus))
 
     def __repr__(self):
         if self.kind == FINITE_FIELD:
             return f"GF({self.p ** self.k})"
         return "Q" if self.kind == RATIONAL else "H(Q)"
-
-    def __getstate__(self):
-        return (self.kind, self.p, self.k, self.modulus)
-
-    def __setstate__(self, state):
-        self.kind, self.p, self.k, self.modulus = state
-        self._cache = {}
 
     @property
     def order(self):
@@ -270,6 +254,11 @@ class ScalarDomain:
         return self.scalar(2)
 
 
+_RATIONALS = ScalarDomain(RATIONAL)
+_QUATERNIONS = ScalarDomain(QUATERNION)
+_FIELDS = {}
+
+
 def _as_fraction(v):
     if isinstance(v, Fraction):
         return v
@@ -299,7 +288,7 @@ class Scalar:
         self.payload = payload
 
     def _check(self, other):
-        if not isinstance(other, Scalar) or other.domain != self.domain:
+        if not isinstance(other, Scalar) or other.domain is not self.domain:
             raise DomainMismatch(f"{self!r} and {other!r} live in different domains")
 
     def is_zero(self):
@@ -394,11 +383,11 @@ class Scalar:
         return out
 
     def __eq__(self, other):
-        return (isinstance(other, Scalar) and self.domain == other.domain
+        return (isinstance(other, Scalar) and self.domain is other.domain
                 and self.payload == other.payload)
 
     def __hash__(self):
-        return hash((self.domain.key(), self.payload))
+        return hash((self.domain, self.payload))
 
     def sort_key(self):
         if self.domain.kind == RATIONAL:
@@ -461,7 +450,7 @@ class RingAuto:
         commutative domains and for central d."""
         if d.is_zero():
             raise DivisionByZero("conjugation by zero")
-        if d.domain != domain:
+        if d.domain is not domain:
             raise DomainMismatch("unit and domain disagree")
         if domain.is_commutative():
             return cls.identity(domain)
@@ -476,7 +465,7 @@ class RingAuto:
         return cls(domain, INNER, payload)
 
     def __call__(self, x):
-        if x.domain != self.domain:
+        if x.domain is not self.domain:
             raise DomainMismatch("automorphism applied outside its domain")
         if self.form == IDENTITY:
             return x
@@ -492,7 +481,7 @@ class RingAuto:
 
     def compose(self, other):
         """self after other: (self.compose(other))(x) == self(other(x))."""
-        if other.domain != self.domain:
+        if other.domain is not self.domain:
             raise DomainMismatch("composing automorphisms of different domains")
         if self.form == IDENTITY:
             return other
@@ -516,11 +505,11 @@ class RingAuto:
         return self.form == IDENTITY
 
     def __eq__(self, other):
-        return (isinstance(other, RingAuto) and self.domain == other.domain
+        return (isinstance(other, RingAuto) and self.domain is other.domain
                 and self.form == other.form and self.data == other.data)
 
     def __hash__(self):
-        return hash((self.domain.key(), self.form, self.data))
+        return hash((self.domain, self.form, self.data))
 
     def sort_key(self):
         if self.form == IDENTITY:
@@ -636,6 +625,8 @@ def domain_to_json(domain):
 
 
 def domain_from_json(data):
+    if not isinstance(data, dict):
+        raise TypeError("a division ring is a JSON object")
     kind = data.get("kind")
     if kind == RATIONAL:
         return ScalarDomain.rational()

@@ -270,12 +270,6 @@ class SquareFreeSemigroup:
         return (f"SquareFreeSemigroup(|E|={len(self.idempotents)}, "
                 f"|S*|={len(self.elements)})")
 
-    def __getstate__(self):
-        return (self.idempotents, self.elements, self.src, self.tgt, self._table)
-
-    def __setstate__(self, state):
-        self.__init__(*state)
-
 
 class SemigroupAuto:
     """A semigroup automorphism as a bijection on element names."""
@@ -360,6 +354,8 @@ def auto_to_json(phi):
 
 def auto_from_json(sg, data):
     mapping = data["map"] if isinstance(data, dict) and "map" in data else data
+    if not isinstance(mapping, dict):
+        raise TypeError("a semigroup automorphism map is a JSON object")
     phi = SemigroupAuto(sg, mapping)
     if sorted(mapping) != sorted(sg.elements) or sorted(mapping.values()) != sorted(sg.elements):
         raise UnknownElement("automorphism map is not a bijection on the elements")

@@ -80,6 +80,41 @@ def test_parse_errors_carry_pointers():
     assert "/semigroup/elements/0" in pointers
 
 
+MALFORMED = [
+    pytest.param(lambda d: d.update(cocycle=[1]), "/cocycle", id="cocycle-list"),
+    pytest.param(lambda d: d.update(division_ring=[1]), "/division_ring",
+                 id="division-ring-list"),
+    pytest.param(lambda d: d.update(semigroup={"idempotents": ["e1"], "elements": 5}),
+                 "/semigroup/elements", id="elements-int"),
+    pytest.param(lambda d: d["semigroup"].update(products=5), "/semigroup/products",
+                 id="products-int"),
+    pytest.param(lambda d: d["semigroup"]["idempotents"].__setitem__(0, ["e1"]),
+                 "/semigroup/idempotents/0", id="idempotent-name-list"),
+    pytest.param(lambda d: d["semigroup"]["elements"][0].update(name=["x"]),
+                 "/semigroup/elements/0", id="element-name-list"),
+]
+
+
+@pytest.mark.parametrize("edit,pointer", MALFORMED)
+def test_malformed_sections_carry_pointers(edit, pointer):
+    data = instance_to_json(diamond_demo_instance())
+    edit(data)
+    with pytest.raises(InstanceFileInvalid) as exc:
+        parse_instance(data)
+    assert pointer in {p for p, _ in exc.value.issues}
+
+
+def test_malformed_section_exits_2(runner, tmp_path):
+    data = instance_to_json(diamond_demo_instance())
+    data["cocycle"] = [1]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    result = runner.invoke(main, ["--output", "json", "validate", str(path)])
+    assert result.exit_code == 2, result.output
+    payload = json.loads(result.output)
+    assert [e["pointer"] for e in payload["errors"]] == ["/cocycle"]
+
+
 def test_is_cocycle_failure_lists_violations(runner, tmp_path):
     inst = diamond_demo_instance()
     data = instance_to_json(inst)
@@ -238,6 +273,19 @@ def test_ring_table_rejects_non_cocycle_cleanly(runner, tmp_path):
     result = runner.invoke(main, ["ring-table", str(path)])
     assert result.exit_code == 2
     assert "cocycle identities" in result.output
+
+
+def test_ring_table_internal_value_error_is_not_a_usage_error(runner, demo_file,
+                                                              monkeypatch):
+    from cocycle_forge import ring
+
+    def broken(c):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr(ring, "is_cocycle", broken)
+    result = runner.invoke(main, ["ring-table", demo_file])
+    assert result.exit_code != 2
+    assert isinstance(result.exception, ValueError)
 
 
 def test_verify_ses_not_enumerable(runner, tmp_path):

@@ -400,3 +400,23 @@ def test_phi_components_compose(demo):
     for t1 in sample:
         for t2 in sample:
             assert t1.compose(t2).phi == t1.phi.compose(t2.phi)
+
+
+def test_verify_ses_enumerates_b1_once(demo, monkeypatch):
+    from cocycle_forge import cohomology
+    calls = []
+    original = cohomology.b1_enumerate
+
+    def counted(c):
+        calls.append(c)
+        return original(c)
+
+    monkeypatch.setattr(cohomology, "b1_enumerate", counted)
+    assert verify_ses(demo).ok
+    assert len(calls) == 1
+
+
+def test_h1_representatives_are_least_in_their_coset(demo):
+    rep = h1(demo)
+    for g in rep.h1_cosets:
+        assert g.sort_key() == min(b.compose(g).sort_key() for b in rep.b1)

@@ -8,7 +8,7 @@ import random
 import pytest
 
 from cocycle_forge.cochain import TwoCochain, is_cocycle, is_normal, normalize
-from cocycle_forge.cohomology import aut0_enumerate
+from cocycle_forge.cohomology import aut0_enumerate, out_r, verify_ses
 from cocycle_forge.gauge import IsoWitness, act_gauge
 from cocycle_forge.ring import (
     RingIso, TwistedRing, _scalar_samples, build_iso, identity_iso, verify_ring_hom,
@@ -137,3 +137,16 @@ def test_verifier_matches_all_pairs_oracle(label, iso):
             assert (lhs, rhs) == (slow_lhs.coeff(basis), slow_rhs.coeff(basis))
         else:
             assert (lhs, rhs) == (slow_lhs, slow_rhs)
+
+
+@pytest.mark.parametrize("shape", ["diamond", "chain3", "tri", "chain4"])
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2)])
+def test_coset_orders_over_shapes(shape, p, k):
+    c = twisted_normal(shape, ScalarDomain.finite_field(p, k))
+    ses = verify_ses(c)
+    assert ses.ok
+    o = ses.orders
+    assert o["z1"] == o["b1"] * o["h1"]
+    assert o["aut0"] == o["inn0"] * o["out_r"]
+    assert o["out_r"] == o["h1"] * o["stab"]
+    assert out_r(c).out_order == o["out_r"]

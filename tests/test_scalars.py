@@ -218,3 +218,28 @@ def test_domain_and_auto_json_round_trip():
     autos = [RingAuto.identity(Q), RingAuto.frobenius(GF9, 1), rho(I * K)]
     for a in autos:
         assert auto_from_json(a.domain, auto_to_json(a)) == a
+
+
+def test_one_domain_per_field():
+    assert ScalarDomain.finite_field(2, 2) is domain_from_json(
+        domain_to_json(ScalarDomain.finite_field(2, 2, [1, 1, 1])))
+    for dom in (Q, H):
+        assert domain_from_json(domain_to_json(dom)) is dom
+
+
+def test_gf8_moduli_are_distinct_domains():
+    a = ScalarDomain.finite_field(2, 3, [1, 1, 0, 1])
+    b = ScalarDomain.finite_field(2, 3, [1, 0, 1, 1])
+    assert a is not b and a != b
+    with pytest.raises(DomainMismatch):
+        a.generator() * b.generator()
+    with pytest.raises(DomainMismatch):
+        a.one() + b.one()
+
+
+@pytest.mark.parametrize("p,k,modulus", [(2.0, 1, [0, 1]), (2, 2.0, [1, 1, 1]),
+                                         (2, 1, [0, 1.0])])
+def test_non_integer_field_data_is_rejected(p, k, modulus):
+    # the first domain built for a field is the one every later call returns
+    with pytest.raises(ValueError):
+        ScalarDomain.finite_field(p, k, modulus)

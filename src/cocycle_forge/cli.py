@@ -55,7 +55,7 @@ def _load(cfg, path):
 
 
 def _require_same_setting(a, b):
-    if a.domain != b.domain or a.sg != b.sg:
+    if a.domain is not b.domain or a.sg is not b.sg:
         raise SettingMismatch(
             "both files must carry the same division ring and semigroup")
 

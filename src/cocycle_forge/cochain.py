@@ -23,13 +23,14 @@ from .scalars import RingAuto, auto_from_json, auto_to_json, rho, scalar_from_js
 
 
 class TwoCochain:
-    """A pair (alpha, xi); immutable, compared by value.
+    """A pair (alpha, xi); immutable, compared by value through one key
+    built with it.
 
     Whether it satisfies the cocycle identities is checked by
     :func:`is_cocycle`, never silently assumed.
     """
 
-    __slots__ = ("sg", "domain", "alpha", "xi")
+    __slots__ = ("sg", "domain", "alpha", "xi", "_key")
 
     def __init__(self, sg, domain, alpha=None, xi=None):
         self.sg = sg
@@ -39,12 +40,12 @@ class TwoCochain:
         xi = xi or {}
         pairs = set(sg.tuples(2))
         for s, a in alpha.items():
-            if a.domain != domain:
+            if a.domain is not domain:
                 raise DomainMismatch(f"alpha[{s!r}] lives in {a.domain!r}")
             if s not in sg.src:
                 raise ValueError(f"alpha defined on unknown element {s!r}")
         for pair, v in xi.items():
-            if v.domain != domain:
+            if v.domain is not domain:
                 raise DomainMismatch(f"xi[{pair!r}] lives in {v.domain!r}")
             if v.is_zero():
                 raise ValueError(f"xi{pair!r} must be nonzero")
@@ -52,6 +53,8 @@ class TwoCochain:
                 raise ValueError(f"xi defined outside the composable pairs: {pair!r}")
         self.alpha = {s: a for s, a in alpha.items() if not a.is_identity()}
         self.xi = {pair: v for pair, v in xi.items() if v != one}
+        self._key = (tuple(sorted((s, a.sort_key()) for s, a in self.alpha.items())),
+                     tuple(sorted((p, v.sort_key()) for p, v in self.xi.items())))
 
     @classmethod
     def trivial(cls, sg, domain):
@@ -63,19 +66,15 @@ class TwoCochain:
     def xi_at(self, s, t):
         return self.xi.get((s, t)) or self.domain.one()
 
-    def replace(self, alpha, xi):
-        return TwoCochain(self.sg, self.domain, alpha, xi)
-
     def key(self):
-        return (tuple(sorted((s, a.sort_key()) for s, a in self.alpha.items())),
-                tuple(sorted((p, v.sort_key()) for p, v in self.xi.items())))
+        return self._key
 
     def __eq__(self, other):
-        return (isinstance(other, TwoCochain) and self.sg == other.sg
-                and self.domain == other.domain and self.key() == other.key())
+        return (isinstance(other, TwoCochain) and self.sg is other.sg
+                and self.domain is other.domain and self._key == other._key)
 
     def __hash__(self):
-        return hash((self.domain, self.key()))
+        return hash(self._key)
 
     def __repr__(self):
         return f"TwoCochain(alpha on {sorted(self.alpha)}, xi on {sorted(self.xi)})"

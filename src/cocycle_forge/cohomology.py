@@ -13,6 +13,9 @@ For a normal cocycle c over an enumerable coefficient field:
 H1 = Z1/B1 and Out R = Aut0 R/Inn0 (Inn0 the lambda image of B1) are both
 partitioned by `_cosets`, which walks the sorted group and makes each
 unassigned element the representative, hence the least element, of its coset.
+Gauges and triples build their keys once, with their values, so `_cosets`
+keys its table by the values themselves and `OutRReport.coset_keys` maps
+each Aut0 triple to its coset index.
 
 Aut0 R, the automorphisms permuting the idempotent set, is found by
 propagation over multiplicativity probes: for each (phi, mu) the probes of
@@ -67,7 +70,7 @@ def z1_enumerate(c):
     """All gauges fixing the cocycle; deterministic canonical order."""
     _require_enumerable(c)
     _require_normal(c)
-    return sorted(gauge_stabilizer(c), key=lambda g: g.sort_key())
+    return sorted(gauge_stabilizer(c), key=Gauge.sort_key)
 
 
 def star_act(eps, oc, c):
@@ -87,12 +90,9 @@ def b1_enumerate(c):
     _require_normal(c)
     units = enumerate_units(c.domain)
     ident = Gauge.identity(c.sg, c.domain)
-    seen = {}
-    for choice in itertools.product(units, repeat=len(c.sg.idempotents)):
-        eps = dict(zip(c.sg.idempotents, choice))
-        g = star_act(eps, ident, c)
-        seen[g.key()] = g
-    return sorted(seen.values(), key=lambda g: g.sort_key())
+    seen = {star_act(dict(zip(c.sg.idempotents, choice)), ident, c)
+            for choice in itertools.product(units, repeat=len(c.sg.idempotents))}
+    return sorted(seen, key=Gauge.sort_key)
 
 
 @dataclass(frozen=True)
@@ -114,18 +114,18 @@ class H1Report:
 
 def _cosets(group, sub):
     """Left cosets sub . g in a group sorted by sort_key: (coset_of, reps),
-    coset_of mapping each member's key to its coset index and reps[i] the
-    least element of coset i."""
-    coset_of = dict.fromkeys(g.key() for g in group)
+    coset_of mapping each member to its coset index and reps[i] the least
+    element of coset i. Members are their own keys."""
+    coset_of = dict.fromkeys(group)
     reps = []
     for g in group:
-        if coset_of[g.key()] is not None:
+        if coset_of[g] is not None:
             continue
         for h in sub:
-            key = h.compose(g).key()
-            if key not in coset_of:
+            hg = h.compose(g)
+            if hg not in coset_of:
                 raise AssertionError("a translate by the subgroup left the group")
-            coset_of[key] = len(reps)
+            coset_of[hg] = len(reps)
         reps.append(g)
     if len(reps) * len(sub) != len(group):
         raise AssertionError("|group| != |subgroup| x |cosets|")
@@ -137,9 +137,9 @@ def h1(c):
     z1 = z1_enumerate(c)
     b1 = b1_enumerate(c)
     coset_of, reps = _cosets(z1, b1)
-    if not all(g.key() in coset_of for g in b1):
+    if not all(g in coset_of for g in b1):
         raise AssertionError("coboundaries failed to stabilize the cocycle")
-    table = [[coset_of[(a.compose(b)).key()] for b in reps] for a in reps]
+    table = [[coset_of[a.compose(b)] for b in reps] for a in reps]
     return H1Report(z1, b1, len(reps), reps, table)
 
 
@@ -149,10 +149,11 @@ def h1(c):
 
 class AutTriple:
     """Data of a normal ring automorphism: d.s -> mu_e(d) eta(s) phi(s)
-    with eta = 1 on the idempotents. Compared as data, which is faithful
-    because a normal automorphism determines its triple uniquely."""
+    with eta = 1 on the idempotents. Compared as data, through one key built
+    with the triple, which is faithful because a normal automorphism
+    determines its triple uniquely."""
 
-    __slots__ = ("sg", "domain", "mu", "eta", "phi")
+    __slots__ = ("sg", "domain", "mu", "eta", "phi", "_key")
 
     def __init__(self, sg, domain, mu, eta, phi):
         self.sg = sg
@@ -165,6 +166,9 @@ class AutTriple:
             if self.eta.get(e, one) != one:
                 raise ValueError("normal triples carry eta = 1 on idempotents")
             self.eta.setdefault(e, one)
+        self._key = (tuple((e, self.mu[e].sort_key()) for e in sg.idempotents),
+                     tuple((s, self.eta[s].sort_key()) for s in sg.elements),
+                     phi.sort_key())
 
     @classmethod
     def identity(cls, sg, domain):
@@ -185,17 +189,16 @@ class AutTriple:
         return AutTriple(self.sg, self.domain, mu, eta, self.phi.compose(phi2))
 
     def key(self):
-        return (tuple((e, self.mu[e].sort_key()) for e in self.sg.idempotents),
-                tuple((s, self.eta[s].sort_key()) for s in self.sg.elements),
-                self.phi.sort_key())
+        return self._key
 
     sort_key = key
 
     def __eq__(self, other):
-        return isinstance(other, AutTriple) and self.key() == other.key()
+        return (isinstance(other, AutTriple) and self.sg is other.sg
+                and self.domain is other.domain and self._key == other._key)
 
     def __hash__(self):
-        return hash(self.key())
+        return hash(self._key)
 
     def __repr__(self):
         return f"AutTriple(phi={self.phi!r})"
@@ -209,12 +212,9 @@ def lambda_map(oc, c):
 def inner_triples(c):
     """The idempotent-fixing inner automorphisms r = sum eps(e) e, as
     triples: the lambda images of B1 (mu_e = rho_{eps(e)},
-    eta(s) = eps(e) alpha_s(eps(f)^{-1}))."""
-    return _lambda_image(b1_enumerate(c), c)
-
-
-def _lambda_image(b1, c):
-    return sorted((lambda_map(g, c) for g in b1), key=lambda t: t.sort_key())
+    eta(s) = eps(e) alpha_s(eps(f)^{-1})). B1 comes sorted, and lambda
+    keeps the order: a triple with identity phi sorts by its gauge."""
+    return [lambda_map(g, c) for g in b1_enumerate(c)]
 
 
 def _aut0_constraints(c, phi, mu, samples):
@@ -270,7 +270,7 @@ def aut0_enumerate(c, jobs=1):
             if constraints is not None:
                 out.extend(AutTriple(sg, domain, mu, eta, phi)
                            for eta in solve_eta(sg, units, constraints, fixed))
-    out.sort(key=lambda t: t.sort_key())
+    out.sort(key=AutTriple.sort_key)
     return out
 
 
@@ -284,7 +284,7 @@ class OutRReport:
     inn0: list
     out_order: int
     phi_image: list
-    coset_keys: dict = field(repr=False, default=None)  # triple key -> coset idx
+    coset_keys: dict = field(repr=False, default=None)  # triple -> coset index
 
     @property
     def aut0_order(self):
@@ -302,8 +302,8 @@ def out_r(c):
 
 def _out_r(aut0, inn0):
     coset_of, reps = _cosets(aut0, inn0)
-    phis = {t.phi.sort_key(): t.phi for t in aut0}
-    return OutRReport(aut0, inn0, len(reps), [phis[k] for k in sorted(phis)], coset_of)
+    phis = sorted({t.phi for t in aut0}, key=SemigroupAuto.sort_key)
+    return OutRReport(aut0, inn0, len(reps), phis, coset_of)
 
 
 # ---------------------------------------------------------------------------
@@ -337,13 +337,12 @@ def verify_ses(c):
     _require_enumerable(c)
     _require_normal(c)
     report_h1 = h1(c)
-    outer = _out_r(aut0_enumerate(c), _lambda_image(report_h1.b1, c))
+    outer = _out_r(aut0_enumerate(c), [lambda_map(g, c) for g in report_h1.b1])
     stab = stabilizer_of_class(c)
     clauses = []
 
     # (i) distinct H1 cosets induce distinct outer classes
-    images = [outer.coset_keys.get(lambda_map(g, c).key())
-              for g in report_h1.h1_cosets]
+    images = [outer.coset_keys.get(lambda_map(g, c)) for g in report_h1.h1_cosets]
     ok_i = None not in images and len(set(images)) == len(images)
     clauses.append(SesClause(
         "lambda_injective", ok_i,
@@ -352,8 +351,7 @@ def verify_ses(c):
 
     # (ii) the outer classes with identity idempotent permutation are
     # exactly the lambda images
-    kernel_keys = {outer.coset_keys[t.key()] for t in outer.aut0
-                   if t.phi.is_identity()}
+    kernel_keys = {outer.coset_keys[t] for t in outer.aut0 if t.phi.is_identity()}
     ok_ii = set(images) == kernel_keys
     clauses.append(SesClause(
         "image_lambda_is_kernel_phi", ok_ii,
@@ -361,8 +359,8 @@ def verify_ses(c):
         f"{len(set(images))}"))
 
     # (iii) the idempotent permutations realized by Aut0 are the stabilizer
-    got = {p.sort_key() for p in outer.phi_image}
-    want = {p.sort_key() for p in stab}
+    got = set(outer.phi_image)
+    want = set(stab)
     clauses.append(SesClause(
         "image_phi_is_stabilizer", got == want,
         f"realized {len(got)} permutations, stabilizer has {len(want)}"))

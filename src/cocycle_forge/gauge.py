@@ -29,6 +29,9 @@ rationals by exact multiplicative elimination of the same relations. Both
 negative answers are definitive; the quaternions raise NotEnumerable. The
 Aut0 enumeration runs `solve_eta` too, on relations it derives from ring
 multiplicativity rather than from the action formula.
+
+A gauge builds its key once, with its value, so gauges serve as their own
+dict keys and sort by that key.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from .scalars import (
 class Gauge:
     """A (mu, eta) pair, total on idempotents and elements; immutable."""
 
-    __slots__ = ("sg", "domain", "mu", "eta")
+    __slots__ = ("sg", "domain", "mu", "eta", "_key")
 
     def __init__(self, sg, domain, mu=None, eta=None):
         self.sg = sg
@@ -66,13 +69,17 @@ class Gauge:
             raise ValueError(f"eta defined on unknown elements: "
                              f"{sorted(eta.keys() - self.eta.keys())}")
         for e, a in self.mu.items():
-            if a.domain != domain:
+            if a.domain is not domain:
                 raise DomainMismatch(f"mu[{e!r}] lives in {a.domain!r}")
         for s, v in self.eta.items():
-            if v.domain != domain:
+            if v.domain is not domain:
                 raise DomainMismatch(f"eta[{s!r}] lives in {v.domain!r}")
             if v.is_zero():
                 raise ValueError(f"eta[{s!r}] must be nonzero")
+        # every gauge of sg lists the same names in the same positions, so
+        # the sort keys alone identify it and order it
+        self._key = (tuple(self.mu[e].sort_key() for e in sg.idempotents),
+                     tuple(self.eta[s].sort_key() for s in sg.elements))
 
     @classmethod
     def identity(cls, sg, domain):
@@ -84,7 +91,7 @@ class Gauge:
 
     def compose(self, other):
         """Group law making act_gauge a left action (see module docstring)."""
-        if self.sg != other.sg or self.domain != other.domain:
+        if self.sg is not other.sg or self.domain is not other.domain:
             raise DomainMismatch("composing gauges over different settings")
         mu = {e: other.mu[e].compose(self.mu[e]) for e in self.sg.idempotents}
         eta = {s: other.mu[self.sg.src[s]](self.eta[s]) * other.eta[s]
@@ -103,19 +110,16 @@ class Gauge:
         return Gauge(self.sg, self.domain, mu, eta)
 
     def key(self):
-        return (tuple((e, self.mu[e].sort_key()) for e in self.sg.idempotents),
-                tuple((s, self.eta[s].sort_key()) for s in self.sg.elements))
+        return self._key
 
-    def sort_key(self):
-        return (tuple(self.mu[e].sort_key() for e in self.sg.idempotents),
-                tuple(self.eta[s].sort_key() for s in self.sg.elements))
+    sort_key = key
 
     def __eq__(self, other):
-        return (isinstance(other, Gauge) and self.sg == other.sg
-                and self.domain == other.domain and self.key() == other.key())
+        return (isinstance(other, Gauge) and self.sg is other.sg
+                and self.domain is other.domain and self._key == other._key)
 
     def __hash__(self):
-        return hash((self.domain, self.key()))
+        return hash(self._key)
 
     def __repr__(self):
         mu = {e: a for e, a in self.mu.items() if not a.is_identity()}
@@ -135,7 +139,7 @@ class IsoWitness:
 
 
 def _require_setting(c, sg, domain):
-    if c.sg != sg or c.domain != domain:
+    if c.sg is not sg or c.domain is not domain:
         raise DomainMismatch("gauge and cochain settings disagree")
 
 
@@ -256,7 +260,7 @@ def cohomologous(c1, c2):
     the quaternions raise NotEnumerable since a failed search there could
     not be exhaustive.
     """
-    if c1.sg != c2.sg or c1.domain != c2.domain:
+    if c1.sg is not c2.sg or c1.domain is not c2.domain:
         raise DomainMismatch("cocycles compared over different settings")
     kind = c1.domain.kind
     if kind == "finite_field":

@@ -102,7 +102,7 @@ def parse_instance(data, max_idempotents=8):
     if domain is not None and sg is not None:
         try:
             cocycle = cochain_from_json(sg, domain, data.get("cocycle"))
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ForgeError, ValueError, KeyError, TypeError) as exc:
             issues.append(("/cocycle", str(exc)))
 
     if issues:
@@ -161,7 +161,7 @@ def parse_witness(inst, data):
     if "gauge" in data:
         try:
             gauge = gauge_from_json(inst.sg, inst.domain, data["gauge"])
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ForgeError, ValueError, KeyError, TypeError) as exc:
             issues.append(("/gauge", str(exc)))
     if "phi" in data:
         try:

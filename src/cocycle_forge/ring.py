@@ -80,16 +80,13 @@ class TwistedRing:
         """d . s as an element (d defaults to 1)."""
         return RingElement(self, {s: d if d is not None else self.domain.one()})
 
-    # -- identity ------------------------------------------------------------
-
-    def key(self):
-        return (self.sg.key(), self.domain, self.cocycle.key())
+    # -- identity: the cocycle's, which carries the semigroup and domain ------
 
     def __eq__(self, other):
-        return isinstance(other, TwistedRing) and self.key() == other.key()
+        return isinstance(other, TwistedRing) and self.cocycle == other.cocycle
 
     def __hash__(self):
-        return hash((self.domain, self.cocycle.key()))
+        return hash(self.cocycle)
 
     def __repr__(self):
         return f"TwistedRing({self.domain!r}, |S*|={len(self.sg.elements)})"
@@ -106,7 +103,7 @@ class RingElement:
         for s, d in coeffs.items():
             if s not in ring.sg.src:
                 raise RingMismatch(f"{s!r} is not a basis element")
-            if d.domain != ring.domain:
+            if d.domain is not ring.domain:
                 raise RingMismatch(f"coefficient of {s!r} lives in {d.domain!r}")
             if not d.is_zero():
                 clean[s] = d
@@ -197,8 +194,7 @@ class RingElement:
                 and self.coeffs == other.coeffs)
 
     def __hash__(self):
-        return hash(tuple((s, d.payload)
-                          for s, d in sorted(self.coeffs.items(), key=lambda kv: kv[0])))
+        return hash(frozenset(self.coeffs.items()))
 
     def __repr__(self):
         if not self.coeffs:
@@ -297,7 +293,7 @@ def find_ring_iso(c_source, c_target, max_idempotents=8):
     """
     from .gauge import IsoWitness, cohomologous
 
-    if c_source.sg != c_target.sg or c_source.domain != c_target.domain:
+    if c_source.sg is not c_target.sg or c_source.domain is not c_target.domain:
         raise RingMismatch("isomorphism search needs a common semigroup and domain")
     for phi in c_source.sg.enumerate_autos(max_idempotents=max_idempotents):
         gauge = cohomologous(act_phi(phi, c_target), c_source)
@@ -321,12 +317,7 @@ def _scalar_samples(domain, seed):
     rng = random.Random(seed)
     samples = [domain.one(), domain.generator()]
     samples += [random_scalar(domain, rng, nonzero=True) for _ in range(3)]
-    seen, out = set(), []
-    for s in samples:
-        if s.payload not in seen:
-            seen.add(s.payload)
-            out.append(s)
-    return out
+    return list(dict.fromkeys(samples))
 
 
 def pair_sides(c_src, c_tgt, mu, eta, phi, s, t, d1, d2):

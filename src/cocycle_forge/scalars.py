@@ -42,12 +42,6 @@ def _poly_trim(a):
     return tuple(a[:i])
 
 
-def _poly_add(a, b, p):
-    n = max(len(a), len(b))
-    return _poly_trim([((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p
-                       for i in range(n)])
-
-
 def _poly_mul(a, b, p):
     if not a or not b:
         return ()
@@ -72,19 +66,6 @@ def _poly_divmod(a, b, p):
             for j, bj in enumerate(b):
                 a[i + j] = (a[i + j] - c * bj) % p
     return _poly_trim(q), _poly_trim(a)
-
-
-def _poly_gcd_ext(a, b, p):
-    # returns (g, s, t) with s*a + t*b = g
-    r0, r1 = a, b
-    s0, s1 = (1,), ()
-    t0, t1 = (), (1,)
-    while r1:
-        q, r = _poly_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_add(s0, _poly_mul(tuple(-c % p for c in q), s1, p), p)
-        t0, t1 = t1, _poly_add(t0, _poly_mul(tuple(-c % p for c in q), t1, p), p)
-    return r0, s0, t0
 
 
 def _monic_polys(degree, p):
@@ -294,7 +275,7 @@ class Scalar:
     def is_zero(self):
         if self.domain.kind == RATIONAL:
             return self.payload == 0
-        return all(c == 0 for c in self.payload)
+        return not any(self.payload)
 
     def is_one(self):
         return self == self.domain.one()
@@ -357,14 +338,8 @@ class Scalar:
             cache = self.domain._cache.setdefault("inv", {})
             hit = cache.get(self.payload)
             if hit is None:
-                g, s, _ = _poly_gcd_ext(_poly_trim(self.payload),
-                                        self.domain.modulus, self.domain.p)
-                # g is a nonzero constant since the modulus is irreducible
-                c_inv = pow(g[0], -1, self.domain.p)
-                res = _poly_trim(tuple((c * c_inv) % self.domain.p for c in s))
-                _, res = _poly_divmod(res, self.domain.modulus, self.domain.p)
-                hit = res + (0,) * (self.domain.k - len(res))
-                cache[self.payload] = hit
+                # x^(q-1) = 1 for every unit x, so x^(q-2) is its inverse
+                hit = cache[self.payload] = (self ** (self.domain.order - 2)).payload
             return Scalar(self.domain, hit)
         a, b, c, d = self.payload
         n = a * a + b * b + c * c + d * d
@@ -602,19 +577,26 @@ def scalar_to_json(s):
     return [f"{f.numerator}/{f.denominator}" for f in s.payload]
 
 
+def _fraction_from_json(text):
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def scalar_from_json(domain, data):
     kind = domain.kind
     if kind == RATIONAL:
         if not isinstance(data, str):
             raise ValueError("rational scalars are encoded as strings like \"3/4\"")
-        return domain.scalar(Fraction(data))
+        return domain.scalar(_fraction_from_json(data))
     if kind == FINITE_FIELD:
         if not isinstance(data, list) or not all(isinstance(c, int) for c in data):
             raise ValueError("finite-field scalars are integer coefficient arrays")
         return domain.scalar(data)
     if not isinstance(data, list) or len(data) != 4:
         raise ValueError("quaternions are arrays of 4 rational strings")
-    return domain.scalar([Fraction(str(v)) for v in data])
+    return domain.scalar([_fraction_from_json(str(v)) for v in data])
 
 
 def domain_to_json(domain):
@@ -649,7 +631,10 @@ def auto_from_json(domain, data):
     if data == "identity":
         return RingAuto.identity(domain)
     if isinstance(data, dict) and "frobenius" in data:
-        return RingAuto.frobenius(domain, int(data["frobenius"]))
+        power = data["frobenius"]
+        if not isinstance(power, int) or isinstance(power, bool):
+            raise ValueError(f"a Frobenius power is an integer, not {power!r}")
+        return RingAuto.frobenius(domain, power)
     if isinstance(data, dict) and "inner" in data:
         return RingAuto.inner(domain, scalar_from_json(domain, data["inner"]))
     raise ValueError(f"unknown automorphism encoding {data!r}")

@@ -11,6 +11,10 @@ laws (e.e = e, e.f = theta for e != f, e.s = s when src(s) = e, s.f = s
 when tgt(s) = f); everything unspecified is theta. Validation checks the
 at-most-one-per-slot condition, product typing, and full associativity,
 and reports every violation rather than the first.
+
+There is one semigroup object per product table per process: build
+semigroups through `SquareFreeSemigroup.validate`, which returns the object
+already made for the same table, and compare them with `is`.
 """
 
 from __future__ import annotations
@@ -169,7 +173,12 @@ class SquareFreeSemigroup:
 
         if violations:
             raise SemigroupInvalid(violations)
-        return cls(idempotents, elements, src, tgt, table)
+        # the full table fixes src/tgt through the idempotent laws
+        key = (tuple(idempotents), elements, frozenset(table.items()))
+        sg = _SEMIGROUPS.get(key)
+        if sg is None:
+            sg = _SEMIGROUPS[key] = cls(idempotents, elements, src, tgt, table)
+        return sg
 
     # -- queries -----------------------------------------------------------
 
@@ -253,22 +262,12 @@ class SquareFreeSemigroup:
         found.sort(key=lambda a: a.sort_key())
         return found
 
-    # -- value identity ----------------------------------------------------
-
-    def key(self):
-        return (self.idempotents, self.elements, tuple(sorted(self.src.items())),
-                tuple(sorted(self.tgt.items())),
-                tuple(sorted((k, v) for k, v in self._table.items() if v is not None)))
-
-    def __eq__(self, other):
-        return isinstance(other, SquareFreeSemigroup) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
     def __repr__(self):
         return (f"SquareFreeSemigroup(|E|={len(self.idempotents)}, "
                 f"|S*|={len(self.elements)})")
+
+
+_SEMIGROUPS = {}
 
 
 class SemigroupAuto:
@@ -307,7 +306,7 @@ class SemigroupAuto:
         return tuple(self.mapping[s] for s in self.sg.elements)
 
     def __eq__(self, other):
-        return (isinstance(other, SemigroupAuto) and self.sg == other.sg
+        return (isinstance(other, SemigroupAuto) and self.sg is other.sg
                 and self.mapping == other.mapping)
 
     def __hash__(self):

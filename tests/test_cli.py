@@ -92,6 +92,25 @@ MALFORMED = [
                  "/semigroup/idempotents/0", id="idempotent-name-list"),
     pytest.param(lambda d: d["semigroup"]["elements"][0].update(name=["x"]),
                  "/semigroup/elements/0", id="element-name-list"),
+    pytest.param(lambda d: d.update(
+        division_ring={"kind": "rational"},
+        cocycle={"xi": [{"left": "e1", "right": "s12", "value": "1/0"}]}),
+        "/cocycle", id="rational-xi-zero-denominator"),
+    pytest.param(lambda d: d.update(
+        division_ring={"kind": "rational_quaternion"},
+        cocycle={"xi": [{"left": "e1", "right": "s12",
+                         "value": ["1/0", "0", "0", "0"]}]}),
+        "/cocycle", id="quaternion-xi-zero-denominator"),
+    pytest.param(lambda d: d.update(division_ring={"kind": "rational"}),
+                 "/cocycle", id="frobenius-over-rationals"),
+    pytest.param(lambda d: d.update(
+        division_ring={"kind": "rational_quaternion"},
+        cocycle={"alpha": [{"on": "s34", "auto": {"inner": ["0", "0", "0", "0"]}}]}),
+        "/cocycle", id="quaternion-inner-by-zero"),
+    pytest.param(lambda d: d["cocycle"]["alpha"][0].update(auto={"frobenius": 1.5}),
+                 "/cocycle", id="frobenius-float"),
+    pytest.param(lambda d: d["cocycle"]["alpha"][0].update(auto={"frobenius": "1"}),
+                 "/cocycle", id="frobenius-string"),
 ]
 
 
@@ -341,7 +360,11 @@ def test_json_output_keeps_no_redirected_stdout():
     ('{"gauge": {"eta": [{"on": "zz", "value": [0, 1]}]}}', "/gauge"),
     ('[]', ""),
     ('{"gauge": ', ""),
-], ids=["unknown-name", "list", "not-json"])
+    ('{"gauge": {"mu": [{"on": "e1", "auto": {"inner": [0, 0]}}]}}', "/gauge"),
+    ('{"gauge": {"mu": [{"on": "e1", "auto": {"frobenius": 1.5}}]}}', "/gauge"),
+    ('{"gauge": {"mu": [{"on": "e1", "auto": {"frobenius": true}}]}}', "/gauge"),
+], ids=["unknown-name", "list", "not-json", "inner-by-zero", "frobenius-float",
+        "frobenius-bool"])
 def test_act_rejects_bad_witness(runner, tmp_path, demo_file, witness, pointer):
     wpath = tmp_path / "w.json"
     wpath.write_text(witness)
@@ -350,6 +373,18 @@ def test_act_rejects_bad_witness(runner, tmp_path, demo_file, witness, pointer):
     payload = json.loads(result.output)
     assert not payload["ok"]
     assert [e["pointer"] for e in payload["errors"]] == [pointer]
+
+
+def test_rational_witness_zero_denominator_is_rejected(runner, tmp_path):
+    data = instance_to_json(diamond_demo_instance())
+    data.update(division_ring={"kind": "rational"}, cocycle={})
+    path = tmp_path / "rational.json"
+    path.write_text(json.dumps(data))
+    wpath = tmp_path / "w.json"
+    wpath.write_text('{"gauge": {"eta": [{"on": "s12", "value": "1/0"}]}}')
+    result = runner.invoke(main, ["--output", "json", "act", str(path), str(wpath)])
+    assert result.exit_code == 2, result.output
+    assert [e["pointer"] for e in json.loads(result.output)["errors"]] == ["/gauge"]
 
 
 def test_internal_value_error_is_not_a_usage_error(runner, demo_file, monkeypatch):
@@ -373,3 +408,9 @@ def test_verify_ses_failure_exits_1(runner, demo_file, monkeypatch):
     result = runner.invoke(main, ["--output", "json", "verify-ses", demo_file])
     assert result.exit_code == 1
     assert json.loads(result.output)["ok"] is False
+
+
+def test_instance_files_share_one_semigroup(demo_file, trivial_file):
+    a, b = load_instance(demo_file), load_instance(trivial_file)
+    assert a.sg is b.sg and a.domain is b.domain
+    assert a.cocycle != b.cocycle

@@ -420,3 +420,19 @@ def test_h1_representatives_are_least_in_their_coset(demo):
     rep = h1(demo)
     for g in rep.h1_cosets:
         assert g.sort_key() == min(b.compose(g).sort_key() for b in rep.b1)
+
+
+def test_keys_are_built_once(demo, z1_demo):
+    g = z1_demo[-1]
+    assert g.key() is g.key()
+    assert g.sort_key() == g.key()
+    t = aut0_enumerate(demo)[-1]
+    assert t.key() is t.key()
+    assert demo.key() is demo.key()
+
+
+def test_out_r_coset_keys_are_triples(demo):
+    rep = out_r(demo)
+    assert set(rep.coset_keys) == set(rep.aut0)
+    assert all(isinstance(t, AutTriple) for t in rep.coset_keys)
+    assert sorted(set(rep.coset_keys.values())) == list(range(rep.out_order))

@@ -8,7 +8,9 @@ import random
 import pytest
 
 from cocycle_forge.cochain import TwoCochain, is_cocycle, is_normal, normalize
-from cocycle_forge.cohomology import aut0_enumerate, out_r, verify_ses
+from cocycle_forge.cohomology import (
+    AutTriple, aut0_enumerate, inner_triples, out_r, verify_ses,
+)
 from cocycle_forge.gauge import IsoWitness, act_gauge
 from cocycle_forge.ring import (
     RingIso, TwistedRing, _scalar_samples, build_iso, identity_iso, verify_ring_hom,
@@ -150,3 +152,11 @@ def test_coset_orders_over_shapes(shape, p, k):
     assert o["aut0"] == o["inn0"] * o["out_r"]
     assert o["out_r"] == o["h1"] * o["stab"]
     assert out_r(c).out_order == o["out_r"]
+
+
+@pytest.mark.parametrize("shape", ["diamond", "chain3", "tri", "chain4"])
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2)])
+def test_inner_triples_come_sorted(shape, p, k):
+    # lambda keeps the order of the sorted B1, so no re-sort is needed
+    inn = inner_triples(twisted_normal(shape, ScalarDomain.finite_field(p, k)))
+    assert inn == sorted(inn, key=AutTriple.sort_key)

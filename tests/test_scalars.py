@@ -243,3 +243,17 @@ def test_non_integer_field_data_is_rejected(p, k, modulus):
     # the first domain built for a field is the one every later call returns
     with pytest.raises(ValueError):
         ScalarDomain.finite_field(p, k, modulus)
+
+
+@pytest.mark.parametrize("p,k,modulus", [
+    (2, 2, None), (2, 3, [1, 1, 0, 1]), (2, 3, [1, 0, 1, 1]),
+    (3, 2, None), (5, 2, None), (3, 3, None),
+])
+def test_inverse_of_every_unit(p, k, modulus):
+    dom = ScalarDomain.finite_field(p, k, modulus)
+    one = dom.one()
+    units = enumerate_units(dom)
+    assert len(units) == p ** k - 1
+    for x in units:
+        assert x * x.inv() == one
+        assert x.inv().inv() == x

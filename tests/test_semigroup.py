@@ -190,3 +190,15 @@ def test_auto_json_round_trip():
     sg = diamond()
     for a in sg.enumerate_autos():
         assert auto_from_json(sg, auto_to_json(a)) == a
+
+
+def test_validate_returns_one_object_per_table():
+    arrows = [("a", "e1", "e2"), ("b", "e2", "e3"), ("ab", "e1", "e3")]
+    tri = SquareFreeSemigroup.validate(["e1", "e2", "e3"], arrows, {("a", "b"): "ab"})
+    assert SquareFreeSemigroup.validate(
+        ["e1", "e2", "e3"], arrows[::-1], {("a", "b"): "ab"}) is tri
+    assert semigroup_from_json(semigroup_to_json(tri)) is tri
+    # same arrows, different products: a different semigroup
+    tri0 = SquareFreeSemigroup.validate(["e1", "e2", "e3"], arrows, {})
+    assert tri0 is not tri and tri0 != tri
+    assert semigroup_from_json(semigroup_to_json(tri0)) is tri0

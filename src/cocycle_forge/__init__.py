@@ -4,8 +4,8 @@ outer-automorphism reports."""
 
 from .cochain import TwoCochain, is_cocycle, is_normal, normalize
 from .cohomology import (
-    AutTriple, H1Report, OutRReport, SesReport, aut0_enumerate, b1_enumerate,
-    h1, inner_triples, lambda_map, out_r, star_act, verify_ses, z1_enumerate,
+    H1Report, OutRReport, SesReport, aut0_enumerate, b1_enumerate, h1,
+    inner_triples, out_r, star_act, verify_ses, z1_enumerate,
 )
 from .errors import (
     DivisionByZero, DomainMismatch, ForgeError, InstanceFileInvalid, NotACocycle,
@@ -13,13 +13,13 @@ from .errors import (
     SemigroupInvalid, SettingMismatch, UnknownElement, WitnessInvalid,
 )
 from .gauge import (
-    Gauge, IsoWitness, act_gauge, act_phi, cohomologous, gauge_stabilizer,
+    Gauge, act_gauge, act_phi, cohomologous, gauge_stabilizer,
     stabilizer_of_class,
 )
 from .instances import Instance, RunConfig, diamond_demo_instance, load_instance, save_instance
 from .ring import (
     RingElement, RingIso, TwistedRing, build_iso, find_ring_iso, identity_iso,
-    inner_auto, is_ring_hom, verify_ring_hom,
+    inner_auto, verify_ring_hom,
 )
 from .scalars import (
     RingAuto, Scalar, ScalarDomain, enumerate_autos, enumerate_units, rho,

@@ -18,12 +18,12 @@ from .cohomology import (
     aut0_enumerate, b1_enumerate, h1, out_r, verify_ses, z1_enumerate,
 )
 from .errors import ForgeError, InstanceFileInvalid, NotEnumerable, SettingMismatch
-from .gauge import Gauge, IsoWitness, act_gauge, act_phi, gauge_to_json
+from .gauge import act_gauge, gauge_to_json
 from .instances import (
     Instance, RunConfig, diamond_demo_instance, instance_to_json, load_instance,
     parse_witness, read_json, save_instance, witness_to_json,
 )
-from .ring import TwistedRing, find_ring_iso, verify_ring_hom
+from .ring import TwistedRing, find_ring_iso, require_cocycle, verify_ring_hom
 from .scalars import scalar_to_json
 from .semigroup import auto_to_json as sg_auto_to_json
 
@@ -154,10 +154,7 @@ def act_cmd(cfg, file, witness):
         w = parse_witness(inst, read_json(witness))
     except InstanceFileInvalid as exc:
         _reject(cfg, "witness", exc)
-    c = inst.cocycle
-    if w.phi is not None:
-        c = act_phi(w.phi, c)
-    c = act_gauge(w.gauge, c)
+    c = act_gauge(w, inst.cocycle)
     payload = instance_to_json(Instance(inst.domain, inst.sg, c))
     _emit(cfg, payload, [json.dumps(payload, indent=2, sort_keys=True)])
 
@@ -182,19 +179,21 @@ def iso_check_cmd(cfg, file_a, file_b):
                     "reason": "coefficient domain is not enumerable"},
               ["isomorphic: UNKNOWN (domain not enumerable)"])
         return
+    except ForgeError as exc:
+        _emit(cfg, {"ok": False, "error": str(exc)}, [f"error: {exc}"])
+        sys.exit(2)
     if iso is None:
         _emit(cfg, {"isomorphic": False}, ["isomorphic: NO (search exhausted)"])
         return
     verdict = verify_ring_hom(iso, seed=cfg.seed)
     payload = {
         "isomorphic": True,
-        "witness": witness_to_json(
-            IsoWitness(Gauge(a.sg, a.domain, iso.mu, iso.eta), iso.phi)),
+        "witness": witness_to_json(iso.gauge),
         "hom_check": {"ok": bool(verdict.ok), "failures": len(verdict.failures)},
     }
     _emit(cfg, payload, [
         "isomorphic: YES",
-        f"phi: {iso.phi!r}",
+        f"phi: {iso.gauge.phi!r}",
         f"hom check: {'PASS' if verdict.ok else 'FAIL'}",
     ])
     if not verdict.ok:
@@ -245,7 +244,7 @@ def ring_table_cmd(cfg, file):
 def aut_s_cmd(cfg, file):
     """Enumerate the semigroup automorphisms."""
     inst = _load(cfg, file)
-    autos = inst.sg.enumerate_autos(max_idempotents=cfg.max_idempotents)
+    autos = inst.sg.enumerate_autos()
     payload = {"order": len(autos), "autos": [sg_auto_to_json(a) for a in autos]}
     _emit(cfg, payload, [f"|Aut S| = {len(autos)}"]
           + [f"  {a!r}" for a in autos])
@@ -258,6 +257,7 @@ def _cohomology_command(name, runner):
     def cmd(cfg, file):
         inst = _load(cfg, file)
         try:
+            require_cocycle(inst.cocycle)  # no answers about non-cocycles
             payload, lines = runner(cfg, inst)
         except ForgeError as exc:
             _emit(cfg, {"ok": False, "error": str(exc)}, [f"error: {exc}"])
@@ -296,12 +296,9 @@ def _run_h1(cfg, inst):
 
 def _run_aut0(cfg, inst):
     """Enumerate the idempotent-permuting ring automorphisms."""
-    triples = aut0_enumerate(inst.cocycle)
-    payload = {"order": len(triples),
-               "triples": [{"gauge": gauge_to_json(
-                               Gauge(inst.sg, inst.domain, t.mu, t.eta)),
-                            "phi": sg_auto_to_json(t.phi)} for t in triples]}
-    return (payload, [f"|Aut0 R| = {len(triples)}"])
+    aut0 = aut0_enumerate(inst.cocycle)
+    payload = {"order": len(aut0), "triples": [witness_to_json(g) for g in aut0]}
+    return (payload, [f"|Aut0 R| = {len(aut0)}"])
 
 
 def _run_out_r(cfg, inst):

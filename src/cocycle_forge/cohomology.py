@@ -1,40 +1,43 @@
 """First cohomology of a cocycle and the outer automorphisms of its ring.
 
-For a normal cocycle c over an enumerable coefficient field:
+For a normal cocycle c over an enumerable coefficient field, everything
+here is a set of gauges (mu, eta, phi) (see `gauge.py`):
 
-  * Z1(c): gauges fixing c under the action -- the stabilizer subgroup.
+  * Z1(c): the gauges with phi = id fixing c under the action.
   * B1(c): the orbit of the identity gauge under the pointwise action of
     maps E -> D* (eps acts by mu -> rho_eps o mu and
-    eta(s) -> eps(e) eta(s) alpha_s(eps(f)^{-1})); these correspond one to
-    one with the idempotent-fixing inner ring automorphisms.
+    eta(s) -> eps(e) eta(s) alpha_s(eps(f)^{-1})); these are exactly the
+    idempotent-fixing inner ring automorphisms, so B1 is Inn0 itself.
   * H1(c) = Z1/B1, reported through coset representatives and a coset
     multiplication table rather than an abstract isomorphism claim.
+  * Aut0 R: the ring automorphisms permuting the idempotents, i.e. the
+    stabilizer of c in the group of gauges and relabelings. Its phi = id
+    part is Z1, so lambda: H1 -> Out R = Aut0/Inn0 is induced by the
+    inclusion Z1 <= Aut0.
 
-H1 = Z1/B1 and Out R = Aut0 R/Inn0 (Inn0 the lambda image of B1) are both
-partitioned by `_cosets`, which walks the sorted group and makes each
-unassigned element the representative, hence the least element, of its coset.
-Gauges and triples build their keys once, with their values, so `_cosets`
-keys its table by the values themselves and `OutRReport.coset_keys` maps
-each Aut0 triple to its coset index.
+H1 = Z1/B1 and Out R = Aut0/B1 are both partitioned by `_cosets`, which
+walks the sorted group and makes each unassigned element the
+representative, hence the least element, of its coset. Gauges build their
+keys once, with their values, so `_cosets` keys its table by the gauges
+themselves and `OutRReport.coset_keys` maps each Aut0 gauge to its coset
+index.
 
-Aut0 R, the automorphisms permuting the idempotent set, is found by
-propagation over multiplicativity probes: for each (phi, mu) the probes of
-every composable pair, taken with eta = 1, fix the value u that
-eta(s) alpha_{phi(s)}(eta(t)) eta(s.t)^{-1} must take for the induced map
-d.s -> mu_e(d) eta(s) phi(s) to multiply (or rule the choice out when
-they disagree), and `solve_eta` backtracks eta with eta = 1 on E. Out R is
-then Aut0 R modulo the idempotent-fixing inner automorphisms, and
-`verify_ses` checks exactness of
+Aut0 R is found by propagation over multiplicativity probes: for each
+(phi, mu) the probes of every composable pair, taken with eta = 1, fix the
+value u that eta(s) alpha_{phi(s)}(eta(t)) eta(s.t)^{-1} must take for the
+induced map d.s -> mu_e(d) eta(s) phi(s) to multiply (or rule the choice
+out when they disagree), and `solve_eta` backtracks eta with eta = 1 on E.
+`verify_ses` then checks exactness of
 
     1 -> H1 -> Out R -> Stab(Aut S) -> 1
 
 clause by clause, with a split-section check when the class is trivial.
 
 The enumeration route here (homomorphism testing) is deliberately
-independent of the gauge-search route in `gauge.py`: the two share the eta
-search but take the required values from different places, ring
-multiplicativity here and the action formula there. `verify_ses` gains
-its force from comparing the two.
+independent of the gauge-search route in `gauge.py`: the two share the
+value type and the eta search but take the required values from different
+places, ring multiplicativity here and the action formula there.
+`verify_ses` gains its force from comparing the two.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from .cochain import TwoCochain, is_normal
 from .errors import NotEnumerable, NotNormal
 from .gauge import Gauge, cohomologous, gauge_stabilizer, solve_eta, stabilizer_of_class
 from .ring import RingIso, TwistedRing, _scalar_samples, pair_sides, verify_ring_hom
-from .scalars import RingAuto, enumerate_autos, enumerate_units, rho
+from .scalars import enumerate_autos, enumerate_units, rho
 from .semigroup import SemigroupAuto
 
 
@@ -144,77 +147,13 @@ def h1(c):
 
 
 # ---------------------------------------------------------------------------
-# triples (mu, eta, phi) inducing idempotent-permuting ring automorphisms
-
-
-class AutTriple:
-    """Data of a normal ring automorphism: d.s -> mu_e(d) eta(s) phi(s)
-    with eta = 1 on the idempotents. Compared as data, through one key built
-    with the triple, which is faithful because a normal automorphism
-    determines its triple uniquely."""
-
-    __slots__ = ("sg", "domain", "mu", "eta", "phi", "_key")
-
-    def __init__(self, sg, domain, mu, eta, phi):
-        self.sg = sg
-        self.domain = domain
-        self.mu = dict(mu)
-        self.eta = dict(eta)
-        self.phi = phi
-        one = domain.one()
-        for e in sg.idempotents:
-            if self.eta.get(e, one) != one:
-                raise ValueError("normal triples carry eta = 1 on idempotents")
-            self.eta.setdefault(e, one)
-        self._key = (tuple((e, self.mu[e].sort_key()) for e in sg.idempotents),
-                     tuple((s, self.eta[s].sort_key()) for s in sg.elements),
-                     phi.sort_key())
-
-    @classmethod
-    def identity(cls, sg, domain):
-        ident = RingAuto.identity(domain)
-        one = domain.one()
-        return cls(sg, domain, {e: ident for e in sg.idempotents},
-                   {s: one for s in sg.elements}, SemigroupAuto.identity(sg))
-
-    def as_iso(self, ring):
-        return RingIso(ring, ring, self.mu, self.eta, self.phi)
-
-    def compose(self, other):
-        """self after other, matching composition of the induced maps."""
-        phi2 = other.phi
-        mu = {e: self.mu[phi2(e)].compose(other.mu[e]) for e in self.sg.idempotents}
-        eta = {s: self.mu[phi2(self.sg.src[s])](other.eta[s]) * self.eta[phi2(s)]
-               for s in self.sg.elements}
-        return AutTriple(self.sg, self.domain, mu, eta, self.phi.compose(phi2))
-
-    def key(self):
-        return self._key
-
-    sort_key = key
-
-    def __eq__(self, other):
-        return (isinstance(other, AutTriple) and self.sg is other.sg
-                and self.domain is other.domain and self._key == other._key)
-
-    def __hash__(self):
-        return hash(self._key)
-
-    def __repr__(self):
-        return f"AutTriple(phi={self.phi!r})"
-
-
-def lambda_map(oc, c):
-    """A 1-cocycle as a ring automorphism datum (identity phi)."""
-    return AutTriple(c.sg, c.domain, oc.mu, oc.eta, SemigroupAuto.identity(c.sg))
+# Aut0: gauges (mu, eta, phi) inducing idempotent-permuting ring automorphisms
 
 
 def inner_triples(c):
-    """The idempotent-fixing inner automorphisms r = sum eps(e) e, as
-    triples: the lambda images of B1 (mu_e = rho_{eps(e)},
-    eta(s) = eps(e) alpha_s(eps(f)^{-1})). B1 comes sorted, and lambda
-    keeps the order: a triple with identity phi sorts by its gauge."""
-    return [lambda_map(g, c) for g in b1_enumerate(c)]
+    """The idempotent-fixing inner automorphisms r = sum eps(e) e, that is
+    B1 itself (mu_e = rho_{eps(e)}, eta(s) = eps(e) alpha_s(eps(f)^{-1}))."""
+    return b1_enumerate(c)
 
 
 def _aut0_constraints(c, phi, mu, samples):
@@ -248,7 +187,8 @@ def _aut0_constraints(c, phi, mu, samples):
 
 
 def aut0_enumerate(c, jobs=1):
-    """Every (mu, eta, phi) whose induced map is a ring homomorphism.
+    """Every gauge (mu, eta, phi) whose induced map is a ring homomorphism,
+    sorted; eta = 1 on the idempotents since c is normal.
 
     Exhaustive over Aut S x Aut(D)^E, with eta propagated from the
     multiplicativity probes (see _aut0_constraints) instead of listed;
@@ -268,9 +208,9 @@ def aut0_enumerate(c, jobs=1):
             mu = dict(zip(sg.idempotents, mu_choice))
             constraints = _aut0_constraints(c, phi, mu, samples)
             if constraints is not None:
-                out.extend(AutTriple(sg, domain, mu, eta, phi)
+                out.extend(Gauge(sg, domain, mu, eta, phi)
                            for eta in solve_eta(sg, units, constraints, fixed))
-    out.sort(key=AutTriple.sort_key)
+    out.sort(key=Gauge.sort_key)
     return out
 
 
@@ -284,7 +224,7 @@ class OutRReport:
     inn0: list
     out_order: int
     phi_image: list
-    coset_keys: dict = field(repr=False, default=None)  # triple -> coset index
+    coset_keys: dict = field(repr=False, default=None)  # gauge -> coset index
 
     @property
     def aut0_order(self):
@@ -337,12 +277,13 @@ def verify_ses(c):
     _require_enumerable(c)
     _require_normal(c)
     report_h1 = h1(c)
-    outer = _out_r(aut0_enumerate(c), [lambda_map(g, c) for g in report_h1.b1])
+    outer = _out_r(aut0_enumerate(c), report_h1.b1)
     stab = stabilizer_of_class(c)
     clauses = []
 
-    # (i) distinct H1 cosets induce distinct outer classes
-    images = [outer.coset_keys.get(lambda_map(g, c)) for g in report_h1.h1_cosets]
+    # (i) distinct H1 cosets induce distinct outer classes; lambda is the
+    # inclusion Z1 <= Aut0, so each representative is looked up as it is
+    images = [outer.coset_keys.get(g) for g in report_h1.h1_cosets]
     ok_i = None not in images and len(set(images)) == len(images)
     clauses.append(SesClause(
         "lambda_injective", ok_i,
@@ -375,10 +316,8 @@ def verify_ses(c):
     # (v) split section for the trivial class: phi -> (id, 1, phi)
     trivial = TwoCochain.trivial(c.sg, c.domain)
     if cohomologous(c, trivial) is not None:
-        ring = TwistedRing(trivial, validate=False)
-        mu = {e: RingAuto.identity(c.domain) for e in c.sg.idempotents}
-        eta = {s: c.domain.one() for s in c.sg.elements}
-        ok_v = all(verify_ring_hom(AutTriple(c.sg, c.domain, mu, eta, phi).as_iso(ring))
+        ring = TwistedRing(trivial)
+        ok_v = all(verify_ring_hom(RingIso(ring, ring, Gauge(c.sg, c.domain, phi=phi)))
                    for phi in c.sg.enumerate_autos())
         clauses.append(SesClause(
             "split_section", ok_v,

@@ -1,7 +1,13 @@
-"""The gauge group and its action on 2-cocycles.
+"""The group of gauges and relabelings, and its action on 2-cocycles.
 
-A gauge is a pair (mu, eta): a domain automorphism mu_e per idempotent and
-a nonzero scalar eta(s) per element. Gauges act on twist data by
+A gauge is a triple (mu, eta, phi): a domain automorphism mu_e per
+idempotent, a nonzero scalar eta(s) per element and a semigroup
+automorphism phi, the identity unless given. It acts on twist data by
+relabeling along phi,
+
+    alpha^phi(s) = alpha(phi(s)),    xi^phi(s, t) = xi(phi(s), phi(t)),
+
+and then by (mu, eta):
 
     beta_s     = mu_e^{-1} o rho_{eta(s)} o alpha_s o mu_f        (s = e.s.f)
     zeta(s, t) = mu_e^{-1}( eta(s) . alpha_s(eta(t)) . xi(s, t) . eta(s.t)^{-1} )
@@ -11,24 +17,30 @@ which is the unique way to solve the defining relations of the action for
 act(g1 * g2, c) == act(g1, act(g2, c)); solving the composite relations
 forces
 
-    (g1 * g2).mu_e    = g2.mu_e o g1.mu_e
-    (g1 * g2).eta(s)  = g2.mu_e( g1.eta(s) ) . g2.eta(s)          (e = src s)
+    (g1 * g2).phi     = phi2 o phi1
+    (g1 * g2).mu_e    = g2.mu_{phi1(e)} o g1.mu_e
+    (g1 * g2).eta(s)  = g2.mu_{phi1(e)}( g1.eta(s) ) . g2.eta(phi1(s))   (e = src s)
 
-(the mu components compose in swapped order because mu appears inverted on
-the outside of both action formulas).
+(mu appears inverted on the outside of both action formulas, so the
+factors compose in swapped order). Relabelings alone satisfy
+act_phi(phi o psi, c) == act_phi(psi, act_phi(phi, c)), and conjugating by
+the pure relabeling P = (id, 1, phi) gives
+P * g * P^{-1} = (e -> mu_{phi(e)}, s -> eta(phi(s))) for g with phi = id.
 
-Semigroup automorphisms act by relabeling:  alpha^phi(s) = alpha(phi(s)),
-xi^phi(s, t) = xi(phi(s), phi(t)); this satisfies
-act_phi(phi o psi, c) == act_phi(psi, act_phi(phi, c)) and is compatible
-with the gauge action through g^phi = (e -> mu_{phi(e)}, s -> eta(phi(s))).
+A gauge g with act_gauge(g, c_target) == c_source is the same datum as the
+ring isomorphism d.s -> mu_e(d) eta(s) phi(s) from the ring of c_source onto
+the ring of c_target, and the map of g1 * g2 is the map of g2 applied after
+the map of g1. So the automorphisms of a ring permuting its idempotents
+(Aut0) are the stabilizer of its cocycle, and Z1 is the part of that
+stabilizer with phi = id.
 
-`cohomologous` decides whether two cocycles lie in the same gauge orbit:
-over a finite field by the pruned backtracking search `solve_eta` (each
-assignment is checked against every relation it completes), over the
-rationals by exact multiplicative elimination of the same relations. Both
-negative answers are definitive; the quaternions raise NotEnumerable. The
-Aut0 enumeration runs `solve_eta` too, on relations it derives from ring
-multiplicativity rather than from the action formula.
+`cohomologous` decides whether two cocycles lie in the same orbit of the
+gauges with phi = id: over a finite field by the pruned backtracking search
+`solve_eta` (each assignment is checked against every relation it
+completes), over the rationals by exact multiplicative elimination of the
+same relations. Both negative answers are definitive; the quaternions raise
+NotEnumerable. The Aut0 enumeration runs `solve_eta` too, on relations it
+derives from ring multiplicativity rather than from the action formula.
 
 A gauge builds its key once, with its value, so gauges serve as their own
 dict keys and sort by that key.
@@ -37,7 +49,6 @@ dict keys and sort by that key.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from ._multsolve import solve_multiplicative
 from .cochain import TwoCochain
@@ -46,14 +57,15 @@ from .scalars import (
     RingAuto, Scalar, auto_from_json, auto_to_json, enumerate_autos,
     enumerate_units, rho, scalar_from_json, scalar_to_json,
 )
+from .semigroup import SemigroupAuto
 
 
 class Gauge:
-    """A (mu, eta) pair, total on idempotents and elements; immutable."""
+    """A (mu, eta, phi) triple, total on idempotents and elements; immutable."""
 
-    __slots__ = ("sg", "domain", "mu", "eta", "_key")
+    __slots__ = ("sg", "domain", "mu", "eta", "phi", "_key")
 
-    def __init__(self, sg, domain, mu=None, eta=None):
+    def __init__(self, sg, domain, mu=None, eta=None, phi=None):
         self.sg = sg
         self.domain = domain
         ident = RingAuto.identity(domain)
@@ -76,38 +88,44 @@ class Gauge:
                 raise DomainMismatch(f"eta[{s!r}] lives in {v.domain!r}")
             if v.is_zero():
                 raise ValueError(f"eta[{s!r}] must be nonzero")
+        if phi is None:
+            phi = SemigroupAuto.identity(sg)
+        elif phi.sg is not sg:
+            raise DomainMismatch(f"phi is an automorphism of {phi.sg!r}")
+        self.phi = phi
         # every gauge of sg lists the same names in the same positions, so
         # the sort keys alone identify it and order it
         self._key = (tuple(self.mu[e].sort_key() for e in sg.idempotents),
-                     tuple(self.eta[s].sort_key() for s in sg.elements))
+                     tuple(self.eta[s].sort_key() for s in sg.elements),
+                     phi.sort_key())
 
     @classmethod
     def identity(cls, sg, domain):
         return cls(sg, domain)
 
     def is_identity(self):
-        return (all(a.is_identity() for a in self.mu.values())
+        return (self.phi.is_identity()
+                and all(a.is_identity() for a in self.mu.values())
                 and all(v == self.domain.one() for v in self.eta.values()))
 
     def compose(self, other):
         """Group law making act_gauge a left action (see module docstring)."""
-        if self.sg is not other.sg or self.domain is not other.domain:
+        sg = self.sg
+        if other.sg is not sg or other.domain is not self.domain:
             raise DomainMismatch("composing gauges over different settings")
-        mu = {e: other.mu[e].compose(self.mu[e]) for e in self.sg.idempotents}
-        eta = {s: other.mu[self.sg.src[s]](self.eta[s]) * other.eta[s]
-               for s in self.sg.elements}
-        return Gauge(self.sg, self.domain, mu, eta)
+        p, src = self.phi.mapping, sg.src
+        mu = {e: other.mu[p[e]].compose(self.mu[e]) for e in sg.idempotents}
+        eta = {s: other.mu[p[src[s]]](self.eta[s]) * other.eta[p[s]]
+               for s in sg.elements}
+        return Gauge(sg, self.domain, mu, eta, other.phi.compose(self.phi))
 
     def inverse(self):
-        mu = {e: self.mu[e].inverse() for e in self.sg.idempotents}
-        eta = {s: mu[self.sg.src[s]](self.eta[s]).inv() for s in self.sg.elements}
-        return Gauge(self.sg, self.domain, mu, eta)
-
-    def conjugate_by(self, phi):
-        """g^phi = (e -> mu_{phi(e)}, s -> eta(phi(s)))."""
-        mu = {e: self.mu[phi(e)] for e in self.sg.idempotents}
-        eta = {s: self.eta[phi(s)] for s in self.sg.elements}
-        return Gauge(self.sg, self.domain, mu, eta)
+        sg = self.sg
+        phi = self.phi.inverse()
+        p = phi.mapping
+        mu = {e: self.mu[p[e]].inverse() for e in sg.idempotents}
+        eta = {s: mu[sg.src[s]](self.eta[p[s]]).inv() for s in sg.elements}
+        return Gauge(sg, self.domain, mu, eta, phi)
 
     def key(self):
         return self._key
@@ -124,14 +142,8 @@ class Gauge:
     def __repr__(self):
         mu = {e: a for e, a in self.mu.items() if not a.is_identity()}
         eta = {s: v for s, v in self.eta.items() if v != self.domain.one()}
-        return f"Gauge(mu={mu or 'id'}, eta={eta or '1'})"
-
-
-@dataclass(frozen=True)
-class IsoWitness:
-    """Data certifying that two cocycle classes match up to an Aut(S) twist."""
-    gauge: Gauge
-    phi: object = None  # SemigroupAuto or None for the identity
+        phi = "" if self.phi.is_identity() else f", phi={self.phi!r}"
+        return f"Gauge(mu={mu or 'id'}, eta={eta or '1'}{phi})"
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +156,11 @@ def _require_setting(c, sg, domain):
 
 
 def act_gauge(g, c):
-    """Apply a gauge to twist data; cocycles map to cocycles."""
+    """Apply a gauge to twist data, relabeling along its phi first;
+    cocycles map to cocycles."""
     _require_setting(c, g.sg, g.domain)
+    if not g.phi.is_identity():
+        c = act_phi(g.phi, c)
     sg = g.sg
     beta = {}
     for s in sg.elements:
@@ -284,7 +299,8 @@ def stabilizer_of_class(c):
 
 
 # ---------------------------------------------------------------------------
-# JSON: {"mu": [{"on": e, "auto": ...}], "eta": [{"on": s, "value": ...}]}
+# JSON: {"mu": [{"on": e, "auto": ...}], "eta": [{"on": s, "value": ...}]};
+# phi, when there is one, sits beside this object in a witness file
 
 
 def gauge_to_json(g):

@@ -1,5 +1,7 @@
 """Instance files: one JSON document carrying (division ring, semigroup,
-twist data), plus witness files for gauges and semigroup automorphisms.
+twist data), plus witness files carrying one gauge (mu, eta, phi).
+
+The idempotent cap is checked here, where input arrives, and nowhere else.
 
 Parse errors are collected as (json-pointer, message) pairs so a bad file
 reports every problem with its location instead of failing at the first.
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 from .cochain import TwoCochain, cochain_from_json, cochain_to_json
 from .errors import ForgeError, InstanceFileInvalid, SemigroupInvalid
-from .gauge import Gauge, IsoWitness, gauge_from_json, gauge_to_json
+from .gauge import Gauge, gauge_from_json, gauge_to_json
 from .scalars import RingAuto, ScalarDomain, domain_from_json, domain_to_json
 from .semigroup import (
     SquareFreeSemigroup, auto_from_json as sg_auto_from_json,
@@ -149,20 +151,19 @@ def save_instance(path, inst):
 
 
 # ---------------------------------------------------------------------------
-# witness files: {"gauge": {...}, "phi": {"map": {...}}}, both parts optional
+# witness files: {"gauge": {...}, "phi": {"map": {...}}}, both parts optional;
+# together they are one gauge (mu, eta, phi)
 
 
 def parse_witness(inst, data):
     if not isinstance(data, dict):
         raise InstanceFileInvalid([("", "witness must be a JSON object")])
     issues = []
-    gauge = None
-    phi = None
-    if "gauge" in data:
-        try:
-            gauge = gauge_from_json(inst.sg, inst.domain, data["gauge"])
-        except (ForgeError, ValueError, KeyError, TypeError) as exc:
-            issues.append(("/gauge", str(exc)))
+    gauge = phi = None
+    try:
+        gauge = gauge_from_json(inst.sg, inst.domain, data.get("gauge", {}))
+    except (ForgeError, ValueError, KeyError, TypeError) as exc:
+        issues.append(("/gauge", str(exc)))
     if "phi" in data:
         try:
             phi = sg_auto_from_json(inst.sg, data["phi"])
@@ -170,15 +171,13 @@ def parse_witness(inst, data):
             issues.append(("/phi", str(exc)))
     if issues:
         raise InstanceFileInvalid(issues)
-    return IsoWitness(gauge if gauge is not None else Gauge.identity(inst.sg, inst.domain),
-                      phi)
+    if phi is None:
+        return gauge
+    return Gauge(inst.sg, inst.domain, gauge.mu, gauge.eta, phi)
 
 
-def witness_to_json(witness):
-    out = {"gauge": gauge_to_json(witness.gauge)}
-    if witness.phi is not None:
-        out["phi"] = sg_auto_to_json(witness.phi)
-    return out
+def witness_to_json(g):
+    return {"gauge": gauge_to_json(g), "phi": sg_auto_to_json(g.phi)}
 
 
 # ---------------------------------------------------------------------------

@@ -28,9 +28,17 @@ from dataclasses import dataclass
 
 from .cochain import is_cocycle
 from .errors import NotACocycle, NotAUnit, NotNilpotent, RingMismatch, WitnessInvalid
-from .gauge import act_gauge, act_phi
+from .gauge import Gauge, act_gauge, act_phi, cohomologous
 from .scalars import Scalar, random_scalar, scalar_from_json, scalar_to_json
-from .semigroup import SemigroupAuto
+
+
+def require_cocycle(c):
+    """Raise NotACocycle, naming the first violations, unless c is a cocycle."""
+    verdict = is_cocycle(c)
+    if not verdict.ok:
+        raise NotACocycle(
+            f"twist data violates the cocycle identities at "
+            f"{[v.members for v in verdict.violations[:3]]}")
 
 
 class TwistedRing:
@@ -38,16 +46,11 @@ class TwistedRing:
 
     __slots__ = ("sg", "domain", "cocycle", "nilpotency_index")
 
-    def __init__(self, cocycle, validate=True):
+    def __init__(self, cocycle):
         self.sg = cocycle.sg
         self.domain = cocycle.domain
         self.cocycle = cocycle
-        if validate:
-            verdict = is_cocycle(cocycle)
-            if not verdict.ok:
-                raise NotACocycle(
-                    f"twist data violates the cocycle identities at "
-                    f"{[v.members for v in verdict.violations[:3]]}")
+        require_cocycle(cocycle)
         self.nilpotency_index = self._check_nilpotent()
 
     def _check_nilpotent(self):
@@ -219,30 +222,28 @@ def inner_auto(r):
 
 
 class RingIso:
-    """A map gamma(d . s) = mu_e(d) . eta(s) . phi(s), extended linearly.
+    """The map gamma(d . s) = mu_e(d) . eta(s) . phi(s) of a gauge
+    (mu, eta, phi), extended linearly, from the source ring to the target.
 
-    Built from a witness identifying source and target twist classes; the
-    map is automatically bijective (each basis line maps onto a scaled
-    basis line), and multiplicativity is checked by verify_ring_hom.
+    The map is automatically bijective (each basis line maps onto a scaled
+    basis line); multiplicativity is checked by verify_ring_hom.
     """
 
-    __slots__ = ("source", "target", "mu", "eta", "phi")
+    __slots__ = ("source", "target", "gauge")
 
-    def __init__(self, source, target, mu, eta, phi):
+    def __init__(self, source, target, gauge):
         self.source = source
         self.target = target
-        self.mu = dict(mu)
-        self.eta = dict(eta)
-        self.phi = phi
+        self.gauge = gauge
 
     def apply(self, x):
         if x.ring != self.source:
             raise RingMismatch("argument is not in the source ring")
-        sg = self.source.sg
+        sg, g = self.source.sg, self.gauge
         out = {}
         for s, d in x.coeffs.items():
-            image = self.phi(s)
-            val = self.mu[sg.src[s]](d) * self.eta[s]
+            image = g.phi(s)
+            val = g.mu[sg.src[s]](d) * g.eta[s]
             acc = out.get(image)
             out[image] = val if acc is None else acc + val
         return RingElement(self.target, out)
@@ -250,20 +251,19 @@ class RingIso:
     __call__ = apply
 
     def __repr__(self):
-        return f"RingIso({self.source!r} -> {self.target!r}, phi={self.phi!r})"
+        return f"RingIso({self.source!r} -> {self.target!r}, phi={self.gauge.phi!r})"
 
 
 def build_iso(c_source, c_target, witness):
     """Turn a class witness into a concrete ring isomorphism.
 
-    The witness (gauge g, automorphism phi) must satisfy
-    act_gauge(g, act_phi(phi, c_target)) == c_source; then
+    The witness, a gauge (mu, eta, phi), must satisfy
+    act_gauge(witness, c_target) == c_source; then
     gamma(d.s) = mu_e(d) eta(s) phi(s) is an isomorphism from the ring of
     c_source onto the ring of c_target. Raises WitnessInvalid naming every
     failing relation otherwise.
     """
-    phi = witness.phi or SemigroupAuto.identity(c_source.sg)
-    expected = act_gauge(witness.gauge, act_phi(phi, c_target))
+    expected = act_gauge(witness, c_target)
     if expected != c_source:
         failures = []
         for s in c_source.sg.elements:
@@ -273,32 +273,32 @@ def build_iso(c_source, c_target, witness):
             if expected.xi_at(*pair) != c_source.xi_at(*pair):
                 failures.append((("xi",) + pair, expected.xi_at(*pair), c_source.xi_at(*pair)))
         raise WitnessInvalid(failures)
-    return RingIso(TwistedRing(c_source), TwistedRing(c_target),
-                   witness.gauge.mu, witness.gauge.eta, phi)
+    return RingIso(TwistedRing(c_source), TwistedRing(c_target), witness)
 
 
 def identity_iso(ring):
-    from .gauge import Gauge
-    g = Gauge.identity(ring.sg, ring.domain)
-    return RingIso(ring, ring, g.mu, g.eta, SemigroupAuto.identity(ring.sg))
+    return RingIso(ring, ring, Gauge.identity(ring.sg, ring.domain))
 
 
-def find_ring_iso(c_source, c_target, max_idempotents=8):
+def find_ring_iso(c_source, c_target):
     """Search for an isomorphism between the two twisted rings.
 
-    Iterates phi over Aut(S) and asks for a gauge carrying the relabeled
-    target onto the source; the two rings are isomorphic exactly when some
-    phi succeeds. Returns a RingIso or None; None is definitive whenever
-    the gauge search is (enumerable coefficient domains).
+    Both cochains must be cocycles (NotACocycle otherwise, before any
+    search). Iterates phi over Aut(S) and asks for a gauge carrying the
+    relabeled target onto the source; the two rings are isomorphic exactly
+    when some phi succeeds. Returns a RingIso or None; None is definitive
+    whenever the gauge search is (enumerable coefficient domains).
     """
-    from .gauge import IsoWitness, cohomologous
-
-    if c_source.sg is not c_target.sg or c_source.domain is not c_target.domain:
+    sg, domain = c_source.sg, c_source.domain
+    if c_target.sg is not sg or c_target.domain is not domain:
         raise RingMismatch("isomorphism search needs a common semigroup and domain")
-    for phi in c_source.sg.enumerate_autos(max_idempotents=max_idempotents):
+    source, target = TwistedRing(c_source), TwistedRing(c_target)
+    for phi in sg.enumerate_autos():
         gauge = cohomologous(act_phi(phi, c_target), c_source)
         if gauge is not None:
-            return build_iso(c_source, c_target, IsoWitness(gauge, phi))
+            # act_gauge(witness, c_target) == c_source by construction
+            witness = Gauge(sg, domain, gauge.mu, gauge.eta, phi)
+            return RingIso(source, target, witness)
     return None
 
 
@@ -350,7 +350,7 @@ def verify_ring_hom(iso, seed=0):
     src = iso.source
     sg = src.sg
     c_src, c_tgt = src.cocycle, iso.target.cocycle
-    mu, eta, phi = iso.mu, iso.eta, iso.phi
+    mu, eta, phi = iso.gauge.mu, iso.gauge.eta, iso.gauge.phi
     failures = []
     if iso.apply(src.one()) != iso.target.one():
         failures.append((("one",), iso.apply(src.one()), iso.target.one()))
@@ -371,9 +371,6 @@ def verify_ring_hom(iso, seed=0):
                     if lhs != rhs:
                         failures.append(((s, t, d1, d2), lhs, rhs))
     return HomVerdict(not failures, tuple(failures))
-
-
-is_ring_hom = verify_ring_hom  # the verdict is truthy exactly when it passes
 
 
 # ---------------------------------------------------------------------------

@@ -138,7 +138,7 @@ class ScalarDomain:
     this process.
     """
 
-    __slots__ = ("kind", "p", "k", "modulus", "_cache")
+    __slots__ = ("kind", "p", "k", "modulus", "_cache", "_zero", "_one", "_identity")
 
     def __init__(self, kind, p=None, k=None, modulus=None):
         self.kind = kind
@@ -146,6 +146,10 @@ class ScalarDomain:
         self.k = k
         self.modulus = modulus
         self._cache = {}
+        # the constants every sparse default falls back on, built once
+        self._zero = self.scalar(0)
+        self._one = self.scalar(1)
+        self._identity = RingAuto(self, IDENTITY)
 
     @classmethod
     def rational(cls):
@@ -173,7 +177,10 @@ class ScalarDomain:
         if not _poly_is_irreducible(modulus, p):
             raise ValueError(f"modulus {list(modulus)} is reducible over Z_{p}")
         # k is implied by the modulus, so (p, modulus) names the field
-        return _FIELDS.setdefault((p, modulus), cls(FINITE_FIELD, p, k, modulus))
+        field = _FIELDS.get((p, modulus))
+        if field is None:
+            field = _FIELDS[(p, modulus)] = cls(FINITE_FIELD, p, k, modulus)
+        return field
 
     def __repr__(self):
         if self.kind == FINITE_FIELD:
@@ -218,10 +225,10 @@ class ScalarDomain:
         return Scalar(self, (_as_fraction(value), Fraction(0), Fraction(0), Fraction(0)))
 
     def zero(self):
-        return self.scalar(0)
+        return self._zero
 
     def one(self):
-        return self.scalar(1)
+        return self._one
 
     def generator(self):
         """A convenient non-identity element: the class of x for GF(p^k)
@@ -235,8 +242,6 @@ class ScalarDomain:
         return self.scalar(2)
 
 
-_RATIONALS = ScalarDomain(RATIONAL)
-_QUATERNIONS = ScalarDomain(QUATERNION)
 _FIELDS = {}
 
 
@@ -408,7 +413,7 @@ class RingAuto:
 
     @classmethod
     def identity(cls, domain):
-        return cls(domain, IDENTITY)
+        return domain._identity
 
     @classmethod
     def frobenius(cls, domain, i):
@@ -499,6 +504,10 @@ class RingAuto:
         if self.form == FROBENIUS:
             return f"frob^{self.data}"
         return f"inner{Scalar(self.domain, self.data)!r}"
+
+
+_RATIONALS = ScalarDomain(RATIONAL)
+_QUATERNIONS = ScalarDomain(QUATERNION)
 
 
 def rho(d):

@@ -38,7 +38,7 @@ class SquareFreeSemigroup:
     """Validated square-free semigroup. Immutable after construction."""
 
     __slots__ = ("idempotents", "elements", "src", "tgt", "_table", "_slots",
-                 "_tuple_cache")
+                 "_tuple_cache", "_identity")
 
     def __init__(self, idempotents, elements, src, tgt, table):
         self.idempotents = tuple(idempotents)
@@ -50,6 +50,7 @@ class SquareFreeSemigroup:
         for s in self.elements:
             self._slots[(self.src[s], self.tgt[s])] = s
         self._tuple_cache = {}
+        self._identity = SemigroupAuto(self, {s: s for s in self.elements})
 
     # -- construction ------------------------------------------------------
 
@@ -231,18 +232,15 @@ class SquareFreeSemigroup:
 
     # -- automorphisms -----------------------------------------------------
 
-    def enumerate_autos(self, max_idempotents=8):
+    def enumerate_autos(self):
         """All product-preserving bijections, driven by permutations of E.
 
         Each permutation of the idempotents extends to the arrows in at most
         one way (an arrow in slot (e, f) must land in slot (perm e, perm f));
         candidates whose extension exists are then checked against the whole
-        product table.
+        product table. The |E|! loop is bounded where input arrives: instance
+        files are refused above the idempotent cap.
         """
-        if len(self.idempotents) > max_idempotents:
-            raise SemigroupInvalid([Violation(
-                "structure", self.idempotents,
-                f"|E| = {len(self.idempotents)} exceeds the cap {max_idempotents}")])
         found = []
         arrows = self.arrows()
         for perm in itertools.permutations(self.idempotents):
@@ -259,7 +257,7 @@ class SquareFreeSemigroup:
             cand = SemigroupAuto(self, mapping)
             if all(cand._preserves(a, b) for a in self.elements for b in self.elements):
                 found.append(cand)
-        found.sort(key=lambda a: a.sort_key())
+        found.sort(key=SemigroupAuto.sort_key)
         return found
 
     def __repr__(self):
@@ -271,13 +269,17 @@ _SEMIGROUPS = {}
 
 
 class SemigroupAuto:
-    """A semigroup automorphism as a bijection on element names."""
+    """A semigroup automorphism as a bijection on element names; immutable.
 
-    __slots__ = ("sg", "mapping")
+    Its key, the images of the elements in canonical order, is built once
+    with it, and the identity of each semigroup is one shared object."""
+
+    __slots__ = ("sg", "mapping", "_key")
 
     def __init__(self, sg, mapping):
         self.sg = sg
         self.mapping = dict(mapping)
+        self._key = tuple(self.mapping[s] for s in sg.elements)
 
     def __call__(self, s):
         return self.mapping[s]
@@ -289,28 +291,34 @@ class SemigroupAuto:
 
     def compose(self, other):
         """self after other: composed(s) = self(other(s))."""
+        if self.is_identity():
+            return other
+        if other.is_identity():
+            return self
         return SemigroupAuto(self.sg, {s: self.mapping[other.mapping[s]]
                                        for s in self.sg.elements})
 
     def inverse(self):
+        if self.is_identity():
+            return self
         return SemigroupAuto(self.sg, {v: k for k, v in self.mapping.items()})
 
     def is_identity(self):
-        return all(v == k for k, v in self.mapping.items())
+        return self._key == self.sg.elements
 
     @classmethod
     def identity(cls, sg):
-        return cls(sg, {s: s for s in sg.elements})
+        return sg._identity
 
     def sort_key(self):
-        return tuple(self.mapping[s] for s in self.sg.elements)
+        return self._key
 
     def __eq__(self, other):
         return (isinstance(other, SemigroupAuto) and self.sg is other.sg
-                and self.mapping == other.mapping)
+                and self._key == other._key)
 
     def __hash__(self):
-        return hash((tuple(sorted(self.mapping.items())),))
+        return hash(self._key)
 
     def __repr__(self):
         moved = {k: v for k, v in self.mapping.items() if k != v}
@@ -339,14 +347,6 @@ def semigroup_to_json(sg):
     }
 
 
-def semigroup_from_json(data):
-    arrows = [(el["name"], el["src"], el["tgt"]) for el in data.get("elements", [])
-              if el["name"] not in set(data["idempotents"])]
-    products = [((p["left"], p["right"]), p.get("result", THETA))
-                for p in data.get("products", [])]
-    return SquareFreeSemigroup.validate(data["idempotents"], arrows, products)
-
-
 def auto_to_json(phi):
     return {"map": dict(phi.mapping)}
 
@@ -355,9 +355,9 @@ def auto_from_json(sg, data):
     mapping = data["map"] if isinstance(data, dict) and "map" in data else data
     if not isinstance(mapping, dict):
         raise TypeError("a semigroup automorphism map is a JSON object")
-    phi = SemigroupAuto(sg, mapping)
     if sorted(mapping) != sorted(sg.elements) or sorted(mapping.values()) != sorted(sg.elements):
         raise UnknownElement("automorphism map is not a bijection on the elements")
+    phi = SemigroupAuto(sg, mapping)
     if not all(phi._preserves(a, b) for a in sg.elements for b in sg.elements):
         raise SemigroupInvalid([Violation("structure", (), "map does not preserve products")])
     return phi

@@ -1,19 +1,19 @@
 """Brute-force reference implementations the fast paths are checked against.
 
-`brute_force_aut0` tests every candidate triple (mu, eta, phi) with eta = 1
+`brute_force_aut0` tests every candidate gauge (mu, eta, phi) with eta = 1
 on the idempotents; `all_pairs_verify_ring_hom` multiplies full ring
 elements on every basis pair. Both are slow and deliberately direct.
 """
 
 import itertools
 
-from cocycle_forge.cohomology import AutTriple
+from cocycle_forge.gauge import Gauge
 from cocycle_forge.ring import HomVerdict, _scalar_samples
 from cocycle_forge.scalars import enumerate_autos, enumerate_units
 
 
 def _aut0_chunk(c, phi, mu_choice):
-    """Keep the triples over one (phi, mu) choice whose map multiplies.
+    """Keep the gauges over one (phi, mu) choice whose map multiplies.
 
     The check is multiplicativity of sigma(d.s) = mu_e(d) eta(s) phi(s) on
     every composable basis pair with both scalars ranging over the probe
@@ -58,7 +58,7 @@ def _aut0_chunk(c, phi, mu_choice):
                 ok = False
                 break
         if ok:
-            found.append(AutTriple(sg, c.domain, mu, eta, phi))
+            found.append(Gauge(sg, c.domain, mu, eta, phi))
     return found
 
 

@@ -410,6 +410,56 @@ def test_verify_ses_failure_exits_1(runner, demo_file, monkeypatch):
     assert json.loads(result.output)["ok"] is False
 
 
+def test_max_idempotents_refuses_input(runner, demo_file):
+    result = runner.invoke(main, ["--max-idempotents", "3", "--output", "json",
+                                  "h1", demo_file])
+    assert result.exit_code == 2, result.output
+    assert [e["pointer"] for e in json.loads(result.output)["errors"]] == \
+        ["/semigroup/idempotents"]
+
+
+@pytest.fixture()
+def chain9_file(tmp_path):
+    """A chain e0 -> e1 -> ... -> e8 of nine idempotents over GF(2)."""
+    data = {"division_ring": {"kind": "finite_field", "p": 2, "k": 1},
+            "semigroup": {"idempotents": [f"e{i}" for i in range(9)],
+                          "elements": [{"name": f"a{i}", "src": f"e{i}",
+                                        "tgt": f"e{i + 1}"} for i in range(8)],
+                          "products": []}}
+    path = tmp_path / "chain9.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_max_idempotents_raised_for_every_command(runner, chain9_file):
+    assert runner.invoke(main, ["out-r", chain9_file]).exit_code == 2
+    payload = run_json(runner, ["--max-idempotents", "9", "out-r", chain9_file])
+    assert payload["out_order"] == 1
+    payload = run_json(runner, ["--max-idempotents", "9", "iso-check",
+                                chain9_file, chain9_file])
+    assert payload["isomorphic"] is True
+
+
+@pytest.fixture()
+def noncocycle_file(tmp_path):
+    """The demo with xi(e1, s12) = x added: the scalar identity fails."""
+    data = instance_to_json(diamond_demo_instance())
+    data["cocycle"]["xi"] = [{"left": "e1", "right": "s12", "value": [0, 1]}]
+    path = tmp_path / "noncocycle.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["verify-ses", "h1", "iso-check"])
+def test_non_cocycle_gets_no_answer(runner, noncocycle_file, command):
+    files = [noncocycle_file] * (2 if command == "iso-check" else 1)
+    result = runner.invoke(main, ["--output", "json", command] + files)
+    assert result.exit_code == 2, result.output
+    payload = json.loads(result.output)
+    assert payload["ok"] is False
+    assert "cocycle identities" in payload["error"]
+
+
 def test_instance_files_share_one_semigroup(demo_file, trivial_file):
     a, b = load_instance(demo_file), load_instance(trivial_file)
     assert a.sg is b.sg and a.domain is b.domain

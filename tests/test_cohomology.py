@@ -7,12 +7,12 @@ import pytest
 
 from cocycle_forge.cochain import TwoCochain
 from cocycle_forge.cohomology import (
-    AutTriple, aut0_enumerate, b1_enumerate, h1, inner_triples, lambda_map,
-    out_r, star_act, verify_ses, z1_enumerate,
+    aut0_enumerate, b1_enumerate, h1, inner_triples, out_r, star_act,
+    verify_ses, z1_enumerate,
 )
 from cocycle_forge.errors import NotEnumerable
 from cocycle_forge.gauge import Gauge, act_gauge
-from cocycle_forge.ring import TwistedRing, inner_auto, verify_ring_hom
+from cocycle_forge.ring import RingIso, TwistedRing, inner_auto, verify_ring_hom
 from cocycle_forge.scalars import RingAuto, random_scalar
 from cocycle_forge.semigroup import SquareFreeSemigroup
 
@@ -178,38 +178,41 @@ def test_h1_one_idempotent(gf4_mod):
     assert rep.z1_order == 2 and rep.b1_order == 1 and rep.h1_order == 2
 
 
-# -- lambda and the inner triples ----------------------------------------------------
+# -- lambda, the inclusion Z1 <= Aut0, and the inner automorphisms --------------------
 
 
 def test_lambda_identity(demo, diamond_mod, gf4_mod):
-    t = lambda_map(Gauge.identity(diamond_mod, gf4_mod), demo)
-    assert t == AutTriple.identity(diamond_mod, gf4_mod)
+    # lambda is the inclusion: the identity gauge is the identity of Aut0
+    ident = Gauge.identity(diamond_mod, gf4_mod)
+    assert ident.phi.is_identity() and ident.is_identity()
+    assert ident in aut0_enumerate(demo)
 
 
 def test_lambda_frobenius_gauge_is_ring_auto(demo, diamond_mod, gf4_mod):
     fr = RingAuto.frobenius(gf4_mod, 1)
     g = Gauge(diamond_mod, gf4_mod, mu={e: fr for e in diamond_mod.idempotents})
-    t = lambda_map(g, demo)
     ring = TwistedRing(demo)
-    assert verify_ring_hom(t.as_iso(ring)).ok
+    assert verify_ring_hom(RingIso(ring, ring, g)).ok
 
 
 def test_lambda_is_antihomomorphism_on_z1(demo, z1_demo):
     # with the left-action group law on gauges, the induced maps compose in
-    # the opposite order: sigma(g1 . g2) = sigma(g2) o sigma(g1)
+    # the opposite order: sigma(g1 . g2) = sigma(g2) o sigma(g1), checked on
+    # every basis element with a non-prime-field coefficient
+    ring = TwistedRing(demo)
+    d = demo.domain.generator()
     sample = z1_demo[::11]
     for g1 in sample:
         for g2 in sample:
-            lhs = lambda_map(g1.compose(g2), demo)
-            rhs = lambda_map(g2, demo).compose(lambda_map(g1, demo))
-            assert lhs == rhs
+            both = RingIso(ring, ring, g1.compose(g2))
+            first, second = RingIso(ring, ring, g1), RingIso(ring, ring, g2)
+            for s in demo.sg.elements:
+                x = ring.basis(s, d)
+                assert both(x) == second(first(x))
 
 
 def test_b1_triples_are_exactly_inner(demo, b1_demo):
-    inn = inner_triples(demo)
-    inn_keys = {t.key() for t in inn}
-    b1_keys = {lambda_map(b, demo).key() for b in b1_demo}
-    assert b1_keys == inn_keys
+    assert inner_triples(demo) == b1_enumerate(demo) == b1_demo
 
 
 def test_inner_triple_matches_ring_conjugation(demo, diamond_mod, gf4_mod, rng):
@@ -220,11 +223,9 @@ def test_inner_triple_matches_ring_conjugation(demo, diamond_mod, gf4_mod, rng):
         eps = {e: rng.choice(units) for e in diamond_mod.idempotents}
         r = ring.element(eps)
         conj = inner_auto(r)
-        from cocycle_forge.semigroup import SemigroupAuto
-        mu = {e: RingAuto.identity(gf4_mod) for e in diamond_mod.idempotents}
         eta = {s: eps[diamond_mod.src[s]] * demo.alpha_at(s)(eps[diamond_mod.tgt[s]].inv())
                for s in diamond_mod.elements}
-        t = AutTriple(diamond_mod, gf4_mod, mu, eta, SemigroupAuto.identity(diamond_mod))
+        t = Gauge(diamond_mod, gf4_mod, eta=eta)
         for s in diamond_mod.elements:
             d = random_scalar(gf4_mod, rng)
             x = ring.basis(s, d)
@@ -233,12 +234,11 @@ def test_inner_triple_matches_ring_conjugation(demo, diamond_mod, gf4_mod, rng):
 
 
 def test_nonboundary_z1_element_is_not_inner(demo, z1_demo, b1_demo):
-    inn_keys = {t.key() for t in inner_triples(demo)}
-    b1_keys = {g.key() for g in b1_demo}
-    outside = [g for g in z1_demo if g.key() not in b1_keys]
+    inn = set(inner_triples(demo))
+    outside = [g for g in z1_demo if g not in set(b1_demo)]
     assert outside
     for g in outside[::16]:
-        assert lambda_map(g, demo).key() not in inn_keys
+        assert g not in inn
 
 
 # -- Aut0 and Out R ---------------------------------------------------------------
@@ -250,14 +250,41 @@ def test_aut0_demo_count(demo):
 
 def test_aut0_contains_identity(demo, diamond_mod, gf4_mod):
     triples = aut0_enumerate(demo)
-    assert AutTriple.identity(diamond_mod, gf4_mod) in triples
+    assert Gauge.identity(diamond_mod, gf4_mod) in triples
 
 
 def test_aut0_triples_verify_as_ring_homs(demo, rng):
     ring = TwistedRing(demo)
     triples = aut0_enumerate(demo)
     for t in rng.sample(triples, 20):
-        assert verify_ring_hom(t.as_iso(ring)).ok
+        assert verify_ring_hom(RingIso(ring, ring, t)).ok
+
+
+def test_aut0_is_normal_and_closed(demo):
+    aut0 = aut0_enumerate(demo)
+    members = set(aut0)
+    one = demo.domain.one()
+    assert all(t.eta[e] == one for t in aut0 for e in demo.sg.idempotents)
+    sample = aut0[::17]
+    assert any(not t.phi.is_identity() for t in sample)
+    for t1 in sample:
+        assert t1.inverse() in members
+        for t2 in sample:
+            assert t1.compose(t2) in members
+
+
+def test_aut0_ring_maps_compose_in_opposite_order(demo):
+    # sigma(t1 . t2) = sigma(t2) o sigma(t1) on all of Aut0, phi included
+    ring = TwistedRing(demo)
+    d = demo.domain.generator()
+    sample = aut0_enumerate(demo)[::41]
+    for t1 in sample:
+        for t2 in sample:
+            both = RingIso(ring, ring, t1.compose(t2))
+            first, second = RingIso(ring, ring, t1), RingIso(ring, ring, t2)
+            for s in demo.sg.elements:
+                x = ring.basis(s, d)
+                assert both(x) == second(first(x))
 
 
 def test_aut0_matches_gauge_route(demo, diamond_mod):
@@ -268,11 +295,9 @@ def test_aut0_matches_gauge_route(demo, diamond_mod):
     for phi in diamond_mod.enumerate_autos():
         twisted = act_phi(phi, demo)
         for g in _gauge_solutions_ff(twisted, demo):
-            expected.append((tuple(sorted((e, g.mu[e].sort_key()) for e in diamond_mod.idempotents)),
-                             tuple(sorted((s, g.eta[s].sort_key()) for s in diamond_mod.elements)),
-                             phi.sort_key()))
-    got = [(t.key()[0], t.key()[1], t.key()[2]) for t in aut0_enumerate(demo)]
-    assert sorted(expected) == sorted(got)
+            expected.append(Gauge(diamond_mod, demo.domain, g.mu, g.eta, phi).key())
+    got = [t.key() for t in aut0_enumerate(demo)]
+    assert sorted(expected) == got
 
 
 def test_aut0_parallel_matches_serial(demo):
@@ -399,7 +424,7 @@ def test_phi_components_compose(demo):
     sample = triples[::23]
     for t1 in sample:
         for t2 in sample:
-            assert t1.compose(t2).phi == t1.phi.compose(t2.phi)
+            assert t1.compose(t2).phi == t2.phi.compose(t1.phi)
 
 
 def test_verify_ses_enumerates_b1_once(demo, monkeypatch):
@@ -434,5 +459,5 @@ def test_keys_are_built_once(demo, z1_demo):
 def test_out_r_coset_keys_are_triples(demo):
     rep = out_r(demo)
     assert set(rep.coset_keys) == set(rep.aut0)
-    assert all(isinstance(t, AutTriple) for t in rep.coset_keys)
+    assert all(isinstance(t, Gauge) for t in rep.coset_keys)
     assert sorted(set(rep.coset_keys.values())) == list(range(rep.out_order))

@@ -5,11 +5,12 @@ import random
 import pytest
 
 from cocycle_forge.cochain import TwoCochain, is_cocycle, is_normal, normalize
-from cocycle_forge.errors import NotEnumerable
+from cocycle_forge.errors import DomainMismatch, NotEnumerable
 from cocycle_forge.gauge import (
     Gauge, act_gauge, act_phi, cohomologous, gauge_from_json, gauge_stabilizer,
     gauge_to_json, stabilizer_of_class,
 )
+from cocycle_forge.instances import Instance, parse_witness, witness_to_json
 from cocycle_forge.scalars import RingAuto, Scalar
 from cocycle_forge.semigroup import SemigroupAuto, SquareFreeSemigroup
 
@@ -18,6 +19,12 @@ from conftest import make_demo_cocycle, random_gauge
 
 def swap_auto(diamond):
     return [a for a in diamond.enumerate_autos() if not a.is_identity()][0]
+
+
+def random_relabeling_gauge(sg, domain, rng):
+    """A seeded random gauge with a random phi in Aut S."""
+    g = random_gauge(sg, domain, rng)
+    return Gauge(sg, domain, g.mu, g.eta, rng.choice(sg.enumerate_autos()))
 
 
 # -- group structure ---------------------------------------------------------
@@ -128,7 +135,8 @@ def test_gauge_phi_compatibility(diamond, gf4, demo_gf4, rng):
     for phi in diamond.enumerate_autos():
         for _ in range(50):
             g = random_gauge(diamond, gf4, rng)
-            lhs = act_gauge(g.conjugate_by(phi), act_phi(phi, demo_gf4))
+            p = Gauge(diamond, gf4, phi=phi)  # g^phi = P . g . P^-1
+            lhs = act_gauge(p.compose(g).compose(p.inverse()), act_phi(phi, demo_gf4))
             rhs = act_phi(phi, act_gauge(g, demo_gf4))
             assert lhs == rhs
 
@@ -245,6 +253,52 @@ def test_stabilizer_of_class_aut_trivial_semigroup(gf4):
     c = TwoCochain.trivial(sg, gf4)
     stab = stabilizer_of_class(c)
     assert len(stab) == 1 and stab[0].is_identity()
+
+
+# -- gauges with a relabeling ----------------------------------------------------
+
+
+def test_left_action_axiom_with_phi(diamond, gf4, demo_gf4, rng):
+    moved = 0
+    for _ in range(60):
+        g1 = random_relabeling_gauge(diamond, gf4, rng)
+        g2 = random_relabeling_gauge(diamond, gf4, rng)
+        moved += not g1.phi.is_identity()
+        lhs = act_gauge(g1.compose(g2), demo_gf4)
+        assert lhs == act_gauge(g1, act_gauge(g2, demo_gf4))
+    assert moved  # the sample reaches the nontrivial phi
+
+
+def test_inverse_with_phi_both_sides(diamond, gf4, rng):
+    ident = Gauge.identity(diamond, gf4)
+    for _ in range(30):
+        g = random_relabeling_gauge(diamond, gf4, rng)
+        assert g.compose(g.inverse()) == ident
+        assert g.inverse().compose(g) == ident
+        assert g.inverse().phi == g.phi.inverse()
+
+
+def test_act_gauge_relabels_first(diamond, gf4, demo_gf4, rng):
+    g = random_gauge(diamond, gf4, rng)
+    swap = swap_auto(diamond)
+    witness = Gauge(diamond, gf4, g.mu, g.eta, swap)
+    assert act_gauge(witness, demo_gf4) == act_gauge(g, act_phi(swap, demo_gf4))
+    assert act_gauge(Gauge(diamond, gf4, phi=swap), demo_gf4) == act_phi(swap, demo_gf4)
+
+
+def test_phi_of_another_semigroup_is_refused(diamond, gf4):
+    other = SquareFreeSemigroup.validate(["e1", "e2"], [], {})
+    with pytest.raises(DomainMismatch):
+        Gauge(diamond, gf4, phi=SemigroupAuto.identity(other))
+
+
+def test_witness_json_round_trip(diamond, gf4, demo_gf4, rng):
+    inst = Instance(gf4, diamond, demo_gf4)
+    for _ in range(20):
+        g = random_relabeling_gauge(diamond, gf4, rng)
+        data = witness_to_json(g)
+        assert "phi" in data
+        assert parse_witness(inst, data) == g
 
 
 # -- serialization ---------------------------------------------------------------

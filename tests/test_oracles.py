@@ -8,10 +8,8 @@ import random
 import pytest
 
 from cocycle_forge.cochain import TwoCochain, is_cocycle, is_normal, normalize
-from cocycle_forge.cohomology import (
-    AutTriple, aut0_enumerate, inner_triples, out_r, verify_ses,
-)
-from cocycle_forge.gauge import IsoWitness, act_gauge
+from cocycle_forge.cohomology import aut0_enumerate, inner_triples, out_r, verify_ses
+from cocycle_forge.gauge import Gauge, act_gauge
 from cocycle_forge.ring import (
     RingIso, TwistedRing, _scalar_samples, build_iso, identity_iso, verify_ring_hom,
 )
@@ -92,8 +90,10 @@ def test_aut0_probe_set_is_complete(p, k):
 
 
 def _corrupted(iso, eta=None, mu=None):
-    return RingIso(iso.source, iso.target, {**iso.mu, **(mu or {})},
-                   {**iso.eta, **(eta or {})}, iso.phi)
+    g = iso.gauge
+    return RingIso(iso.source, iso.target,
+                   Gauge(g.sg, g.domain, {**g.mu, **(mu or {})},
+                         {**g.eta, **(eta or {})}, g.phi))
 
 
 def _verifier_cases():
@@ -104,7 +104,7 @@ def _verifier_cases():
         diamond = make_diamond()
         base = make_demo_cocycle(dom, diamond) if dom is gf4 else TwoCochain.trivial(diamond, dom)
         g = random_gauge(diamond, dom, rng)
-        isos = {"gauged": build_iso(act_gauge(g, base), base, IsoWitness(g))}
+        isos = {"gauged": build_iso(act_gauge(g, base), base, g)}
         # the triangle of test_corrupted_eta_fails_verification
         tri = identity_iso(TwistedRing(TwoCochain.trivial(make_triangle(), dom)))
         isos["identity"] = tri
@@ -122,7 +122,7 @@ def _verifier_cases():
     demo_rng = random.Random(20240401)
     for i in range(10):
         g = random_gauge(diamond, gf4, demo_rng)
-        iso = build_iso(act_gauge(g, base), base, IsoWitness(g))
+        iso = build_iso(act_gauge(g, base), base, g)
         cases.append(pytest.param("gauged", iso, id=f"demo-gauged-{i}"))
     return cases
 
@@ -135,7 +135,7 @@ def test_verifier_matches_all_pairs_oracle(label, iso):
     assert [f[0] for f in fast.failures] == [f[0] for f in slow.failures]
     for (key, lhs, rhs), (_, slow_lhs, slow_rhs) in zip(fast.failures, slow.failures):
         if len(key) == 4:
-            basis = iso.phi(iso.source.sg.compose(key[0], key[1]))
+            basis = iso.gauge.phi(iso.source.sg.compose(key[0], key[1]))
             assert (lhs, rhs) == (slow_lhs.coeff(basis), slow_rhs.coeff(basis))
         else:
             assert (lhs, rhs) == (slow_lhs, slow_rhs)
@@ -157,6 +157,6 @@ def test_coset_orders_over_shapes(shape, p, k):
 @pytest.mark.parametrize("shape", ["diamond", "chain3", "tri", "chain4"])
 @pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2)])
 def test_inner_triples_come_sorted(shape, p, k):
-    # lambda keeps the order of the sorted B1, so no re-sort is needed
+    # Inn0 is the sorted B1 itself, so no re-sort is needed
     inn = inner_triples(twisted_normal(shape, ScalarDomain.finite_field(p, k)))
-    assert inn == sorted(inn, key=AutTriple.sort_key)
+    assert inn == sorted(inn, key=Gauge.sort_key)

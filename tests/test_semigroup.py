@@ -4,11 +4,19 @@ import itertools
 
 import pytest
 
-from cocycle_forge.errors import SemigroupInvalid, UnknownElement
+from cocycle_forge.errors import InstanceFileInvalid, SemigroupInvalid, UnknownElement
+from cocycle_forge.instances import parse_instance
 from cocycle_forge.semigroup import (
     SemigroupAuto, SquareFreeSemigroup, auto_from_json, auto_to_json,
-    semigroup_from_json, semigroup_to_json,
+    semigroup_to_json,
 )
+
+
+def semigroup_from_json(data, max_idempotents=8):
+    """The semigroup section parsed the way instance files are."""
+    inst = parse_instance({"division_ring": {"kind": "rational"}, "semigroup": data},
+                          max_idempotents=max_idempotents)
+    return inst.sg
 
 
 def diamond():
@@ -166,13 +174,15 @@ def test_trivial_and_discrete_auto_counts():
 
 
 def test_idempotent_cap():
-    sg = diamond()
-    with pytest.raises(SemigroupInvalid):
-        sg.enumerate_autos(max_idempotents=3)
-    assert len(sg.enumerate_autos(max_idempotents=4)) == 2
-    nine = SquareFreeSemigroup.validate([f"e{i}" for i in range(9)], [], {})
-    with pytest.raises(SemigroupInvalid):
-        nine.enumerate_autos()  # default cap is 8
+    # the cap is checked where input arrives, not by the Aut S search
+    data = semigroup_to_json(diamond())
+    with pytest.raises(InstanceFileInvalid) as exc:
+        semigroup_from_json(data, max_idempotents=3)
+    assert [p for p, _ in exc.value.issues] == ["/semigroup/idempotents"]
+    assert len(semigroup_from_json(data, max_idempotents=4).enumerate_autos()) == 2
+    nine = semigroup_to_json(SquareFreeSemigroup.validate([f"e{i}" for i in range(9)], [], {}))
+    with pytest.raises(InstanceFileInvalid):
+        semigroup_from_json(nine)  # default cap is 8
 
 
 def test_json_round_trip():

@@ -76,26 +76,36 @@ def z1_enumerate(c):
     return sorted(gauge_stabilizer(c), key=Gauge.sort_key)
 
 
-def star_act(eps, oc, c):
-    """Act by eps: E -> D* on a 1-cocycle of c."""
+def _star(eps, oc, c):
+    """The (mu, eta) of the star action of eps: E -> D* on a 1-cocycle oc."""
     sg = c.sg
     mu = {e: rho(eps[e]).compose(oc.mu[e]) for e in sg.idempotents}
     eta = {}
     for s in sg.elements:
         e, f = sg.src[s], sg.tgt[s]
         eta[s] = eps[e] * oc.eta[s] * c.alpha_at(s)(eps[f].inv())
-    return Gauge(sg, c.domain, mu, eta)
+    return mu, eta
+
+
+def star_act(eps, oc, c):
+    """Act by eps: E -> D* on a 1-cocycle of c."""
+    return Gauge(c.sg, c.domain, *_star(eps, oc, c))
 
 
 def b1_enumerate(c):
-    """The orbit of the identity gauge under the star action."""
+    """The orbit of the identity gauge under the star action. Many maps
+    E -> D* share an image, so the maps are grouped by the values of the
+    action formula and each distinct gauge is built once."""
     _require_enumerable(c)
     _require_normal(c)
     units = enumerate_units(c.domain)
     ident = Gauge.identity(c.sg, c.domain)
-    seen = {star_act(dict(zip(c.sg.idempotents, choice)), ident, c)
-            for choice in itertools.product(units, repeat=len(c.sg.idempotents))}
-    return sorted(seen, key=Gauge.sort_key)
+    images = {}
+    for choice in itertools.product(units, repeat=len(c.sg.idempotents)):
+        mu, eta = _star(dict(zip(c.sg.idempotents, choice)), ident, c)
+        images.setdefault((tuple(mu.values()), tuple(eta.values())), (mu, eta))
+    return sorted((Gauge(c.sg, c.domain, mu, eta) for mu, eta in images.values()),
+                  key=Gauge.sort_key)
 
 
 @dataclass(frozen=True)

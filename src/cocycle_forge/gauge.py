@@ -68,36 +68,46 @@ class Gauge:
     def __init__(self, sg, domain, mu=None, eta=None, phi=None):
         self.sg = sg
         self.domain = domain
-        ident = RingAuto.identity(domain)
-        one = domain.one()
         mu = mu or {}
         eta = eta or {}
-        self.mu = {e: mu.get(e, ident) for e in sg.idempotents}
-        self.eta = {s: eta.get(s, one) for s in sg.elements}
-        if not mu.keys() <= self.mu.keys():
-            raise ValueError(f"mu defined off the idempotents: "
-                             f"{sorted(mu.keys() - self.mu.keys())}")
-        if not eta.keys() <= self.eta.keys():
-            raise ValueError(f"eta defined on unknown elements: "
-                             f"{sorted(eta.keys() - self.eta.keys())}")
-        for e, a in self.mu.items():
+        # one pass per dict fills the defaults, checks each value and
+        # collects its sort key; every gauge of sg lists the same names in
+        # the same positions, so the sort keys alone identify and order it
+        ident = RingAuto.identity(domain)
+        self.mu = full_mu = {}
+        mu_key = []
+        for e in sg.idempotents:
+            a = mu.get(e, ident)
             if a.domain is not domain:
+                _check_names(sg, mu, eta)
                 raise DomainMismatch(f"mu[{e!r}] lives in {a.domain!r}")
-        for s, v in self.eta.items():
+            full_mu[e] = a
+            mu_key.append(a.sort_key())
+        one = domain.one()
+        # payloads are stored reduced, so a value is zero exactly when its
+        # sort key is that of zero
+        zero_key = domain.zero().sort_key()
+        self.eta = full_eta = {}
+        eta_key = []
+        for s in sg.elements:
+            v = eta.get(s, one)
             if v.domain is not domain:
+                _check_names(sg, mu, eta)
                 raise DomainMismatch(f"eta[{s!r}] lives in {v.domain!r}")
-            if v.is_zero():
+            k = v.sort_key()
+            if k == zero_key:
+                _check_names(sg, mu, eta)
                 raise ValueError(f"eta[{s!r}] must be nonzero")
+            full_eta[s] = v
+            eta_key.append(k)
+        if not (mu.keys() <= full_mu.keys() and eta.keys() <= full_eta.keys()):
+            _check_names(sg, mu, eta)
         if phi is None:
             phi = SemigroupAuto.identity(sg)
         elif phi.sg is not sg:
             raise DomainMismatch(f"phi is an automorphism of {phi.sg!r}")
         self.phi = phi
-        # every gauge of sg lists the same names in the same positions, so
-        # the sort keys alone identify it and order it
-        self._key = (tuple(self.mu[e].sort_key() for e in sg.idempotents),
-                     tuple(self.eta[s].sort_key() for s in sg.elements),
-                     phi.sort_key())
+        self._key = (tuple(mu_key), tuple(eta_key), phi.sort_key())
 
     @classmethod
     def identity(cls, sg, domain):
@@ -144,6 +154,17 @@ class Gauge:
         eta = {s: v for s, v in self.eta.items() if v != self.domain.one()}
         phi = "" if self.phi.is_identity() else f", phi={self.phi!r}"
         return f"Gauge(mu={mu or 'id'}, eta={eta or '1'}{phi})"
+
+
+def _check_names(sg, mu, eta):
+    """Refuse mu off the idempotents or eta on unknown elements; checked
+    before any value, so a gauge with several faults reports this one."""
+    off = mu.keys() - set(sg.idempotents)
+    if off:
+        raise ValueError(f"mu defined off the idempotents: {sorted(off)}")
+    unknown = eta.keys() - set(sg.elements)
+    if unknown:
+        raise ValueError(f"eta defined on unknown elements: {sorted(unknown)}")
 
 
 # ---------------------------------------------------------------------------

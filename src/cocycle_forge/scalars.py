@@ -17,6 +17,15 @@ center of the rational quaternions is the rationals).
 
 There is one domain object per field per process, so domains compare by
 identity; scalars and automorphisms are immutable values over them.
+
+Over a finite field there is also one Scalar object per element and one
+RingAuto per Frobenius power. Elements are interned on demand, each with a
+small index in its domain, so building a field does no O(q) work.
+Products, inverses and Frobenius images are computed once, through the
+polynomial arithmetic below, and cached by those indices; arithmetic then
+returns the cached objects instead of building new ones. Equality still
+compares values (identity is only its fast path), and the hash and sort key
+are those of the payload.
 """
 
 from __future__ import annotations
@@ -138,18 +147,28 @@ class ScalarDomain:
     this process.
     """
 
-    __slots__ = ("kind", "p", "k", "modulus", "_cache", "_zero", "_one", "_identity")
+    __slots__ = ("kind", "p", "k", "modulus", "_elements", "_products", "_inverses",
+                 "_units", "_zero", "_one", "_identity", "_frobenius")
 
     def __init__(self, kind, p=None, k=None, modulus=None):
         self.kind = kind
         self.p = p
         self.k = k
         self.modulus = modulus
-        self._cache = {}
+        finite = kind == FINITE_FIELD
+        # finite fields: payload -> its one Scalar, filled on demand (the
+        # index of an element is its position here), and the products (by
+        # index pair) and inverses (by index) of those Scalars
+        self._elements = {} if finite else None
+        self._products = {} if finite else None
+        self._inverses = {} if finite else None
+        self._units = None
         # the constants every sparse default falls back on, built once
         self._zero = self.scalar(0)
         self._one = self.scalar(1)
         self._identity = RingAuto(self, IDENTITY)
+        self._frobenius = (self._identity,) + tuple(
+            RingAuto(self, FROBENIUS, i) for i in range(1, k or 1))
 
     @classmethod
     def rational(cls):
@@ -217,12 +236,17 @@ class ScalarDomain:
                     raise ValueError(f"coefficient vector longer than k={self.k}")
                 seq += [0] * (self.k - len(seq))
                 payload = tuple(seq)
-            return Scalar(self, payload)
+            return self._intern(payload)
         if isinstance(value, (list, tuple)):
             if len(value) != 4:
                 raise ValueError("quaternion needs 4 components")
             return Scalar(self, tuple(_as_fraction(v) for v in value))
         return Scalar(self, (_as_fraction(value), Fraction(0), Fraction(0), Fraction(0)))
+
+    def _intern(self, payload):
+        """The one Scalar of a reduced finite-field payload."""
+        s = self._elements.get(payload)
+        return Scalar(self, payload) if s is None else s
 
     def zero(self):
         return self._zero
@@ -264,14 +288,21 @@ class Scalar:
 
     Payloads: Fraction (rational), tuple of ints length k (finite field),
     tuple of 4 Fractions (quaternion). Stored reduced, so equality is
-    payload equality.
+    payload equality. A finite-field Scalar carries the index of its
+    payload in the domain's table in ``_i``; the first Scalar built for a
+    payload becomes the one the domain hands out, so the domain and
+    arithmetic return one object per element.
     """
 
-    __slots__ = ("domain", "payload")
+    __slots__ = ("domain", "payload", "_i")
 
     def __init__(self, domain, payload):
         self.domain = domain
         self.payload = payload
+        elements = domain._elements
+        if elements is not None:
+            first = elements.setdefault(payload, self)
+            self._i = len(elements) - 1 if first is self else first._i
 
     def _check(self, other):
         if not isinstance(other, Scalar) or other.domain is not self.domain:
@@ -292,8 +323,8 @@ class Scalar:
             return Scalar(self.domain, self.payload + other.payload)
         if kind == FINITE_FIELD:
             p = self.domain.p
-            return Scalar(self.domain,
-                          tuple((a + b) % p for a, b in zip(self.payload, other.payload)))
+            return self.domain._intern(
+                tuple((a + b) % p for a, b in zip(self.payload, other.payload)))
         return Scalar(self.domain,
                       tuple(a + b for a, b in zip(self.payload, other.payload)))
 
@@ -303,30 +334,30 @@ class Scalar:
             return Scalar(self.domain, -self.payload)
         if kind == FINITE_FIELD:
             p = self.domain.p
-            return Scalar(self.domain, tuple((-a) % p for a in self.payload))
+            return self.domain._intern(tuple((-a) % p for a in self.payload))
         return Scalar(self.domain, tuple(-a for a in self.payload))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
+        domain = self.domain
+        products = domain._products
+        if products is not None and other.__class__ is Scalar and other.domain is domain:
+            key = (self._i, other._i)
+            try:
+                return products[key]
+            except KeyError:
+                prod = _poly_mul(self.payload, other.payload, domain.p)
+                _, rem = _poly_divmod(prod, domain.modulus, domain.p)
+                hit = products[key] = domain._intern(rem + (0,) * (domain.k - len(rem)))
+                return hit
         self._check(other)
-        kind = self.domain.kind
-        if kind == RATIONAL:
-            return Scalar(self.domain, self.payload * other.payload)
-        if kind == FINITE_FIELD:
-            cache = self.domain._cache.setdefault("mul", {})
-            key = (self.payload, other.payload)
-            hit = cache.get(key)
-            if hit is None:
-                prod = _poly_mul(self.payload, other.payload, self.domain.p)
-                _, rem = _poly_divmod(prod, self.domain.modulus, self.domain.p)
-                hit = rem + (0,) * (self.domain.k - len(rem))
-                cache[key] = hit
-            return Scalar(self.domain, hit)
+        if domain.kind == RATIONAL:
+            return Scalar(domain, self.payload * other.payload)
         a1, b1, c1, d1 = self.payload
         a2, b2, c2, d2 = other.payload
-        return Scalar(self.domain, (
+        return Scalar(domain, (
             a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
             a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
             a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
@@ -334,18 +365,20 @@ class Scalar:
         ))
 
     def inv(self):
+        inverses = self.domain._inverses
+        if inverses is not None:
+            try:
+                return inverses[self._i]
+            except KeyError:
+                if self.is_zero():
+                    raise DivisionByZero(f"inverse of zero in {self.domain!r}") from None
+                # x^(q-1) = 1 for every unit x, so x^(q-2) is its inverse
+                hit = inverses[self._i] = self ** (self.domain.order - 2)
+                return hit
         if self.is_zero():
             raise DivisionByZero(f"inverse of zero in {self.domain!r}")
-        kind = self.domain.kind
-        if kind == RATIONAL:
+        if self.domain.kind == RATIONAL:
             return Scalar(self.domain, 1 / self.payload)
-        if kind == FINITE_FIELD:
-            cache = self.domain._cache.setdefault("inv", {})
-            hit = cache.get(self.payload)
-            if hit is None:
-                # x^(q-1) = 1 for every unit x, so x^(q-2) is its inverse
-                hit = cache[self.payload] = (self ** (self.domain.order - 2)).payload
-            return Scalar(self.domain, hit)
         a, b, c, d = self.payload
         n = a * a + b * b + c * c + d * d
         return Scalar(self.domain, (a / n, -b / n, -c / n, -d / n))
@@ -363,8 +396,8 @@ class Scalar:
         return out
 
     def __eq__(self, other):
-        return (isinstance(other, Scalar) and self.domain is other.domain
-                and self.payload == other.payload)
+        return self is other or (isinstance(other, Scalar) and self.domain is other.domain
+                                 and self.payload == other.payload)
 
     def __hash__(self):
         return hash((self.domain, self.payload))
@@ -401,15 +434,18 @@ class RingAuto:
     Forms: ``identity`` on any domain; ``frobenius(i)`` with 0 < i < k on a
     finite field (x -> x^(p^i)); ``inner(d)`` on the quaternions with d a
     non-central unit whose first nonzero Hamilton coefficient is 1.
-    Canonical form makes equality a structural check.
+    Canonical form makes equality a structural check. The identity and the
+    Frobenius powers are one object each per field, built with it; a
+    Frobenius power caches its images by the index of the argument.
     """
 
-    __slots__ = ("domain", "form", "data")
+    __slots__ = ("domain", "form", "data", "_images")
 
     def __init__(self, domain, form, data=None):
         self.domain = domain
         self.form = form
         self.data = data
+        self._images = {} if form == FROBENIUS else None
 
     @classmethod
     def identity(cls, domain):
@@ -419,10 +455,7 @@ class RingAuto:
     def frobenius(cls, domain, i):
         if domain.kind != FINITE_FIELD:
             raise DomainMismatch("frobenius is only defined on finite fields")
-        i %= domain.k
-        if i == 0:
-            return cls.identity(domain)
-        return cls(domain, FROBENIUS, i)
+        return domain._frobenius[i % domain.k]
 
     @classmethod
     def inner(cls, domain, d):
@@ -450,12 +483,11 @@ class RingAuto:
         if self.form == IDENTITY:
             return x
         if self.form == FROBENIUS:
-            cache = self.domain._cache.setdefault(("frob", self.data), {})
-            hit = cache.get(x.payload)
-            if hit is None:
-                hit = (x ** (self.domain.p ** self.data)).payload
-                cache[x.payload] = hit
-            return Scalar(self.domain, hit)
+            try:
+                return self._images[x._i]
+            except KeyError:
+                hit = self._images[x._i] = x ** (self.domain.p ** self.data)
+                return hit
         d = Scalar(self.domain, self.data)
         return d * x * d.inv()
 
@@ -485,8 +517,8 @@ class RingAuto:
         return self.form == IDENTITY
 
     def __eq__(self, other):
-        return (isinstance(other, RingAuto) and self.domain is other.domain
-                and self.form == other.form and self.data == other.data)
+        return self is other or (isinstance(other, RingAuto) and self.domain is other.domain
+                                 and self.form == other.form and self.data == other.data)
 
     def __hash__(self):
         return hash((self.domain, self.form, self.data))
@@ -537,8 +569,7 @@ def enumerate_units(domain):
     """All nonzero elements of a finite field, sorted canonically."""
     if domain.kind != FINITE_FIELD:
         raise NotEnumerable(f"{domain!r} has infinitely many units")
-    cache = domain._cache.get("units")
-    if cache is None:
+    if domain._units is None:
         def vectors(i):
             if i == domain.k:
                 yield ()
@@ -547,10 +578,9 @@ def enumerate_units(domain):
                 for tail in vectors(i + 1):
                     yield (c,) + tail
 
-        cache = sorted((Scalar(domain, v) for v in vectors(0) if any(c != 0 for c in v)),
-                       key=lambda s: s.sort_key())
-        domain._cache["units"] = cache
-    return list(cache)
+        domain._units = sorted((domain._intern(v) for v in vectors(0) if any(v)),
+                               key=Scalar.sort_key)
+    return list(domain._units)
 
 
 def random_scalar(domain, rng, nonzero=False):
@@ -559,7 +589,7 @@ def random_scalar(domain, rng, nonzero=False):
         if domain.kind == RATIONAL:
             s = Scalar(domain, Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
         elif domain.kind == FINITE_FIELD:
-            s = Scalar(domain, tuple(rng.randrange(domain.p) for _ in range(domain.k)))
+            s = domain._intern(tuple(rng.randrange(domain.p) for _ in range(domain.k)))
         else:
             s = Scalar(domain, tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3))
                                      for _ in range(4)))

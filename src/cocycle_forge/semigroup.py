@@ -38,7 +38,7 @@ class SquareFreeSemigroup:
     """Validated square-free semigroup. Immutable after construction."""
 
     __slots__ = ("idempotents", "elements", "src", "tgt", "_table", "_slots",
-                 "_tuple_cache", "_identity")
+                 "_tuple_cache", "_identity", "_autos")
 
     def __init__(self, idempotents, elements, src, tgt, table):
         self.idempotents = tuple(idempotents)
@@ -51,6 +51,7 @@ class SquareFreeSemigroup:
             self._slots[(self.src[s], self.tgt[s])] = s
         self._tuple_cache = {}
         self._identity = SemigroupAuto(self, {s: s for s in self.elements})
+        self._autos = None
 
     # -- construction ------------------------------------------------------
 
@@ -239,8 +240,14 @@ class SquareFreeSemigroup:
         one way (an arrow in slot (e, f) must land in slot (perm e, perm f));
         candidates whose extension exists are then checked against the whole
         product table. The |E|! loop is bounded where input arrives: instance
-        files are refused above the idempotent cap.
+        files are refused above the idempotent cap. It runs once per
+        semigroup; every call returns a fresh list.
         """
+        if self._autos is None:
+            self._autos = self._search_autos()
+        return list(self._autos)
+
+    def _search_autos(self):
         found = []
         arrows = self.arrows()
         for perm in itertools.permutations(self.idempotents):

@@ -1,12 +1,14 @@
 """Brute-force reference implementations the fast paths are checked against.
 
 `brute_force_aut0` tests every candidate gauge (mu, eta, phi) with eta = 1
-on the idempotents; `all_pairs_verify_ring_hom` multiplies full ring
-elements on every basis pair. Both are slow and deliberately direct.
+on the idempotents; `brute_force_b1` builds the gauge of every map
+E -> D* and then drops repeats; `all_pairs_verify_ring_hom` multiplies full
+ring elements on every basis pair. All are slow and deliberately direct.
 """
 
 import itertools
 
+from cocycle_forge.cohomology import star_act
 from cocycle_forge.gauge import Gauge
 from cocycle_forge.ring import HomVerdict, _scalar_samples
 from cocycle_forge.scalars import enumerate_autos, enumerate_units
@@ -72,6 +74,16 @@ def brute_force_aut0(c):
             out.extend(_aut0_chunk(c, phi, mu_choice))
     out.sort(key=lambda t: t.sort_key())
     return out
+
+
+def brute_force_b1(c):
+    """The orbit of the identity gauge under the star action: one gauge per
+    map eps: E -> D*, deduplicated afterwards, sorted."""
+    units = enumerate_units(c.domain)
+    ident = Gauge.identity(c.sg, c.domain)
+    seen = {star_act(dict(zip(c.sg.idempotents, choice)), ident, c)
+            for choice in itertools.product(units, repeat=len(c.sg.idempotents))}
+    return sorted(seen, key=Gauge.sort_key)
 
 
 def all_pairs_verify_ring_hom(iso, seed=0):

@@ -13,7 +13,7 @@ from cocycle_forge.cohomology import (
 from cocycle_forge.errors import NotEnumerable
 from cocycle_forge.gauge import Gauge, act_gauge
 from cocycle_forge.ring import RingIso, TwistedRing, inner_auto, verify_ring_hom
-from cocycle_forge.scalars import RingAuto, random_scalar
+from cocycle_forge.scalars import RingAuto, Scalar, random_scalar
 from cocycle_forge.semigroup import SquareFreeSemigroup
 
 from conftest import make_demo_cocycle
@@ -439,6 +439,40 @@ def test_verify_ses_enumerates_b1_once(demo, monkeypatch):
     monkeypatch.setattr(cohomology, "b1_enumerate", counted)
     assert verify_ses(demo).ok
     assert len(calls) == 1
+
+
+def test_verify_ses_enumerates_aut_s_once(demo, monkeypatch):
+    # clear the semigroup's list so this run has to search Aut S itself
+    monkeypatch.setattr(demo.sg, "_autos", None)
+    calls = []
+    original = SquareFreeSemigroup._search_autos
+
+    def counted(sg):
+        calls.append(sg)
+        return original(sg)
+
+    monkeypatch.setattr(SquareFreeSemigroup, "_search_autos", counted)
+    assert verify_ses(demo).ok
+    assert calls == [demo.sg]
+    autos = demo.sg.enumerate_autos()
+    autos.clear()   # each call hands out a fresh list
+    assert len(demo.sg.enumerate_autos()) == 2 and len(calls) == 1
+
+
+def test_repeated_verify_ses_builds_no_field_scalar(demo, monkeypatch):
+    first = verify_ses(demo)
+    built = []
+    original = Scalar.__init__
+
+    def counted(self, domain, payload):
+        if domain.kind == "finite_field":
+            built.append(payload)
+        original(self, domain, payload)
+
+    monkeypatch.setattr(Scalar, "__init__", counted)
+    again = verify_ses(demo)
+    assert again.ok and again.orders == first.orders
+    assert built == []
 
 
 def test_h1_representatives_are_least_in_their_coset(demo):

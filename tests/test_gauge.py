@@ -11,7 +11,7 @@ from cocycle_forge.gauge import (
     gauge_to_json, stabilizer_of_class,
 )
 from cocycle_forge.instances import Instance, parse_witness, witness_to_json
-from cocycle_forge.scalars import RingAuto, Scalar
+from cocycle_forge.scalars import RingAuto, Scalar, ScalarDomain
 from cocycle_forge.semigroup import SemigroupAuto, SquareFreeSemigroup
 
 from conftest import make_demo_cocycle, random_gauge
@@ -309,3 +309,38 @@ def test_gauge_json_round_trip(diamond, gf4, quat, rng):
         for _ in range(10):
             g = random_gauge(diamond, dom, rng)
             assert gauge_from_json(diamond, dom, gauge_to_json(g)) == g
+
+
+# -- invalid input ------------------------------------------------------------------
+
+
+def test_invalid_gauges_are_refused(diamond, gf4, gf9, rat):
+    other = SquareFreeSemigroup.validate(["e1", "e2"], [], {})
+    frob = RingAuto.frobenius(gf4, 1)
+    cases = [
+        (dict(mu={"s12": frob}), ValueError, "mu defined off the idempotents: ['s12']"),
+        (dict(mu={"e9": frob, "s12": frob}), ValueError,
+         "mu defined off the idempotents: ['e9', 's12']"),
+        (dict(eta={"zz": gf4.one()}), ValueError, "eta defined on unknown elements: ['zz']"),
+        (dict(mu={"e2": RingAuto.identity(gf9)}), DomainMismatch, "mu['e2'] lives in GF(9)"),
+        (dict(eta={"s24": gf9.one()}), DomainMismatch, "eta['s24'] lives in GF(9)"),
+        (dict(eta={"s13": gf4.zero()}), ValueError, "eta['s13'] must be nonzero"),
+        (dict(phi=SemigroupAuto.identity(other)), DomainMismatch,
+         "phi is an automorphism of SquareFreeSemigroup(|E|=2, |S*|=2)"),
+        # several faults at once: the names are checked before any value
+        (dict(mu={"s12": frob, "e1": RingAuto.identity(gf9)}, eta={"e1": gf4.zero()}),
+         ValueError, "mu defined off the idempotents: ['s12']"),
+        (dict(mu={"e1": RingAuto.identity(gf9)}, eta={"zz": gf4.zero()}),
+         ValueError, "eta defined on unknown elements: ['zz']"),
+        (dict(mu={"e1": RingAuto.identity(gf9)}, eta={"s12": gf4.zero()}),
+         DomainMismatch, "mu['e1'] lives in GF(9)"),
+        (dict(eta={"s12": gf4.zero()}, phi=SemigroupAuto.identity(other)),
+         ValueError, "eta['s12'] must be nonzero"),
+    ]
+    for kwargs, error, message in cases:
+        with pytest.raises(error) as info:
+            Gauge(diamond, gf4, **kwargs)
+        assert str(info.value) == message
+    for dom in (rat, ScalarDomain.quaternion()):
+        with pytest.raises(ValueError, match=r"^eta\['s34'\] must be nonzero$"):
+            Gauge(diamond, dom, eta={"s34": dom.zero()})

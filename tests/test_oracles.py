@@ -1,6 +1,7 @@
 """Fast paths against the brute-force oracles in oracles.py: Aut0 by
-propagation against testing every candidate, and the composable-pair
-verifier against full products on every basis pair."""
+propagation against testing every candidate, B1 built once per distinct
+image against one gauge per map E -> D*, and the composable-pair verifier
+against full products on every basis pair."""
 
 import itertools
 import random
@@ -8,7 +9,9 @@ import random
 import pytest
 
 from cocycle_forge.cochain import TwoCochain, is_cocycle, is_normal, normalize
-from cocycle_forge.cohomology import aut0_enumerate, inner_triples, out_r, verify_ses
+from cocycle_forge.cohomology import (
+    aut0_enumerate, b1_enumerate, inner_triples, out_r, verify_ses,
+)
 from cocycle_forge.gauge import Gauge, act_gauge
 from cocycle_forge.ring import (
     RingIso, TwistedRing, _scalar_samples, build_iso, identity_iso, verify_ring_hom,
@@ -17,7 +20,7 @@ from cocycle_forge.scalars import RingAuto, ScalarDomain, enumerate_autos
 from cocycle_forge.semigroup import SquareFreeSemigroup
 
 from conftest import make_chain4, make_demo_cocycle, make_diamond, make_triangle, random_gauge
-from oracles import all_pairs_verify_ring_hom, brute_force_aut0
+from oracles import all_pairs_verify_ring_hom, brute_force_aut0, brute_force_b1
 
 
 def make_chain3():
@@ -63,6 +66,15 @@ def test_aut0_matches_brute_force(shape, p, k):
     fast = aut0_enumerate(c)
     assert fast
     assert [t.key() for t in fast] == [t.key() for t in brute_force_aut0(c)]
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
+def test_b1_matches_brute_force(shape, p, k):
+    c = twisted_normal(shape, ScalarDomain.finite_field(p, k))
+    fast = b1_enumerate(c)
+    assert fast
+    assert [g.key() for g in fast] == [g.key() for g in brute_force_b1(c)]
 
 
 @pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (5, 1), (2, 2), (2, 3), (3, 2),

@@ -11,6 +11,7 @@ from cocycle_forge.scalars import (
     domain_to_json, enumerate_autos, enumerate_units, random_scalar, rho,
     sample_scalar, scalar_from_json, scalar_to_json,
 )
+from cocycle_forge.scalars import _poly_divmod, _poly_mul, _poly_trim
 
 GF4 = ScalarDomain.finite_field(2, 2)
 GF2 = ScalarDomain.finite_field(2, 1)
@@ -231,10 +232,12 @@ def test_gf8_moduli_are_distinct_domains():
     a = ScalarDomain.finite_field(2, 3, [1, 1, 0, 1])
     b = ScalarDomain.finite_field(2, 3, [1, 0, 1, 1])
     assert a is not b and a != b
-    with pytest.raises(DomainMismatch):
-        a.generator() * b.generator()
-    with pytest.raises(DomainMismatch):
-        a.one() + b.one()
+    x, y = a.generator(), b.generator()
+    assert x.payload == y.payload and x != y
+    for op in (lambda: x * y, lambda: y * x, lambda: a.one() + b.one(), lambda: x - y,
+               lambda: RingAuto.frobenius(a, 1)(y), lambda: x * 1):
+        with pytest.raises(DomainMismatch):
+            op()
 
 
 @pytest.mark.parametrize("p,k,modulus", [(2.0, 1, [0, 1]), (2, 2.0, [1, 1, 1]),
@@ -257,3 +260,85 @@ def test_inverse_of_every_unit(p, k, modulus):
     for x in units:
         assert x * x.inv() == one
         assert x.inv().inv() == x
+
+
+# -- the interned finite-field kernel against polynomial arithmetic ------------
+
+KERNEL_FIELDS = [(2, 1, None), (3, 1, None), (2, 2, None), (2, 3, [1, 1, 0, 1]),
+                 (2, 3, [1, 0, 1, 1]), (3, 2, None), (5, 2, None), (3, 3, None)]
+
+
+def _reduced(dom, poly):
+    """poly mod the field's modulus as a length-k payload."""
+    _, rem = _poly_divmod(poly, dom.modulus, dom.p)
+    return rem + (0,) * (dom.k - len(rem))
+
+
+def _poly_product(dom, x, y):
+    return _reduced(dom, _poly_mul(_poly_trim(x.payload), _poly_trim(y.payload), dom.p))
+
+
+def _all_elements(dom):
+    return [dom.zero()] + enumerate_units(dom)
+
+
+@pytest.mark.parametrize("p,k,modulus", KERNEL_FIELDS)
+def test_kernel_products_match_polynomials(p, k, modulus):
+    dom = ScalarDomain.finite_field(p, k, modulus)
+    elements = _all_elements(dom)
+    for x in elements:
+        for y in elements:
+            assert (x * y).payload == _poly_product(dom, x, y)
+
+
+@pytest.mark.parametrize("p,k,modulus", KERNEL_FIELDS)
+def test_kernel_inverses_and_frobenius_match_polynomials(p, k, modulus):
+    dom = ScalarDomain.finite_field(p, k, modulus)
+    units = enumerate_units(dom)
+    for x in units:
+        # the unique y with x . y = 1 as polynomials mod m
+        inverse = [y for y in units if _poly_product(dom, x, y) == dom.one().payload]
+        assert [x.inv()] == inverse
+    for i in range(k):
+        frob = RingAuto.frobenius(dom, i)
+        for x in _all_elements(dom):
+            image = dom.one().payload
+            for _ in range(p ** i):
+                image = _reduced(dom, _poly_mul(_poly_trim(image), _poly_trim(x.payload), p))
+            assert frob(x).payload == image
+
+
+@pytest.mark.parametrize("p,k,modulus", KERNEL_FIELDS)
+def test_kernel_one_object_per_element(p, k, modulus):
+    dom = ScalarDomain.finite_field(p, k, modulus)
+    for x in _all_elements(dom):
+        coeffs = list(x.payload)
+        assert dom.scalar(coeffs) is dom.scalar(tuple(coeffs)) is x
+        assert scalar_from_json(dom, scalar_to_json(x)) is x
+        assert x * dom.one() is x and -(-x) is x and x + dom.zero() is x
+    assert dom.scalar(p + 1) is dom.one()
+    for i in range(-k, k):
+        assert RingAuto.frobenius(dom, i) is RingAuto.frobenius(dom, i + k)
+    assert RingAuto.frobenius(dom, 0) is RingAuto.identity(dom)
+
+
+def test_kernel_equality_is_by_value():
+    x = GF9.scalar([1, 2])
+    stray = Scalar(GF9, (1, 2))   # built directly, not through the domain
+    assert stray is not x and stray == x and hash(stray) == hash(x)
+    y = GF9.scalar([2, 2])
+    assert stray * y is x * y and stray.inv() is x.inv()
+    assert RingAuto.frobenius(GF9, 1)(stray) is RingAuto.frobenius(GF9, 1)(x)
+    assert x.sort_key() == (1, 2)
+    assert RingAuto(GF9, "frobenius", 1) == RingAuto.frobenius(GF9, 1)
+
+
+@pytest.mark.parametrize("p,k", [(2, 16), (65537, 1)])
+def test_kernel_interns_only_what_it_touches(p, k):
+    dom = ScalarDomain.finite_field(p, k)
+    before = set(dom._elements)
+    x, y = (dom.scalar([1, 1, 0, 1]), dom.scalar([0, 1, 1])) if k > 1 else \
+        (dom.scalar(12345), dom.scalar(3))
+    touched = {x, y, x * y, y * x, x * x, (x * y) * x}
+    assert set(dom._elements) == before | {s.payload for s in touched}
+    assert len(dom._elements) <= 8

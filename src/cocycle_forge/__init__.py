@@ -23,7 +23,6 @@ from .ring import (
 )
 from .scalars import (
     RingAuto, Scalar, ScalarDomain, enumerate_autos, enumerate_units, rho,
-    sample_scalar,
 )
 from .semigroup import SemigroupAuto, SquareFreeSemigroup
 

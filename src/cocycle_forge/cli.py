@@ -3,7 +3,7 @@
 Every command reads instance files (JSON documents with division_ring,
 semigroup, and optional cocycle sections), runs one computation, and emits
 either a human summary (--output text, default) or the JSON contract
-surface (--output json). Outputs are deterministic for a fixed seed.
+surface (--output json). Outputs are deterministic.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from .cochain import is_cocycle, is_normal, normalize
 from .cohomology import (
     aut0_enumerate, b1_enumerate, h1, out_r, verify_ses, z1_enumerate,
 )
-from .errors import ForgeError, InstanceFileInvalid, NotEnumerable, SettingMismatch
+from .errors import ForgeError, InstanceFileInvalid, NotEnumerable
 from .gauge import act_gauge, gauge_to_json
 from .instances import (
     Instance, RunConfig, diamond_demo_instance, instance_to_json, load_instance,
@@ -54,15 +54,7 @@ def _load(cfg, path):
         _reject(cfg, path, exc)
 
 
-def _require_same_setting(a, b):
-    if a.domain is not b.domain or a.sg is not b.sg:
-        raise SettingMismatch(
-            "both files must carry the same division ring and semigroup")
-
-
 @click.group()
-@click.option("--seed", type=int, default=0, show_default=True,
-              help="Seed for sampled verification scalars.")
 @click.option("--jobs", type=int, default=1, show_default=True,
               envvar="COCYCLE_FORGE_JOBS",
               help="Accepted for compatibility and ignored.")
@@ -70,9 +62,9 @@ def _require_same_setting(a, b):
               show_default=True)
 @click.option("--max-idempotents", type=int, default=8, show_default=True)
 @click.pass_context
-def main(ctx, seed, jobs, output, max_idempotents):
+def main(ctx, jobs, output, max_idempotents):
     """Exact-arithmetic workbench for twisted semigroup rings."""
-    ctx.obj = RunConfig(seed=seed, max_idempotents=max_idempotents, output=output)
+    ctx.obj = RunConfig(max_idempotents=max_idempotents, output=output)
 
 
 @main.command()
@@ -167,10 +159,9 @@ def iso_check_cmd(cfg, file_a, file_b):
     """Decide whether the two twisted rings are isomorphic."""
     a = _load(cfg, file_a)
     b = _load(cfg, file_b)
-    try:
-        _require_same_setting(a, b)
-    except SettingMismatch as exc:
-        _emit(cfg, {"ok": False, "error": str(exc)}, [f"error: {exc}"])
+    if a.domain is not b.domain or a.sg is not b.sg:
+        error = "both files must carry the same division ring and semigroup"
+        _emit(cfg, {"ok": False, "error": error}, [f"error: {error}"])
         sys.exit(2)
     try:
         iso = find_ring_iso(a.cocycle, b.cocycle)
@@ -185,7 +176,7 @@ def iso_check_cmd(cfg, file_a, file_b):
     if iso is None:
         _emit(cfg, {"isomorphic": False}, ["isomorphic: NO (search exhausted)"])
         return
-    verdict = verify_ring_hom(iso, seed=cfg.seed)
+    verdict = verify_ring_hom(iso)
     payload = {
         "isomorphic": True,
         "witness": witness_to_json(iso.gauge),

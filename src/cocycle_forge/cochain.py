@@ -154,12 +154,24 @@ def cochain_to_json(c):
     }
 
 
+def unique_entries(section, items):
+    """The dict of a JSON section's (key, value) items; a key given twice is
+    refused rather than letting the last entry win."""
+    out = {}
+    for key, value in items:
+        if key in out:
+            raise ValueError(f"{section} given twice on {key!r}")
+        out[key] = value
+    return out
+
+
 def cochain_from_json(sg, domain, data):
     data = data or {}
     if not isinstance(data, dict):
         raise TypeError("a cocycle is a JSON object")
-    alpha = {entry["on"]: auto_from_json(domain, entry["auto"])
-             for entry in data.get("alpha", [])}
-    xi = {(entry["left"], entry["right"]): scalar_from_json(domain, entry["value"])
-          for entry in data.get("xi", [])}
+    alpha = unique_entries("alpha", ((entry["on"], auto_from_json(domain, entry["auto"]))
+                                     for entry in data.get("alpha", [])))
+    xi = unique_entries("xi", (((entry["left"], entry["right"]),
+                                scalar_from_json(domain, entry["value"]))
+                               for entry in data.get("xi", [])))
     return TwoCochain(sg, domain, alpha, xi)

@@ -22,11 +22,11 @@ keys once, with their values, so `_cosets` keys its table by the gauges
 themselves and `OutRReport.coset_keys` maps each Aut0 gauge to its coset
 index.
 
-Aut0 R is found by propagation over multiplicativity probes: for each
-(phi, mu) the probes of every composable pair, taken with eta = 1, fix the
-value u that eta(s) alpha_{phi(s)}(eta(t)) eta(s.t)^{-1} must take for the
-induced map d.s -> mu_e(d) eta(s) phi(s) to multiply (or rule the choice
-out when they disagree), and `solve_eta` backtracks eta with eta = 1 on E.
+Aut0 R is found by propagation over the exact multiplicativity probes of
+`ring._probes`: for each (phi, mu) they fix, with eta = 1, the value u that
+eta(s) alpha_{phi(s)}(eta(t)) eta(s.t)^{-1} must take on a composable pair
+for the induced map d.s -> mu_e(d) eta(s) phi(s) to multiply (or rule the
+choice out), and `solve_eta` backtracks eta with eta = 1 on E.
 `verify_ses` then checks exactness of
 
     1 -> H1 -> Out R -> Stab(Aut S) -> 1
@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 from .cochain import TwoCochain, is_normal
 from .errors import NotEnumerable, NotNormal
 from .gauge import Gauge, cohomologous, gauge_stabilizer, solve_eta, stabilizer_of_class
-from .ring import RingIso, TwistedRing, _scalar_samples, pair_sides, verify_ring_hom
+from .ring import RingIso, TwistedRing, _probes, pair_sides, verify_ring_hom
 from .scalars import enumerate_autos, enumerate_units, rho
 from .semigroup import SemigroupAuto
 
@@ -166,32 +166,30 @@ def inner_triples(c):
     return b1_enumerate(c)
 
 
-def _aut0_constraints(c, phi, mu, samples):
+def _aut0_constraints(c, phi, mu, probes):
     """The solve_eta constraints a ring automorphism over (phi, mu) puts on
     eta, or None when the probes already rule (phi, mu) out.
 
     Over a field, with L, R the two sides of pair_sides at eta = 1, the
     composable pair (s, t) multiplies for eta exactly when
     L eta(s.t) = R eta(s) alpha_{phi(s)}(eta(t)), i.e. when
-    eta(s) alpha_{phi(s)}(eta(t)) eta(s.t)^{-1} = L / R; every probe must
-    ask for the same u = L / R. Pairs hitting theta are vacuous because phi
-    preserves products, and sigma(1) = 1 holds identically because the
-    cocycle is normal and eta = 1 on the idempotents.
+    eta(s) alpha_{phi(s)}(eta(t)) eta(s.t)^{-1} = L / R; u = L / R is read
+    at d = 1, and every other probe of ring._probes must ask for the same u.
+    Pairs hitting theta are vacuous because phi preserves products, and
+    sigma(1) = 1 holds identically because the cocycle is normal and
+    eta = 1 on the idempotents.
     """
     sg = c.sg
     one = c.domain.one()
     unit_eta = {s: one for s in sg.elements}
     constraints = []
     for s, t in sg.tuples(2):
-        u = None
-        for d1 in samples:
-            for d2 in samples:
-                lhs, rhs = pair_sides(c, c, mu, unit_eta, phi, s, t, d1, d2)
-                q = lhs * rhs.inv()
-                if u is None:
-                    u = q
-                elif q != u:
-                    return None
+        lhs, rhs = pair_sides(c, c, mu, unit_eta, phi, s, t, one)
+        u = lhs * rhs.inv()
+        for d in probes[1:]:
+            lhs, rhs = pair_sides(c, c, mu, unit_eta, phi, s, t, d)
+            if lhs != rhs * u:
+                return None
         constraints.append((s, t, sg.compose(s, t), c.alpha_at(phi(s)), u))
     return constraints
 
@@ -209,14 +207,14 @@ def aut0_enumerate(c, jobs=1):
     _require_normal(c)
     sg, domain = c.sg, c.domain
     units = enumerate_units(domain)
-    samples = _scalar_samples(domain, 0)
+    probes = _probes(domain)
     fixed = {e: domain.one() for e in sg.idempotents}
     out = []
     for phi in sg.enumerate_autos():
         for mu_choice in itertools.product(enumerate_autos(domain),
                                            repeat=len(sg.idempotents)):
             mu = dict(zip(sg.idempotents, mu_choice))
-            constraints = _aut0_constraints(c, phi, mu, samples)
+            constraints = _aut0_constraints(c, phi, mu, probes)
             if constraints is not None:
                 out.extend(Gauge(sg, domain, mu, eta, phi)
                            for eta in solve_eta(sg, units, constraints, fixed))

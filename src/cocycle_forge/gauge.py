@@ -51,7 +51,7 @@ from __future__ import annotations
 import itertools
 
 from ._multsolve import solve_multiplicative
-from .cochain import TwoCochain
+from .cochain import TwoCochain, unique_entries
 from .errors import DomainMismatch, NotEnumerable
 from .scalars import (
     RingAuto, Scalar, auto_from_json, auto_to_json, enumerate_autos,
@@ -336,8 +336,8 @@ def gauge_to_json(g):
 def gauge_from_json(sg, domain, data):
     if not isinstance(data, dict):
         raise TypeError("a gauge is a JSON object")
-    mu = {entry["on"]: auto_from_json(domain, entry["auto"])
-          for entry in data.get("mu", [])}
-    eta = {entry["on"]: scalar_from_json(domain, entry["value"])
-           for entry in data.get("eta", [])}
+    mu = unique_entries("mu", ((entry["on"], auto_from_json(domain, entry["auto"]))
+                               for entry in data.get("mu", [])))
+    eta = unique_entries("eta", ((entry["on"], scalar_from_json(domain, entry["value"]))
+                                 for entry in data.get("eta", [])))
     return Gauge(sg, domain, mu, eta)

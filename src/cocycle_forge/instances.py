@@ -31,7 +31,6 @@ class Instance:
 
 @dataclass(frozen=True)
 class RunConfig:
-    seed: int = 0
     max_idempotents: int = 8
     output: str = "text"  # "json" | "text"
 
@@ -46,10 +45,7 @@ def parse_instance(data, max_idempotents=8):
     if "division_ring" not in data:
         issues.append(("/division_ring", "missing section"))
     else:
-        try:
-            domain = domain_from_json(data["division_ring"])
-        except (ValueError, KeyError, TypeError) as exc:
-            issues.append(("/division_ring", str(exc)))
+        domain = _section(issues, "/division_ring", domain_from_json, data["division_ring"])
 
     sg = None
     sgdata = data.get("semigroup")
@@ -102,14 +98,20 @@ def parse_instance(data, max_idempotents=8):
 
     cocycle = None
     if domain is not None and sg is not None:
-        try:
-            cocycle = cochain_from_json(sg, domain, data.get("cocycle"))
-        except (ForgeError, ValueError, KeyError, TypeError) as exc:
-            issues.append(("/cocycle", str(exc)))
+        cocycle = _section(issues, "/cocycle", cochain_from_json, sg, domain, data.get("cocycle"))
 
     if issues:
         raise InstanceFileInvalid(issues)
     return Instance(domain, sg, cocycle)
+
+
+def _section(issues, pointer, parse, *args):
+    """parse(*args), or None with its failure recorded at the pointer; a
+    missing JSON key is named as such rather than as a bare repr."""
+    try:
+        return parse(*args)
+    except (ForgeError, ValueError, KeyError, TypeError) as exc:
+        issues.append((pointer, f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)))
 
 
 def _list_section(sgdata, key, issues):
@@ -159,16 +161,11 @@ def parse_witness(inst, data):
     if not isinstance(data, dict):
         raise InstanceFileInvalid([("", "witness must be a JSON object")])
     issues = []
-    gauge = phi = None
-    try:
-        gauge = gauge_from_json(inst.sg, inst.domain, data.get("gauge", {}))
-    except (ForgeError, ValueError, KeyError, TypeError) as exc:
-        issues.append(("/gauge", str(exc)))
+    gauge = _section(issues, "/gauge", gauge_from_json, inst.sg, inst.domain,
+                     data.get("gauge", {}))
+    phi = None
     if "phi" in data:
-        try:
-            phi = sg_auto_from_json(inst.sg, data["phi"])
-        except (ForgeError, TypeError) as exc:
-            issues.append(("/phi", str(exc)))
+        phi = _section(issues, "/phi", sg_auto_from_json, inst.sg, data["phi"])
     if issues:
         raise InstanceFileInvalid(issues)
     if phi is None:

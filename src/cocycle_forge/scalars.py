@@ -30,7 +30,6 @@ are those of the payload.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 
 from .errors import DivisionByZero, DomainMismatch, NotEnumerable
@@ -105,6 +104,11 @@ def _poly_is_irreducible(m, p):
             if not r:
                 return False
     return True
+
+
+def _is_int(v):
+    """An int that is not a bool (JSON true/false decode to bools)."""
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _is_prime(n):
@@ -182,11 +186,11 @@ class ScalarDomain:
     def finite_field(cls, p, k=1, modulus=None):
         if not _is_prime(p):
             raise ValueError(f"p = {p} is not prime")
-        if not isinstance(k, int) or k < 1:
+        if not _is_int(k) or k < 1:
             raise ValueError("k must be a positive integer")
         if modulus is None:
             modulus = _default_modulus(p, k)
-        if not all(isinstance(c, int) for c in modulus):
+        if not all(_is_int(c) for c in modulus):
             raise ValueError("modulus coefficients must be integers")
         modulus = tuple(c % p for c in modulus)
         if len(_poly_trim(modulus)) != k + 1:
@@ -272,11 +276,12 @@ _FIELDS = {}
 def _as_fraction(v):
     if isinstance(v, Fraction):
         return v
-    if isinstance(v, int):
+    if not isinstance(v, (int, str)):
+        raise TypeError(f"cannot interpret {v!r} as an exact rational")
+    try:
         return Fraction(v)
-    if isinstance(v, str):
-        return Fraction(v)
-    raise TypeError(f"cannot interpret {v!r} as an exact rational")
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {v!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -597,11 +602,6 @@ def random_scalar(domain, rng, nonzero=False):
             return s
 
 
-def sample_scalar(domain, seed):
-    """Deterministic-in-seed scalar draw."""
-    return random_scalar(domain, random.Random(seed))
-
-
 # ---------------------------------------------------------------------------
 # JSON encodings: rational "n/d", finite field coefficient array (lowest
 # degree first, fixed length k), quaternion array of 4 rational strings.
@@ -616,26 +616,20 @@ def scalar_to_json(s):
     return [f"{f.numerator}/{f.denominator}" for f in s.payload]
 
 
-def _fraction_from_json(text):
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
-
-
 def scalar_from_json(domain, data):
     kind = domain.kind
     if kind == RATIONAL:
         if not isinstance(data, str):
             raise ValueError("rational scalars are encoded as strings like \"3/4\"")
-        return domain.scalar(_fraction_from_json(data))
+        return domain.scalar(data)
     if kind == FINITE_FIELD:
-        if not isinstance(data, list) or not all(isinstance(c, int) for c in data):
+        if not isinstance(data, list) or not all(_is_int(c) for c in data):
             raise ValueError("finite-field scalars are integer coefficient arrays")
         return domain.scalar(data)
-    if not isinstance(data, list) or len(data) != 4:
+    if (not isinstance(data, list) or len(data) != 4
+            or not all(isinstance(v, str) for v in data)):
         raise ValueError("quaternions are arrays of 4 rational strings")
-    return domain.scalar([_fraction_from_json(str(v)) for v in data])
+    return domain.scalar(data)
 
 
 def domain_to_json(domain):
@@ -671,7 +665,7 @@ def auto_from_json(domain, data):
         return RingAuto.identity(domain)
     if isinstance(data, dict) and "frobenius" in data:
         power = data["frobenius"]
-        if not isinstance(power, int) or isinstance(power, bool):
+        if not _is_int(power):
             raise ValueError(f"a Frobenius power is an integer, not {power!r}")
         return RingAuto.frobenius(domain, power)
     if isinstance(data, dict) and "inner" in data:

@@ -7,30 +7,44 @@ ring elements on every basis pair. All are slow and deliberately direct.
 """
 
 import itertools
+import random
 
 from cocycle_forge.cohomology import star_act
 from cocycle_forge.gauge import Gauge
-from cocycle_forge.ring import HomVerdict, _scalar_samples
-from cocycle_forge.scalars import enumerate_autos, enumerate_units
+from cocycle_forge.ring import HomVerdict
+from cocycle_forge.scalars import enumerate_autos, enumerate_units, random_scalar
+
+
+def scalar_samples(domain, seed=0):
+    """A broad probe sample, wider than the fast paths' fixed probe set: 1,
+    a generator, j for the quaternions, and three seeded draws
+    (deduplicated, zeros dropped)."""
+    rng = random.Random(seed)
+    samples = [domain.one(), domain.generator()]
+    if domain.kind == "rational_quaternion":
+        samples.append(domain.scalar([0, 0, 1, 0]))
+    samples += [random_scalar(domain, rng, nonzero=True) for _ in range(3)]
+    return list(dict.fromkeys(samples))
 
 
 def _aut0_chunk(c, phi, mu_choice):
     """Keep the gauges over one (phi, mu) choice whose map multiplies.
 
     The check is multiplicativity of sigma(d.s) = mu_e(d) eta(s) phi(s) on
-    every composable basis pair with both scalars ranging over the probe
-    sample. Pairs hitting theta vanish on both sides because phi preserves
-    products, and sigma(1) = 1 holds since the cocycle is normal and
-    eta = 1 on idempotents. Over a field the scalar factors commute, so
-    the pair condition is  L = R . eta(s) alpha'(eta(t)) eta(s.t)^{-1}
-    with L, R precomputed per scalar pair.
+    every composable basis pair with both scalars ranging over the broad
+    sample of scalar_samples. Pairs hitting theta vanish on both sides
+    because phi preserves products, and sigma(1) = 1 holds since the
+    cocycle is normal and eta = 1 on idempotents. Over a field the scalar
+    factors commute, so the pair condition is
+    L = R . eta(s) alpha'(eta(t)) eta(s.t)^{-1} with L, R precomputed per
+    scalar pair.
     """
     sg = c.sg
     units = enumerate_units(c.domain)
     one = c.domain.one()
     mu = dict(zip(sg.idempotents, mu_choice))
     arrows = sg.arrows()
-    samples = _scalar_samples(c.domain, 0)
+    samples = scalar_samples(c.domain)
 
     pair_tests = []  # (s, t, st, alpha', [(L, R), ...])
     for s, t in sg.tuples(2):
@@ -88,13 +102,13 @@ def brute_force_b1(c):
 
 def all_pairs_verify_ring_hom(iso, seed=0):
     """Multiplicativity over all basis pairs through full RingElement
-    products, d ranging over the scalar sample on both factors; gamma(1) = 1
-    is checked as well."""
+    products, d ranging over the broad sample of scalar_samples on both
+    factors; gamma(1) = 1 is checked as well."""
     src = iso.source
     failures = []
     if iso.apply(src.one()) != iso.target.one():
         failures.append((("one",), iso.apply(src.one()), iso.target.one()))
-    samples = _scalar_samples(src.domain, seed)
+    samples = scalar_samples(src.domain, seed)
     for s in src.sg.elements:
         for t in src.sg.elements:
             for d1 in samples:

@@ -111,6 +111,31 @@ MALFORMED = [
                  "/cocycle", id="frobenius-float"),
     pytest.param(lambda d: d["cocycle"]["alpha"][0].update(auto={"frobenius": "1"}),
                  "/cocycle", id="frobenius-string"),
+    pytest.param(lambda d: d["cocycle"]["alpha"].extend(
+        [{"on": "s12", "auto": {"frobenius": 1}}, {"on": "s12", "auto": "identity"}]),
+        "/cocycle", id="alpha-twice"),
+    pytest.param(lambda d: d["cocycle"].update(
+        xi=[{"left": "e1", "right": "s12", "value": [1, 0]},
+            {"left": "e1", "right": "s12", "value": [0, 1]}]),
+        "/cocycle", id="xi-twice"),
+    pytest.param(lambda d: d.update(division_ring={"kind": "finite_field", "p": True, "k": 1}),
+                 "/division_ring", id="p-bool"),
+    pytest.param(lambda d: d.update(division_ring={"kind": "finite_field", "p": 2, "k": True}),
+                 "/division_ring", id="k-bool"),
+    pytest.param(lambda d: d.update(division_ring={"kind": "finite_field", "p": 2, "k": 2,
+                                                   "modulus": [True, True, True]}),
+                 "/division_ring", id="modulus-bool"),
+    pytest.param(lambda d: d["cocycle"].update(
+        xi=[{"left": "e1", "right": "s12", "value": [True, True]}]),
+        "/cocycle", id="finite-field-value-bool"),
+    pytest.param(lambda d: d.update(
+        division_ring={"kind": "rational_quaternion"},
+        cocycle={"xi": [{"left": "e1", "right": "s12", "value": [1.5, 0, 0, 0]}]}),
+        "/cocycle", id="quaternion-xi-float"),
+    pytest.param(lambda d: d.update(
+        division_ring={"kind": "rational_quaternion"},
+        cocycle={"xi": [{"left": "e1", "right": "s12", "value": [1, 0, 0, 0]}]}),
+        "/cocycle", id="quaternion-xi-int"),
 ]
 
 
@@ -121,6 +146,20 @@ def test_malformed_sections_carry_pointers(edit, pointer):
     with pytest.raises(InstanceFileInvalid) as exc:
         parse_instance(data)
     assert pointer in {p for p, _ in exc.value.issues}
+
+
+@pytest.mark.parametrize("edit,pointer,message", [
+    (lambda d: d.update(division_ring={"kind": "finite_field", "p": 2}),
+     "/division_ring", "missing key 'k'"),
+    (lambda d: d["cocycle"].update(xi=[{"left": "e1", "right": "s12"}]),
+     "/cocycle", "missing key 'value'"),
+], ids=["k", "xi-value"])
+def test_missing_keys_are_named(edit, pointer, message):
+    data = instance_to_json(diamond_demo_instance())
+    edit(data)
+    with pytest.raises(InstanceFileInvalid) as exc:
+        parse_instance(data)
+    assert (pointer, message) in exc.value.issues
 
 
 def test_malformed_section_exits_2(runner, tmp_path):
@@ -336,6 +375,12 @@ def test_demo_json_deterministic(runner):
     assert p1 == p2 and p1["ok"]
 
 
+def test_seed_flag_is_gone(runner):
+    result = runner.invoke(main, ["--seed", "1", "demo"])
+    assert result.exit_code == 2
+    assert "No such option" in result.output and "--seed" in result.output
+
+
 def test_jobs_flag(runner, demo_file):
     payload = run_json(runner, ["--jobs", "2", "out-r", demo_file])
     assert payload["out_order"] == 4
@@ -363,8 +408,13 @@ def test_json_output_keeps_no_redirected_stdout():
     ('{"gauge": {"mu": [{"on": "e1", "auto": {"inner": [0, 0]}}]}}', "/gauge"),
     ('{"gauge": {"mu": [{"on": "e1", "auto": {"frobenius": 1.5}}]}}', "/gauge"),
     ('{"gauge": {"mu": [{"on": "e1", "auto": {"frobenius": true}}]}}', "/gauge"),
+    ('{"gauge": {"mu": [{"on": "e1", "auto": "identity"}, '
+     '{"on": "e1", "auto": {"frobenius": 1}}]}}', "/gauge"),
+    ('{"gauge": {"eta": [{"on": "s12", "value": [0, 1]}, '
+     '{"on": "s12", "value": [1, 1]}]}}', "/gauge"),
+    ('{"gauge": {"eta": [{"on": "s12"}]}}', "/gauge"),
 ], ids=["unknown-name", "list", "not-json", "inner-by-zero", "frobenius-float",
-        "frobenius-bool"])
+        "frobenius-bool", "mu-twice", "eta-twice", "eta-missing-value"])
 def test_act_rejects_bad_witness(runner, tmp_path, demo_file, witness, pointer):
     wpath = tmp_path / "w.json"
     wpath.write_text(witness)

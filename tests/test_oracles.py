@@ -5,6 +5,7 @@ against full products on every basis pair."""
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -14,9 +15,9 @@ from cocycle_forge.cohomology import (
 )
 from cocycle_forge.gauge import Gauge, act_gauge
 from cocycle_forge.ring import (
-    RingIso, TwistedRing, _scalar_samples, build_iso, identity_iso, verify_ring_hom,
+    RingIso, TwistedRing, _probes, build_iso, identity_iso, verify_ring_hom,
 )
-from cocycle_forge.scalars import RingAuto, ScalarDomain, enumerate_autos
+from cocycle_forge.scalars import RingAuto, ScalarDomain, enumerate_autos, random_scalar
 from cocycle_forge.semigroup import SquareFreeSemigroup
 
 from conftest import make_chain4, make_demo_cocycle, make_diamond, make_triangle, random_gauge
@@ -77,25 +78,60 @@ def test_b1_matches_brute_force(shape, p, k):
     assert [g.key() for g in fast] == [g.key() for g in brute_force_b1(c)]
 
 
-@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (5, 1), (2, 2), (2, 3), (3, 2),
-                                 (5, 2), (3, 3)])
-def test_aut0_probe_set_is_complete(p, k):
-    # For fixed (phi, mu) the probe ratio L / R of a pair does not depend on
-    # d1, and depends on d2 only through mu_e o alpha_s and
-    # alpha_{phi(s)} o mu_f at d2. Probing d2 in {1, x} therefore decides
-    # the pair for every d2 once x generates GF(p^k) over F_p: field
-    # automorphisms fix F_p, so two that agree on x agree everywhere.
-    field = ScalarDomain.finite_field(p, k)
-    x = field.generator()
-    samples = _scalar_samples(field, 0)
-    assert field.one() in samples and x in samples
-    powers = [x ** i for i in range(k)]
-    span = {sum((field.scalar(coef) * xi for coef, xi in zip(coefs, powers)), field.zero())
-            for coefs in itertools.product(range(p), repeat=k)}
-    assert len(span) == p ** k
-    autos = enumerate_autos(field)
-    assert len(autos) == k
-    assert len({a(x) for a in autos}) == k
+@pytest.mark.parametrize("dom", [
+    *(pytest.param(ScalarDomain.finite_field(p, k), id=f"{p}-{k}")
+      for p, k in [(2, 1), (3, 1), (5, 1), (2, 2), (2, 3), (3, 2), (5, 2), (3, 3)]),
+    pytest.param(ScalarDomain.rational(), id="Q"),
+    pytest.param(ScalarDomain.quaternion(), id="H(Q)"),
+])
+def test_aut0_probe_set_is_complete(dom):
+    # The one probe set of the Aut0 search and the hom verifier. For fixed
+    # (phi, mu) a pair's check does not depend on d1, and at d2 it compares
+    # two ring automorphisms of D. Those fix the prime field, so the probes
+    # 1 plus generators of D over its prime field decide the pair for every
+    # d2 (see ring._probes).
+    one = dom.one()
+    probes = _probes(dom)
+    if dom.kind == "rational" or dom.k == 1:
+        # the prime field itself: its only automorphism is the identity
+        assert probes == [one]
+        assert enumerate_autos(dom) == [RingAuto.identity(dom)]
+    elif dom.kind == "finite_field":
+        p, k = dom.p, dom.k
+        x = dom.generator()
+        assert probes == [one, x]
+        powers = [x ** i for i in range(k)]
+        span = {sum((dom.scalar(coef) * xi for coef, xi in zip(coefs, powers)), dom.zero())
+                for coefs in itertools.product(range(p), repeat=k)}
+        assert len(span) == p ** k
+        autos = enumerate_autos(dom)
+        assert len(autos) == k
+        assert len({a(x) for a in autos}) == k
+    else:
+        i, j = dom.scalar([0, 1, 0, 0]), dom.scalar([0, 0, 1, 0])
+        assert probes == [one, i, j]
+        # every automorphism of H(Q) is inner; d and c.d conjugate alike
+        # for rational c, unrelated units do not, and the probes must tell
+        # the two kinds of pair apart exactly as seeded quaternions do
+        rng = random.Random(8)
+
+        def conj(d):
+            return lambda x: d * x * d.inv()
+
+        points = [random_scalar(dom, rng) for _ in range(20)]
+        kinds = set()
+        for n in range(40):
+            d = random_scalar(dom, rng, nonzero=True)
+            c = (dom.scalar(Fraction(rng.randint(1, 9), rng.randint(1, 9))) if n % 2
+                 else random_scalar(dom, rng, nonzero=True))
+            a, b = conj(d), conj(c * d)
+            agree = all(a(x) == b(x) for x in probes)
+            assert agree == all(a(x) == b(x) for x in points)
+            kinds.add(agree)
+        assert kinds == {True, False}
+        # conjugation by 1 + i fixes 1 and i; only j tells it from the identity
+        r = conj(dom.scalar([1, 1, 0, 0]))
+        assert r(one) == one and r(i) == i and r(j) != j
 
 
 # -- the verifier ----------------------------------------------------------------
@@ -139,18 +175,35 @@ def _verifier_cases():
     return cases
 
 
+def _failing_spots(failures):
+    """("one",) and the failing pairs (s, t), in order of first failure."""
+    spots = []
+    for key, _, _ in failures:
+        spot = key if key == ("one",) else key[1:] if key[0] == "product" else key[:2]
+        if spot not in spots:
+            spots.append(spot)
+    return spots
+
+
 @pytest.mark.parametrize("label,iso", _verifier_cases())
 def test_verifier_matches_all_pairs_oracle(label, iso):
+    # the verifier checks (1 s)(d t) for d over the fixed probes, the
+    # oracle (d1 s)(d2 t) over a broader sample: the failing pairs must
+    # agree, and each probe failure is the oracle's entry at (s, t, 1, d)
     fast = verify_ring_hom(iso)
     slow = all_pairs_verify_ring_hom(iso)
     assert fast.ok == slow.ok == (label in ("gauged", "identity"))
-    assert [f[0] for f in fast.failures] == [f[0] for f in slow.failures]
-    for (key, lhs, rhs), (_, slow_lhs, slow_rhs) in zip(fast.failures, slow.failures):
-        if len(key) == 4:
-            basis = iso.gauge.phi(iso.source.sg.compose(key[0], key[1]))
+    assert _failing_spots(fast.failures) == _failing_spots(slow.failures)
+    one = iso.source.domain.one()
+    slow_at = {key: (lhs, rhs) for key, lhs, rhs in slow.failures}
+    for key, lhs, rhs in fast.failures:
+        if key == ("one",):
+            assert (lhs, rhs) == slow_at[key]
+        elif key[0] != "product":
+            s, t, d = key
+            slow_lhs, slow_rhs = slow_at[(s, t, one, d)]
+            basis = iso.gauge.phi(iso.source.sg.compose(s, t))
             assert (lhs, rhs) == (slow_lhs.coeff(basis), slow_rhs.coeff(basis))
-        else:
-            assert (lhs, rhs) == (slow_lhs, slow_rhs)
 
 
 @pytest.mark.parametrize("shape", ["diamond", "chain3", "tri", "chain4"])

@@ -273,7 +273,7 @@ def test_corrupted_eta_fails_verification(gf4):
     verdict = verify_ring_hom(bad)
     assert not verdict.ok
     assert not verdict
-    spots = {f[0][:2] for f in verdict.failures if len(f[0]) == 4}
+    spots = {f[0][:2] for f in verdict.failures if len(f[0]) == 3}
     assert ("a", "b") in spots
 
 

@@ -9,7 +9,7 @@ from cocycle_forge.errors import DivisionByZero, DomainMismatch, NotEnumerable
 from cocycle_forge.scalars import (
     RingAuto, Scalar, ScalarDomain, auto_from_json, auto_to_json, domain_from_json,
     domain_to_json, enumerate_autos, enumerate_units, random_scalar, rho,
-    sample_scalar, scalar_from_json, scalar_to_json,
+    scalar_from_json, scalar_to_json,
 )
 from cocycle_forge.scalars import _poly_divmod, _poly_mul, _poly_trim
 
@@ -153,11 +153,6 @@ def test_enumerate_units():
     assert [u.payload for u in enumerate_units(GF2)] == [(1,)]
     with pytest.raises(NotEnumerable):
         enumerate_units(Q)
-
-
-def test_sample_scalar_deterministic():
-    for dom in (Q, GF9, H):
-        assert sample_scalar(dom, 123) == sample_scalar(dom, 123)
 
 
 @pytest.mark.parametrize("dom", [Q, GF2, GF4, GF9, H], ids=repr)

@@ -1,0 +1,205 @@
+"""Log coordinates over a finite field.
+
+The unit group of GF(q) is cyclic of order n = q - 1, so once a primitive
+element g is fixed every unit is g^x for exactly one x mod n, and the
+Frobenius power a = Frob^i acts on logs as x -> p^i x mod n. A gauge
+(mu, eta, phi) over GF(q) is then the integer datum
+
+    (mu exponents, eta logs, phi)
+
+with mu_e = Frob^{mu[e]} per idempotent and eta(s) = g^{x[s]} per element,
+both in the semigroup's canonical order. `FieldLogs` holds the tables that
+translate (built on first use, once per field, and kept on the domain, so
+building a field stays O(1)); `solve`, `compose` and `FieldLogs.key` are the
+listing layer's constraint search, group law and sort key in these
+coordinates. In them the group law of `gauge.py` reads
+
+    (g1 g2).mu[e] = mu2[phi1(e)] + mu1[e]                         mod k
+    (g1 g2).x[s]  = p^{mu2[phi1(src s)]} x1[s] + x2[phi1(s)]      mod n
+    (g1 g2).phi   = phi2 o phi1
+
+and the key (mu, ranks of the x, phi.sort_key()) orders gauges exactly as
+`Gauge.sort_key` does, since `rank` numbers the units in the order of
+`enumerate_units`.
+"""
+
+from __future__ import annotations
+
+from math import gcd
+
+from .scalars import _prime_divisors, enumerate_units
+
+
+class FieldLogs:
+    """The log tables of one finite field; get them through `field_logs`.
+
+    g is the least unit, in sort order, of order n = q - 1; exp[x] is the
+    interned Scalar g^x; log[i] is the log of the element with domain index
+    i (None for zero); rank[x] is the position of g^x in `enumerate_units`
+    and by_rank its inverse; frob[i] = p^i mod n is Frob^i on logs.
+    """
+
+    __slots__ = ("n", "k", "g", "exp", "log", "rank", "by_rank", "frob")
+
+    def __init__(self, domain):
+        units = enumerate_units(domain)
+        n = self.n = len(units)
+        self.k = domain.k
+        one = domain.one()
+        factors = _prime_divisors(n)
+        self.g = g = next(u for u in units if all(u ** (n // r) != one for r in factors))
+        self.exp = exp = [one]
+        for _ in range(n - 1):
+            exp.append(exp[-1] * g)
+        # every element is interned by now, so the indices run over 0..q-1
+        self.log = log = [None] * (n + 1)
+        for x, u in enumerate(exp):
+            log[u._i] = x
+        self.by_rank = [log[u._i] for u in units]
+        self.rank = rank = [0] * n
+        for r, x in enumerate(self.by_rank):
+            rank[x] = r
+        self.frob = [pow(domain.p, i, n) for i in range(domain.k)]
+
+    def of(self, u):
+        """The log of a unit."""
+        return self.log[u._i]
+
+    def key(self, g):
+        """The sort key of a gauge in log coordinates; orders like
+        Gauge.sort_key."""
+        rank = self.rank
+        return (g[0], tuple([rank[x] for x in g[1]]), g[2].sort_key())
+
+
+def power(a):
+    """The Frobenius exponent of an automorphism of a finite field."""
+    return a.data if a.form == "frobenius" else 0
+
+
+def field_logs(domain):
+    """The log tables of a finite field, built on first use."""
+    logs = domain._logs
+    if logs is None:
+        logs = domain._logs = FieldLogs(domain)
+    return logs
+
+
+def compose(sg, logs, g1, g2):
+    """The group law of gauge.py on log coordinates (module docstring)."""
+    mu1, x1, phi1 = g1
+    mu2, x2, phi2 = g2
+    k, n, frob = logs.k, logs.n, logs.frob
+    p = phi1.mapping
+    e_pos = {e: i for i, e in enumerate(sg.idempotents)}
+    s_pos = {s: j for j, s in enumerate(sg.elements)}
+    mu = tuple((mu2[e_pos[p[e]]] + mu1[i]) % k for i, e in enumerate(sg.idempotents))
+    x = tuple((frob[mu2[e_pos[p[sg.src[s]]]]] * x1[j] + x2[s_pos[p[s]]]) % n
+              for j, s in enumerate(sg.elements))
+    return mu, x, phi2.compose(phi1)
+
+
+def solve(sg, logs, constraints, fixed=None):
+    """Yield the log vector x of every eta: S* -> D* meeting each
+    constraint, in canonical order.
+
+    A constraint (s, t, st, a, u) asks eta(s) . a(eta(t)) . eta(st)^{-1} = u,
+    that is the integer row x[s] + p^i x[t] - x[st] = log u mod n for
+    a = Frob^i. Elements are assigned in the semigroup's canonical order,
+    each pinned by `fixed` (name -> log) or ranging over the units in
+    `enumerate_units` order, and each row is checked once the last element
+    with a nonzero coefficient in it is assigned. Rows are first brought
+    to echelon form from the last element down, so that relations implied
+    by two rows sharing their last element are checked as early as they
+    can be. An element with coefficient c in a completed row is solved for
+    there: c y = r mod n has no solution unless gcd(c, n) divides r, and
+    then gcd(c, n) of them, so a unit coefficient leaves one value to try
+    instead of n. The values are still tried in unit order, so the
+    solutions come out in the order an exhaustive search over every unit
+    would list them.
+    """
+    elements = sg.elements
+    n, frob, rank, by_rank = logs.n, logs.frob, logs.rank, logs.by_rank
+    pos = {s: j for j, s in enumerate(elements)}
+    plan = [[] for _ in elements]
+
+    def place(coef, rhs):
+        """File a row under its last unknown; False if it has none and fails."""
+        coef = {j: c % n for j, c in coef.items() if c % n}
+        if coef:
+            plan[max(coef)].append((coef, rhs % n))
+        return bool(coef) or rhs % n == 0
+
+    for s, t, st, a, u in constraints:
+        coef = {}
+        for name, c in ((s, 1), (t, frob[power(a)]), (st, -1)):
+            coef[pos[name]] = coef.get(pos[name], 0) + c
+        if not place(coef, logs.of(u)):
+            return
+    # eliminate from the last element down: the row whose coefficient at i
+    # has the least gcd with n is the pivot, and each row whose coefficient
+    # is a multiple of the pivot's loses its term at i (so it is checked as
+    # soon as its earlier elements are assigned); a unit pivot at every
+    # position leaves no dead ends
+    for i in reversed(range(len(elements))):
+        rows = plan[i]
+        if not rows:
+            continue
+        rows.sort(key=lambda row: gcd(row[0][i], n))
+        pivot, prhs = rows[0]
+        d = gcd(pivot[i], n)
+        step = n // d
+        inv = pow(pivot[i] // d, -1, step)
+        kept = rows[:1]
+        for coef, rhs in rows[1:]:
+            if coef[i] % d:
+                kept.append((coef, rhs))
+                continue
+            m = (coef[i] // d) * inv % step
+            reduced = dict(coef)
+            for j, c in pivot.items():
+                reduced[j] = reduced.get(j, 0) - m * c
+            if not place(reduced, rhs - m * prhs):
+                return
+        plan[i] = [(gcd(coef[i], n), coef[i],
+                    tuple((j, c) for j, c in coef.items() if j != i), rhs)
+                   for coef, rhs in kept]
+    fixed = {pos[s]: v for s, v in (fixed or {}).items()}
+    x = [0] * len(elements)
+
+    def residue(row):
+        return (row[3] - sum(c * x[j] for j, c in row[2])) % n
+
+    def options(i):
+        rows = plan[i]
+        if i in fixed:
+            v = fixed[i]
+            return [v] if all((row[1] * v - residue(row)) % n == 0 for row in rows) else []
+        if not rows:
+            return by_rank
+        d, c, _, _ = rows[0]
+        r = residue(rows[0])
+        if r % d:
+            return []
+        step = n // d
+        first = (r // d) * pow(c // d, -1, step) % step
+        values = [first] if d == 1 else sorted(range(first, n, step), key=rank.__getitem__)
+        for row in rows[1:]:
+            r = residue(row)
+            values = [v for v in values if (row[1] * v - r) % n == 0]
+        return values
+
+    last = len(elements) - 1
+    stack = [iter(options(0))]
+    while stack:
+        i = len(stack) - 1
+        v = next(stack[-1], None)
+        if v is None:
+            stack.pop()
+            continue
+        x[i] = v
+        if i == last:
+            yield tuple(x)
+        else:
+            stack.append(iter(options(i + 1)))
+

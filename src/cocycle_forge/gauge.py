@@ -35,27 +35,34 @@ the map of g1. So the automorphisms of a ring permuting its idempotents
 stabilizer with phi = id.
 
 `cohomologous` decides whether two cocycles lie in the same orbit of the
-gauges with phi = id: over a finite field by the pruned backtracking search
-`solve_eta` (each assignment is checked against every relation it
-completes), over the rationals by exact multiplicative elimination of the
-same relations. Both negative answers are definitive; the quaternions raise
-NotEnumerable. The Aut0 enumeration runs `solve_eta` too, on relations it
-derives from ring multiplicativity rather than from the action formula.
+gauges with phi = id. Over a finite field it searches in log coordinates
+(see `_logs.py`): mu is a Frobenius exponent per idempotent, fixed by the
+alpha relations up to one free choice per connected component of the
+semigroup, and eta a vector of logs mod q - 1, found by `_logs.solve` from
+the relations of the action formula as integer rows. Over the rationals
+the same relations are solved by exact multiplicative elimination. Both
+negative answers are definitive; the quaternions raise NotEnumerable. The
+Aut0 enumeration runs `_logs.solve` too, on relations it derives from ring
+multiplicativity rather than from the action formula.
 
-A gauge builds its key once, with its value, so gauges serve as their own
-dict keys and sort by that key.
+Searches and partitions over a finite field run on log coordinates; a
+`Gauge` is built, through its one validating constructor (`from_logs`
+translates), only where a public function returns one. A gauge builds its
+key once, with its value, so gauges serve as their own dict keys and sort
+by that key.
 """
 
 from __future__ import annotations
 
 import itertools
 
+from ._logs import field_logs, power, solve
 from ._multsolve import solve_multiplicative
 from .cochain import TwoCochain, unique_entries
 from .errors import DomainMismatch, NotEnumerable
 from .scalars import (
-    RingAuto, Scalar, auto_from_json, auto_to_json, enumerate_autos,
-    enumerate_units, rho, scalar_from_json, scalar_to_json,
+    RingAuto, Scalar, auto_from_json, auto_to_json, rho, scalar_from_json,
+    scalar_to_json,
 )
 from .semigroup import SemigroupAuto
 
@@ -208,42 +215,10 @@ def act_phi(phi, c):
 # orbit membership: find g with act_gauge(g, c1) == c2
 
 
-def solve_eta(sg, units, constraints, fixed=None):
-    """Yield every eta: S* -> D* meeting each constraint, in canonical order.
-
-    A constraint (s, t, st, a, u) asks eta(s) . a(eta(t)) . eta(st)^{-1} = u;
-    coefficients commute (finite fields), so it is tested as
-    eta(s) . a(eta(t)) == u . eta(st). Elements are assigned in the
-    semigroup's canonical order, each ranging over `units` in order unless
-    `fixed` pins it, and each constraint is checked as soon as the last
-    element it mentions is assigned. The search is exhaustive.
-    """
-    elements = sg.elements
-    pos = {s: i for i, s in enumerate(elements)}
-    grouped = [[] for _ in elements]
-    for con in constraints:
-        grouped[max(pos[con[0]], pos[con[1]], pos[con[2]])].append(con)
-    fixed = fixed or {}
-    choices = [[fixed[s]] if s in fixed else units for s in elements]
-    eta = {}
-
-    def extend(i):
-        if i == len(elements):
-            yield dict(eta)
-            return
-        name = elements[i]
-        for v in choices[i]:
-            eta[name] = v
-            if all(eta[s] * a(eta[t]) == u * eta[st] for s, t, st, a, u in grouped[i]):
-                yield from extend(i + 1)
-        del eta[name]
-
-    yield from extend(0)
-
-
 def _gauge_constraints(c1, c2, mu):
-    """The scalar relations of act_gauge((mu, eta), c1) == c2 in solve_eta
-    form: eta(s) alpha_s(eta(t)) eta(st)^{-1} = mu_e(xi2(s, t)) xi1(s, t)^{-1}
+    """The scalar relations of act_gauge((mu, eta), c1) == c2 in the form
+    _logs.solve takes:
+    eta(s) alpha_s(eta(t)) eta(st)^{-1} = mu_e(xi2(s, t)) xi1(s, t)^{-1}
     (commutative coefficients, so xi1 moves to the right-hand side)."""
     sg = c1.sg
     return [(s, t, sg.compose(s, t), c1.alpha_at(s),
@@ -251,23 +226,67 @@ def _gauge_constraints(c1, c2, mu):
             for s, t in sg.tuples(2)]
 
 
-def _gauge_solutions_ff(c1, c2):
-    """Yield every gauge carrying c1 to c2 over a finite field, in
-    deterministic order. Exhaustive: mu ranges over all automorphism
-    assignments, eta is backtracked by solve_eta."""
-    sg, domain = c1.sg, c1.domain
-    autos = enumerate_autos(domain)
-    units = enumerate_units(domain)
+def _mu_choices(c1, c2):
+    """Yield the mu (Frobenius exponents per idempotent) that carry alpha1
+    to alpha2 over a finite field, in product order.
 
-    for mu_choice in itertools.product(autos, repeat=len(sg.idempotents)):
-        mu = dict(zip(sg.idempotents, mu_choice))
-        # rho is trivial on a field, so the automorphism relation is
-        # eta-independent: check it before touching eta at all
-        if any(mu[sg.src[s]].inverse().compose(c1.alpha_at(s)).compose(mu[sg.tgt[s]])
-               != c2.alpha_at(s) for s in sg.elements):
+    rho is trivial on a field, so the automorphism relation
+    mu_e^{-1} o alpha1_s o mu_f = alpha2_s does not involve eta, and
+    Aut(GF(q)) is cyclic of order k, so it reads
+    mu_f - mu_e = a2_s - a1_s (mod k) on every element s = e.s.f. mu is
+    therefore free at the first idempotent of each connected component and
+    fixed elsewhere, or no mu works at all. Two such mu first differ at the
+    first idempotent of some component, so walking those in product order
+    lists the mu in product order over all idempotents.
+    """
+    sg, k = c1.sg, c1.domain.k
+    edges = {e: [] for e in sg.idempotents}
+    for s in sg.elements:
+        d = power(c2.alpha_at(s)) - power(c1.alpha_at(s))
+        edges[sg.src[s]].append((sg.tgt[s], d))
+        edges[sg.tgt[s]].append((sg.src[s], -d))
+    offset, root = {}, {}
+    roots = 0
+    for e in sg.idempotents:
+        if e in offset:
             continue
-        for eta in solve_eta(sg, units, _gauge_constraints(c1, c2, mu)):
-            yield Gauge(sg, domain, mu, eta)
+        offset[e], root[e] = 0, roots
+        stack = [e]
+        while stack:
+            f = stack.pop()
+            for g, d in edges[f]:
+                want = (offset[f] + d) % k
+                if g not in offset:
+                    offset[g], root[g] = want, roots
+                    stack.append(g)
+                elif offset[g] != want:
+                    return
+        roots += 1
+    for free in itertools.product(range(k), repeat=roots):
+        yield tuple((free[root[e]] + offset[e]) % k for e in sg.idempotents)
+
+
+def _gauge_solutions_ff(c1, c2):
+    """Yield every gauge carrying c1 to c2 over a finite field, in log
+    coordinates (mu, x, id) (see _logs.py) and in Gauge.sort_key order.
+    Exhaustive: mu ranges over every choice the alpha relations allow, eta
+    is searched by _logs.solve."""
+    sg, domain = c1.sg, c1.domain
+    logs = field_logs(domain)
+    ident = SemigroupAuto.identity(sg)
+    for mu in _mu_choices(c1, c2):
+        autos = {e: RingAuto.frobenius(domain, i) for e, i in zip(sg.idempotents, mu)}
+        for x in solve(sg, logs, _gauge_constraints(c1, c2, autos)):
+            yield mu, x, ident
+
+
+def from_logs(sg, domain, g):
+    """The Gauge of (mu, x, phi) in log coordinates over a finite field."""
+    mu, x, phi = g
+    exp = field_logs(domain).exp
+    return Gauge(sg, domain,
+                 {e: RingAuto.frobenius(domain, i) for e, i in zip(sg.idempotents, mu)},
+                 {s: exp[v] for s, v in zip(sg.elements, x)}, phi)
 
 
 def _cohomologous_rational(c1, c2):
@@ -300,7 +319,8 @@ def cohomologous(c1, c2):
         raise DomainMismatch("cocycles compared over different settings")
     kind = c1.domain.kind
     if kind == "finite_field":
-        return next(_gauge_solutions_ff(c1, c2), None)
+        g = next(_gauge_solutions_ff(c1, c2), None)
+        return None if g is None else from_logs(c1.sg, c1.domain, g)
     if kind == "rational":
         return _cohomologous_rational(c1, c2)
     raise NotEnumerable("cannot search gauges over the rational quaternions")
@@ -310,7 +330,7 @@ def gauge_stabilizer(c):
     """All gauges fixing a cocycle (finite fields only)."""
     if c.domain.kind != "finite_field":
         raise NotEnumerable("stabilizer enumeration needs a finite field")
-    return list(_gauge_solutions_ff(c, c))
+    return [from_logs(c.sg, c.domain, g) for g in _gauge_solutions_ff(c, c)]
 
 
 def stabilizer_of_class(c):

@@ -76,34 +76,49 @@ def _poly_divmod(a, b, p):
     return _poly_trim(q), _poly_trim(a)
 
 
-def _monic_polys(degree, p):
-    """All monic polynomials of exactly the given degree, as tuples."""
-    if degree == 0:
-        yield (1,)
-        return
+def _poly_sub(a, b, p):
+    n = max(len(a), len(b))
+    a, b = a + (0,) * (n - len(a)), b + (0,) * (n - len(b))
+    return _poly_trim([(x - y) % p for x, y in zip(a, b)])
 
-    def rec(i):
-        if i == degree:
-            yield (1,)
-            return
-        for tail in rec(i + 1):
-            for c in range(p):
-                yield (c,) + tail
 
-    yield from rec(0)
+def _poly_gcd(a, b, p):
+    while b:
+        a, b = b, _poly_divmod(a, b, p)[1]
+    return a
+
+
+def _prime_divisors(n):
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + [n] if n > 1 else out
 
 
 def _poly_is_irreducible(m, p):
-    """Trial division by every monic polynomial of degree <= deg(m)/2."""
+    """Rabin's test: m of degree k >= 1 is irreducible over Z_p exactly when
+    x^(p^k) = x mod m and gcd(x^(p^(k/r)) - x, m) = 1 for every prime r | k."""
     deg = len(m) - 1
     if deg <= 0:
         return False
-    for d in range(1, deg // 2 + 1):
-        for g in _monic_polys(d, p):
-            _, r = _poly_divmod(m, g, p)
-            if not r:
-                return False
-    return True
+    x = _poly_divmod((0, 1), m, p)[1]
+    powers = [x]            # powers[i] = x^(p^i) mod m
+    for _ in range(deg):
+        h, base, e = (1,), powers[-1], p
+        while e:
+            if e & 1:
+                h = _poly_divmod(_poly_mul(h, base, p), m, p)[1]
+            base = _poly_divmod(_poly_mul(base, base, p), m, p)[1]
+            e >>= 1
+        powers.append(h)
+    if powers[deg] != x:
+        return False
+    return all(len(_poly_gcd(m, _poly_sub(powers[deg // r], x, p), p)) == 1
+               for r in _prime_divisors(deg))
 
 
 def _is_int(v):
@@ -111,14 +126,36 @@ def _is_int(v):
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+# the first 13 primes decide primality exactly below this bound
+# (Sorenson and Webster, Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_PRIME = 3317044064679887385961981
+
+
 def _is_prime(n):
+    """Deterministic Miller-Rabin below MAX_PRIME; a ValueError above it."""
     if not isinstance(n, int) or n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    if n >= MAX_PRIME:
+        raise ValueError(f"p = {n} is too large: primality is decided only "
+                         f"below {MAX_PRIME}")
+    if n in _MR_BASES:
+        return True
+    if any(n % b == 0 for b in _MR_BASES):
+        return False
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for b in _MR_BASES:
+        y = pow(b, d, n)
+        if y in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            y = y * y % n
+            if y == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -152,7 +189,7 @@ class ScalarDomain:
     """
 
     __slots__ = ("kind", "p", "k", "modulus", "_elements", "_products", "_inverses",
-                 "_units", "_zero", "_one", "_identity", "_frobenius")
+                 "_units", "_logs", "_zero", "_one", "_identity", "_frobenius")
 
     def __init__(self, kind, p=None, k=None, modulus=None):
         self.kind = kind
@@ -167,6 +204,7 @@ class ScalarDomain:
         self._products = {} if finite else None
         self._inverses = {} if finite else None
         self._units = None
+        self._logs = None   # log tables (see _logs.py), built when a listing needs them
         # the constants every sparse default falls back on, built once
         self._zero = self.scalar(0)
         self._one = self.scalar(1)
@@ -189,7 +227,9 @@ class ScalarDomain:
         if not _is_int(k) or k < 1:
             raise ValueError("k must be a positive integer")
         if modulus is None:
-            modulus = _default_modulus(p, k)
+            modulus = _DEFAULT_MODULI.get((p, k))
+            if modulus is None:
+                modulus = _DEFAULT_MODULI[(p, k)] = _default_modulus(p, k)
         if not all(_is_int(c) for c in modulus):
             raise ValueError("modulus coefficients must be integers")
         modulus = tuple(c % p for c in modulus)
@@ -197,11 +237,12 @@ class ScalarDomain:
             raise ValueError(f"modulus must have degree exactly {k}")
         if modulus[-1] != 1:
             raise ValueError("modulus must be monic")
-        if not _poly_is_irreducible(modulus, p):
-            raise ValueError(f"modulus {list(modulus)} is reducible over Z_{p}")
-        # k is implied by the modulus, so (p, modulus) names the field
+        # k is implied by the modulus, so (p, modulus) names the field; the
+        # modulus of a field already made was found irreducible then
         field = _FIELDS.get((p, modulus))
         if field is None:
+            if not _poly_is_irreducible(modulus, p):
+                raise ValueError(f"modulus {list(modulus)} is reducible over Z_{p}")
             field = _FIELDS[(p, modulus)] = cls(FINITE_FIELD, p, k, modulus)
         return field
 
@@ -271,6 +312,7 @@ class ScalarDomain:
 
 
 _FIELDS = {}
+_DEFAULT_MODULI = {}    # (p, k) -> the default modulus, found once
 
 
 def _as_fraction(v):

@@ -38,6 +38,22 @@ def make_chain4():
         {("a", "b"): "ab", ("b", "c"): "bc", ("ab", "c"): "abc", ("a", "bc"): "abc"})
 
 
+def make_sphere():
+    """Idempotents a1, a2 < b1, b2 < c1, c2 with every arrow and
+    (ai bj)(bj cl) = ai cl: 18 elements, |Aut S| = 8, and an order complex
+    that is a 2-sphere, so H^2(S, K*) is nonzero."""
+    arrows, products = [], {}
+    for lo, hi in (("a", "b"), ("b", "c"), ("a", "c")):
+        for i in "12":
+            for j in "12":
+                arrows.append((f"{lo}{i}{hi}{j}", f"{lo}{i}", f"{hi}{j}"))
+    for i in "12":
+        for j in "12":
+            for m in "12":
+                products[(f"a{i}b{j}", f"b{j}c{m}")] = f"a{i}c{m}"
+    return SquareFreeSemigroup.validate(["a1", "a2", "b1", "b2", "c1", "c2"], arrows, products)
+
+
 def make_demo_cocycle(domain, sg=None):
     """The demo twist: alpha is the Frobenius on s34 only, xi = 1."""
     sg = sg or make_diamond()
@@ -60,6 +76,12 @@ def random_gauge(sg, domain, rng):
         eta = {s: random_scalar(domain, rng, nonzero=True) for s in sg.elements}
     mu = {e: rng.choice(autos) for e in sg.idempotents}
     return Gauge(sg, domain, mu, eta)
+
+
+def random_relabeling_gauge(sg, domain, rng):
+    """A seeded random gauge with a random phi in Aut S."""
+    g = random_gauge(sg, domain, rng)
+    return Gauge(sg, domain, g.mu, g.eta, rng.choice(sg.enumerate_autos()))
 
 
 @pytest.fixture(scope="session")

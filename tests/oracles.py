@@ -3,16 +3,20 @@
 `brute_force_aut0` tests every candidate gauge (mu, eta, phi) with eta = 1
 on the idempotents; `brute_force_b1` builds the gauge of every map
 E -> D* and then drops repeats; `all_pairs_verify_ring_hom` multiplies full
-ring elements on every basis pair. All are slow and deliberately direct.
+ring elements on every basis pair. The object-level listing layer that log
+coordinates replaced is kept here too: `solve_eta` backtracks Scalars over
+every unit, `gauge_solutions` loops mu over all of Aut(D)^E, and `cosets`
+partitions gauges through `Gauge.compose`. Trial division decides primes
+and irreducible polynomials. All are slow and deliberately direct.
 """
 
 import itertools
 import random
 
-from cocycle_forge.cohomology import star_act
-from cocycle_forge.gauge import Gauge
-from cocycle_forge.ring import HomVerdict
-from cocycle_forge.scalars import enumerate_autos, enumerate_units, random_scalar
+from cocycle_forge.cohomology import _aut0_constraints, star_act
+from cocycle_forge.gauge import Gauge, _gauge_constraints
+from cocycle_forge.ring import HomVerdict, _probes
+from cocycle_forge.scalars import _poly_divmod, enumerate_autos, enumerate_units, random_scalar
 
 
 def scalar_samples(domain, seed=0):
@@ -120,3 +124,133 @@ def all_pairs_verify_ring_hom(iso, seed=0):
                     if lhs != rhs:
                         failures.append(((s, t, d1, d2), lhs, rhs))
     return HomVerdict(not failures, tuple(failures))
+
+
+# ---------------------------------------------------------------------------
+# the object-level listing layer
+
+
+def solve_eta(sg, units, constraints, fixed=None):
+    """Yield every eta: S* -> D* meeting each constraint, in canonical order.
+
+    A constraint (s, t, st, a, u) asks eta(s) . a(eta(t)) . eta(st)^{-1} = u,
+    tested as eta(s) . a(eta(t)) == u . eta(st). Elements are assigned in
+    the semigroup's canonical order, each over `units` in order unless
+    `fixed` pins it, and each constraint is checked once the last element
+    it mentions is assigned.
+    """
+    elements = sg.elements
+    pos = {s: i for i, s in enumerate(elements)}
+    grouped = [[] for _ in elements]
+    for con in constraints:
+        grouped[max(pos[con[0]], pos[con[1]], pos[con[2]])].append(con)
+    fixed = fixed or {}
+    choices = [[fixed[s]] if s in fixed else units for s in elements]
+    eta = {}
+
+    def extend(i):
+        if i == len(elements):
+            yield dict(eta)
+            return
+        name = elements[i]
+        for v in choices[i]:
+            eta[name] = v
+            if all(eta[s] * a(eta[t]) == u * eta[st] for s, t, st, a, u in grouped[i]):
+                yield from extend(i + 1)
+        del eta[name]
+
+    yield from extend(0)
+
+
+def gauge_solutions(c1, c2):
+    """Every gauge carrying c1 to c2 over a finite field, in search order:
+    mu over all of Aut(D)^E in product order, eta by solve_eta."""
+    sg, domain = c1.sg, c1.domain
+    units = enumerate_units(domain)
+    for mu_choice in itertools.product(enumerate_autos(domain), repeat=len(sg.idempotents)):
+        mu = dict(zip(sg.idempotents, mu_choice))
+        if any(mu[sg.src[s]].inverse().compose(c1.alpha_at(s)).compose(mu[sg.tgt[s]])
+               != c2.alpha_at(s) for s in sg.elements):
+            continue
+        for eta in solve_eta(sg, units, _gauge_constraints(c1, c2, mu)):
+            yield Gauge(sg, domain, mu, eta)
+
+
+def object_z1(c):
+    return sorted(gauge_solutions(c, c), key=Gauge.sort_key)
+
+
+def object_aut0(c):
+    """Aut0 by propagation over the probes, with eta backtracked as Scalars."""
+    sg, domain = c.sg, c.domain
+    units = enumerate_units(domain)
+    probes = _probes(domain)
+    fixed = {e: domain.one() for e in sg.idempotents}
+    out = []
+    for phi in sg.enumerate_autos():
+        for mu_choice in itertools.product(enumerate_autos(domain), repeat=len(sg.idempotents)):
+            mu = dict(zip(sg.idempotents, mu_choice))
+            constraints = _aut0_constraints(c, phi, mu, probes)
+            if constraints is not None:
+                out.extend(Gauge(sg, domain, mu, eta, phi)
+                           for eta in solve_eta(sg, units, constraints, fixed))
+    return sorted(out, key=Gauge.sort_key)
+
+
+def cosets(group, sub):
+    """Left cosets sub . g in a group sorted by sort_key: (coset_of, reps),
+    each representative the least element of its coset."""
+    coset_of = dict.fromkeys(group)
+    reps = []
+    for g in group:
+        if coset_of[g] is None:
+            for h in sub:
+                coset_of[h.compose(g)] = len(reps)
+            reps.append(g)
+    assert len(coset_of) == len(group) and len(reps) * len(sub) == len(group)
+    return coset_of, reps
+
+
+def object_h1(c):
+    """(representatives, coset table) of Z1 / B1 through Gauge.compose."""
+    coset_of, reps = cosets(object_z1(c), brute_force_b1(c))
+    return reps, [[coset_of[a.compose(b)] for b in reps] for a in reps]
+
+
+def pack(g):
+    """A finite-field gauge in log coordinates (see cocycle_forge._logs)."""
+    from cocycle_forge._logs import field_logs, power
+    logs = field_logs(g.domain)
+    return (tuple(power(g.mu[e]) for e in g.sg.idempotents),
+            tuple(logs.of(g.eta[s]) for s in g.sg.elements), g.phi)
+
+
+# ---------------------------------------------------------------------------
+# primes and irreducible polynomials by trial division
+
+
+def trial_division_is_prime(n):
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def monic_polys(degree, p):
+    """All monic polynomials of exactly the given degree over Z_p, as
+    coefficient tuples, lowest degree first."""
+    for tail in itertools.product(range(p), repeat=degree):
+        yield tail + (1,)
+
+
+def trial_division_is_irreducible(m, p):
+    """No monic divisor of degree 1 .. deg(m) / 2."""
+    deg = len(m) - 1
+    if deg <= 0:
+        return False
+    return all(_poly_divmod(m, g, p)[1]
+               for d in range(1, deg // 2 + 1) for g in monic_polys(d, p))

@@ -173,6 +173,19 @@ def test_malformed_section_exits_2(runner, tmp_path):
     assert [e["pointer"] for e in payload["errors"]] == ["/cocycle"]
 
 
+def test_prime_beyond_the_primality_bound_exits_2(runner, tmp_path):
+    from cocycle_forge.scalars import MAX_PRIME
+    data = instance_to_json(diamond_demo_instance())
+    data["division_ring"] = {"kind": "finite_field", "p": MAX_PRIME, "k": 1}
+    data["cocycle"] = {}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(data))
+    result = runner.invoke(main, ["--output", "json", "validate", str(path)])
+    assert result.exit_code == 2, result.output
+    (error,) = json.loads(result.output)["errors"]
+    assert error["pointer"] == "/division_ring" and str(MAX_PRIME) in error["message"]
+
+
 def test_is_cocycle_failure_lists_violations(runner, tmp_path):
     inst = diamond_demo_instance()
     data = instance_to_json(inst)

@@ -290,12 +290,12 @@ def test_aut0_ring_maps_compose_in_opposite_order(demo):
 def test_aut0_matches_gauge_route(demo, diamond_mod):
     # independent cross-check: (mu, eta, phi) induces an automorphism iff
     # the gauge carries the phi-relabeled cocycle back to the original
-    from cocycle_forge.gauge import act_phi, _gauge_solutions_ff
+    from cocycle_forge.gauge import act_phi, _gauge_solutions_ff, from_logs
     expected = []
     for phi in diamond_mod.enumerate_autos():
         twisted = act_phi(phi, demo)
-        for g in _gauge_solutions_ff(twisted, demo):
-            expected.append(Gauge(diamond_mod, demo.domain, g.mu, g.eta, phi).key())
+        for mu, x, _ in _gauge_solutions_ff(twisted, demo):
+            expected.append(from_logs(diamond_mod, demo.domain, (mu, x, phi)).key())
     got = [t.key() for t in aut0_enumerate(demo)]
     assert sorted(expected) == got
 
@@ -428,15 +428,17 @@ def test_phi_components_compose(demo):
 
 
 def test_verify_ses_enumerates_b1_once(demo, monkeypatch):
+    # B1 is listed in log coordinates, by _b1_logs; b1_enumerate only
+    # builds the gauges of that list
     from cocycle_forge import cohomology
     calls = []
-    original = cohomology.b1_enumerate
+    original = cohomology._b1_logs
 
     def counted(c):
         calls.append(c)
         return original(c)
 
-    monkeypatch.setattr(cohomology, "b1_enumerate", counted)
+    monkeypatch.setattr(cohomology, "_b1_logs", counted)
     assert verify_ses(demo).ok
     assert len(calls) == 1
 
@@ -495,3 +497,31 @@ def test_out_r_coset_keys_are_triples(demo):
     assert set(rep.coset_keys) == set(rep.aut0)
     assert all(isinstance(t, Gauge) for t in rep.coset_keys)
     assert sorted(set(rep.coset_keys.values())) == list(range(rep.out_order))
+
+
+# -- the sphere semigroup: H^2(S, K*) != 0 ----------------------------------------
+
+
+@pytest.fixture(scope="module")
+def sphere():
+    from conftest import make_sphere
+    sg = make_sphere()
+    assert len(sg.elements) == 18 and len(sg.enumerate_autos()) == 8
+    return sg
+
+
+@pytest.mark.parametrize("p,k,orders", [
+    (2, 1, {"z1": 1, "b1": 1, "h1": 1, "aut0": 8, "inn0": 1, "out_r": 8, "stab": 8}),
+    (3, 1, {"z1": 32, "b1": 32, "h1": 1, "aut0": 256, "inn0": 32, "out_r": 8, "stab": 8}),
+    (2, 2, {"z1": 486, "b1": 243, "h1": 2, "aut0": 3888, "inn0": 243, "out_r": 16,
+            "stab": 8}),
+])
+def test_verify_ses_sphere_trivial_twist(sphere, p, k, orders):
+    from cocycle_forge.scalars import ScalarDomain
+    report = verify_ses(TwoCochain.trivial(sphere, ScalarDomain.finite_field(p, k)))
+    assert report.ok
+    o = report.orders
+    assert o == {"aut_s": 8, **orders}
+    assert o["z1"] == o["b1"] * o["h1"]
+    assert o["aut0"] == o["inn0"] * o["out_r"]
+    assert o["out_r"] == o["h1"] * o["stab"]

@@ -14,17 +14,11 @@ from cocycle_forge.instances import Instance, parse_witness, witness_to_json
 from cocycle_forge.scalars import RingAuto, Scalar, ScalarDomain
 from cocycle_forge.semigroup import SemigroupAuto, SquareFreeSemigroup
 
-from conftest import make_demo_cocycle, random_gauge
+from conftest import make_demo_cocycle, random_gauge, random_relabeling_gauge
 
 
 def swap_auto(diamond):
     return [a for a in diamond.enumerate_autos() if not a.is_identity()][0]
-
-
-def random_relabeling_gauge(sg, domain, rng):
-    """A seeded random gauge with a random phi in Aut S."""
-    g = random_gauge(sg, domain, rng)
-    return Gauge(sg, domain, g.mu, g.eta, rng.choice(sg.enumerate_autos()))
 
 
 # -- group structure ---------------------------------------------------------

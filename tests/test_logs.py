@@ -1,0 +1,60 @@
+"""The log tables of a finite field and the group law in log coordinates."""
+
+import random
+
+import pytest
+
+from cocycle_forge._logs import compose, field_logs
+from cocycle_forge.gauge import Gauge, from_logs
+from cocycle_forge.scalars import ScalarDomain, enumerate_units
+
+from conftest import make_diamond, make_sphere, random_relabeling_gauge
+from oracles import pack
+
+# every GF(q) with q <= 81 that the tests build
+FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (5, 2), (3, 3), (2, 4),
+          (3, 4)]
+
+
+@pytest.mark.parametrize("p,k", FIELDS)
+def test_log_tables(p, k):
+    dom = ScalarDomain.finite_field(p, k)
+    logs = field_logs(dom)
+    units = enumerate_units(dom)
+    n = len(units)
+    assert logs.n == n and logs is field_logs(dom)
+    # g is primitive, and the least unit in sort order that is
+    assert len(set(logs.exp)) == n and logs.exp[0] == dom.one() and logs.exp[1 % n] is logs.g
+    assert all(len({u ** e for e in range(n)}) < n for u in units[:units.index(logs.g)])
+    # exp and log are inverse, and exp hands out the interned elements
+    assert all(logs.of(logs.exp[x]) == x for x in range(n))
+    assert all(logs.exp[logs.of(u)] is u for u in units)
+    # rank numbers the units in sort order
+    assert [logs.exp[x] for x in logs.by_rank] == units
+    assert sorted(range(n), key=lambda x: logs.exp[x].sort_key()) == logs.by_rank
+    assert all(logs.by_rank[logs.rank[x]] == x for x in range(n))
+    # Frobenius acts on logs by multiplication with p^i
+    for i, a in enumerate(dom._frobenius):
+        assert all(logs.exp[logs.frob[i] * x % n] is a(logs.exp[x]) for x in range(n))
+
+
+def test_building_a_field_builds_no_tables():
+    dom = ScalarDomain.finite_field(2, 16)
+    assert dom._logs is None and len(dom._elements) <= 8
+
+
+@pytest.mark.parametrize("make", [make_diamond, make_sphere], ids=["diamond", "sphere"])
+@pytest.mark.parametrize("p,k", [(2, 2), (5, 1), (2, 3), (3, 2)])
+def test_packed_group_law_and_key(make, p, k):
+    sg, dom = make(), ScalarDomain.finite_field(p, k)
+    logs = field_logs(dom)
+    rng = random.Random(f"{p}{k}{len(sg.elements)}")
+    gauges = [random_relabeling_gauge(sg, dom, rng) for _ in range(40)]
+    assert any(not g.phi.is_identity() for g in gauges)
+    for g1, g2 in zip(gauges, gauges[1:]):
+        assert from_logs(sg, dom, pack(g1)) == g1
+        assert from_logs(sg, dom, compose(sg, logs, pack(g1), pack(g2))) == g1.compose(g2)
+        assert ((logs.key(pack(g1)) < logs.key(pack(g2)))
+                == (g1.sort_key() < g2.sort_key()))
+    assert (sorted(gauges, key=lambda g: logs.key(pack(g)))
+            == sorted(gauges, key=Gauge.sort_key))

@@ -1,7 +1,9 @@
 """Fast paths against the brute-force oracles in oracles.py: Aut0 by
-propagation against testing every candidate, B1 built once per distinct
-image against one gauge per map E -> D*, and the composable-pair verifier
-against full products on every basis pair."""
+propagation against testing every candidate, B1 as a subgroup of log
+vectors against one gauge per map E -> D*, the composable-pair verifier
+against full products on every basis pair, and the log-coordinate listing
+layer (Z1, H1, Aut0, Out R, cohomologous) against the object-level one it
+replaced."""
 
 import itertools
 import random
@@ -11,9 +13,9 @@ import pytest
 
 from cocycle_forge.cochain import TwoCochain, is_cocycle, is_normal, normalize
 from cocycle_forge.cohomology import (
-    aut0_enumerate, b1_enumerate, inner_triples, out_r, verify_ses,
+    aut0_enumerate, b1_enumerate, h1, inner_triples, out_r, verify_ses, z1_enumerate,
 )
-from cocycle_forge.gauge import Gauge, act_gauge
+from cocycle_forge.gauge import Gauge, act_gauge, act_phi, cohomologous
 from cocycle_forge.ring import (
     RingIso, TwistedRing, _probes, build_iso, identity_iso, verify_ring_hom,
 )
@@ -21,7 +23,10 @@ from cocycle_forge.scalars import RingAuto, ScalarDomain, enumerate_autos, rando
 from cocycle_forge.semigroup import SquareFreeSemigroup
 
 from conftest import make_chain4, make_demo_cocycle, make_diamond, make_triangle, random_gauge
-from oracles import all_pairs_verify_ring_hom, brute_force_aut0, brute_force_b1
+from oracles import (
+    all_pairs_verify_ring_hom, brute_force_aut0, brute_force_b1, cosets, gauge_solutions,
+    object_aut0, object_h1, object_z1,
+)
 
 
 def make_chain3():
@@ -225,3 +230,58 @@ def test_inner_triples_come_sorted(shape, p, k):
     # Inn0 is the sorted B1 itself, so no re-sort is needed
     inn = inner_triples(twisted_normal(shape, ScalarDomain.finite_field(p, k)))
     assert inn == sorted(inn, key=Gauge.sort_key)
+
+
+# -- the log-coordinate listing layer against the object-level one ----------------
+
+FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@pytest.mark.parametrize("p,k", FIELDS)
+def test_z1_and_h1_match_object_oracles(shape, p, k):
+    c = twisted_normal(shape, ScalarDomain.finite_field(p, k))
+    z1 = z1_enumerate(c)
+    assert [g.key() for g in z1] == [g.key() for g in object_z1(c)]
+    rep = h1(c)
+    reps, table = object_h1(c)
+    assert [g.key() for g in rep.h1_cosets] == [g.key() for g in reps]
+    assert rep.coset_table == table
+    assert rep.z1 == z1 and rep.b1 == b1_enumerate(c)
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@pytest.mark.parametrize("p,k", FIELDS)
+def test_aut0_and_out_r_match_object_oracles(shape, p, k):
+    c = twisted_normal(shape, ScalarDomain.finite_field(p, k))
+    aut0 = aut0_enumerate(c)
+    expected = object_aut0(c)
+    assert [t.key() for t in aut0] == [t.key() for t in expected]
+    report = out_r(c)
+    coset_of, reps = cosets(expected, brute_force_b1(c))
+    assert report.coset_keys == coset_of
+    assert report.out_order == len(reps)
+    assert report.aut0 == aut0 and report.inn0 == b1_enumerate(c)
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2)])
+def test_cohomologous_returns_the_first_witness(shape, p, k):
+    # mu is chosen per connected component now; the first witness must be
+    # the one a search over all of Aut(D)^E in product order finds first
+    dom = ScalarDomain.finite_field(p, k)
+    c = twisted_normal(shape, dom)
+    sg = c.sg
+    rng = random.Random(f"{shape}{p}{k}")
+    targets = [c, TwoCochain.trivial(sg, dom)]
+    targets += [act_gauge(random_gauge(sg, dom, rng), c) for _ in range(3)]
+    targets += [act_phi(phi, c) for phi in sg.enumerate_autos()]
+    found = 0
+    for target in targets:
+        got = cohomologous(c, target)
+        want = next(gauge_solutions(c, target), None)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got.key() == want.key()
+            found += 1
+    assert found >= 4

@@ -11,7 +11,11 @@ from cocycle_forge.scalars import (
     domain_to_json, enumerate_autos, enumerate_units, random_scalar, rho,
     scalar_from_json, scalar_to_json,
 )
-from cocycle_forge.scalars import _poly_divmod, _poly_mul, _poly_trim
+from cocycle_forge.scalars import (
+    MAX_PRIME, _is_prime, _poly_divmod, _poly_is_irreducible, _poly_mul, _poly_trim,
+)
+
+from oracles import monic_polys, trial_division_is_irreducible, trial_division_is_prime
 
 GF4 = ScalarDomain.finite_field(2, 2)
 GF2 = ScalarDomain.finite_field(2, 1)
@@ -337,3 +341,33 @@ def test_kernel_interns_only_what_it_touches(p, k):
     touched = {x, y, x * y, y * x, x * x, (x * y) * x}
     assert set(dom._elements) == before | {s.payload for s in touched}
     assert len(dom._elements) <= 8
+
+
+# -- primes and irreducible polynomials against trial division --------------------
+
+
+def test_miller_rabin_matches_trial_division():
+    assert [n for n in range(200) if _is_prime(n)] == \
+        [n for n in range(200) if trial_division_is_prime(n)]
+
+
+def test_rabin_matches_trial_division():
+    checked = 0
+    for p in (n for n in range(2, 730) if trial_division_is_prime(n)):
+        k = 1
+        while p ** k <= 3 ** 6:
+            for m in monic_polys(k, p):
+                assert _poly_is_irreducible(m, p) == trial_division_is_irreducible(m, p), (m, p)
+                checked += 1
+            k += 1
+    assert checked > 40000
+
+
+def test_large_primes_are_decided_or_refused():
+    # 19 digits: decided at once (trial division would take minutes)
+    assert _is_prime(10 ** 18 + 3) and not _is_prime(10 ** 18 + 1)
+    assert ScalarDomain.finite_field(10 ** 18 + 3, 2).modulus == (1, 0, 1)
+    # the least composite the 13 bases pass is where exact answers stop
+    for p in (MAX_PRIME, 2 ** 89 - 1):
+        with pytest.raises(ValueError, match=f"only below {MAX_PRIME}$"):
+            ScalarDomain.finite_field(p)

@@ -14,11 +14,9 @@ import sys
 import click
 
 from .cochain import is_cocycle, is_normal, normalize
-from .cohomology import (
-    aut0_enumerate, b1_enumerate, h1, out_r, verify_ses, z1_enumerate,
-)
+from .cohomology import aut0_listing, b1_listing, h1, out_r, verify_ses, z1_listing
 from .errors import ForgeError, InstanceFileInvalid, NotEnumerable
-from .gauge import act_gauge, gauge_to_json
+from .gauge import act_gauge, gauge_list_text, gauge_to_json
 from .instances import (
     Instance, RunConfig, diamond_demo_instance, instance_to_json, load_instance,
     parse_witness, read_json, save_instance, witness_to_json,
@@ -29,10 +27,13 @@ from .semigroup import auto_to_json as sg_auto_to_json
 
 
 def _emit(cfg, payload, lines):
+    """Print the JSON payload, or the text lines. A callable payload
+    returns the JSON text itself and is called only for --output json."""
     # given no file, click caches every sys.stdout it meets, which keeps
     # each redirected stream and its buffer alive for the process lifetime
     if cfg.output == "json":
-        click.echo(json.dumps(payload, indent=2, sort_keys=True), file=sys.stdout)
+        text = payload() if callable(payload) else json.dumps(payload, indent=2, sort_keys=True)
+        click.echo(text, file=sys.stdout)
     else:
         for line in lines:
             click.echo(line, file=sys.stdout)
@@ -254,24 +255,27 @@ def _cohomology_command(name, runner):
             _emit(cfg, {"ok": False, "error": str(exc)}, [f"error: {exc}"])
             sys.exit(2)
         _emit(cfg, payload, lines)
-        if payload.get("ok") is False:
+        if isinstance(payload, dict) and payload.get("ok") is False:
             sys.exit(1)
     cmd.__doc__ = runner.__doc__
     return cmd
 
 
+def _gauge_list(inst, field, group, witnesses=False):
+    """The JSON text of a gauge list in log coordinates, rendered on call."""
+    return lambda: gauge_list_text(inst.sg, inst.domain, field, group, witnesses)
+
+
 def _run_z1(cfg, inst):
     """Enumerate the gauges stabilizing the cocycle."""
-    z1 = z1_enumerate(inst.cocycle)
-    return ({"order": len(z1), "elements": [gauge_to_json(g) for g in z1]},
-            [f"|Z1| = {len(z1)}"])
+    z1 = z1_listing(inst.cocycle)
+    return (_gauge_list(inst, "elements", z1), [f"|Z1| = {len(z1)}"])
 
 
 def _run_b1(cfg, inst):
     """Enumerate the coboundary gauges."""
-    b1 = b1_enumerate(inst.cocycle)
-    return ({"order": len(b1), "elements": [gauge_to_json(g) for g in b1]},
-            [f"|B1| = {len(b1)}"])
+    b1 = b1_listing(inst.cocycle)
+    return (_gauge_list(inst, "elements", b1), [f"|B1| = {len(b1)}"])
 
 
 def _run_h1(cfg, inst):
@@ -287,9 +291,8 @@ def _run_h1(cfg, inst):
 
 def _run_aut0(cfg, inst):
     """Enumerate the idempotent-permuting ring automorphisms."""
-    aut0 = aut0_enumerate(inst.cocycle)
-    payload = {"order": len(aut0), "triples": [witness_to_json(g) for g in aut0]}
-    return (payload, [f"|Aut0 R| = {len(aut0)}"])
+    aut0 = aut0_listing(inst.cocycle)
+    return (_gauge_list(inst, "triples", aut0, witnesses=True), [f"|Aut0 R| = {len(aut0)}"])
 
 
 def _run_out_r(cfg, inst):

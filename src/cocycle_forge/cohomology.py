@@ -27,13 +27,18 @@ built only where a function returns them: `z1_enumerate`, `b1_enumerate`,
 `aut0_enumerate`, the H1 representatives, and the gauge lists of
 `H1Report` and `OutRReport` (made on first access, as is
 `OutRReport.coset_keys`, which maps each Aut0 gauge to its coset index).
-So `verify_ses` and the orders of `h1` and `out_r` build almost none.
+So `verify_ses` and the orders of `h1` and `out_r` build almost none, and
+the listing commands none: they print the log-coordinate lists of
+`z1_listing`, `b1_listing` and `aut0_listing` (the checked entries the
+`*_enumerate` functions translate) through `gauge.gauge_list_text`.
 
 Aut0 R is found by propagation over the exact multiplicativity probes of
 `ring._probes`: for each (phi, mu) they fix, with eta = 1, the value u that
 eta(s) alpha_{phi(s)}(eta(t)) eta(s.t)^{-1} must take on a composable pair
 for the induced map d.s -> mu_e(d) eta(s) phi(s) to multiply (or rule the
-choice out), and `_logs.solve` finds eta with eta = 1 on E.
+choice out), and `_logs.solve` finds eta with eta = 1 on E. mu is assigned
+one idempotent at a time, and the probes on each pair (s, tgt s) rule it out
+as soon as both ends of s have a value.
 `verify_ses` then checks exactness of
 
     1 -> H1 -> Out R -> Stab(Aut S) -> 1
@@ -49,7 +54,6 @@ places, ring multiplicativity here and the action formula there.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -57,8 +61,7 @@ from ._logs import compose, field_logs, power, solve
 from .cochain import TwoCochain, is_normal
 from .errors import NotEnumerable, NotNormal
 from .gauge import (
-    Gauge, _gauge_solutions_ff, cohomologous, from_logs, gauge_stabilizer,
-    stabilizer_of_class,
+    Gauge, _gauge_solutions_ff, cohomologous, from_logs, stabilizer_of_class,
 )
 from .ring import RingIso, TwistedRing, _probes, pair_sides, verify_ring_hom
 from .scalars import RingAuto, rho
@@ -86,11 +89,16 @@ def _gauges(c, group):
 # Z1, the star action, B1, H1
 
 
-def z1_enumerate(c):
-    """All gauges fixing the cocycle; deterministic canonical order."""
+def z1_listing(c):
+    """Z1 in log coordinates, sorted; see z1_enumerate."""
     _require_enumerable(c)
     _require_normal(c)
-    return gauge_stabilizer(c)
+    return list(_gauge_solutions_ff(c, c))
+
+
+def z1_enumerate(c):
+    """All gauges fixing the cocycle; deterministic canonical order."""
+    return _gauges(c, z1_listing(c))
 
 
 def star_act(eps, oc, c):
@@ -136,11 +144,16 @@ def _b1_logs(c):
     return [(mu, x, ident) for x in group]
 
 
-def b1_enumerate(c):
-    """The orbit of the identity gauge under the star action, sorted."""
+def b1_listing(c):
+    """B1 in log coordinates, sorted; see b1_enumerate."""
     _require_enumerable(c)
     _require_normal(c)
-    return _gauges(c, _b1_logs(c))
+    return _b1_logs(c)
+
+
+def b1_enumerate(c):
+    """The orbit of the identity gauge under the star action, sorted."""
+    return _gauges(c, b1_listing(c))
 
 
 def _cosets(c, group, sub):
@@ -234,18 +247,68 @@ def _aut0_constraints(c, phi, mu, probes):
     eta = 1 on the idempotents.
     """
     sg = c.sg
-    one = c.domain.one()
-    unit_eta = {s: one for s in sg.elements}
+    unit_eta = _unit_eta(c)
     constraints = []
     for s, t in sg.tuples(2):
-        lhs, rhs = pair_sides(c, c, mu, unit_eta, phi, s, t, one)
-        u = lhs * rhs.inv()
-        for d in probes[1:]:
-            lhs, rhs = pair_sides(c, c, mu, unit_eta, phi, s, t, d)
-            if lhs != rhs * u:
-                return None
+        u = _probed_u(c, phi, mu, unit_eta, probes, s, t)
+        if u is None:
+            return None
         constraints.append((s, t, sg.compose(s, t), c.alpha_at(phi(s)), u))
     return constraints
+
+
+def _unit_eta(c):
+    one = c.domain.one()
+    return {s: one for s in c.sg.elements}
+
+
+def _probed_u(c, phi, mu, eta, probes, s, t):
+    """L / R of pair_sides at d = 1 on the pair (s, t), or None when another
+    probe asks for a different ratio. mu needs values at src s and src t
+    only."""
+    lhs, rhs = pair_sides(c, c, mu, eta, phi, s, t, probes[0])
+    u = lhs * rhs.inv()
+    for d in probes[1:]:
+        lhs, rhs = pair_sides(c, c, mu, eta, phi, s, t, d)
+        if lhs != rhs * u:
+            return None
+    return u
+
+
+def _aut0_mus(c, phi, probes):
+    """Yield, in product order, the mu (Frobenius exponents per idempotent)
+    that survive the probes on every pair (s, tgt s).
+
+    On such a pair, with eta = 1, the probe d tests only
+    mu_{src s} o alpha_s = alpha_{phi(s)} o mu_{tgt s} at d (see
+    ring._probes), so mu is assigned one idempotent at a time and each
+    arrow s is tested as soon as both of its ends have a value. The verdict
+    is read from pair_sides, as in _aut0_constraints, which still checks
+    every pair of a surviving mu.
+    """
+    sg, domain = c.sg, c.domain
+    unit_eta = _unit_eta(c)
+    pos = {e: i for i, e in enumerate(sg.idempotents)}
+    due = [[] for _ in sg.idempotents]
+    # the probe d = 1 alone never rules a pair out
+    for s in sg.arrows() if len(probes) > 1 else ():
+        due[max(pos[sg.src[s]], pos[sg.tgt[s]])].append(s)
+    autos, mu = {}, []
+
+    def extend(i):
+        if i == len(due):
+            yield tuple(mu)
+            return
+        e = sg.idempotents[i]
+        for m in range(domain.k):
+            autos[e] = RingAuto.frobenius(domain, m)
+            if all(_probed_u(c, phi, autos, unit_eta, probes, s, sg.tgt[s]) is not None
+                   for s in due[i]):
+                mu.append(m)
+                yield from extend(i + 1)
+                mu.pop()
+
+    yield from extend(0)
 
 
 def _aut0_logs(c):
@@ -256,7 +319,7 @@ def _aut0_logs(c):
     fixed = {e: 0 for e in sg.idempotents}
     out = []
     for phi in sg.enumerate_autos():
-        for mu in itertools.product(range(domain.k), repeat=len(sg.idempotents)):
+        for mu in _aut0_mus(c, phi, probes):
             autos = {e: RingAuto.frobenius(domain, i) for e, i in zip(sg.idempotents, mu)}
             constraints = _aut0_constraints(c, phi, autos, probes)
             if constraints is not None:
@@ -265,18 +328,23 @@ def _aut0_logs(c):
     return out
 
 
+def aut0_listing(c):
+    """Aut0 in log coordinates, sorted; see aut0_enumerate."""
+    _require_enumerable(c)
+    _require_normal(c)
+    return _aut0_logs(c)
+
+
 def aut0_enumerate(c, jobs=1):
     """Every gauge (mu, eta, phi) whose induced map is a ring homomorphism,
     sorted; eta = 1 on the idempotents since c is normal.
 
-    Exhaustive over Aut S x Aut(D)^E, with eta solved from the
-    multiplicativity probes (see _aut0_constraints) instead of listed;
-    bijectivity is automatic for maps of this shape. `jobs` is accepted and
-    ignored.
+    Exhaustive over Aut S x Aut(D)^E: mu is pruned arrow by arrow (see
+    _aut0_mus) and eta solved from the multiplicativity probes (see
+    _aut0_constraints) instead of listed; bijectivity is automatic for maps
+    of this shape. `jobs` is accepted and ignored.
     """
-    _require_enumerable(c)
-    _require_normal(c)
-    return _gauges(c, _aut0_logs(c))
+    return _gauges(c, aut0_listing(c))
 
 
 # ---------------------------------------------------------------------------

@@ -47,14 +47,16 @@ multiplicativity rather than from the action formula.
 
 Searches and partitions over a finite field run on log coordinates; a
 `Gauge` is built, through its one validating constructor (`from_logs`
-translates), only where a public function returns one. A gauge builds its
-key once, with its value, so gauges serve as their own dict keys and sort
-by that key.
+translates), only where a public function returns one. The listing
+commands build none: `gauge_list_text` writes the JSON of a gauge list
+straight from its log coordinates. A gauge builds its key once, with its
+value, so gauges serve as their own dict keys and sort by that key.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 
 from ._logs import field_logs, power, solve
 from ._multsolve import solve_multiplicative
@@ -64,7 +66,7 @@ from .scalars import (
     RingAuto, Scalar, auto_from_json, auto_to_json, rho, scalar_from_json,
     scalar_to_json,
 )
-from .semigroup import SemigroupAuto
+from .semigroup import SemigroupAuto, auto_to_json as sg_auto_to_json
 
 
 class Gauge:
@@ -361,3 +363,71 @@ def gauge_from_json(sg, domain, data):
     eta = unique_entries("eta", ((entry["on"], scalar_from_json(domain, entry["value"]))
                                  for entry in data.get("eta", [])))
     return Gauge(sg, domain, mu, eta)
+
+
+def _dumps(value, depth):
+    """json.dumps(value, indent=2, sort_keys=True), placed at a nesting
+    depth (JSON text holds no raw newline outside its layout)."""
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + "  " * depth)
+
+
+def _join(open_, items, close, depth):
+    """An indented JSON array or object whose items are rendered at depth + 1."""
+    if not items:
+        return open_ + close
+    inner = "\n" + "  " * (depth + 1)
+    return open_ + inner + ("," + inner).join(items) + "\n" + "  " * depth + close
+
+
+def gauge_list_text(sg, domain, field, group, witnesses=False):
+    """json.dumps({"order": len(group), field: entries}, indent=2,
+    sort_keys=True) for a list of gauges in log coordinates (mu, x, phi),
+    where entries holds gauge_to_json of each gauge, or witness_to_json
+    {"gauge": ..., "phi": ...} when witnesses is set, without building a
+    Gauge or the dict tree.
+
+    Each distinct piece is rendered once by json.dumps itself, on first use:
+    an eta entry per (element, log), a mu entry per (idempotent, Frobenius
+    exponent) and a phi block per phi. Log 0 and exponent 0 are the identity
+    values gauge_to_json omits. The pieces are then joined in the layout of
+    json.dumps.
+    """
+    exp = field_logs(domain).exp
+    depth = 3 if witnesses else 2          # of each gauge object
+    etas = [{} for _ in sg.elements]
+    mus = [{} for _ in sg.idempotents]
+    phis = {}
+
+    def gauge_text(mu, x):
+        eta_items = []
+        for j, v in enumerate(x):
+            if v:
+                piece = etas[j].get(v)
+                if piece is None:
+                    piece = etas[j][v] = _dumps(
+                        {"on": sg.elements[j], "value": scalar_to_json(exp[v])}, depth + 2)
+                eta_items.append(piece)
+        mu_items = []
+        for i, m in enumerate(mu):
+            if m:
+                piece = mus[i].get(m)
+                if piece is None:
+                    piece = mus[i][m] = _dumps(
+                        {"on": sg.idempotents[i],
+                         "auto": auto_to_json(RingAuto.frobenius(domain, m))}, depth + 2)
+                mu_items.append(piece)
+        return _join("{", ['"eta": ' + _join("[", eta_items, "]", depth + 1),
+                           '"mu": ' + _join("[", mu_items, "]", depth + 1)], "}", depth)
+
+    def witness_text(mu, x, phi):
+        piece = phis.get(phi)
+        if piece is None:
+            piece = phis[phi] = _dumps(sg_auto_to_json(phi), depth)
+        return _join("{", ['"gauge": ' + gauge_text(mu, x), '"phi": ' + piece], "}", depth - 1)
+
+    if witnesses:
+        entries = [witness_text(mu, x, phi) for mu, x, phi in group]
+    else:
+        entries = [gauge_text(mu, x) for mu, x, _ in group]
+    fields = sorted([("order", json.dumps(len(group))), (field, _join("[", entries, "]", 1))])
+    return _join("{", [f"{json.dumps(k)}: {v}" for k, v in fields], "}", 0)

@@ -31,6 +31,7 @@ are those of the payload.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .errors import DivisionByZero, DomainMismatch, NotEnumerable
 
@@ -161,10 +162,15 @@ def _is_prime(n):
 
 def _default_modulus(p, k):
     """Smallest monic irreducible of degree k over Z_p, ordered by the
-    integer value sum(c_i * p^i) of the coefficient tuple."""
+    integer value sum(c_i * p^i) of the coefficient tuple.
+
+    The first p candidates are the binomials x^k + c. When gcd(k, p - 1) = 1
+    every unit is a k-th power, so each of them has a root and is skipped.
+    """
     if k == 1:
         return (0, 1)
-    for value in range(p ** k, 2 * p ** k):
+    start = p ** k + (p if gcd(k, p - 1) == 1 else 0)
+    for value in range(start, 2 * p ** k):
         coeffs = []
         v = value
         for _ in range(k + 1):

@@ -6,17 +6,23 @@ E -> D* and then drops repeats; `all_pairs_verify_ring_hom` multiplies full
 ring elements on every basis pair. The object-level listing layer that log
 coordinates replaced is kept here too: `solve_eta` backtracks Scalars over
 every unit, `gauge_solutions` loops mu over all of Aut(D)^E, and `cosets`
-partitions gauges through `Gauge.compose`. Trial division decides primes
-and irreducible polynomials. All are slow and deliberately direct.
+partitions gauges through `Gauge.compose`; `product_aut0_logs` lists Aut0
+in log coordinates with every mu of Aut(D)^E asked of the probes. Trial
+division decides primes and irreducible polynomials, and
+`integer_order_modulus` scans every monic polynomial for the least
+irreducible. All are slow and deliberately direct.
 """
 
 import itertools
 import random
 
+from cocycle_forge._logs import field_logs, solve
 from cocycle_forge.cohomology import _aut0_constraints, star_act
 from cocycle_forge.gauge import Gauge, _gauge_constraints
 from cocycle_forge.ring import HomVerdict, _probes
-from cocycle_forge.scalars import _poly_divmod, enumerate_autos, enumerate_units, random_scalar
+from cocycle_forge.scalars import (
+    RingAuto, _poly_divmod, enumerate_autos, enumerate_units, random_scalar,
+)
 
 
 def scalar_samples(domain, seed=0):
@@ -197,6 +203,23 @@ def object_aut0(c):
     return sorted(out, key=Gauge.sort_key)
 
 
+def product_aut0_logs(c):
+    """Aut0 in log coordinates, sorted, with the probe constraints of every
+    (phi, mu) in Aut S x Aut(D)^E and no mu pruned before them."""
+    sg, domain = c.sg, c.domain
+    logs = field_logs(domain)
+    probes = _probes(domain)
+    fixed = {e: 0 for e in sg.idempotents}
+    out = []
+    for phi in sg.enumerate_autos():
+        for mu in itertools.product(range(domain.k), repeat=len(sg.idempotents)):
+            autos = {e: RingAuto.frobenius(domain, i) for e, i in zip(sg.idempotents, mu)}
+            constraints = _aut0_constraints(c, phi, autos, probes)
+            if constraints is not None:
+                out.extend((mu, x, phi) for x in solve(sg, logs, constraints, fixed))
+    return sorted(out, key=logs.key)
+
+
 def cosets(group, sub):
     """Left cosets sub . g in a group sorted by sort_key: (coset_of, reps),
     each representative the least element of its coset."""
@@ -219,7 +242,7 @@ def object_h1(c):
 
 def pack(g):
     """A finite-field gauge in log coordinates (see cocycle_forge._logs)."""
-    from cocycle_forge._logs import field_logs, power
+    from cocycle_forge._logs import power
     logs = field_logs(g.domain)
     return (tuple(power(g.mu[e]) for e in g.sg.idempotents),
             tuple(logs.of(g.eta[s]) for s in g.sg.elements), g.phi)
@@ -254,3 +277,12 @@ def trial_division_is_irreducible(m, p):
         return False
     return all(_poly_divmod(m, g, p)[1]
                for d in range(1, deg // 2 + 1) for g in monic_polys(d, p))
+
+
+def integer_order_modulus(p, k):
+    """The least monic irreducible of degree k over Z_p, scanning every
+    coefficient tuple in the integer order sum(c_i * p^i)."""
+    for value in itertools.count(p ** k):
+        m = tuple(value // p ** i % p for i in range(k + 1))
+        if trial_division_is_irreducible(m, p):
+            return m

@@ -1,5 +1,6 @@
 """CLI surface: every subcommand over the bundled demo instance."""
 
+import hashlib
 import json
 
 import pytest
@@ -10,7 +11,12 @@ from cocycle_forge.instances import (
     diamond_demo_instance, instance_to_json, load_instance, parse_instance,
     save_instance,
 )
+from cocycle_forge.cochain import TwoCochain
 from cocycle_forge.errors import InstanceFileInvalid
+from cocycle_forge.instances import Instance
+from cocycle_forge.scalars import RingAuto, ScalarDomain
+
+from conftest import make_triangle
 
 
 @pytest.fixture()
@@ -316,6 +322,72 @@ def test_aut0_out_r(runner, demo_file):
     assert len(payload["phi_image"]) == 2
 
 
+def listing_instance(name):
+    """The instances whose listings the digests below pin."""
+    if name == "gf4-demo":
+        return diamond_demo_instance()
+    sg = make_triangle()
+    if name == "gf5-triangle":
+        dom = ScalarDomain.finite_field(5, 1)
+        return Instance(dom, sg, TwoCochain(sg, dom, xi={("a", "b"): dom.scalar([2])}))
+    dom = ScalarDomain.finite_field(2, 3)
+    frob = RingAuto.frobenius(dom, 1)
+    return Instance(dom, sg, TwoCochain(sg, dom, alpha={"b": frob, "ab": frob},
+                                        xi={("a", "b"): dom.generator()}))
+
+
+# SHA-256 of `--output json <command>` as json.dumps(..., indent=2,
+# sort_keys=True) of the gauge_to_json / witness_to_json dict tree printed it
+LISTING_DIGESTS = {
+    ("gf4-demo", "z1"): "e97a286462c05aef0300be4763fa2a7476a280e59472c3f46a8cb3b1e861cc4b",
+    ("gf4-demo", "b1"): "6002e6f3bee8bee077cc17181e82c97d2d5a7bf5cc91a20eadeb47434920cb45",
+    ("gf4-demo", "aut0"): "38212ffea6e808c7ef456576ffe06baf62100d253e628f592ae2ae2ba44684ab",
+    ("gf5-triangle", "z1"): "eb1ab4f8bd2d48b311e9e11114b1bb6ad123afdd361b1c9fc6755a9d72c1f82d",
+    ("gf5-triangle", "b1"): "eb1ab4f8bd2d48b311e9e11114b1bb6ad123afdd361b1c9fc6755a9d72c1f82d",
+    ("gf5-triangle", "aut0"): "dfabbf2b4699b4ff5b612a85cca16dc8c3ff096ba330633173e01df6cc0811b2",
+    ("gf8-triangle", "z1"): "5902b6dad2ef879d444debfc094127d2bf580c247efa4ac43432f64c536049dd",
+    ("gf8-triangle", "b1"): "30f2195392bb11860527d2b2b9c41871a4910c340dbae9d094437ea395697edf",
+    ("gf8-triangle", "aut0"): "e6e3228fb8555a42be7d3d278e19f06e1652be6e0cbf17b0a7290b9eb558220c",
+}
+
+
+@pytest.mark.parametrize("name,command", sorted(LISTING_DIGESTS))
+def test_listing_json_is_byte_identical(runner, tmp_path, name, command):
+    path = tmp_path / f"{name}.json"
+    save_instance(path, listing_instance(name))
+    result = runner.invoke(main, ["--output", "json", command, str(path)])
+    assert result.exit_code == 0, result.output
+    digest = hashlib.sha256(result.output.encode()).hexdigest()
+    assert digest == LISTING_DIGESTS[(name, command)]
+
+
+@pytest.mark.parametrize("command,line", [
+    ("z1", "|Z1| = 162"), ("b1", "|B1| = 81"), ("aut0", "|Aut0 R| = 324")])
+def test_text_listing_renders_no_json(runner, demo_file, monkeypatch, command, line):
+    from cocycle_forge import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("rendered a list --output text does not print")
+
+    monkeypatch.setattr(cli, "gauge_list_text", refuse)
+    result = runner.invoke(main, [command, demo_file])
+    assert result.exit_code == 0, result.output
+    assert result.output == line + "\n"
+
+
+@pytest.mark.parametrize("command", ["z1", "b1", "aut0"])
+def test_json_listing_builds_no_gauge(runner, demo_file, monkeypatch, command):
+    from cocycle_forge.gauge import Gauge
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("built a Gauge")
+
+    monkeypatch.setattr(Gauge, "__init__", refuse)
+    result = runner.invoke(main, ["--output", "json", command, demo_file])
+    assert result.exit_code == 0, result.exception
+    assert json.loads(result.output)["order"] in (81, 162, 324)
+
+
 def test_verify_ses_cmd(runner, demo_file):
     payload = run_json(runner, ["verify-ses", demo_file])
     assert payload["ok"]
@@ -456,7 +528,7 @@ def test_internal_value_error_is_not_a_usage_error(runner, demo_file, monkeypatc
     def broken(c):
         raise ValueError("internal bug")
 
-    monkeypatch.setattr(cli, "z1_enumerate", broken)
+    monkeypatch.setattr(cli, "z1_listing", broken)
     result = runner.invoke(main, ["z1", demo_file])
     assert result.exit_code != 2
     assert isinstance(result.exception, ValueError)

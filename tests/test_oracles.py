@@ -6,6 +6,7 @@ layer (Z1, H1, Aut0, Out R, cohomologous) against the object-level one it
 replaced."""
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -13,9 +14,13 @@ import pytest
 
 from cocycle_forge.cochain import TwoCochain, is_cocycle, is_normal, normalize
 from cocycle_forge.cohomology import (
-    aut0_enumerate, b1_enumerate, h1, inner_triples, out_r, verify_ses, z1_enumerate,
+    aut0_enumerate, aut0_listing, b1_enumerate, b1_listing, h1, inner_triples, out_r,
+    verify_ses, z1_enumerate, z1_listing,
 )
-from cocycle_forge.gauge import Gauge, act_gauge, act_phi, cohomologous
+from cocycle_forge.gauge import (
+    Gauge, act_gauge, act_phi, cohomologous, from_logs, gauge_list_text, gauge_to_json,
+)
+from cocycle_forge.instances import witness_to_json
 from cocycle_forge.ring import (
     RingIso, TwistedRing, _probes, build_iso, identity_iso, verify_ring_hom,
 )
@@ -285,3 +290,54 @@ def test_cohomologous_returns_the_first_witness(shape, p, k):
             assert got.key() == want.key()
             found += 1
     assert found >= 4
+
+
+
+# -- the gauge-list writer against json.dumps of the dict tree -------------------
+
+
+def assert_writer_matches(c, field, group, witnesses=False):
+    sg, dom = c.sg, c.domain
+    to_json = witness_to_json if witnesses else gauge_to_json
+    want = json.dumps({"order": len(group),
+                       field: [to_json(from_logs(sg, dom, g)) for g in group]},
+                      indent=2, sort_keys=True)
+    assert gauge_list_text(sg, dom, field, group, witnesses) == want
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@pytest.mark.parametrize("p,k", FIELDS)
+def test_gauge_list_text_matches_json_dumps(shape, p, k):
+    c = twisted_normal(shape, ScalarDomain.finite_field(p, k))
+    z1, b1, aut0 = z1_listing(c), b1_listing(c), aut0_listing(c)
+    assert_writer_matches(c, "elements", z1)
+    assert_writer_matches(c, "elements", b1)
+    assert_writer_matches(c, "triples", aut0, witnesses=True)
+    assert_writer_matches(c, "elements", [])
+    # the identity gauge, with no mu and no eta entries, is in each list
+    assert any(not any(mu) and not any(x) for mu, x, _ in z1)
+    if k > 1:
+        assert any(any(mu) for mu, _, _ in z1 + aut0)
+
+
+def test_gauge_list_text_with_relabelings():
+    c = make_demo_cocycle(ScalarDomain.finite_field(2, 2))
+    aut0 = aut0_listing(c)
+    assert {phi.is_identity() for _, _, phi in aut0} == {True, False}
+    assert_writer_matches(c, "triples", aut0, witnesses=True)
+
+
+def test_gauge_list_text_escapes_names():
+    # the diamond with names JSON must escape: a quote, a backslash, non-ASCII
+    dom = ScalarDomain.finite_field(2, 2)
+    sg = SquareFreeSemigroup.validate(
+        ['e"1', "e\\2", "\u00e93", "e4"],
+        [('s"12', 'e"1', "e\\2"), ("s\\13", 'e"1', "\u00e93"),
+         ("\u00df24", "e\\2", "e4"), ("s34", "\u00e93", "e4")],
+        {})
+    c = TwoCochain(sg, dom, alpha={"s34": RingAuto.frobenius(dom, 1)})
+    z1, aut0 = z1_listing(c), aut0_listing(c)
+    assert any(phi.mapping["e\\2"] == "\u00e93" for _, _, phi in aut0)
+    assert_writer_matches(c, "elements", z1)
+    assert_writer_matches(c, "triples", aut0, witnesses=True)
+    assert '"e\\"1"' in gauge_list_text(sg, dom, "elements", z1)

@@ -1,6 +1,7 @@
 """Exact scalar and automorphism arithmetic."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,10 +13,13 @@ from cocycle_forge.scalars import (
     scalar_from_json, scalar_to_json,
 )
 from cocycle_forge.scalars import (
-    MAX_PRIME, _is_prime, _poly_divmod, _poly_is_irreducible, _poly_mul, _poly_trim,
+    MAX_PRIME, _default_modulus, _is_prime, _poly_divmod, _poly_is_irreducible, _poly_mul,
+    _poly_trim,
 )
 
-from oracles import monic_polys, trial_division_is_irreducible, trial_division_is_prime
+from oracles import (
+    integer_order_modulus, monic_polys, trial_division_is_irreducible, trial_division_is_prime,
+)
 
 GF4 = ScalarDomain.finite_field(2, 2)
 GF2 = ScalarDomain.finite_field(2, 1)
@@ -371,3 +375,17 @@ def test_large_primes_are_decided_or_refused():
     for p in (MAX_PRIME, 2 ** 89 - 1):
         with pytest.raises(ValueError, match=f"only below {MAX_PRIME}$"):
             ScalarDomain.finite_field(p)
+
+
+def test_default_modulus_skips_reducible_binomials():
+    # gcd(3, 10006) = 1: every x^3 + c has a root, so the scan starts past them
+    start = time.perf_counter()
+    assert _default_modulus(10007, 3) == (1, 1, 0, 1)
+    assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize("p,k", [(p, 3) for p in range(2, 60)
+                                 if p % 3 == 2 and trial_division_is_prime(p)]
+                         + [(2, k) for k in range(1, 7)])
+def test_default_modulus_is_the_least_irreducible(p, k):
+    assert _default_modulus(p, k) == integer_order_modulus(p, k)

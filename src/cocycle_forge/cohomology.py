@@ -15,22 +15,18 @@ here is a set of gauges (mu, eta, phi) (see `gauge.py`):
     part is Z1, so lambda: H1 -> Out R = Aut0/Inn0 is induced by the
     inclusion Z1 <= Aut0.
 
-Over GF(q) every one of these sets is listed in log coordinates
-(mu exponents, eta logs mod q - 1, phi; see `_logs.py`): Z1 by
-`_logs.solve` over the action-formula relations, B1 as the subgroup of log
-vectors spanned by the star action's columns, Aut0 by `_logs.solve` over
-relations read from the multiplicativity probes. H1 = Z1/B1 and
-Out R = Aut0/B1 are both partitioned by `_cosets` on those int tuples,
-walking the sorted group and making each unassigned element the
-representative, hence the least element, of its coset. Gauge objects are
-built only where a function returns them: `z1_enumerate`, `b1_enumerate`,
-`aut0_enumerate`, the H1 representatives, and the gauge lists of
-`H1Report` and `OutRReport` (made on first access, as is
-`OutRReport.coset_keys`, which maps each Aut0 gauge to its coset index).
-So `verify_ses` and the orders of `h1` and `out_r` build almost none, and
-the listing commands none: they print the log-coordinate lists of
-`z1_listing`, `b1_listing` and `aut0_listing` (the checked entries the
-`*_enumerate` functions translate) through `gauge.gauge_list_text`.
+Over GF(q) each of Z1, B1 and Aut0 has one checked listing in log
+coordinates (mu exponents, eta logs mod q - 1, phi; see `_logs.py`), and
+everything else reads these three: `z1_listing` solves the action-formula
+relations by `_logs.solve`, `b1_listing` spans the subgroup of log vectors
+generated by the star action's columns, and `aut0_listing` solves
+relations read from the multiplicativity probes. The CLI prints a listing
+through `gauge.gauge_list_text`; the `*_enumerate` functions translate one
+into gauges; `h1`, `out_r` and `verify_ses` partition them by `_cosets`,
+which walks the sorted group and makes each unassigned element the
+representative, hence the least element, of its coset. The reports hold
+values only: orders, the H1 representatives (the one gauge list they
+build) with their coset table, and the realized idempotent permutations.
 
 Aut0 R is found by propagation over the exact multiplicativity probes of
 `ring._probes`: for each (phi, mu) they fix, with eta = 1, the value u that
@@ -43,7 +39,8 @@ as soon as both ends of s have a value.
 
     1 -> H1 -> Out R -> Stab(Aut S) -> 1
 
-clause by clause, with a split-section check when the class is trivial.
+clause by clause on the listings and their coset maps, with a
+split-section check when the class is trivial.
 
 The enumeration route here (homomorphism testing) is deliberately
 independent of the gauge-search route in `gauge.py`: the two share the
@@ -55,7 +52,6 @@ places, ring multiplicativity here and the action formula there.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from ._logs import compose, field_logs, power, solve
 from .cochain import TwoCochain, is_normal
@@ -64,17 +60,14 @@ from .gauge import (
     Gauge, _gauge_solutions_ff, cohomologous, from_logs, stabilizer_of_class,
 )
 from .ring import RingIso, TwistedRing, _probes, pair_sides, verify_ring_hom
-from .scalars import RingAuto, rho
+from .scalars import RingAuto
 from .semigroup import SemigroupAuto
 
 
-def _require_enumerable(c):
+def _require_listable(c):
     if c.domain.kind != "finite_field":
         raise NotEnumerable(
             "cohomology-group enumeration needs a finite coefficient field")
-
-
-def _require_normal(c):
     if not is_normal(c):
         raise NotNormal("normalize the cocycle first; these enumerations "
                         "assume a normal representative")
@@ -86,13 +79,12 @@ def _gauges(c, group):
 
 
 # ---------------------------------------------------------------------------
-# Z1, the star action, B1, H1
+# Z1, B1, H1
 
 
 def z1_listing(c):
     """Z1 in log coordinates, sorted; see z1_enumerate."""
-    _require_enumerable(c)
-    _require_normal(c)
+    _require_listable(c)
     return list(_gauge_solutions_ff(c, c))
 
 
@@ -101,18 +93,8 @@ def z1_enumerate(c):
     return _gauges(c, z1_listing(c))
 
 
-def star_act(eps, oc, c):
-    """Act by eps: E -> D* on a 1-cocycle of c: mu_e -> rho_eps(e) o mu_e,
-    eta(s) -> eps(e) eta(s) alpha_s(eps(f)^{-1}) for s = e.s.f."""
-    sg = c.sg
-    mu = {e: rho(eps[e]).compose(oc.mu[e]) for e in sg.idempotents}
-    eta = {s: eps[sg.src[s]] * oc.eta[s] * c.alpha_at(s)(eps[sg.tgt[s]].inv())
-           for s in sg.elements}
-    return Gauge(sg, c.domain, mu, eta)
-
-
-def _b1_logs(c):
-    """B1 in log coordinates, sorted.
+def b1_listing(c):
+    """B1 in log coordinates, sorted; see b1_enumerate.
 
     The star action of eps on the identity gauge keeps mu = id (rho is
     trivial on a field) and gives eta the logs
@@ -122,6 +104,7 @@ def _b1_logs(c):
     group by the translates that are new, until a multiple of it falls
     back into the group, so every member is made once.
     """
+    _require_listable(c)
     sg = c.sg
     logs = field_logs(c.domain)
     n = logs.n
@@ -142,13 +125,6 @@ def _b1_logs(c):
     group.sort(key=lambda x: [rank[v] for v in x])
     mu, ident = (0,) * len(sg.idempotents), SemigroupAuto.identity(sg)
     return [(mu, x, ident) for x in group]
-
-
-def b1_listing(c):
-    """B1 in log coordinates, sorted; see b1_enumerate."""
-    _require_enumerable(c)
-    _require_normal(c)
-    return _b1_logs(c)
 
 
 def b1_enumerate(c):
@@ -188,39 +164,33 @@ def _cosets(c, group, sub):
     return coset_of, reps
 
 
+def _h1_cosets(c):
+    """(Z1, B1, coset_of, reps): Z1 partitioned into B1-cosets, all in log
+    coordinates (see _cosets)."""
+    z1, b1 = z1_listing(c), b1_listing(c)
+    coset_of, reps = _cosets(c, z1, b1)
+    if not all(g in coset_of for g in b1):
+        raise AssertionError("coboundaries failed to stabilize the cocycle")
+    return z1, b1, coset_of, reps
+
+
+@dataclass(frozen=True)
 class H1Report:
-    """Z1/B1 by coset representatives (sorted gauges) and a coset table,
-    coset_table[i][j] being the coset of rep_i * rep_j. The orders,
-    representatives and table are made with the report; the Z1 and B1
-    gauge lists on first access."""
-
-    def __init__(self, c, z1, b1, reps, table):
-        self._c, self._z1, self._b1, self._reps = c, z1, b1, reps
-        self.z1_order, self.b1_order, self.h1_order = len(z1), len(b1), len(reps)
-        self.h1_cosets = _gauges(c, reps)
-        self.coset_table = table
-
-    @cached_property
-    def z1(self):
-        return _gauges(self._c, self._z1)
-
-    @cached_property
-    def b1(self):
-        return _gauges(self._c, self._b1)
+    """Z1/B1 by its orders, its coset representatives (sorted gauges) and a
+    coset table, coset_table[i][j] being the coset of rep_i * rep_j."""
+    z1_order: int
+    b1_order: int
+    h1_order: int
+    h1_cosets: list
+    coset_table: list
 
 
 def h1(c):
     """Group Z1 into B1-cosets; the factor group is reported by table."""
-    _require_enumerable(c)
-    _require_normal(c)
-    z1 = list(_gauge_solutions_ff(c, c))
-    b1 = _b1_logs(c)
-    coset_of, reps = _cosets(c, z1, b1)
-    if not all(g in coset_of for g in b1):
-        raise AssertionError("coboundaries failed to stabilize the cocycle")
+    z1, b1, coset_of, reps = _h1_cosets(c)
     logs = field_logs(c.domain)
     table = [[coset_of[compose(c.sg, logs, a, b)] for b in reps] for a in reps]
-    return H1Report(c, z1, b1, reps, table)
+    return H1Report(len(z1), len(b1), len(reps), _gauges(c, reps), table)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +199,9 @@ def h1(c):
 
 def inner_triples(c):
     """The idempotent-fixing inner automorphisms r = sum eps(e) e, that is
-    B1 itself (mu_e = rho_{eps(e)}, eta(s) = eps(e) alpha_s(eps(f)^{-1}))."""
+    B1 itself (mu_e = rho_{eps(e)}, eta(s) = eps(e) alpha_s(eps(f)^{-1})).
+    b1_enumerate under a second name, kept because bench/check.py:23
+    imports it."""
     return b1_enumerate(c)
 
 
@@ -311,8 +283,9 @@ def _aut0_mus(c, phi, probes):
     yield from extend(0)
 
 
-def _aut0_logs(c):
+def aut0_listing(c):
     """Aut0 in log coordinates, sorted; see aut0_enumerate."""
+    _require_listable(c)
     sg, domain = c.sg, c.domain
     logs = field_logs(domain)
     probes = _probes(domain)
@@ -328,13 +301,6 @@ def _aut0_logs(c):
     return out
 
 
-def aut0_listing(c):
-    """Aut0 in log coordinates, sorted; see aut0_enumerate."""
-    _require_enumerable(c)
-    _require_normal(c)
-    return _aut0_logs(c)
-
-
 def aut0_enumerate(c, jobs=1):
     """Every gauge (mu, eta, phi) whose induced map is a ring homomorphism,
     sorted; eta = 1 on the idempotents since c is normal.
@@ -342,7 +308,8 @@ def aut0_enumerate(c, jobs=1):
     Exhaustive over Aut S x Aut(D)^E: mu is pruned arrow by arrow (see
     _aut0_mus) and eta solved from the multiplicativity probes (see
     _aut0_constraints) instead of listed; bijectivity is automatic for maps
-    of this shape. `jobs` is accepted and ignored.
+    of this shape. `jobs` is accepted and ignored; it stays because
+    bench/run.py:268-274 compares jobs=1 with jobs=2.
     """
     return _gauges(c, aut0_listing(c))
 
@@ -351,39 +318,22 @@ def aut0_enumerate(c, jobs=1):
 # Out R
 
 
+@dataclass(frozen=True)
 class OutRReport:
-    """Aut0 modulo Inn0 = B1: the orders and the realized idempotent
-    permutations are made with the report; the Aut0 and Inn0 gauge lists
-    and coset_keys (Aut0 gauge -> coset index) on first access."""
-
-    def __init__(self, c, aut0, inn0, coset_of, out_order):
-        self._c, self._aut0, self._inn0, self._coset_of = c, aut0, inn0, coset_of
-        self.aut0_order, self.inn0_order, self.out_order = len(aut0), len(inn0), out_order
-        self.phi_image = sorted({g[2] for g in aut0}, key=SemigroupAuto.sort_key)
-
-    @cached_property
-    def aut0(self):
-        return _gauges(self._c, self._aut0)
-
-    @cached_property
-    def inn0(self):
-        return _gauges(self._c, self._inn0)
-
-    @cached_property
-    def coset_keys(self):
-        return {t: self._coset_of[g] for t, g in zip(self.aut0, self._aut0)}
+    """Aut0 modulo Inn0 = B1: the three orders and the idempotent
+    permutations Aut0 realizes, sorted."""
+    aut0_order: int
+    inn0_order: int
+    out_order: int
+    phi_image: list
 
 
 def out_r(c):
     """Aut0 modulo the idempotent-fixing inner automorphisms."""
-    _require_enumerable(c)
-    _require_normal(c)
-    return _out_r(c, _aut0_logs(c), _b1_logs(c))
-
-
-def _out_r(c, aut0, inn0):
-    coset_of, reps = _cosets(c, aut0, inn0)
-    return OutRReport(c, aut0, inn0, coset_of, len(reps))
+    aut0, inn0 = aut0_listing(c), b1_listing(c)
+    _, reps = _cosets(c, aut0, inn0)
+    phi_image = sorted({g[2] for g in aut0}, key=SemigroupAuto.sort_key)
+    return OutRReport(len(aut0), len(inn0), len(reps), phi_image)
 
 
 # ---------------------------------------------------------------------------
@@ -414,25 +364,24 @@ def verify_ses(c):
     the middle, image of the idempotent-permutation map = class stabilizer,
     the order equation, and (for the trivial class) the splitting section.
     """
-    _require_enumerable(c)
-    _require_normal(c)
-    report_h1 = h1(c)
-    outer = _out_r(c, _aut0_logs(c), report_h1._b1)
+    z1, b1, _, h1_reps = _h1_cosets(c)
+    aut0 = aut0_listing(c)
+    coset_of, out_reps = _cosets(c, aut0, b1)
     stab = stabilizer_of_class(c)
     clauses = []
 
     # (i) distinct H1 cosets induce distinct outer classes; lambda is the
     # inclusion Z1 <= Aut0, so each representative is looked up as it is
-    images = [outer._coset_of.get(g) for g in report_h1._reps]
+    images = [coset_of.get(g) for g in h1_reps]
     ok_i = None not in images and len(set(images)) == len(images)
     clauses.append(SesClause(
         "lambda_injective", ok_i,
         f"{len(set(i for i in images if i is not None))} distinct outer classes "
-        f"from {report_h1.h1_order} cohomology cosets"))
+        f"from {len(h1_reps)} cohomology cosets"))
 
     # (ii) the outer classes with identity idempotent permutation are
     # exactly the lambda images
-    kernel_keys = {i for g, i in outer._coset_of.items() if g[2].is_identity()}
+    kernel_keys = {i for g, i in coset_of.items() if g[2].is_identity()}
     ok_ii = set(images) == kernel_keys
     clauses.append(SesClause(
         "image_lambda_is_kernel_phi", ok_ii,
@@ -440,18 +389,18 @@ def verify_ses(c):
         f"{len(set(images))}"))
 
     # (iii) the idempotent permutations realized by Aut0 are the stabilizer
-    got = set(outer.phi_image)
+    got = {g[2] for g in aut0}
     want = set(stab)
     clauses.append(SesClause(
         "image_phi_is_stabilizer", got == want,
         f"realized {len(got)} permutations, stabilizer has {len(want)}"))
 
     # (iv) |Out R| = |H1| . |Stab|
-    ok_iv = outer.out_order == report_h1.h1_order * len(stab)
+    ok_iv = len(out_reps) == len(h1_reps) * len(stab)
     clauses.append(SesClause(
         "order_equation", ok_iv,
-        f"|Out R| = {outer.out_order}, |H1| x |Stab| = "
-        f"{report_h1.h1_order} x {len(stab)}"))
+        f"|Out R| = {len(out_reps)}, |H1| x |Stab| = "
+        f"{len(h1_reps)} x {len(stab)}"))
 
     # (v) split section for the trivial class: phi -> (id, 1, phi)
     trivial = TwoCochain.trivial(c.sg, c.domain)
@@ -469,12 +418,12 @@ def verify_ses(c):
     ok = all(cl.ok for cl in clauses if cl.ok is not None)
     orders = {
         "aut_s": len(c.sg.enumerate_autos()),
-        "z1": report_h1.z1_order,
-        "b1": report_h1.b1_order,
-        "h1": report_h1.h1_order,
-        "aut0": outer.aut0_order,
-        "inn0": outer.inn0_order,
-        "out_r": outer.out_order,
+        "z1": len(z1),
+        "b1": len(b1),
+        "h1": len(h1_reps),
+        "aut0": len(aut0),
+        "inn0": len(b1),
+        "out_r": len(out_reps),
         "stab": len(stab),
     }
     return SesReport(ok, tuple(clauses), orders)

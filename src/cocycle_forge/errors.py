@@ -60,10 +60,6 @@ class WitnessInvalid(ForgeError):
                          + ", ".join(str(f[0]) for f in self.failures[:4]))
 
 
-class SettingMismatch(ForgeError):
-    """Two instances do not share the same semigroup and coefficient domain."""
-
-
 class InstanceFileInvalid(ForgeError):
     """Raised by instance parsing; carries (json_pointer, message) pairs."""
 

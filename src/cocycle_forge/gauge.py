@@ -45,12 +45,13 @@ negative answers are definitive; the quaternions raise NotEnumerable. The
 Aut0 enumeration runs `_logs.solve` too, on relations it derives from ring
 multiplicativity rather than from the action formula.
 
-Searches and partitions over a finite field run on log coordinates; a
-`Gauge` is built, through its one validating constructor (`from_logs`
-translates), only where a public function returns one. The listing
-commands build none: `gauge_list_text` writes the JSON of a gauge list
-straight from its log coordinates. A gauge builds its key once, with its
-value, so gauges serve as their own dict keys and sort by that key.
+Over a finite field the searches run on log coordinates, and the lists
+they make are the listing surface of `cohomology.py`: a `Gauge` is built,
+through its one validating constructor (`from_logs` translates), only where
+a public function returns one, and `gauge_list_text` writes the JSON of a
+gauge list straight from its log coordinates. A gauge builds its key once,
+with its value, so gauges serve as their own dict keys and sort by that
+key.
 """
 
 from __future__ import annotations
@@ -326,13 +327,6 @@ def cohomologous(c1, c2):
     if kind == "rational":
         return _cohomologous_rational(c1, c2)
     raise NotEnumerable("cannot search gauges over the rational quaternions")
-
-
-def gauge_stabilizer(c):
-    """All gauges fixing a cocycle (finite fields only)."""
-    if c.domain.kind != "finite_field":
-        raise NotEnumerable("stabilizer enumeration needs a finite field")
-    return [from_logs(c.sg, c.domain, g) for g in _gauge_solutions_ff(c, c)]
 
 
 def stabilizer_of_class(c):

@@ -1,27 +1,28 @@
 """Brute-force reference implementations the fast paths are checked against.
 
 `brute_force_aut0` tests every candidate gauge (mu, eta, phi) with eta = 1
-on the idempotents; `brute_force_b1` builds the gauge of every map
-E -> D* and then drops repeats; `all_pairs_verify_ring_hom` multiplies full
-ring elements on every basis pair. The object-level listing layer that log
-coordinates replaced is kept here too: `solve_eta` backtracks Scalars over
-every unit, `gauge_solutions` loops mu over all of Aut(D)^E, and `cosets`
-partitions gauges through `Gauge.compose`; `product_aut0_logs` lists Aut0
-in log coordinates with every mu of Aut(D)^E asked of the probes. Trial
-division decides primes and irreducible polynomials, and
-`integer_order_modulus` scans every monic polynomial for the least
-irreducible. All are slow and deliberately direct.
+on the idempotents; `brute_force_b1` builds the gauge of every map E -> D*
+by `star_act` and then drops repeats; `all_pairs_verify_ring_hom`
+multiplies full ring elements on every basis pair. The object-level
+listing layer that log coordinates replaced is kept here too: `solve_eta`
+backtracks Scalars over every unit, `gauge_solutions` loops mu over all of
+Aut(D)^E, and `cosets` partitions gauges through `Gauge.compose`;
+`product_aut0_logs` lists Aut0 in log coordinates with every mu of
+Aut(D)^E asked of the probes. Trial division decides primes and
+irreducible polynomials, and `integer_order_modulus` scans every monic
+polynomial for the least irreducible. All are slow and deliberately
+direct.
 """
 
 import itertools
 import random
 
 from cocycle_forge._logs import field_logs, solve
-from cocycle_forge.cohomology import _aut0_constraints, star_act
+from cocycle_forge.cohomology import _aut0_constraints
 from cocycle_forge.gauge import Gauge, _gauge_constraints
 from cocycle_forge.ring import HomVerdict, _probes
 from cocycle_forge.scalars import (
-    RingAuto, _poly_divmod, enumerate_autos, enumerate_units, random_scalar,
+    RingAuto, _poly_divmod, enumerate_autos, enumerate_units, random_scalar, rho,
 )
 
 
@@ -98,6 +99,16 @@ def brute_force_aut0(c):
             out.extend(_aut0_chunk(c, phi, mu_choice))
     out.sort(key=lambda t: t.sort_key())
     return out
+
+
+def star_act(eps, oc, c):
+    """Act by eps: E -> D* on a 1-cocycle of c: mu_e -> rho_eps(e) o mu_e,
+    eta(s) -> eps(e) eta(s) alpha_s(eps(f)^{-1}) for s = e.s.f."""
+    sg = c.sg
+    mu = {e: rho(eps[e]).compose(oc.mu[e]) for e in sg.idempotents}
+    eta = {s: eps[sg.src[s]] * oc.eta[s] * c.alpha_at(s)(eps[sg.tgt[s]].inv())
+           for s in sg.elements}
+    return Gauge(sg, c.domain, mu, eta)
 
 
 def brute_force_b1(c):

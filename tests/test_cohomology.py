@@ -7,8 +7,7 @@ import pytest
 
 from cocycle_forge.cochain import TwoCochain
 from cocycle_forge.cohomology import (
-    aut0_enumerate, b1_enumerate, h1, inner_triples, out_r, star_act,
-    verify_ses, z1_enumerate,
+    aut0_enumerate, b1_enumerate, h1, inner_triples, out_r, verify_ses, z1_enumerate,
 )
 from cocycle_forge.errors import NotEnumerable
 from cocycle_forge.gauge import Gauge, act_gauge
@@ -17,6 +16,7 @@ from cocycle_forge.scalars import RingAuto, Scalar, random_scalar
 from cocycle_forge.semigroup import SquareFreeSemigroup
 
 from conftest import make_demo_cocycle
+from oracles import star_act
 
 
 @pytest.fixture(scope="module")
@@ -428,19 +428,17 @@ def test_phi_components_compose(demo):
 
 
 def test_verify_ses_enumerates_b1_once(demo, monkeypatch):
-    # B1 is listed in log coordinates, by _b1_logs; b1_enumerate only
-    # builds the gauges of that list
+    # Z1, B1 and Aut0 each have one checked listing, and verify_ses runs
+    # each of them once, sharing B1 between H1 and Out R
     from cocycle_forge import cohomology
     calls = []
-    original = cohomology._b1_logs
-
-    def counted(c):
-        calls.append(c)
-        return original(c)
-
-    monkeypatch.setattr(cohomology, "_b1_logs", counted)
+    for name in ("z1_listing", "b1_listing", "aut0_listing"):
+        def counted(c, name=name, original=getattr(cohomology, name)):
+            calls.append(name)
+            return original(c)
+        monkeypatch.setattr(cohomology, name, counted)
     assert verify_ses(demo).ok
-    assert len(calls) == 1
+    assert sorted(calls) == ["aut0_listing", "b1_listing", "z1_listing"]
 
 
 def test_verify_ses_enumerates_aut_s_once(demo, monkeypatch):
@@ -478,9 +476,9 @@ def test_repeated_verify_ses_builds_no_field_scalar(demo, monkeypatch):
 
 
 def test_h1_representatives_are_least_in_their_coset(demo):
-    rep = h1(demo)
-    for g in rep.h1_cosets:
-        assert g.sort_key() == min(b.compose(g).sort_key() for b in rep.b1)
+    b1 = b1_enumerate(demo)
+    for g in h1(demo).h1_cosets:
+        assert g.sort_key() == min(b.compose(g).sort_key() for b in b1)
 
 
 def test_keys_are_built_once(demo, z1_demo):
@@ -490,13 +488,6 @@ def test_keys_are_built_once(demo, z1_demo):
     t = aut0_enumerate(demo)[-1]
     assert t.key() is t.key()
     assert demo.key() is demo.key()
-
-
-def test_out_r_coset_keys_are_triples(demo):
-    rep = out_r(demo)
-    assert set(rep.coset_keys) == set(rep.aut0)
-    assert all(isinstance(t, Gauge) for t in rep.coset_keys)
-    assert sorted(set(rep.coset_keys.values())) == list(range(rep.out_order))
 
 
 # -- the sphere semigroup: H^2(S, K*) != 0 ----------------------------------------

@@ -5,10 +5,11 @@ import random
 import pytest
 
 from cocycle_forge.cochain import TwoCochain, is_cocycle, is_normal, normalize
+from cocycle_forge.cohomology import z1_enumerate
 from cocycle_forge.errors import DomainMismatch, NotEnumerable
 from cocycle_forge.gauge import (
-    Gauge, act_gauge, act_phi, cohomologous, gauge_from_json, gauge_stabilizer,
-    gauge_to_json, stabilizer_of_class,
+    Gauge, act_gauge, act_phi, cohomologous, gauge_from_json, gauge_to_json,
+    stabilizer_of_class,
 )
 from cocycle_forge.instances import Instance, parse_witness, witness_to_json
 from cocycle_forge.scalars import RingAuto, Scalar, ScalarDomain
@@ -218,7 +219,7 @@ def test_cohomologous_quaternion_raises(diamond, quat):
 
 
 def test_gauge_stabilizer_counts(demo_gf4):
-    stab = gauge_stabilizer(demo_gf4)
+    stab = z1_enumerate(demo_gf4)
     assert len(stab) == 162  # 2 constant mu choices x 3^4 free arrow values
     identity = [g for g in stab if g.is_identity()]
     assert len(identity) == 1

@@ -14,8 +14,8 @@ import pytest
 
 from cocycle_forge.cochain import TwoCochain, is_cocycle, is_normal, normalize
 from cocycle_forge.cohomology import (
-    aut0_enumerate, aut0_listing, b1_enumerate, b1_listing, h1, inner_triples, out_r,
-    verify_ses, z1_enumerate, z1_listing,
+    _cosets, aut0_enumerate, aut0_listing, b1_enumerate, b1_listing, h1, inner_triples,
+    out_r, verify_ses, z1_enumerate, z1_listing,
 )
 from cocycle_forge.gauge import (
     Gauge, act_gauge, act_phi, cohomologous, from_logs, gauge_list_text, gauge_to_json,
@@ -226,7 +226,11 @@ def test_coset_orders_over_shapes(shape, p, k):
     assert o["z1"] == o["b1"] * o["h1"]
     assert o["aut0"] == o["inn0"] * o["out_r"]
     assert o["out_r"] == o["h1"] * o["stab"]
-    assert out_r(c).out_order == o["out_r"]
+    # verify_ses reads the listings directly, not through h1 and out_r
+    rep, outer = h1(c), out_r(c)
+    assert (o["z1"], o["b1"], o["h1"]) == (rep.z1_order, rep.b1_order, rep.h1_order)
+    assert ((o["aut0"], o["inn0"], o["out_r"])
+            == (outer.aut0_order, outer.inn0_order, outer.out_order))
 
 
 @pytest.mark.parametrize("shape", ["diamond", "chain3", "tri", "chain4"])
@@ -252,7 +256,7 @@ def test_z1_and_h1_match_object_oracles(shape, p, k):
     reps, table = object_h1(c)
     assert [g.key() for g in rep.h1_cosets] == [g.key() for g in reps]
     assert rep.coset_table == table
-    assert rep.z1 == z1 and rep.b1 == b1_enumerate(c)
+    assert (rep.z1_order, rep.b1_order) == (len(z1), len(b1_enumerate(c)))
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))
@@ -262,11 +266,12 @@ def test_aut0_and_out_r_match_object_oracles(shape, p, k):
     aut0 = aut0_enumerate(c)
     expected = object_aut0(c)
     assert [t.key() for t in aut0] == [t.key() for t in expected]
-    report = out_r(c)
     coset_of, reps = cosets(expected, brute_force_b1(c))
-    assert report.coset_keys == coset_of
+    logs_of, _ = _cosets(c, aut0_listing(c), b1_listing(c))
+    assert {from_logs(c.sg, c.domain, g): i for g, i in logs_of.items()} == coset_of
+    report = out_r(c)
     assert report.out_order == len(reps)
-    assert report.aut0 == aut0 and report.inn0 == b1_enumerate(c)
+    assert (report.aut0_order, report.inn0_order) == (len(aut0), len(b1_enumerate(c)))
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))

@@ -182,9 +182,10 @@ class RingElement:
             for e in ring.sg.idempotents})
         n = self - self.diagonal_part()
         x = -(n * v)
-        total = ring.one()
-        power = ring.one()
-        for _ in range(ring.nilpotency_index):
+        # total = 1 + x + ... + x^index, the powers stopping at the first zero
+        total = ring.one() + x
+        power = x
+        for _ in range(ring.nilpotency_index - 1):
             power = power * x
             if power.is_zero():
                 break

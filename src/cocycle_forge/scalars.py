@@ -7,13 +7,19 @@ Three domains are available:
     tuples of length k, lowest degree first, with m a monic irreducible
     polynomial of degree k over Z_p;
   * ``rational_quaternion`` -- a + bi + cj + dk over exact rationals, with
-    the Hamilton relations i^2 = j^2 = k^2 = -1, ij = k.
+    the Hamilton relations i^2 = j^2 = k^2 = -1, ij = k, stored as one
+    integer tuple (a, b, c, d, n) meaning (a + bi + cj + dk)/n, with
+    gcd(a, b, c, d, n) = 1 and n > 0, so arithmetic is plain int arithmetic
+    and one gcd; Fractions are derived only for sort keys, repr and JSON.
 
 Ring automorphisms are kept in a canonical form that makes equality
 decidable: the identity, a Frobenius power x -> x^(p^i) on a finite field,
 or conjugation by a unit quaternion scaled so its first nonzero Hamilton
 coefficient is 1 (conjugation by d and by c*d agree for central c, and the
-center of the rational quaternions is the rationals).
+center of the rational quaternions is the rationals). Conjugation fixes
+the rationals and is linear over them, so an inner automorphism computes
+its action on the pure part once, as an integer 3x3 matrix over one
+denominator, and caches it.
 
 There is one domain object per field per process, so domains compare by
 identity; scalars and automorphisms are immutable values over them.
@@ -31,13 +37,14 @@ are those of the payload.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import DivisionByZero, DomainMismatch, NotEnumerable
 
 RATIONAL = "rational"
 FINITE_FIELD = "finite_field"
 QUATERNION = "rational_quaternion"
+_QUAT_ZERO = (0, 0, 0, 0, 1)     # the quaternion payload of 0
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +282,9 @@ class ScalarDomain:
         sequence of length <= k, lowest degree first.
         quaternion: sequence of 4 rational-like values, or a single
         rational-like for a central element.
+
+        Rational-like values are ints, Fractions and "n/d" strings; bools
+        are refused.
         """
         if self.kind == RATIONAL:
             return Scalar(self, _as_fraction(value))
@@ -291,8 +301,11 @@ class ScalarDomain:
         if isinstance(value, (list, tuple)):
             if len(value) != 4:
                 raise ValueError("quaternion needs 4 components")
-            return Scalar(self, tuple(_as_fraction(v) for v in value))
-        return Scalar(self, (_as_fraction(value), Fraction(0), Fraction(0), Fraction(0)))
+            fs = [_as_fraction(v) for v in value]
+            n = lcm(*(f.denominator for f in fs))
+            return _quat(self, *(f.numerator * (n // f.denominator) for f in fs), n)
+        f = _as_fraction(value)
+        return Scalar(self, (f.numerator, 0, 0, 0, f.denominator))
 
     def _intern(self, payload):
         """The one Scalar of a reduced finite-field payload."""
@@ -324,12 +337,31 @@ _DEFAULT_MODULI = {}    # (p, k) -> the default modulus, found once
 def _as_fraction(v):
     if isinstance(v, Fraction):
         return v
-    if not isinstance(v, (int, str)):
+    if not (_is_int(v) or isinstance(v, str)):
         raise TypeError(f"cannot interpret {v!r} as an exact rational")
     try:
         return Fraction(v)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {v!r}") from None
+
+
+def _quat(domain, a, b, c, d, n):
+    """The quaternion (a + bi + cj + dk)/n for ints with n > 0, reduced."""
+    g = gcd(a, b, c, d, n)
+    if g != 1:
+        a, b, c, d, n = a // g, b // g, c // g, d // g, n // g
+    return Scalar(domain, (a, b, c, d, n))
+
+
+def _quat_terms(payload):
+    """The four Hamilton coefficients of a quaternion payload, each as a
+    (numerator, denominator) pair in lowest terms."""
+    n = payload[4]
+    out = []
+    for x in payload[:4]:
+        g = gcd(x, n)
+        out.append((x // g, n // g))
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -340,11 +372,12 @@ class Scalar:
     """An element of a :class:`ScalarDomain`; immutable, hashable.
 
     Payloads: Fraction (rational), tuple of ints length k (finite field),
-    tuple of 4 Fractions (quaternion). Stored reduced, so equality is
-    payload equality. A finite-field Scalar carries the index of its
-    payload in the domain's table in ``_i``; the first Scalar built for a
-    payload becomes the one the domain hands out, so the domain and
-    arithmetic return one object per element.
+    int tuple (a, b, c, d, n) for (a + bi + cj + dk)/n with gcd 1 and n > 0
+    (quaternion). Stored reduced, so equality is payload equality. A
+    finite-field Scalar carries the index of its payload in the domain's
+    table in ``_i``; the first Scalar built for a payload becomes the one
+    the domain hands out, so the domain and arithmetic return one object
+    per element.
     """
 
     __slots__ = ("domain", "payload", "_i")
@@ -362,8 +395,11 @@ class Scalar:
             raise DomainMismatch(f"{self!r} and {other!r} live in different domains")
 
     def is_zero(self):
-        if self.domain.kind == RATIONAL:
+        kind = self.domain.kind
+        if kind == RATIONAL:
             return self.payload == 0
+        if kind == QUATERNION:
+            return self.payload == _QUAT_ZERO
         return not any(self.payload)
 
     def is_one(self):
@@ -378,8 +414,12 @@ class Scalar:
             p = self.domain.p
             return self.domain._intern(
                 tuple((a + b) % p for a, b in zip(self.payload, other.payload)))
-        return Scalar(self.domain,
-                      tuple(a + b for a, b in zip(self.payload, other.payload)))
+        a1, b1, c1, d1, n1 = self.payload
+        a2, b2, c2, d2, n2 = other.payload
+        if n1 == n2:
+            return _quat(self.domain, a1 + a2, b1 + b2, c1 + c2, d1 + d2, n1)
+        return _quat(self.domain, a1 * n2 + a2 * n1, b1 * n2 + b2 * n1,
+                     c1 * n2 + c2 * n1, d1 * n2 + d2 * n1, n1 * n2)
 
     def __neg__(self):
         kind = self.domain.kind
@@ -388,7 +428,8 @@ class Scalar:
         if kind == FINITE_FIELD:
             p = self.domain.p
             return self.domain._intern(tuple((-a) % p for a in self.payload))
-        return Scalar(self.domain, tuple(-a for a in self.payload))
+        a, b, c, d, n = self.payload
+        return Scalar(self.domain, (-a, -b, -c, -d, n))
 
     def __sub__(self, other):
         return self + (-other)
@@ -408,14 +449,14 @@ class Scalar:
         self._check(other)
         if domain.kind == RATIONAL:
             return Scalar(domain, self.payload * other.payload)
-        a1, b1, c1, d1 = self.payload
-        a2, b2, c2, d2 = other.payload
-        return Scalar(domain, (
-            a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
-            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
-            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
-            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
-        ))
+        a1, b1, c1, d1, n1 = self.payload
+        a2, b2, c2, d2, n2 = other.payload
+        return _quat(domain,
+                     a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+                     a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+                     a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+                     a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
+                     n1 * n2)
 
     def inv(self):
         inverses = self.domain._inverses
@@ -432,9 +473,10 @@ class Scalar:
             raise DivisionByZero(f"inverse of zero in {self.domain!r}")
         if self.domain.kind == RATIONAL:
             return Scalar(self.domain, 1 / self.payload)
-        a, b, c, d = self.payload
-        n = a * a + b * b + c * c + d * d
-        return Scalar(self.domain, (a / n, -b / n, -c / n, -d / n))
+        # conj(q)/|q|^2 with q = x/n is n conj(x)/|x|^2
+        a, b, c, d, n = self.payload
+        return _quat(self.domain, a * n, -b * n, -c * n, -d * n,
+                     a * a + b * b + c * c + d * d)
 
     def __pow__(self, n):
         if n < 0:
@@ -460,7 +502,7 @@ class Scalar:
             return (self.payload.numerator, self.payload.denominator)
         if self.domain.kind == FINITE_FIELD:
             return self.payload
-        return tuple((f.numerator, f.denominator) for f in self.payload)
+        return _quat_terms(self.payload)
 
     def __repr__(self):
         kind = self.domain.kind
@@ -468,7 +510,8 @@ class Scalar:
             return str(self.payload)
         if kind == FINITE_FIELD:
             return "[" + ",".join(str(c) for c in self.payload) + "]"
-        a, b, c, d = self.payload
+        *xs, n = self.payload
+        a, b, c, d = (Fraction(x, n) for x in xs)
         return f"({a}+{b}i+{c}j+{d}k)"
 
 
@@ -489,7 +532,9 @@ class RingAuto:
     non-central unit whose first nonzero Hamilton coefficient is 1.
     Canonical form makes equality a structural check. The identity and the
     Frobenius powers are one object each per field, built with it; a
-    Frobenius power caches its images by the index of the argument.
+    Frobenius power caches its images by the index of the argument, and an
+    inner automorphism caches, on its first call, the integer matrix of its
+    action on the pure quaternions (see _conjugation_matrix).
     """
 
     __slots__ = ("domain", "form", "data", "_images")
@@ -520,15 +565,16 @@ class RingAuto:
             raise DomainMismatch("unit and domain disagree")
         if domain.is_commutative():
             return cls.identity(domain)
-        a, b, c, dd = d.payload
+        a, b, c, dd, _ = d.payload
         if b == 0 and c == 0 and dd == 0:
             return cls.identity(domain)  # central: trivial conjugation
-        for coeff in d.payload:
-            if coeff != 0:
-                scale = coeff
-                break
-        payload = tuple(x / scale for x in d.payload)
-        return cls(domain, INNER, payload)
+        # divide by the first nonzero coefficient: x/lead, with g carrying
+        # the sign of lead so that the denominator lead/g is positive
+        lead = next(x for x in (a, b, c, dd) if x)
+        g = gcd(a, b, c, dd)
+        if lead < 0:
+            g = -g
+        return cls(domain, INNER, (a // g, b // g, c // g, dd // g, lead // g))
 
     def __call__(self, x):
         if x.domain is not self.domain:
@@ -541,8 +587,18 @@ class RingAuto:
             except KeyError:
                 hit = self._images[x._i] = x ** (self.domain.p ** self.data)
                 return hit
-        d = Scalar(self.domain, self.data)
-        return d * x * d.inv()
+        a, b, c, d, n = x.payload
+        if not (b or c or d):
+            return x
+        m = self._images
+        if m is None:
+            m = self._images = _conjugation_matrix(self.data)
+        den, m00, m01, m02, m10, m11, m12, m20, m21, m22 = m
+        return _quat(self.domain, a * den,
+                     m00 * b + m01 * c + m02 * d,
+                     m10 * b + m11 * c + m12 * d,
+                     m20 * b + m21 * c + m22 * d,
+                     n * den)
 
     def compose(self, other):
         """self after other: (self.compose(other))(x) == self(other(x))."""
@@ -581,7 +637,7 @@ class RingAuto:
             return (0,)
         if self.form == FROBENIUS:
             return (1, self.data)
-        return (2,) + tuple((f.numerator, f.denominator) for f in self.data)
+        return (2,) + _quat_terms(self.data)
 
     def __repr__(self):
         if self.form == IDENTITY:
@@ -589,6 +645,20 @@ class RingAuto:
         if self.form == FROBENIUS:
             return f"frob^{self.data}"
         return f"inner{Scalar(self.domain, self.data)!r}"
+
+
+def _conjugation_matrix(data):
+    """x -> q x q^{-1} on the pure quaternions b i + c j + d k, for
+    q = w + x i + y j + z k up to a central factor, as (den, m00, ..., m22):
+    the image has coefficients (m_r0 b + m_r1 c + m_r2 d)/den. It is the
+    rotation q v conj(q)/|q|^2, reduced by one gcd."""
+    w, x, y, z, _ = data
+    m = (w * w + x * x - y * y - z * z, 2 * (x * y - w * z), 2 * (x * z + w * y),
+         2 * (x * y + w * z), w * w - x * x + y * y - z * z, 2 * (y * z - w * x),
+         2 * (x * z - w * y), 2 * (y * z + w * x), w * w - x * x - y * y + z * z)
+    den = w * w + x * x + y * y + z * z
+    g = gcd(den, *m)
+    return (den // g,) + tuple(v // g for v in m)
 
 
 _RATIONALS = ScalarDomain(RATIONAL)
@@ -644,8 +714,8 @@ def random_scalar(domain, rng, nonzero=False):
         elif domain.kind == FINITE_FIELD:
             s = domain._intern(tuple(rng.randrange(domain.p) for _ in range(domain.k)))
         else:
-            s = Scalar(domain, tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-                                     for _ in range(4)))
+            s = domain.scalar([Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                               for _ in range(4)])
         if not (nonzero and s.is_zero()):
             return s
 
@@ -661,7 +731,7 @@ def scalar_to_json(s):
         return f"{s.payload.numerator}/{s.payload.denominator}"
     if kind == FINITE_FIELD:
         return list(s.payload)
-    return [f"{f.numerator}/{f.denominator}" for f in s.payload]
+    return [f"{num}/{den}" for num, den in _quat_terms(s.payload)]
 
 
 def scalar_from_json(domain, data):

@@ -10,12 +10,15 @@ Aut(D)^E, and `cosets` partitions gauges through `Gauge.compose`;
 `product_aut0_logs` lists Aut0 in log coordinates with every mu of
 Aut(D)^E asked of the probes. Trial division decides primes and
 irreducible polynomials, and `integer_order_modulus` scans every monic
-polynomial for the least irreducible. All are slow and deliberately
-direct.
+polynomial for the least irreducible. The componentwise-Fraction
+quaternion arithmetic that the integer kernel replaced is kept as
+`hamilton_product`, `hamilton_inverse` and `conjugate`. All are slow and
+deliberately direct.
 """
 
 import itertools
 import random
+from fractions import Fraction
 
 from cocycle_forge._logs import field_logs, solve
 from cocycle_forge.cohomology import _aut0_constraints
@@ -297,3 +300,51 @@ def integer_order_modulus(p, k):
         m = tuple(value // p ** i % p for i in range(k + 1))
         if trial_division_is_irreducible(m, p):
             return m
+
+
+# ---------------------------------------------------------------------------
+# rational quaternions as 4 Fractions (a, b, c, d) for a + bi + cj + dk
+
+
+def quat_fractions(s):
+    """The Hamilton coefficients of a quaternion Scalar, as Fractions."""
+    *xs, n = s.payload
+    return tuple(Fraction(x, n) for x in xs)
+
+
+def hamilton_product(p, q):
+    a1, b1, c1, d1 = p
+    a2, b2, c2, d2 = q
+    return (a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2)
+
+
+def hamilton_inverse(q):
+    """conj(q) / |q|^2."""
+    a, b, c, d = q
+    n = a * a + b * b + c * c + d * d
+    return (a / n, -b / n, -c / n, -d / n)
+
+
+def conjugate(d, x):
+    """d x d^{-1}, by two products and an inverse."""
+    return hamilton_product(hamilton_product(d, x), hamilton_inverse(d))
+
+
+def inner_data(d):
+    """The canonical unit of conjugation by d: d divided by its first
+    nonzero coefficient, or None for central d (the identity)."""
+    if not any(d[1:]):
+        return None
+    lead = next(f for f in d if f)
+    return tuple(f / lead for f in d)
+
+
+def quat_sort_key(q):
+    return tuple((f.numerator, f.denominator) for f in q)
+
+
+def quat_json(q):
+    return [f"{f.numerator}/{f.denominator}" for f in q]

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 
 import pytest
 from click.testing import CliRunner
@@ -12,11 +13,12 @@ from cocycle_forge.instances import (
     save_instance,
 )
 from cocycle_forge.cochain import TwoCochain
+from cocycle_forge.gauge import act_gauge
 from cocycle_forge.errors import InstanceFileInvalid
 from cocycle_forge.instances import Instance
 from cocycle_forge.scalars import RingAuto, ScalarDomain
 
-from conftest import make_triangle
+from conftest import make_triangle, random_gauge
 
 
 @pytest.fixture()
@@ -359,6 +361,29 @@ def test_listing_json_is_byte_identical(runner, tmp_path, name, command):
     assert result.exit_code == 0, result.output
     digest = hashlib.sha256(result.output.encode()).hexdigest()
     assert digest == LISTING_DIGESTS[(name, command)]
+
+
+# SHA-256 of `--output json <command>` on a non-normal H(Q) twist of the
+# triangle; normalize and ring-table print quaternion text
+QUATERNION_DIGESTS = {
+    "normalize": "335615e7dab08fc62f19fcab704bb0125e763e70793059874bfecb85f7c11771",
+    "ring-table": "daefa5ee533e513895af16490a48076e40a9ef0b87bbdca2267fba91c89c84bd",
+    "iso-check": "2d202a5ffd669500f2b786ae7118bc1f93f8342a6cf9b5f1e07dd9f7c7fad721",
+}
+
+
+@pytest.mark.parametrize("command", sorted(QUATERNION_DIGESTS))
+def test_quaternion_json_is_byte_identical(runner, tmp_path, command):
+    quat, sg = ScalarDomain.quaternion(), make_triangle()
+    rng = random.Random("hq-cli-pin")
+    c = act_gauge(random_gauge(sg, quat, rng), TwoCochain.trivial(sg, quat))
+    path = tmp_path / "hq.json"
+    save_instance(path, Instance(quat, sg, c))
+    files = [str(path)] * (2 if command == "iso-check" else 1)
+    result = runner.invoke(main, ["--output", "json", command, *files])
+    assert result.exit_code == 0, result.output
+    digest = hashlib.sha256(result.output.encode()).hexdigest()
+    assert digest == QUATERNION_DIGESTS[command]
 
 
 @pytest.mark.parametrize("command,line", [

@@ -1,6 +1,8 @@
 """Twisted ring arithmetic, units, inner automorphisms, and isomorphisms."""
 
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -14,7 +16,7 @@ from cocycle_forge.ring import (
 )
 from cocycle_forge.scalars import rho, random_scalar
 
-from conftest import make_demo_cocycle, make_triangle, random_gauge
+from conftest import make_demo_cocycle, make_diamond, make_triangle, random_gauge
 
 
 @pytest.fixture()
@@ -304,3 +306,24 @@ def test_element_json_round_trip(ring4, rng):
     for _ in range(10):
         x = random_element(ring4, rng)
         assert element_from_json(ring4, element_to_json(x)) == x
+
+
+# SHA-256 of json.dumps(..., sort_keys=True) of the element_to_json of a
+# seeded product and three seeded inverses in the ring of a non-normal H(Q)
+# twist (a random gauge applied to the trivial one)
+QUATERNION_ARITH_DIGESTS = {
+    "diamond": "a9e58cd313d049bb865252a9284a19562964e7198facb1fafdb367d3aeea79a3",
+    "triangle": "289fba5a4d30ab22d2dec8dd179a6b50f7169c6bb2ce8ee040d533ad3ae67ac0",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(QUATERNION_ARITH_DIGESTS))
+def test_quaternion_arithmetic_json_is_byte_identical(quat, shape):
+    sg = make_diamond() if shape == "diamond" else make_triangle()
+    rng = random.Random(f"hq-pin:{shape}")
+    ring = TwistedRing(act_gauge(random_gauge(sg, quat, rng), TwoCochain.trivial(sg, quat)))
+    x, y = random_element(ring, rng), random_element(ring, rng)
+    out = [element_to_json(x * y)]
+    out += [element_to_json(random_element(ring, rng, dense=True).inverse()) for _ in range(3)]
+    digest = hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest()
+    assert digest == QUATERNION_ARITH_DIGESTS[shape]

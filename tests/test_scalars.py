@@ -1,5 +1,7 @@
 """Exact scalar and automorphism arithmetic."""
 
+import json
+import math
 import random
 import time
 from fractions import Fraction
@@ -18,7 +20,9 @@ from cocycle_forge.scalars import (
 )
 
 from oracles import (
-    integer_order_modulus, monic_polys, trial_division_is_irreducible, trial_division_is_prime,
+    conjugate, hamilton_inverse, hamilton_product, inner_data, integer_order_modulus,
+    monic_polys, quat_fractions, quat_json, quat_sort_key, trial_division_is_irreducible,
+    trial_division_is_prime,
 )
 
 GF4 = ScalarDomain.finite_field(2, 2)
@@ -389,3 +393,132 @@ def test_default_modulus_skips_reducible_binomials():
                          + [(2, k) for k in range(1, 7)])
 def test_default_modulus_is_the_least_irreducible(p, k):
     assert _default_modulus(p, k) == integer_order_modulus(p, k)
+
+
+# -- the integer quaternion kernel against componentwise Fractions ----------------
+
+
+def _oracle_quaternions(rng, count):
+    """Seeded Fraction 4-tuples: large denominators, small values, central
+    elements, zero, and units whose first nonzero coefficient is negative."""
+    out = [(Fraction(0),) * 4, (Fraction(-3, 7), Fraction(0), Fraction(0), Fraction(0)),
+           (Fraction(0), Fraction(-2), Fraction(4), Fraction(0))]
+    big = 10 ** 12
+    while len(out) < count:
+        kind = len(out) % 5
+        if kind == 0:
+            q = tuple(Fraction(rng.randint(-big, big), rng.randint(1, big)) for _ in range(4))
+        elif kind == 1:
+            q = (Fraction(rng.randint(-9, 9), rng.randint(1, 9)),) + (Fraction(0),) * 3
+        elif kind == 2:
+            # zero leading coefficients, then a negative one
+            lead = rng.randrange(4)
+            q = tuple(Fraction(0) if i < lead else
+                      Fraction(-rng.randint(1, 9) if i == lead else rng.randint(-9, 9),
+                               rng.randint(1, 5))
+                      for i in range(4))
+        else:
+            q = tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(4))
+        out.append(q)
+    return out
+
+
+def _assert_canonical(s):
+    *xs, n = s.payload
+    assert n > 0 and math.gcd(*xs, n) == 1
+    if not any(xs):
+        assert s.payload == (0, 0, 0, 0, 1)
+
+
+def _assert_matches(s, q):
+    _assert_canonical(s)
+    assert quat_fractions(s) == q
+    assert s.sort_key() == quat_sort_key(q)
+    assert json.dumps(scalar_to_json(s)) == json.dumps(quat_json(q))
+    assert repr(s) == "({}+{}i+{}j+{}k)".format(*q)
+
+
+def _assert_auto_matches(a, d):
+    data = inner_data(d)
+    if data is None:
+        assert a.is_identity() and auto_to_json(a) == "identity"
+        return
+    _assert_canonical(Scalar(H, a.data))
+    assert quat_fractions(Scalar(H, a.data)) == data
+    assert a.sort_key() == (2,) + quat_sort_key(data)
+    assert json.dumps(auto_to_json(a)) == json.dumps({"inner": quat_json(data)})
+
+
+def test_quaternion_kernel_matches_fraction_oracle():
+    rng = random.Random(20240612)
+    qs = _oracle_quaternions(rng, 300)
+    scalars = [H.scalar(list(q)) for q in qs]
+    for s, q in zip(scalars, qs):
+        _assert_matches(s, q)
+        _assert_matches(-s, tuple(-f for f in q))
+        if any(q):
+            _assert_matches(s.inv(), hamilton_inverse(q))
+    assert H.zero().payload == (0, 0, 0, 0, 1)
+    pairs = list(zip(scalars, qs))
+    units = [(s, q) for s, q in pairs if any(q)]
+    for _ in range(300):
+        (x, p), (y, q) = rng.choice(pairs), rng.choice(pairs)
+        _assert_matches(x * y, hamilton_product(p, q))
+        _assert_matches(x + y, tuple(f + g for f, g in zip(p, q)))
+        _assert_matches(x - y, tuple(f - g for f, g in zip(p, q)))
+        (d, dq), (e, eq) = rng.choice(units), rng.choice(units)
+        a, b = rho(d), rho(e)
+        _assert_auto_matches(a, dq)
+        _assert_matches(a(y), conjugate(dq, q))
+        _assert_matches(a(y), conjugate(dq, q))       # again, through the cached matrix
+        _assert_matches(a.compose(b)(y), conjugate(dq, conjugate(eq, q)))
+        _assert_auto_matches(a.compose(b), hamilton_product(dq, eq))
+        _assert_auto_matches(a.inverse(), hamilton_inverse(dq))
+        _assert_matches(a.inverse()(a(y)), q)
+
+
+def test_quaternion_random_scalar_is_canonical():
+    rng = random.Random(9)
+    for _ in range(200):
+        _assert_canonical(random_scalar(H, rng))
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_booleans_are_not_scalars(value):
+    with pytest.raises(TypeError):
+        Q.scalar(value)
+    with pytest.raises(TypeError):
+        H.scalar(value)
+    with pytest.raises(TypeError):
+        H.scalar([value, 0, 0, 0])
+    with pytest.raises(TypeError):
+        H.scalar([1, 0, value, 0])
+
+
+def test_inner_auto_caches_its_conjugation(monkeypatch):
+    # the first call builds the integer matrix; later calls multiply by it
+    # without a quaternion product or inverse
+    rng = random.Random(31)
+    d = H.scalar([Fraction(-2, 3), 5, Fraction(1, 7), -4])
+    xs = [random_scalar(H, rng) for _ in range(20)]
+    expected = [d * x * d.inv() for x in xs]
+    a = rho(d)
+    assert a(xs[0]) == expected[0]
+    calls = []
+    mul, inv = Scalar.__mul__, Scalar.inv
+    monkeypatch.setattr(Scalar, "__mul__", lambda s, o: calls.append("mul") or mul(s, o))
+    monkeypatch.setattr(Scalar, "inv", lambda s: calls.append("inv") or inv(s))
+    assert [a(x) for x in xs] == expected
+    assert calls == []
+    # ... and a quaternion product builds no Fraction
+    new = Fraction.__new__
+    made = []
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    products = [x * y for x in xs for y in xs]
+    assert made == []
+    assert len(calls) == len(products)

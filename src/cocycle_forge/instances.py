@@ -147,9 +147,10 @@ def load_instance(path, max_idempotents=8):
 
 
 def save_instance(path, inst):
+    # one write: json.dump would call fh.write once per encoder chunk
+    text = json.dumps(instance_to_json(inst), indent=2, sort_keys=True) + "\n"
     with open(path, "w") as fh:
-        json.dump(instance_to_json(inst), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 # ---------------------------------------------------------------------------

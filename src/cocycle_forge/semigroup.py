@@ -9,8 +9,13 @@ idempotent: s = src(s) . s . tgt(s).
 Input tables list only the nonzero products beyond the forced idempotent
 laws (e.e = e, e.f = theta for e != f, e.s = s when src(s) = e, s.f = s
 when tgt(s) = f); everything unspecified is theta. Validation checks the
-at-most-one-per-slot condition, product typing, and full associativity,
-and reports every violation rather than the first.
+at-most-one-per-slot condition and product typing, refuses the name
+"theta" (it spells the zero in product tables) and any arrow.arrow product
+that is an idempotent (so the arrows generate a nilpotent ideal), and then
+checks associativity on the paths a -> b -> c: once typing holds, a nonzero
+product keeps its left factor's src and its right factor's tgt, so on
+every other triple both sides are theta. It reports every violation
+rather than the first.
 
 There is one semigroup object per product table per process: build
 semigroups through `SquareFreeSemigroup.validate`, which returns the object
@@ -21,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import SemigroupInvalid, UnknownElement
 
@@ -34,11 +40,17 @@ class Violation:
     message: str
 
 
+class Composable(NamedTuple):
+    triples: tuple   # (s, t, u, s.t, t.u)
+    pairs: tuple     # (s, t, s.t)
+    pair_set: frozenset
+
+
 class SquareFreeSemigroup:
     """Validated square-free semigroup. Immutable after construction."""
 
     __slots__ = ("idempotents", "elements", "src", "tgt", "_table", "_slots",
-                 "_tuple_cache", "_identity", "_autos")
+                 "_tuple_cache", "_composable", "_identity", "_autos")
 
     def __init__(self, idempotents, elements, src, tgt, table):
         self.idempotents = tuple(idempotents)
@@ -50,6 +62,7 @@ class SquareFreeSemigroup:
         for s in self.elements:
             self._slots[(self.src[s], self.tgt[s])] = s
         self._tuple_cache = {}
+        self._composable = None
         self._identity = SemigroupAuto(self, {s: s for s in self.elements})
         self._autos = None
 
@@ -63,116 +76,27 @@ class SquareFreeSemigroup:
         arrows: list of (name, src, tgt) triples for the non-idempotents.
         products: mapping or iterable of ((left, right), result) for the
         nonzero products not forced by the idempotent laws; result may be
-        the string "theta" (redundant but allowed).
+        the string "theta" (redundant but allowed), which is why no element
+        may be named "theta".
 
         Raises SemigroupInvalid carrying every violation found.
         """
+        idempotents, elements, src, tgt, table = _typed_table(idempotents, arrows, products)
+        # associativity on the paths a -> b -> c, in lexicographic order;
+        # off a path both sides are theta (see the module docstring)
+        starting = {e: [s for s in elements if src[s] == e] for e in idempotents}
         violations = []
-        idempotents = list(idempotents)
-        names = list(idempotents)
-        src = {e: e for e in idempotents}
-        tgt = {e: e for e in idempotents}
-        eset = set(idempotents)
-        if len(eset) != len(idempotents):
-            violations.append(Violation("structure", tuple(idempotents),
-                                        "duplicate idempotent names"))
-
-        for entry in arrows:
-            name, s, t = entry
-            if name in src or name in eset:
-                violations.append(Violation("structure", (name,),
-                                            f"duplicate element name {name!r}"))
-                continue
-            if s not in eset or t not in eset:
-                violations.append(Violation("bad_typing", (name,),
-                                            f"element {name!r} has unknown src/tgt"))
-                continue
-            names.append(name)
-            src[name] = s
-            tgt[name] = t
-
-        # square-free condition: at most one element per (src, tgt) slot,
-        # counting the idempotent that always occupies (e, e)
-        slots = {}
-        for n in names:
-            key = (src[n], tgt[n])
-            if key in slots:
-                violations.append(Violation(
-                    "square_free", key,
-                    f"two elements {slots[key]!r}, {n!r} in slot {key}"))
-            else:
-                slots[key] = n
-
-        if violations:
-            raise SemigroupInvalid(violations)
-
-        # canonical order: idempotents as declared, then arrows by slot index
-        eidx = {e: i for i, e in enumerate(idempotents)}
-        arrows_sorted = sorted((n for n in names if n not in eset),
-                               key=lambda n: (eidx[src[n]], eidx[tgt[n]]))
-        elements = tuple(idempotents) + tuple(arrows_sorted)
-
-        # forced laws, then declared products on top
-        table = {}
         for a in elements:
-            for b in elements:
-                if a in eset and b in eset:
-                    table[(a, b)] = a if a == b else None
-                elif a in eset:
-                    table[(a, b)] = b if src[b] == a else None
-                elif b in eset:
-                    table[(a, b)] = a if tgt[a] == b else None
-                else:
-                    table[(a, b)] = None
-
-        items = products.items() if hasattr(products, "items") else products
-        declared = {}
-        for (left, right), result in items:
-            if left not in src or right not in src:
-                violations.append(Violation("structure", (left, right),
-                                            f"product uses unknown name {left!r} or {right!r}"))
-                continue
-            if (left, right) in declared and declared[(left, right)] != result:
-                violations.append(Violation(
-                    "structure", (left, right),
-                    f"product {left}.{right} declared twice with different results"))
-                continue
-            declared[(left, right)] = result
-            res = None if result in (None, THETA) else result
-            if res is not None and res not in src:
-                violations.append(Violation("structure", (left, right, res),
-                                            f"product result {res!r} is unknown"))
-                continue
-            if left in eset or right in eset:
-                if table[(left, right)] != res:
-                    violations.append(Violation(
-                        "bad_typing", (left, right),
-                        f"declared product {left}.{right} contradicts the idempotent laws"))
-                continue
-            if res is not None and (tgt[left] != src[right] or src[res] != src[left]
-                                    or tgt[res] != tgt[right]):
-                violations.append(Violation(
-                    "bad_typing", (left, right),
-                    f"product {left}.{right} = {res} breaks src/tgt typing"))
-                continue
-            table[(left, right)] = res
-
-        if violations:
-            raise SemigroupInvalid(violations)
-
-        # associativity, theta-absorbing, over every triple
-        def mul(a, b):
-            if a is None or b is None:
-                return None
-            return table[(a, b)]
-
-        for a, b, c in itertools.product(elements, repeat=3):
-            if mul(mul(a, b), c) != mul(a, mul(b, c)):
-                violations.append(Violation(
-                    "not_associative", (a, b, c),
-                    f"({a}.{b}).{c} = {mul(mul(a, b), c)} but "
-                    f"{a}.({b}.{c}) = {mul(a, mul(b, c))}"))
-
+            for b in starting[tgt[a]]:
+                ab = table[(a, b)]
+                for c in starting[tgt[b]]:
+                    bc = table[(b, c)]
+                    left = None if ab is None else table[(ab, c)]
+                    right = None if bc is None else table[(a, bc)]
+                    if left != right:
+                        violations.append(Violation(
+                            "not_associative", (a, b, c),
+                            f"({a}.{b}).{c} = {left} but {a}.({b}.{c}) = {right}"))
         if violations:
             raise SemigroupInvalid(violations)
         # the full table fixes src/tgt through the idempotent laws
@@ -231,6 +155,19 @@ class SquareFreeSemigroup:
         self._tuple_cache[n] = out
         return out
 
+    def composable(self):
+        """The composable triples (s, t, u, s.t, t.u) and pairs (s, t, s.t),
+        each in `tuples` order, and the set of composable pairs; built once
+        per semigroup."""
+        if self._composable is None:
+            table = self._table
+            pairs = self.tuples(2)
+            self._composable = Composable(
+                tuple((s, t, u, table[(s, t)], table[(t, u)]) for s, t, u in self.tuples(3)),
+                tuple((s, t, table[(s, t)]) for s, t in pairs),
+                frozenset(pairs))
+        return self._composable
+
     # -- automorphisms -----------------------------------------------------
 
     def enumerate_autos(self):
@@ -270,6 +207,125 @@ class SquareFreeSemigroup:
     def __repr__(self):
         return (f"SquareFreeSemigroup(|E|={len(self.idempotents)}, "
                 f"|S*|={len(self.elements)})")
+
+
+def _typed_table(idempotents, arrows, products):
+    """The checks of `SquareFreeSemigroup.validate` short of associativity:
+    names, the at-most-one-per-slot condition, product typing and the
+    refusals below. Returns (idempotents, elements, src, tgt, table) with
+    the elements in canonical order and theta as None; raises
+    SemigroupInvalid carrying every violation found.
+
+    An arrow.arrow product may not be an idempotent: the shortest word of
+    arrows equal to an idempotent would contain such a product, so with
+    none declared the arrows generate a nilpotent ideal.
+    """
+    violations = []
+    idempotents = list(idempotents)
+    names = list(idempotents)
+    src = {e: e for e in idempotents}
+    tgt = {e: e for e in idempotents}
+    eset = set(idempotents)
+    if len(eset) != len(idempotents):
+        violations.append(Violation("structure", tuple(idempotents),
+                                    "duplicate idempotent names"))
+    if THETA in eset:
+        violations.append(Violation("structure", (THETA,),
+                                    f"{THETA!r} names the zero and cannot be an idempotent"))
+
+    for entry in arrows:
+        name, s, t = entry
+        if name == THETA:
+            violations.append(Violation("structure", (name,),
+                                        f"{THETA!r} names the zero and cannot be an arrow"))
+            continue
+        if name in src or name in eset:
+            violations.append(Violation("structure", (name,),
+                                        f"duplicate element name {name!r}"))
+            continue
+        if s not in eset or t not in eset:
+            violations.append(Violation("bad_typing", (name,),
+                                        f"element {name!r} has unknown src/tgt"))
+            continue
+        names.append(name)
+        src[name] = s
+        tgt[name] = t
+
+    # square-free condition: at most one element per (src, tgt) slot,
+    # counting the idempotent that always occupies (e, e)
+    slots = {}
+    for n in names:
+        key = (src[n], tgt[n])
+        if key in slots:
+            violations.append(Violation(
+                "square_free", key,
+                f"two elements {slots[key]!r}, {n!r} in slot {key}"))
+        else:
+            slots[key] = n
+
+    if violations:
+        raise SemigroupInvalid(violations)
+
+    # canonical order: idempotents as declared, then arrows by slot index
+    eidx = {e: i for i, e in enumerate(idempotents)}
+    arrows_sorted = sorted((n for n in names if n not in eset),
+                           key=lambda n: (eidx[src[n]], eidx[tgt[n]]))
+    elements = tuple(idempotents) + tuple(arrows_sorted)
+
+    # forced laws, then declared products on top
+    table = {}
+    for a in elements:
+        for b in elements:
+            if a in eset and b in eset:
+                table[(a, b)] = a if a == b else None
+            elif a in eset:
+                table[(a, b)] = b if src[b] == a else None
+            elif b in eset:
+                table[(a, b)] = a if tgt[a] == b else None
+            else:
+                table[(a, b)] = None
+
+    items = products.items() if hasattr(products, "items") else products
+    declared = {}
+    for (left, right), result in items:
+        if left not in src or right not in src:
+            violations.append(Violation("structure", (left, right),
+                                        f"product uses unknown name {left!r} or {right!r}"))
+            continue
+        if (left, right) in declared and declared[(left, right)] != result:
+            violations.append(Violation(
+                "structure", (left, right),
+                f"product {left}.{right} declared twice with different results"))
+            continue
+        declared[(left, right)] = result
+        res = None if result in (None, THETA) else result
+        if res is not None and res not in src:
+            violations.append(Violation("structure", (left, right, res),
+                                        f"product result {res!r} is unknown"))
+            continue
+        if left in eset or right in eset:
+            if table[(left, right)] != res:
+                violations.append(Violation(
+                    "bad_typing", (left, right),
+                    f"declared product {left}.{right} contradicts the idempotent laws"))
+            continue
+        if res is not None and (tgt[left] != src[right] or src[res] != src[left]
+                                or tgt[res] != tgt[right]):
+            violations.append(Violation(
+                "bad_typing", (left, right),
+                f"product {left}.{right} = {res} breaks src/tgt typing"))
+            continue
+        if res in eset:
+            violations.append(Violation(
+                "square_free", (left, right, res),
+                f"arrow product {left}.{right} = {res} is an idempotent, so the "
+                f"arrows do not generate a nilpotent ideal"))
+            continue
+        table[(left, right)] = res
+
+    if violations:
+        raise SemigroupInvalid(violations)
+    return idempotents, elements, src, tgt, table
 
 
 _SEMIGROUPS = {}

@@ -1,5 +1,6 @@
 """Shared fixtures: the diamond demo instance and seeded samplers."""
 
+import itertools
 import random
 
 import pytest
@@ -29,13 +30,16 @@ def make_triangle():
         {("a", "b"): "ab"})
 
 
+# e1 -> e2 -> e3 -> e4 with every composite arrow present, as validate's
+# (idempotents, arrows, products)
+CHAIN4 = (["e1", "e2", "e3", "e4"],
+          [("a", "e1", "e2"), ("b", "e2", "e3"), ("c", "e3", "e4"),
+           ("ab", "e1", "e3"), ("bc", "e2", "e4"), ("abc", "e1", "e4")],
+          {("a", "b"): "ab", ("b", "c"): "bc", ("ab", "c"): "abc", ("a", "bc"): "abc"})
+
+
 def make_chain4():
-    """e1 -> e2 -> e3 -> e4 with every composite arrow present."""
-    return SquareFreeSemigroup.validate(
-        ["e1", "e2", "e3", "e4"],
-        [("a", "e1", "e2"), ("b", "e2", "e3"), ("c", "e3", "e4"),
-         ("ab", "e1", "e3"), ("bc", "e2", "e4"), ("abc", "e1", "e4")],
-        {("a", "b"): "ab", ("b", "c"): "bc", ("ab", "c"): "abc", ("a", "bc"): "abc"})
+    return SquareFreeSemigroup.validate(*CHAIN4)
 
 
 def make_sphere():
@@ -52,6 +56,27 @@ def make_sphere():
             for m in "12":
                 products[(f"a{i}b{j}", f"b{j}c{m}")] = f"a{i}c{m}"
     return SquareFreeSemigroup.validate(["a1", "a2", "b1", "b2", "c1", "c2"], arrows, products)
+
+
+def tetrahedron():
+    """The face poset of the tetrahedron's boundary as validate's
+    (idempotents, arrows, products): 4 vertices, 6 edges and 4 triangles,
+    an arrow from each face to each face containing it (36), and
+    (v < e)(e < t) = v < t for the 24 flags."""
+    vertices = [(i,) for i in range(4)]
+    edges = list(itertools.combinations(range(4), 2))
+    triangles = list(itertools.combinations(range(4), 3))
+    name = {f: "f" + "".join(map(str, f)) for f in vertices + edges + triangles}
+    arrows, products = [], {}
+    for lo, hi in itertools.chain(itertools.product(vertices, edges),
+                                  itertools.product(edges, triangles),
+                                  itertools.product(vertices, triangles)):
+        if set(lo) < set(hi):
+            arrows.append((f"{name[lo]}<{name[hi]}", name[lo], name[hi]))
+    for v, e, t in itertools.product(vertices, edges, triangles):
+        if set(v) < set(e) < set(t):
+            products[(f"{name[v]}<{name[e]}", f"{name[e]}<{name[t]}")] = f"{name[v]}<{name[t]}"
+    return list(name.values()), arrows, products
 
 
 def make_demo_cocycle(domain, sg=None):

@@ -12,7 +12,10 @@ Aut(D)^E asked of the probes. Trial division decides primes and
 irreducible polynomials, and `integer_order_modulus` scans every monic
 polynomial for the least irreducible. The componentwise-Fraction
 quaternion arithmetic that the integer kernel replaced is kept as
-`hamilton_product`, `hamilton_inverse` and `conjugate`. All are slow and
+`hamilton_product`, `hamilton_inverse` and `conjugate`. The checks that
+now cost what the data holds keep their full scans here:
+`full_scan_validate` tests associativity on all |S*|^3 triples and
+`full_scan_is_cocycle` evaluates every cocycle identity. All are slow and
 deliberately direct.
 """
 
@@ -21,12 +24,15 @@ import random
 from fractions import Fraction
 
 from cocycle_forge._logs import field_logs, solve
+from cocycle_forge.cochain import CocycleVerdict, CocycleViolation
 from cocycle_forge.cohomology import _aut0_constraints
+from cocycle_forge.errors import SemigroupInvalid
 from cocycle_forge.gauge import Gauge, _gauge_constraints
 from cocycle_forge.ring import HomVerdict, _probes
 from cocycle_forge.scalars import (
     RingAuto, _poly_divmod, enumerate_autos, enumerate_units, random_scalar, rho,
 )
+from cocycle_forge.semigroup import Violation, _typed_table
 
 
 def scalar_samples(domain, seed=0):
@@ -144,6 +150,51 @@ def all_pairs_verify_ring_hom(iso, seed=0):
                     if lhs != rhs:
                         failures.append(((s, t, d1, d2), lhs, rhs))
     return HomVerdict(not failures, tuple(failures))
+
+
+# ---------------------------------------------------------------------------
+# full scans of the semigroup and cocycle checks
+
+
+def full_scan_validate(idempotents, arrows, products):
+    """Every violation `SquareFreeSemigroup.validate` raises, in its order,
+    or [] for a valid table; associativity is tested, theta-absorbing, on
+    every triple of elements."""
+    try:
+        _, elements, _, _, table = _typed_table(idempotents, arrows, products)
+    except SemigroupInvalid as exc:
+        return list(exc.violations)
+
+    def mul(a, b):
+        if a is None or b is None:
+            return None
+        return table[(a, b)]
+
+    return [Violation("not_associative", (a, b, c),
+                      f"({a}.{b}).{c} = {mul(mul(a, b), c)} but "
+                      f"{a}.({b}.{c}) = {mul(a, mul(b, c))}")
+            for a, b, c in itertools.product(elements, repeat=3)
+            if mul(mul(a, b), c) != mul(a, mul(b, c))]
+
+
+def full_scan_is_cocycle(c):
+    """Both cocycle identities evaluated on every composable triple and
+    pair, as scalars and automorphisms."""
+    sg = c.sg
+    bad = []
+    for s, t, u in sg.tuples(3):
+        st = sg.compose(s, t)
+        tu = sg.compose(t, u)
+        lhs = c.alpha_at(s)(c.xi_at(t, u)) * c.xi_at(s, tu)
+        rhs = c.xi_at(s, t) * c.xi_at(st, u)
+        if lhs != rhs:
+            bad.append(CocycleViolation("scalar", (s, t, u), lhs, rhs))
+    for s, t in sg.tuples(2):
+        lhs = c.alpha_at(s).compose(c.alpha_at(t))
+        rhs = rho(c.xi_at(s, t)).compose(c.alpha_at(sg.compose(s, t)))
+        if lhs != rhs:
+            bad.append(CocycleViolation("automorphism", (s, t), lhs, rhs))
+    return CocycleVerdict(not bad, tuple(bad))
 
 
 # ---------------------------------------------------------------------------

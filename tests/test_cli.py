@@ -1,6 +1,7 @@
 """CLI surface: every subcommand over the bundled demo instance."""
 
 import hashlib
+import io
 import json
 import random
 
@@ -57,6 +58,20 @@ def test_instance_round_trip(tmp_path):
     assert again.domain == inst.domain
     assert again.sg == inst.sg
     assert again.cocycle == inst.cocycle
+
+
+def test_save_instance_writes_what_json_dump_wrote(tmp_path, rng):
+    # one write of the whole text, byte-identical to streaming json.dump
+    demo = diamond_demo_instance()
+    quat = ScalarDomain.quaternion()
+    tri = make_triangle()
+    moved = act_gauge(random_gauge(tri, quat, rng), TwoCochain.trivial(tri, quat))
+    for inst in (demo, Instance(quat, tri, moved)):
+        streamed = io.StringIO()
+        json.dump(instance_to_json(inst), streamed, indent=2, sort_keys=True)
+        path = tmp_path / "x.json"
+        save_instance(path, inst)
+        assert path.read_bytes() == (streamed.getvalue() + "\n").encode()
 
 
 def test_validate(runner, demo_file):
@@ -624,3 +639,36 @@ def test_instance_files_share_one_semigroup(demo_file, trivial_file):
     a, b = load_instance(demo_file), load_instance(trivial_file)
     assert a.sg is b.sg and a.domain is b.domain
     assert a.cocycle != b.cocycle
+
+
+REFUSED_SEMIGROUPS = [
+    pytest.param({"idempotents": ["e1", "e2", "e3"],
+                  "elements": [{"name": "a", "src": "e1", "tgt": "e2"},
+                               {"name": "b", "src": "e2", "tgt": "e3"},
+                               {"name": "theta", "src": "e1", "tgt": "e3"}],
+                  "products": [{"left": "a", "right": "b", "result": "theta"}]},
+                 "structure('theta',)", id="arrow-named-theta"),
+    pytest.param({"idempotents": ["e1", "e2"],
+                  "elements": [{"name": "a", "src": "e1", "tgt": "e2"},
+                               {"name": "b", "src": "e2", "tgt": "e1"}],
+                  "products": [{"left": "a", "right": "b", "result": "e1"},
+                               {"left": "b", "right": "a", "result": "e2"}]},
+                 "square_free('a', 'b', 'e1')", id="brandt-b2"),
+]
+
+
+@pytest.mark.parametrize("semigroup,message", REFUSED_SEMIGROUPS)
+@pytest.mark.parametrize("command", ["validate", "h1", "verify-ses", "ring-table"])
+def test_refused_semigroups_exit_2(runner, tmp_path, semigroup, message, command):
+    # an arrow named theta would be read as the zero in product tables, and
+    # arrows whose product is an idempotent (B2, with ring M2(K)) generate
+    # no nilpotent ideal: every command refuses both at /semigroup
+    data = {"division_ring": {"kind": "finite_field", "p": 2, "k": 1},
+            "semigroup": semigroup}
+    path = tmp_path / "refused.json"
+    path.write_text(json.dumps(data))
+    result = runner.invoke(main, ["--output", "json", command, str(path)])
+    assert result.exit_code == 2, result.output
+    errors = json.loads(result.output)["errors"]
+    assert {e["pointer"] for e in errors} == {"/semigroup"}
+    assert errors[0]["message"].startswith(message)

@@ -1,14 +1,21 @@
 """Cocycle identities, normality, and normalization."""
 
+import collections
+import random
+
 import pytest
 
 from cocycle_forge.cochain import (
-    TwoCochain, cochain_from_json, cochain_to_json, is_cocycle, is_normal, normalize,
+    CocycleVerdict, TwoCochain, cochain_from_json, cochain_to_json, is_cocycle, is_normal, normalize,
 )
 from cocycle_forge.gauge import act_gauge
-from cocycle_forge.scalars import RingAuto
+from cocycle_forge.scalars import RingAuto, ScalarDomain, enumerate_autos, random_scalar
+from cocycle_forge.semigroup import SquareFreeSemigroup
 
-from conftest import make_demo_cocycle, random_gauge
+from conftest import (
+    make_chain4, make_demo_cocycle, make_diamond, make_sphere, make_triangle, random_gauge,
+    tetrahedron,
+)
 
 
 def test_trivial_is_cocycle(diamond, gf4, rat, quat):
@@ -135,3 +142,138 @@ def test_cochain_equality_is_sparse_canonical(diamond, gf4):
                     xi={("e1", "e1"): gf4.one()})
     c2 = TwoCochain.trivial(diamond, gf4)
     assert c1 == c2
+
+
+# ---------------------------------------------------------------------------
+# identities evaluated only where the stored data can break them, against
+# the scan that evaluates every one
+
+
+def extra_shapes():
+    """Shapes beyond the fixtures: a lone arrow, a chain whose product is
+    theta, a vee, a triangle whose product is theta, a star and the
+    diamond with a diagonal both routes reach."""
+    shapes = {
+        "chain2": (["e1", "e2"], [("a", "e1", "e2")], {}),
+        "chain3": (["e1", "e2", "e3"], [("a", "e1", "e2"), ("b", "e2", "e3")], {}),
+        "vee": (["e1", "e2", "e3"], [("a", "e1", "e2"), ("b", "e1", "e3")], {}),
+        "tri0": (["e1", "e2", "e3"],
+                 [("a", "e1", "e2"), ("b", "e2", "e3"), ("ab", "e1", "e3")], {}),
+        "star3": (["c", "l1", "l2", "l3"],
+                  [("a1", "c", "l1"), ("a2", "c", "l2"), ("a3", "c", "l3")], {}),
+        "diamondp": (["e1", "e2", "e3", "e4"],
+                     [("s12", "e1", "e2"), ("s13", "e1", "e3"), ("s14", "e1", "e4"),
+                      ("s24", "e2", "e4"), ("s34", "e3", "e4")],
+                     {("s12", "s24"): "s14", ("s13", "s34"): "s14"}),
+    }
+    return [SquareFreeSemigroup.validate(*args) for args in shapes.values()]
+
+
+def random_twist(sg, domain, rng):
+    """A random cochain: xi of a random density on the arrow.arrow pairs
+    or on every composable pair, and alpha nowhere, on random arrows, or
+    on random elements idempotents included; alpha is a Frobenius power
+    over GF(p^k), conjugation by a random unit over H(Q)."""
+    arrows = set(sg.arrows())
+    density = rng.choice((0, 0.1, 0.5, 1))
+    pairs = [p for p in sg.tuples(2)
+             if rng.random() < 0.5 or (p[0] in arrows and p[1] in arrows)]
+    xi = {p: random_scalar(domain, rng, nonzero=True) for p in pairs if rng.random() < density}
+    autos = enumerate_autos(domain) if domain.kind == "finite_field" else None
+    on = rng.choice(((), sorted(arrows), sg.elements))
+    alpha = {s: (rng.choice(autos) if autos else
+                 RingAuto.inner(domain, random_scalar(domain, rng, nonzero=True)))
+             for s in on if rng.random() < 0.5}
+    return TwoCochain(sg, domain, alpha, xi)
+
+
+DOMAINS = [ScalarDomain.finite_field(p, k) for p, k in
+           ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2))]
+DOMAINS += [ScalarDomain.rational(), ScalarDomain.quaternion()]
+
+
+def test_is_cocycle_matches_full_scan():
+    # identity, members, lhs, rhs and order, on random cochains and on
+    # cocycles moved by random gauges (dense, non-normal, inner mu over H(Q))
+    from oracles import full_scan_is_cocycle
+
+    rng = random.Random(1357)
+    shapes = [make_diamond(), make_triangle(), make_chain4(), make_sphere()] + extra_shapes()
+    verdicts = []
+    for domain in DOMAINS:
+        for sg in shapes:
+            alpha = {}
+            if domain.k and domain.k > 1 and "s34" in sg.src:
+                alpha = {"s34": RingAuto.frobenius(domain, 1)}
+            base = TwoCochain(sg, domain, alpha)
+            cochains = [random_twist(sg, domain, rng) for _ in range(5)]
+            cochains.append(act_gauge(random_gauge(sg, domain, rng), base))
+            for c in cochains:
+                got = is_cocycle(c)
+                expected = full_scan_is_cocycle(c)
+                assert got == expected
+                assert repr(got.violations) == repr(expected.violations)
+                verdicts.append(got)
+    assert sum(v.ok for v in verdicts) > 150
+    kinds = collections.Counter(v.identity for verdict in verdicts for v in verdict.violations)
+    assert kinds["scalar"] > 1000 and kinds["automorphism"] > 300
+
+
+def arrow_twist(sg, domain, rng, alpha_on=()):
+    """A twist stored on the arrows alone: a random xi != 1 on every
+    arrow.arrow product and the Frobenius on the arrows in alpha_on."""
+    arrows = set(sg.arrows())
+    xi = {(s, t): random_scalar(domain, rng, nonzero=True) for s, t in sg.tuples(2)
+          if s in arrows and t in arrows}
+    xi = {p: v + v if v.is_one() else v for p, v in xi.items()}
+    alpha = {s: RingAuto.frobenius(domain, 1) for s in alpha_on}
+    return TwoCochain(sg, domain, alpha, xi)
+
+
+@pytest.mark.parametrize("shape,domain,alpha_on", [
+    ("chain4", ScalarDomain.rational(), ()),
+    ("chain4", ScalarDomain.finite_field(3, 2), ("b", "bc")),
+    ("sphere", ScalarDomain.rational(), ()),
+    ("sphere", ScalarDomain.finite_field(5, 2), ("b1c1", "a1c1")),
+], ids=["chain4-Q", "chain4-GF9", "sphere-Q", "sphere-GF25"])
+def test_is_cocycle_evaluates_only_arrow_identities(shape, domain, alpha_on, monkeypatch):
+    # on a twist stored on the arrows, every identity padded by an
+    # idempotent is one word on both sides and costs no arithmetic: two
+    # Scalar products per arrow triple, two compositions per arrow pair
+    from cocycle_forge import scalars
+    from oracles import full_scan_is_cocycle
+
+    sg = make_chain4() if shape == "chain4" else make_sphere()
+    c = arrow_twist(sg, domain, random.Random(7), alpha_on)
+    assert is_normal(c)
+    expected = full_scan_is_cocycle(c)  # also fills the Frobenius image caches
+    arrows = set(sg.arrows())
+    triples = sum(all(x in arrows for x in t) for t in sg.tuples(3))
+    pairs = sum(all(x in arrows for x in p) for p in sg.tuples(2))
+    calls = collections.Counter()
+    mul, compose = scalars.Scalar.__mul__, scalars.RingAuto.compose
+    monkeypatch.setattr(scalars.Scalar, "__mul__",
+                        lambda *a: calls.update(["mul"]) or mul(*a))
+    monkeypatch.setattr(scalars.RingAuto, "compose",
+                        lambda *a: calls.update(["compose"]) or compose(*a))
+    assert is_cocycle(c) == expected
+    assert calls == collections.Counter(mul=2 * triples, compose=2 * pairs)
+    calls.clear()
+    full_scan_is_cocycle(c)
+    assert calls["mul"] == 2 * len(sg.tuples(3)) and calls["compose"] == 2 * len(sg.tuples(2))
+
+
+def test_is_cocycle_on_the_tetrahedron():
+    # 14 idempotents, 36 arrows, 24 flags; no instance cap at the library level
+    from oracles import full_scan_is_cocycle
+
+    sg = SquareFreeSemigroup.validate(*tetrahedron())
+    gf5 = ScalarDomain.finite_field(5, 1)
+    trivial = TwoCochain.trivial(sg, gf5)
+    assert is_cocycle(trivial) == full_scan_is_cocycle(trivial) == CocycleVerdict(True, ())
+    # xi on the flags alone is a cocycle here (no three arrows compose, and
+    # rho is the identity over a field), so break it on a padded pair
+    broken = TwoCochain(sg, gf5, xi={("f0", "f0<f01"): gf5.scalar(2)})
+    verdict = is_cocycle(broken)
+    assert not verdict.ok and verdict == full_scan_is_cocycle(broken)
+    assert ("f0", "f0", "f0<f01") in [v.members for v in verdict.violations]

@@ -1,6 +1,8 @@
 """Square-free semigroup validation, tuple spaces, and Aut(S)."""
 
+import collections
 import itertools
+import random
 
 import pytest
 
@@ -10,6 +12,8 @@ from cocycle_forge.semigroup import (
     SemigroupAuto, SquareFreeSemigroup, auto_from_json, auto_to_json,
     semigroup_to_json,
 )
+
+from conftest import CHAIN4, make_chain4, tetrahedron
 
 
 def semigroup_from_json(data, max_idempotents=8):
@@ -212,3 +216,143 @@ def test_validate_returns_one_object_per_table():
     tri0 = SquareFreeSemigroup.validate(["e1", "e2", "e3"], arrows, {})
     assert tri0 is not tri and tri0 != tri
     assert semigroup_from_json(semigroup_to_json(tri0)) is tri0
+
+
+# ---------------------------------------------------------------------------
+# refusals, and the path-only associativity check against the full scan
+
+
+def validate_violations(idempotents, arrows, products):
+    """The violations validate raises, in order, or [] when it accepts."""
+    try:
+        SquareFreeSemigroup.validate(idempotents, arrows, products)
+    except SemigroupInvalid as exc:
+        return list(exc.violations)
+    return []
+
+
+def test_theta_is_not_a_name():
+    # a.b = "theta" would read as the zero, not as the arrow named theta
+    violations = validate_violations(
+        ["e1", "e2", "e3"], [("a", "e1", "e2"), ("b", "e2", "e3"), ("theta", "e1", "e3")],
+        {("a", "b"): "theta"})
+    assert [(v.kind, v.members) for v in violations] == [("structure", ("theta",))]
+    violations = validate_violations(["e1", "theta"], [("a", "e1", "theta")], {})
+    assert [(v.kind, v.members) for v in violations] == [("structure", ("theta",))]
+    # the spelling stays a way to declare a zero product
+    tri0 = SquareFreeSemigroup.validate(
+        ["e1", "e2", "e3"], [("a", "e1", "e2"), ("b", "e2", "e3"), ("ab", "e1", "e3")],
+        {("a", "b"): "theta"})
+    assert tri0.compose("a", "b") is None
+
+
+def test_arrow_product_on_an_idempotent_refused():
+    # the Brandt semigroup B2: its ring is M2(K), which is not square-free
+    violations = validate_violations(
+        ["e1", "e2"], [("a", "e1", "e2"), ("b", "e2", "e1")],
+        {("a", "b"): "e1", ("b", "a"): "e2"})
+    assert [(v.kind, v.members) for v in violations] == [
+        ("square_free", ("a", "b", "e1")), ("square_free", ("b", "a", "e2"))]
+    # one such product is enough to refuse the table
+    violations = validate_violations(
+        ["e1", "e2"], [("a", "e1", "e2"), ("b", "e2", "e1")], {("a", "b"): "e1"})
+    assert [v.members for v in violations] == [("a", "b", "e1")]
+    # the same arrows with both products theta are a square-free semigroup
+    sg = SquareFreeSemigroup.validate(["e1", "e2"], [("a", "e1", "e2"), ("b", "e2", "e1")], {})
+    assert sg.compose("a", "b") is None and sg.compose("b", "a") is None
+
+
+def random_table(rng):
+    """A random (idempotents, arrows, products): arrows on random slots,
+    mostly forward in the order of the idempotents, now and then a loop, a
+    doubled slot or the name theta; products on composable arrow pairs,
+    mostly the element of the typed slot and otherwise theta, and in one
+    table of four some products on any pair with any result."""
+    idempotents = [f"e{i}" for i in range(rng.randint(1, 6))]
+    arrows = [(f"x{i}{j}", e, f) for i, e in enumerate(idempotents)
+              for j, f in enumerate(idempotents)
+              if rng.random() < (0.7 if i < j else 0.05 if i > j else 0)]
+    if rng.random() < 0.05:
+        e = rng.choice(idempotents)
+        arrows.append(("loop", e, e))
+    if arrows and rng.random() < 0.05:
+        arrows.append(("twin",) + rng.choice(arrows)[1:])
+    if arrows and rng.random() < 0.03:
+        arrows.append(("theta",) + rng.choice(arrows)[1:])
+    slot = {(s, t): n for n, s, t in arrows}
+    slot.update({(e, e): e for e in idempotents})
+    names = idempotents + [n for n, _, _ in arrows]
+    junk = rng.random() < 0.25
+    products = {}
+    for left, s1, t1 in arrows:
+        for right, s2, t2 in arrows:
+            if junk and rng.random() < 0.1:
+                products[(left, right)] = rng.choice(names)
+            elif t1 == s2 and rng.random() < 0.8:
+                products[(left, right)] = (slot.get((s1, t2), "theta") if rng.random() < 0.8
+                                           else rng.choice(("theta", None)))
+    return idempotents, arrows, products
+
+
+def test_validate_matches_full_scan():
+    # the path-only check against associativity on every triple, entry by
+    # entry: kind, members, message and order
+    from oracles import full_scan_validate
+
+    rng = random.Random(1313)
+    seen = collections.Counter()
+    for _ in range(1500):
+        table = random_table(rng)
+        got = validate_violations(*table)
+        assert got == full_scan_validate(*table)
+        seen.update({v.kind for v in got} or {"valid"})
+        seen.update(v.message.split()[0] for v in got if v.kind == "square_free")
+        seen["theta_result"] += "theta" in table[2].values()
+    for shape in (CHAIN4, tetrahedron()):
+        assert validate_violations(*shape) == full_scan_validate(*shape) == []
+    assert seen["valid"] > 100 and seen["not_associative"] > 100
+    assert seen["arrow"] > 50 and seen["theta_result"] > 100  # idempotent and theta results
+    assert seen["structure"] and seen["bad_typing"] and seen["two"]
+
+
+def test_validate_compares_only_paths(monkeypatch):
+    # chain4 has 35 paths a -> b -> c among its 1000 triples; the check
+    # reads the product table only at typed pairs x.y (tgt x = src y), once
+    # per pair a -> b and at most three times per path
+    from cocycle_forge import semigroup
+
+    chain4 = make_chain4()  # the memo hands back this object, not the counting table
+    read = []
+
+    class Table(dict):
+        def __getitem__(self, key):
+            read.append(key)
+            return dict.__getitem__(self, key)
+
+    typed_table = semigroup._typed_table
+
+    def counting(*args):
+        *rest, table = typed_table(*args)
+        return (*rest, Table(table))
+
+    monkeypatch.setattr(semigroup, "_typed_table", counting)
+    assert SquareFreeSemigroup.validate(*CHAIN4) is chain4
+    src, tgt, elements = chain4.src, chain4.tgt, chain4.elements
+    pairs = sum(tgt[a] == src[b] for a in elements for b in elements)
+    paths = sum(tgt[a] == src[b] and tgt[b] == src[c]
+                for a in elements for b in elements for c in elements)
+    assert paths == 35
+    assert all(tgt[x] == src[y] for x, y in read)
+    assert len(read) <= pairs + 3 * paths
+
+
+def test_tetrahedron_face_poset():
+    # 14 idempotents, past the instance cap but not the library's
+    from oracles import full_scan_validate
+
+    idempotents, arrows, products = tetrahedron()
+    sg = SquareFreeSemigroup.validate(idempotents, arrows, products)
+    assert len(sg.idempotents) == 14 and len(sg.arrows()) == 36
+    assert sum(1 for s, t in sg.tuples(2)
+               if not sg.is_idempotent(s) and not sg.is_idempotent(t)) == 24
+    assert full_scan_validate(idempotents, arrows, products) == []

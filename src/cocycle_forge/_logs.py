@@ -20,13 +20,15 @@ coordinates. In them the group law of `gauge.py` reads
 
 and the key (mu, ranks of the x, phi.sort_key()) orders gauges exactly as
 `Gauge.sort_key` does, since `rank` numbers the units in the order of
-`enumerate_units`.
+`enumerate_units`. `solve` runs on the echelon of `_multsolve.eliminate`,
+the one elimination it shares with the rational solver.
 """
 
 from __future__ import annotations
 
 from math import gcd
 
+from ._multsolve import eliminate
 from .scalars import _prime_divisors, enumerate_units
 
 
@@ -99,95 +101,49 @@ def compose(sg, logs, g1, g2):
     return mu, x, phi2.compose(phi1)
 
 
-def solve(sg, logs, constraints, fixed=None):
+def solve(sg, logs, constraints):
     """Yield the log vector x of every eta: S* -> D* meeting each
     constraint, in canonical order.
 
     A constraint (s, t, st, a, u) asks eta(s) . a(eta(t)) . eta(st)^{-1} = u,
     that is the integer row x[s] + p^i x[t] - x[st] = log u mod n for
-    a = Frob^i. Elements are assigned in the semigroup's canonical order,
-    each pinned by `fixed` (name -> log) or ranging over the units in
-    `enumerate_units` order, and each row is checked once the last element
-    with a nonzero coefficient in it is assigned. Rows are first brought
-    to echelon form from the last element down, so that relations implied
-    by two rows sharing their last element are checked as early as they
-    can be. An element with coefficient c in a completed row is solved for
-    there: c y = r mod n has no solution unless gcd(c, n) divides r, and
-    then gcd(c, n) of them, so a unit coefficient leaves one value to try
-    instead of n. The values are still tried in unit order, so the
+    a = Frob^i. `_multsolve.eliminate` brings the rows to echelon form mod n
+    with at most one row per element, filed under its last element with a
+    nonzero coefficient. Elements are assigned in the semigroup's canonical
+    order; an element with a row is solved for there once the earlier
+    elements are assigned: c y = r mod n has no solution unless
+    gcd(c, n) divides r, and then gcd(c, n) of them. An element without a
+    row ranges over every unit. The values are tried in unit order, so the
     solutions come out in the order an exhaustive search over every unit
     would list them.
     """
     elements = sg.elements
     n, frob, rank, by_rank = logs.n, logs.frob, logs.rank, logs.by_rank
     pos = {s: j for j, s in enumerate(elements)}
-    plan = [[] for _ in elements]
-
-    def place(coef, rhs):
-        """File a row under its last unknown; False if it has none and fails."""
-        coef = {j: c % n for j, c in coef.items() if c % n}
-        if coef:
-            plan[max(coef)].append((coef, rhs % n))
-        return bool(coef) or rhs % n == 0
-
+    rows = []
     for s, t, st, a, u in constraints:
         coef = {}
         for name, c in ((s, 1), (t, frob[power(a)]), (st, -1)):
             coef[pos[name]] = coef.get(pos[name], 0) + c
-        if not place(coef, logs.of(u)):
-            return
-    # eliminate from the last element down: the row whose coefficient at i
-    # has the least gcd with n is the pivot, and each row whose coefficient
-    # is a multiple of the pivot's loses its term at i (so it is checked as
-    # soon as its earlier elements are assigned); a unit pivot at every
-    # position leaves no dead ends
-    for i in reversed(range(len(elements))):
-        rows = plan[i]
-        if not rows:
-            continue
-        rows.sort(key=lambda row: gcd(row[0][i], n))
-        pivot, prhs = rows[0]
-        d = gcd(pivot[i], n)
-        step = n // d
-        inv = pow(pivot[i] // d, -1, step)
-        kept = rows[:1]
-        for coef, rhs in rows[1:]:
-            if coef[i] % d:
-                kept.append((coef, rhs))
-                continue
-            m = (coef[i] // d) * inv % step
-            reduced = dict(coef)
-            for j, c in pivot.items():
-                reduced[j] = reduced.get(j, 0) - m * c
-            if not place(reduced, rhs - m * prhs):
-                return
-        plan[i] = [(gcd(coef[i], n), coef[i],
-                    tuple((j, c) for j, c in coef.items() if j != i), rhs)
-                   for coef, rhs in kept]
-    fixed = {pos[s]: v for s, v in (fixed or {}).items()}
+        rows.append((coef, logs.of(u)))
+    plan, zeros = eliminate(rows, len(elements), lambda r2, r1, m: (r2 + m * r1) % n, n)
+    if any(zeros):
+        return
+    plan = [row and (gcd(row[0][i], n), row[0][i],
+                     tuple((j, c) for j, c in row[0].items() if j != i), row[1])
+            for i, row in enumerate(plan)]
     x = [0] * len(elements)
 
-    def residue(row):
-        return (row[3] - sum(c * x[j] for j, c in row[2])) % n
-
     def options(i):
-        rows = plan[i]
-        if i in fixed:
-            v = fixed[i]
-            return [v] if all((row[1] * v - residue(row)) % n == 0 for row in rows) else []
-        if not rows:
+        if plan[i] is None:
             return by_rank
-        d, c, _, _ = rows[0]
-        r = residue(rows[0])
+        d, lead, rest, rhs = plan[i]
+        r = (rhs - sum(c * x[j] for j, c in rest)) % n
         if r % d:
             return []
         step = n // d
-        first = (r // d) * pow(c // d, -1, step) % step
-        values = [first] if d == 1 else sorted(range(first, n, step), key=rank.__getitem__)
-        for row in rows[1:]:
-            r = residue(row)
-            values = [v for v in values if (row[1] * v - r) % n == 0]
-        return values
+        first = (r // d) * pow(lead // d, -1, step) % step
+        return [first] if d == 1 else sorted(range(first, n, step), key=rank.__getitem__)
 
     last = len(elements) - 1
     stack = [iter(options(0))]
@@ -202,4 +158,3 @@ def solve(sg, logs, constraints, fixed=None):
             yield tuple(x)
         else:
             stack.append(iter(options(i + 1)))
-

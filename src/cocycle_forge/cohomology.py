@@ -32,9 +32,11 @@ Aut0 R is found by propagation over the exact multiplicativity probes of
 `ring._probes`: for each (phi, mu) they fix, with eta = 1, the value u that
 eta(s) alpha_{phi(s)}(eta(t)) eta(s.t)^{-1} must take on a composable pair
 for the induced map d.s -> mu_e(d) eta(s) phi(s) to multiply (or rule the
-choice out), and `_logs.solve` finds eta with eta = 1 on E. mu is assigned
-one idempotent at a time, and the probes on each pair (s, tgt s) rule it out
-as soon as both ends of s have a value.
+choice out), and `_logs.solve` finds eta. Nothing pins eta on E: on a pair
+(e, e) of a normal cocycle alpha is the identity and u = 1, so its row
+reads x_e = log 1 = 0. mu is assigned one idempotent at a time, and the
+probes on each pair (s, tgt s) rule it out as soon as both ends of s have
+a value.
 `verify_ses` then checks exactness of
 
     1 -> H1 -> Out R -> Stab(Aut S) -> 1
@@ -289,14 +291,13 @@ def aut0_listing(c):
     sg, domain = c.sg, c.domain
     logs = field_logs(domain)
     probes = _probes(domain)
-    fixed = {e: 0 for e in sg.idempotents}
     out = []
     for phi in sg.enumerate_autos():
         for mu in _aut0_mus(c, phi, probes):
             autos = {e: RingAuto.frobenius(domain, i) for e, i in zip(sg.idempotents, mu)}
             constraints = _aut0_constraints(c, phi, autos, probes)
             if constraints is not None:
-                out.extend((mu, x, phi) for x in solve(sg, logs, constraints, fixed))
+                out.extend((mu, x, phi) for x in solve(sg, logs, constraints))
     out.sort(key=logs.key)
     return out
 

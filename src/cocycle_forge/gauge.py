@@ -40,10 +40,13 @@ gauges with phi = id. Over a finite field it searches in log coordinates
 alpha relations up to one free choice per connected component of the
 semigroup, and eta a vector of logs mod q - 1, found by `_logs.solve` from
 the relations of the action formula as integer rows. Over the rationals
-the same relations are solved by exact multiplicative elimination. Both
-negative answers are definitive; the quaternions raise NotEnumerable. The
-Aut0 enumeration runs `_logs.solve` too, on relations it derives from ring
-multiplicativity rather than from the action formula.
+the same rows are solved by `_multsolve.solve_multiplicative`; both bring
+them to echelon form by the one elimination, `_multsolve.eliminate`. The
+finite-field "no" is definitive, and so is the rational one, except where
+the elimination cannot decide and raises Undecided (a NotEnumerable); the
+quaternions raise NotEnumerable. The Aut0 enumeration runs `_logs.solve`
+too, on relations it derives from ring multiplicativity rather than from
+the action formula.
 
 Over a finite field the searches run on log coordinates, and the lists
 they make are the listing surface of `cohomology.py`: a `Gauge` is built,
@@ -62,7 +65,7 @@ import json
 from ._logs import field_logs, power, solve
 from ._multsolve import solve_multiplicative
 from .cochain import TwoCochain, unique_entries
-from .errors import DomainMismatch, NotEnumerable
+from .errors import DomainMismatch, NotEnumerable, Undecided
 from .scalars import (
     RingAuto, Scalar, auto_from_json, auto_to_json, rho, scalar_from_json,
     scalar_to_json,
@@ -295,7 +298,8 @@ def from_logs(sg, domain, g):
 def _cohomologous_rational(c1, c2):
     """Exact decision over the rationals. Every automorphism is the
     identity there, so only the scalar relations constrain eta; they form a
-    multiplicative linear system solved by elimination."""
+    multiplicative linear system solved by elimination (Undecided where
+    that cannot decide, see _multsolve)."""
     sg, domain = c1.sg, c1.domain
     ident = RingAuto.identity(domain)
     equations = []
@@ -316,7 +320,9 @@ def cohomologous(c1, c2):
 
     Supported for finite fields (search) and the rationals (elimination);
     the quaternions raise NotEnumerable since a failed search there could
-    not be exhaustive.
+    not be exhaustive, and the rationals raise Undecided where the
+    elimination leaves a root that a free variable could change (see
+    _multsolve).
     """
     if c1.sg is not c2.sg or c1.domain is not c2.domain:
         raise DomainMismatch("cocycles compared over different settings")
@@ -330,9 +336,20 @@ def cohomologous(c1, c2):
 
 
 def stabilizer_of_class(c):
-    """The semigroup automorphisms phi with [c] = [c^phi]."""
-    return [phi for phi in c.sg.enumerate_autos()
-            if cohomologous(c, act_phi(phi, c)) is not None]
+    """The semigroup automorphisms phi with [c] = [c^phi].
+
+    Every phi is tried; Undecided is raised after the loop if some phi was
+    left undecided (over the rationals, see _multsolve)."""
+    stab, undecided = [], None
+    for phi in c.sg.enumerate_autos():
+        try:
+            if cohomologous(c, act_phi(phi, c)) is not None:
+                stab.append(phi)
+        except Undecided as exc:
+            undecided = exc
+    if undecided is not None:
+        raise undecided
+    return stab
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Brute-force reference implementations the fast paths are checked against.
 
 `brute_force_aut0` tests every candidate gauge (mu, eta, phi) with eta = 1
-on the idempotents; `brute_force_b1` builds the gauge of every map E -> D*
-by `star_act` and then drops repeats; `all_pairs_verify_ring_hom`
+on the idempotents, and `hom_test_aut0` every one with eta free there too,
+through `verify_ring_hom`; `brute_force_b1` builds the gauge of every map
+E -> D* by `star_act` and then drops repeats; `all_pairs_verify_ring_hom`
 multiplies full ring elements on every basis pair. The object-level
 listing layer that log coordinates replaced is kept here too: `solve_eta`
 backtracks Scalars over every unit, `gauge_solutions` loops mu over all of
@@ -28,7 +29,7 @@ from cocycle_forge.cochain import CocycleVerdict, CocycleViolation
 from cocycle_forge.cohomology import _aut0_constraints
 from cocycle_forge.errors import SemigroupInvalid
 from cocycle_forge.gauge import Gauge, _gauge_constraints
-from cocycle_forge.ring import HomVerdict, _probes
+from cocycle_forge.ring import HomVerdict, RingIso, TwistedRing, _probes, verify_ring_hom
 from cocycle_forge.scalars import (
     RingAuto, _poly_divmod, enumerate_autos, enumerate_units, random_scalar, rho,
 )
@@ -108,6 +109,25 @@ def brute_force_aut0(c):
             out.extend(_aut0_chunk(c, phi, mu_choice))
     out.sort(key=lambda t: t.sort_key())
     return out
+
+
+def hom_test_aut0(c):
+    """Every (mu, eta, phi) whose map verify_ring_hom accepts, sorted; eta
+    ranges over the idempotents too, so it tests all
+    |Aut S| x |Aut D|^|E| x |D*|^|S*| candidates and assumes nothing of
+    eta on E."""
+    sg, domain = c.sg, c.domain
+    ring = TwistedRing(c)
+    units = enumerate_units(domain)
+    out = []
+    for phi in sg.enumerate_autos():
+        for mu_choice in itertools.product(enumerate_autos(domain), repeat=len(sg.idempotents)):
+            mu = dict(zip(sg.idempotents, mu_choice))
+            for eta_choice in itertools.product(units, repeat=len(sg.elements)):
+                g = Gauge(sg, domain, mu, dict(zip(sg.elements, eta_choice)), phi)
+                if verify_ring_hom(RingIso(ring, ring, g)).ok:
+                    out.append(g)
+    return sorted(out, key=Gauge.sort_key)
 
 
 def star_act(eps, oc, c):
@@ -274,14 +294,13 @@ def product_aut0_logs(c):
     sg, domain = c.sg, c.domain
     logs = field_logs(domain)
     probes = _probes(domain)
-    fixed = {e: 0 for e in sg.idempotents}
     out = []
     for phi in sg.enumerate_autos():
         for mu in itertools.product(range(domain.k), repeat=len(sg.idempotents)):
             autos = {e: RingAuto.frobenius(domain, i) for e, i in zip(sg.idempotents, mu)}
             constraints = _aut0_constraints(c, phi, autos, probes)
             if constraints is not None:
-                out.extend((mu, x, phi) for x in solve(sg, logs, constraints, fixed))
+                out.extend((mu, x, phi) for x in solve(sg, logs, constraints))
     return sorted(out, key=logs.key)
 
 

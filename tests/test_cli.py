@@ -209,6 +209,19 @@ def test_prime_beyond_the_primality_bound_exits_2(runner, tmp_path):
     assert error["pointer"] == "/division_ring" and str(MAX_PRIME) in error["message"]
 
 
+def test_extension_degree_beyond_the_cost_bound_exits_2(runner, tmp_path):
+    from cocycle_forge.scalars import MAX_FIELD_COST
+    data = instance_to_json(diamond_demo_instance())
+    data["division_ring"] = {"kind": "finite_field", "p": 2, "k": 10 ** 6}
+    data["cocycle"] = {}
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(data))
+    result = runner.invoke(main, ["--output", "json", "validate", str(path)])
+    assert result.exit_code == 2, result.output
+    (error,) = json.loads(result.output)["errors"]
+    assert error["pointer"] == "/division_ring" and str(MAX_FIELD_COST) in error["message"]
+
+
 def test_is_cocycle_failure_lists_violations(runner, tmp_path):
     inst = diamond_demo_instance()
     data = instance_to_json(inst)
@@ -294,6 +307,25 @@ def test_iso_check_unknown_for_quaternions(runner, tmp_path):
     path.write_text(json.dumps(data))
     payload = run_json(runner, ["iso-check", str(path), str(path)])
     assert payload["isomorphic"] == "unknown"
+
+
+def test_iso_check_unknown_when_the_rational_elimination_cannot_decide(
+        runner, tmp_path, monkeypatch):
+    from cocycle_forge import cli
+    from cocycle_forge.errors import Undecided
+
+    def undecided(c_source, c_target):
+        raise Undecided("left undecided")
+
+    monkeypatch.setattr(cli, "find_ring_iso", undecided)
+    data = instance_to_json(diamond_demo_instance())
+    data["division_ring"] = {"kind": "rational"}
+    data["cocycle"] = {}
+    path = tmp_path / "rat.json"
+    path.write_text(json.dumps(data))
+    payload = run_json(runner, ["iso-check", str(path), str(path)])
+    assert payload == {"isomorphic": "unknown",
+                       "reason": "the rational elimination could not decide"}
 
 
 def test_iso_check_setting_mismatch(runner, tmp_path, demo_file):

@@ -6,7 +6,8 @@ import pytest
 
 from cocycle_forge.cochain import TwoCochain, is_cocycle, is_normal, normalize
 from cocycle_forge.cohomology import z1_enumerate
-from cocycle_forge.errors import DomainMismatch, NotEnumerable
+from cocycle_forge import gauge as gauge_module
+from cocycle_forge.errors import DomainMismatch, NotEnumerable, Undecided
 from cocycle_forge.gauge import (
     Gauge, act_gauge, act_phi, cohomologous, gauge_from_json, gauge_to_json,
     stabilizer_of_class,
@@ -248,6 +249,22 @@ def test_stabilizer_of_class_aut_trivial_semigroup(gf4):
     c = TwoCochain.trivial(sg, gf4)
     stab = stabilizer_of_class(c)
     assert len(stab) == 1 and stab[0].is_identity()
+
+
+def test_stabilizer_tries_every_phi_before_it_refuses(monkeypatch, diamond, rat):
+    c = TwoCochain.trivial(diamond, rat)
+    real, calls = gauge_module.cohomologous, []
+
+    def first_undecided(c1, c2):
+        calls.append(c1)
+        if len(calls) == 1:
+            raise Undecided("left undecided")
+        return real(c1, c2)
+
+    monkeypatch.setattr(gauge_module, "cohomologous", first_undecided)
+    with pytest.raises(Undecided):
+        stabilizer_of_class(c)
+    assert len(calls) == 2
 
 
 # -- gauges with a relabeling ----------------------------------------------------

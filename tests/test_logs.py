@@ -4,12 +4,12 @@ import random
 
 import pytest
 
-from cocycle_forge._logs import compose, field_logs
+from cocycle_forge._logs import compose, field_logs, solve
 from cocycle_forge.gauge import Gauge, from_logs
-from cocycle_forge.scalars import ScalarDomain, enumerate_units
+from cocycle_forge.scalars import ScalarDomain, enumerate_autos, enumerate_units
 
-from conftest import make_diamond, make_sphere, random_relabeling_gauge
-from oracles import pack
+from conftest import make_diamond, make_sphere, make_triangle, random_relabeling_gauge
+from oracles import pack, solve_eta
 
 # every GF(q) with q <= 81 that the tests build
 FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (5, 2), (3, 3), (2, 4),
@@ -58,3 +58,31 @@ def test_packed_group_law_and_key(make, p, k):
                 == (g1.sort_key() < g2.sort_key()))
     assert (sorted(gauges, key=lambda g: logs.key(pack(g)))
             == sorted(gauges, key=Gauge.sort_key))
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (7, 1), (2, 3), (3, 2)])
+def test_solve_matches_the_object_search(p, k):
+    # seeded rows on random element triples: consistent ones take u from a
+    # random eta, the others a random u. Repeated elements in a triple give
+    # combined coefficients 1 + p^i and p^i - 1; over GF(7) and GF(9) some
+    # are non-units mod q - 1, which the elimination has to combine rather
+    # than solve for.
+    sg, dom = make_triangle(), ScalarDomain.finite_field(p, k)
+    logs = field_logs(dom)
+    units, autos = enumerate_units(dom), enumerate_autos(dom)
+    rng = random.Random(f"solve{p}{k}")
+    found = 0
+    for trial in range(40):
+        eta = {s: rng.choice(units) for s in sg.elements}
+        constraints = []
+        for _ in range(rng.randint(4, 8)):
+            s, t, st = (rng.choice(sg.elements) for _ in range(3))
+            a = rng.choice(autos)
+            u = eta[s] * a(eta[t]) * eta[st].inv() if trial % 2 else rng.choice(units)
+            constraints.append((s, t, st, a, u))
+        fast = [tuple(logs.exp[v] for v in x) for x in solve(sg, logs, constraints)]
+        slow = [tuple(e[s] for s in sg.elements)
+                for e in solve_eta(sg, units, constraints)]
+        assert fast == slow
+        found += bool(fast)
+    assert 20 <= found < 40

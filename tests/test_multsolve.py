@@ -2,7 +2,10 @@
 
 from fractions import Fraction
 
+import pytest
+
 from cocycle_forge._multsolve import _int_nth_root, _rat_nth_roots, solve_multiplicative
+from cocycle_forge.errors import Undecided
 
 F = Fraction
 
@@ -81,3 +84,22 @@ def test_diamond_consistency():
            ({"c": 1, "d": 1, "m": -1}, F(3))]
     sol = check(eqs, ["a", "b", "c", "d", "m"])
     assert sol is not None
+
+
+def test_square_pivot_on_a_free_variable_is_never_a_no():
+    # a^2 b = 2 has the solution a = 1, b = 2; eliminating a first leaves
+    # the pivot a^2 = 2 / b with b free, and b = 1 gives no rational root
+    eqs = [({"a": 2, "b": 1}, F(2))]
+    with pytest.raises(Undecided):
+        check(eqs, ["a", "b"])
+    assert check(eqs, ["b", "a"]) == {"a": F(1), "b": F(2)}
+    # the same through an earlier pivot: b c = 1 ties b to the free c, and
+    # c = 1/2, b = 2, a = 1 solves a^2 b = 2
+    eqs.append(({"b": 1, "c": 1}, F(1)))
+    with pytest.raises(Undecided):
+        check(eqs, ["a", "b", "c"])
+
+
+def test_square_pivot_without_free_variables_is_a_definitive_no():
+    # a^2 = 2 pins a with nothing free: no rational a exists
+    assert check([({"a": 2}, F(2))], ["a", "b"]) is None

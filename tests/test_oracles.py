@@ -30,7 +30,7 @@ from cocycle_forge.semigroup import SquareFreeSemigroup
 from conftest import make_chain4, make_demo_cocycle, make_diamond, make_triangle, random_gauge
 from oracles import (
     all_pairs_verify_ring_hom, brute_force_aut0, brute_force_b1, cosets, gauge_solutions,
-    object_aut0, object_h1, object_z1,
+    hom_test_aut0, object_aut0, object_h1, object_z1,
 )
 
 
@@ -77,6 +77,15 @@ def test_aut0_matches_brute_force(shape, p, k):
     fast = aut0_enumerate(c)
     assert fast
     assert [t.key() for t in fast] == [t.key() for t in brute_force_aut0(c)]
+
+
+@pytest.mark.parametrize("shape,p,k", [("diamond", 3, 1), ("tri", 2, 2)])
+def test_aut0_rows_pin_eta_on_the_idempotents(shape, p, k):
+    # the other Aut0 oracles set eta = 1 on E; here eta ranges there too,
+    # so the listing's eta = 1 on E has to come from its own rows
+    c = twisted_normal(shape, ScalarDomain.finite_field(p, k))
+    fast = [from_logs(c.sg, c.domain, g).key() for g in aut0_listing(c)]
+    assert fast == [g.key() for g in hom_test_aut0(c)]
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))

@@ -15,8 +15,8 @@ from cocycle_forge.scalars import (
     scalar_from_json, scalar_to_json,
 )
 from cocycle_forge.scalars import (
-    MAX_PRIME, _default_modulus, _is_prime, _poly_divmod, _poly_is_irreducible, _poly_mul,
-    _poly_trim,
+    MAX_FIELD_COST, MAX_PRIME, _default_modulus, _is_prime, _poly_divmod,
+    _poly_is_irreducible, _poly_mul, _poly_trim,
 )
 
 from oracles import (
@@ -382,17 +382,32 @@ def test_large_primes_are_decided_or_refused():
 
 
 def test_default_modulus_skips_reducible_binomials():
-    # gcd(3, 10006) = 1: every x^3 + c has a root, so the scan starts past them
+    # 3 does not divide 10006, so every x^3 + c has a root; 100003 = 3 (mod 4),
+    # so no x^4 + c is irreducible: both scans start past the binomials
     start = time.perf_counter()
     assert _default_modulus(10007, 3) == (1, 1, 0, 1)
+    assert time.perf_counter() - start < 0.1
+    start = time.perf_counter()
+    assert ScalarDomain.finite_field(100003, 4).k == 4
     assert time.perf_counter() - start < 0.1
 
 
 @pytest.mark.parametrize("p,k", [(p, 3) for p in range(2, 60)
                                  if p % 3 == 2 and trial_division_is_prime(p)]
-                         + [(2, k) for k in range(1, 7)])
+                         + [(2, k) for k in range(1, 7)]
+                         + [(p, k) for p in (3, 5, 7, 11, 13) for k in (2, 4)]
+                         + [(3, 6), (5, 6), (7, 6), (3, 8)])
 def test_default_modulus_is_the_least_irreducible(p, k):
     assert _default_modulus(p, k) == integer_order_modulus(p, k)
+
+
+def test_fields_beyond_the_cost_bound_are_refused_at_once():
+    assert ScalarDomain.finite_field(2, 16).k == 16
+    for p, k in ((2, 21), (2, 10 ** 6), (10 ** 18 + 3, 7)):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"at most {MAX_FIELD_COST}$"):
+            ScalarDomain.finite_field(p, k)
+        assert time.perf_counter() - start < 0.1
 
 
 # -- the integer quaternion kernel against componentwise Fractions ----------------

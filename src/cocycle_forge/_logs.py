@@ -20,7 +20,10 @@ coordinates. In them the group law of `gauge.py` reads
 
 and the key (mu, ranks of the x, phi.sort_key()) orders gauges exactly as
 `Gauge.sort_key` does, since `rank` numbers the units in the order of
-`enumerate_units`. `solve` runs on the echelon of `_multsolve.eliminate`,
+`enumerate_units`. `solve` turns the eta relations into integer rows mod n
+and hands them to `solve_rows`, the one enumerator of the solutions of
+integer rows mod n; `gauge._mu_choices` hands it the mu relations of Z1 as
+rows mod k. `solve_rows` runs on the echelon of `_multsolve.eliminate`,
 the one elimination it shares with the rational solver.
 """
 
@@ -107,32 +110,43 @@ def solve(sg, logs, constraints):
 
     A constraint (s, t, st, a, u) asks eta(s) . a(eta(t)) . eta(st)^{-1} = u,
     that is the integer row x[s] + p^i x[t] - x[st] = log u mod n for
-    a = Frob^i. `_multsolve.eliminate` brings the rows to echelon form mod n
-    with at most one row per element, filed under its last element with a
-    nonzero coefficient. Elements are assigned in the semigroup's canonical
-    order; an element with a row is solved for there once the earlier
-    elements are assigned: c y = r mod n has no solution unless
-    gcd(c, n) divides r, and then gcd(c, n) of them. An element without a
-    row ranges over every unit. The values are tried in unit order, so the
+    a = Frob^i, solved by `solve_rows` over the units in unit order, so the
     solutions come out in the order an exhaustive search over every unit
     would list them.
     """
-    elements = sg.elements
-    n, frob, rank, by_rank = logs.n, logs.frob, logs.rank, logs.by_rank
-    pos = {s: j for j, s in enumerate(elements)}
+    frob = logs.frob
+    pos = {s: j for j, s in enumerate(sg.elements)}
     rows = []
     for s, t, st, a, u in constraints:
         coef = {}
         for name, c in ((s, 1), (t, frob[power(a)]), (st, -1)):
             coef[pos[name]] = coef.get(pos[name], 0) + c
         rows.append((coef, logs.of(u)))
-    plan, zeros = eliminate(rows, len(elements), lambda r2, r1, m: (r2 + m * r1) % n, n)
+    return solve_rows(rows, len(sg.elements), logs.n, logs.rank, logs.by_rank)
+
+
+def solve_rows(rows, size, n, rank, by_rank):
+    """Yield every x in (Z/n)^size meeting each integer row mod n.
+
+    A row is (dict position -> coefficient, right-hand side in 0..n-1).
+    `_multsolve.eliminate` brings the rows to echelon form mod n with at
+    most one row per position, filed under its last position with a
+    nonzero coefficient, and a row that loses every coefficient with a
+    nonzero right-hand side leaves no solution. Positions are assigned in
+    order; a position with a row is solved for there once the earlier
+    positions are assigned: c y = r mod n has no solution unless gcd(c, n)
+    divides r, and then gcd(c, n) of them. A position without a row ranges
+    over all of 0..n-1. The values are tried in the order of by_rank
+    (rank[v] being the place of v in it), so the solutions come out in the
+    lexicographic order of their ranks.
+    """
+    plan, zeros = eliminate(rows, size, lambda r2, r1, m: (r2 + m * r1) % n, n)
     if any(zeros):
         return
     plan = [row and (gcd(row[0][i], n), row[0][i],
                      tuple((j, c) for j, c in row[0].items() if j != i), row[1])
             for i, row in enumerate(plan)]
-    x = [0] * len(elements)
+    x = [0] * size
 
     def options(i):
         if plan[i] is None:
@@ -145,7 +159,7 @@ def solve(sg, logs, constraints):
         first = (r // d) * pow(lead // d, -1, step) % step
         return [first] if d == 1 else sorted(range(first, n, step), key=rank.__getitem__)
 
-    last = len(elements) - 1
+    last = size - 1
     stack = [iter(options(0))]
     while stack:
         i = len(stack) - 1

@@ -48,6 +48,12 @@ def _reject(cfg, label, exc):
     sys.exit(2)
 
 
+def _fail(cfg, error):
+    """Report an error that stops the command, and exit 2."""
+    _emit(cfg, {"ok": False, "error": str(error)}, [f"error: {error}"])
+    sys.exit(2)
+
+
 def _load(cfg, path):
     try:
         return load_instance(path, max_idempotents=cfg.max_idempotents)
@@ -124,12 +130,15 @@ def normalize_cmd(cfg, file, out, gauge_out):
     payload = {"instance": instance_to_json(new_inst),
                "gauge": gauge_to_json(gauge),
                "was_normal": gauge.is_identity()}
-    if out:
-        with open(out, "w") as fh:
-            json.dump(payload["instance"], fh, indent=2, sort_keys=True)
-    if gauge_out:
-        with open(gauge_out, "w") as fh:
-            json.dump({"gauge": payload["gauge"]}, fh, indent=2, sort_keys=True)
+    try:
+        if out:
+            with open(out, "w") as fh:
+                json.dump(payload["instance"], fh, indent=2, sort_keys=True)
+        if gauge_out:
+            with open(gauge_out, "w") as fh:
+                json.dump({"gauge": payload["gauge"]}, fh, indent=2, sort_keys=True)
+    except OSError as exc:
+        _fail(cfg, exc)
     if out or gauge_out:
         _emit(cfg, payload, [f"normalized instance written"
                              f"{' to ' + out if out else ''}"])
@@ -162,9 +171,7 @@ def iso_check_cmd(cfg, file_a, file_b):
     a = _load(cfg, file_a)
     b = _load(cfg, file_b)
     if a.domain is not b.domain or a.sg is not b.sg:
-        error = "both files must carry the same division ring and semigroup"
-        _emit(cfg, {"ok": False, "error": error}, [f"error: {error}"])
-        sys.exit(2)
+        _fail(cfg, "both files must carry the same division ring and semigroup")
     try:
         iso = find_ring_iso(a.cocycle, b.cocycle)
     except Undecided:
@@ -178,8 +185,7 @@ def iso_check_cmd(cfg, file_a, file_b):
               ["isomorphic: UNKNOWN (domain not enumerable)"])
         return
     except ForgeError as exc:
-        _emit(cfg, {"ok": False, "error": str(exc)}, [f"error: {exc}"])
-        sys.exit(2)
+        _fail(cfg, exc)
     if iso is None:
         _emit(cfg, {"isomorphic": False}, ["isomorphic: NO (search exhausted)"])
         return
@@ -207,8 +213,7 @@ def ring_table_cmd(cfg, file):
     try:
         ring = TwistedRing(inst.cocycle)
     except ForgeError as exc:
-        _emit(cfg, {"ok": False, "error": str(exc)}, [f"error: {exc}"])
-        sys.exit(2)
+        _fail(cfg, exc)
     basis = list(inst.sg.elements)
     table = []
     for s in basis:
@@ -258,8 +263,7 @@ def _cohomology_command(name, runner):
             require_cocycle(inst.cocycle)  # no answers about non-cocycles
             payload, lines = runner(cfg, inst)
         except ForgeError as exc:
-            _emit(cfg, {"ok": False, "error": str(exc)}, [f"error: {exc}"])
-            sys.exit(2)
+            _fail(cfg, exc)
         _emit(cfg, payload, lines)
         if isinstance(payload, dict) and payload.get("ok") is False:
             sys.exit(1)
@@ -347,7 +351,10 @@ def demo_cmd(cfg, write_instance):
     """Run the bundled GF(4) diamond instance end to end."""
     inst = diamond_demo_instance()
     if write_instance:
-        save_instance(write_instance, inst)
+        try:
+            save_instance(write_instance, inst)
+        except OSError as exc:
+            _fail(cfg, exc)
     rep = verify_ses(inst.cocycle)
     ok = rep.ok
     lines = []

@@ -34,9 +34,12 @@ eta(s) alpha_{phi(s)}(eta(t)) eta(s.t)^{-1} must take on a composable pair
 for the induced map d.s -> mu_e(d) eta(s) phi(s) to multiply (or rule the
 choice out), and `_logs.solve` finds eta. Nothing pins eta on E: on a pair
 (e, e) of a normal cocycle alpha is the identity and u = 1, so its row
-reads x_e = log 1 = 0. mu is assigned one idempotent at a time, and the
-probes on each pair (s, tgt s) rule it out as soon as both ends of s have
-a value.
+reads x_e = log 1 = 0. One pass (`_aut0_fibers`) asks the probes: mu is
+assigned one idempotent at a time, the probes on each pair (s, tgt s), the
+only ones that can rule a mu out, run as soon as both ends of s have a
+value, and every other composable pair is probed once mu is complete, so
+no pair is probed twice for one (phi, mu).
+
 `verify_ses` then checks exactness of
 
     1 -> H1 -> Out R -> Stab(Aut S) -> 1
@@ -207,9 +210,11 @@ def inner_triples(c):
     return b1_enumerate(c)
 
 
-def _aut0_constraints(c, phi, mu, probes):
-    """The _logs.solve constraints a ring automorphism over (phi, mu) puts
-    on eta, or None when the probes already rule (phi, mu) out.
+def _aut0_fibers(c):
+    """Yield (phi, mu, constraints) for each phi in Aut S and, in product
+    order, each mu (Frobenius exponents per idempotent) that a ring
+    automorphism over phi can have, with the _logs.solve constraints it
+    puts on eta.
 
     Over a field, with L, R the two sides of pair_sides at eta = 1, the
     composable pair (s, t) multiplies for eta exactly when
@@ -217,87 +222,67 @@ def _aut0_constraints(c, phi, mu, probes):
     eta(s) alpha_{phi(s)}(eta(t)) eta(s.t)^{-1} = L / R; u = L / R is read
     at d = 1, and every other probe of ring._probes must ask for the same u.
     Pairs hitting theta are vacuous because phi preserves products, and
-    sigma(1) = 1 holds identically because the cocycle is normal and
-    eta = 1 on the idempotents.
-    """
-    sg = c.sg
-    unit_eta = _unit_eta(c)
-    constraints = []
-    for s, t in sg.tuples(2):
-        u = _probed_u(c, phi, mu, unit_eta, probes, s, t)
-        if u is None:
-            return None
-        constraints.append((s, t, sg.compose(s, t), c.alpha_at(phi(s)), u))
-    return constraints
+    sigma(1) = 1 holds identically because the cocycle is normal and the
+    rows of the pairs (e, e) set eta = 1 on the idempotents.
 
-
-def _unit_eta(c):
-    one = c.domain.one()
-    return {s: one for s in c.sg.elements}
-
-
-def _probed_u(c, phi, mu, eta, probes, s, t):
-    """L / R of pair_sides at d = 1 on the pair (s, t), or None when another
-    probe asks for a different ratio. mu needs values at src s and src t
-    only."""
-    lhs, rhs = pair_sides(c, c, mu, eta, phi, s, t, probes[0])
-    u = lhs * rhs.inv()
-    for d in probes[1:]:
-        lhs, rhs = pair_sides(c, c, mu, eta, phi, s, t, d)
-        if lhs != rhs * u:
-            return None
-    return u
-
-
-def _aut0_mus(c, phi, probes):
-    """Yield, in product order, the mu (Frobenius exponents per idempotent)
-    that survive the probes on every pair (s, tgt s).
-
-    On such a pair, with eta = 1, the probe d tests only
-    mu_{src s} o alpha_s = alpha_{phi(s)} o mu_{tgt s} at d (see
-    ring._probes), so mu is assigned one idempotent at a time and each
-    arrow s is tested as soon as both of its ends have a value. The verdict
-    is read from pair_sides, as in _aut0_constraints, which still checks
-    every pair of a surviving mu.
+    A pair's probes read mu at src s and src t only, and with eta = 1 the
+    probe d on a pair (s, tgt s) tests
+    mu_{src s} o alpha_s = alpha_{phi(s)} o mu_{tgt s} at d, the one test
+    that can rule a mu out. So mu is assigned one idempotent at a time,
+    each arrow pair is probed as soon as both of its ends have a value, and
+    every other composable pair is probed once mu is complete.
     """
     sg, domain = c.sg, c.domain
-    unit_eta = _unit_eta(c)
+    probes = _probes(domain)
+    one = domain.one()
+    unit_eta = {s: one for s in sg.elements}
     pos = {e: i for i, e in enumerate(sg.idempotents)}
     due = [[] for _ in sg.idempotents]
-    # the probe d = 1 alone never rules a pair out
-    for s in sg.arrows() if len(probes) > 1 else ():
-        due[max(pos[sg.src[s]], pos[sg.tgt[s]])].append(s)
-    autos, mu = {}, []
+    for s in sg.arrows():
+        due[max(pos[sg.src[s]], pos[sg.tgt[s]])].append((s, sg.tgt[s]))
+    autos, mu, found = {}, [], {}
+
+    def probe(s, t):
+        lhs, rhs = pair_sides(c, c, autos, unit_eta, phi, s, t, probes[0])
+        u = lhs * rhs.inv()
+        for d in probes[1:]:
+            lhs, rhs = pair_sides(c, c, autos, unit_eta, phi, s, t, d)
+            if lhs != rhs * u:
+                return None
+        return u
 
     def extend(i):
         if i == len(due):
-            yield tuple(mu)
+            constraints = []
+            for s, t in sg.tuples(2):
+                u = found[(s, t)] if (s, t) in found else probe(s, t)
+                if u is None:
+                    return
+                constraints.append((s, t, sg.compose(s, t), c.alpha_at(phi(s)), u))
+            yield phi, tuple(mu), constraints
             return
         e = sg.idempotents[i]
         for m in range(domain.k):
             autos[e] = RingAuto.frobenius(domain, m)
-            if all(_probed_u(c, phi, autos, unit_eta, probes, s, sg.tgt[s]) is not None
-                   for s in due[i]):
+            for pair in due[i]:
+                found[pair] = probe(*pair)
+                if found[pair] is None:
+                    break
+            else:
                 mu.append(m)
                 yield from extend(i + 1)
                 mu.pop()
 
-    yield from extend(0)
+    for phi in sg.enumerate_autos():
+        yield from extend(0)
 
 
 def aut0_listing(c):
     """Aut0 in log coordinates, sorted; see aut0_enumerate."""
     _require_listable(c)
-    sg, domain = c.sg, c.domain
-    logs = field_logs(domain)
-    probes = _probes(domain)
-    out = []
-    for phi in sg.enumerate_autos():
-        for mu in _aut0_mus(c, phi, probes):
-            autos = {e: RingAuto.frobenius(domain, i) for e, i in zip(sg.idempotents, mu)}
-            constraints = _aut0_constraints(c, phi, autos, probes)
-            if constraints is not None:
-                out.extend((mu, x, phi) for x in solve(sg, logs, constraints))
+    logs = field_logs(c.domain)
+    out = [(mu, x, phi) for phi, mu, constraints in _aut0_fibers(c)
+           for x in solve(c.sg, logs, constraints)]
     out.sort(key=logs.key)
     return out
 
@@ -306,11 +291,11 @@ def aut0_enumerate(c, jobs=1):
     """Every gauge (mu, eta, phi) whose induced map is a ring homomorphism,
     sorted; eta = 1 on the idempotents since c is normal.
 
-    Exhaustive over Aut S x Aut(D)^E: mu is pruned arrow by arrow (see
-    _aut0_mus) and eta solved from the multiplicativity probes (see
-    _aut0_constraints) instead of listed; bijectivity is automatic for maps
-    of this shape. `jobs` is accepted and ignored; it stays because
-    bench/run.py:268-274 compares jobs=1 with jobs=2.
+    Exhaustive over Aut S x Aut(D)^E: mu is pruned arrow by arrow and eta
+    solved from the multiplicativity probes (see _aut0_fibers) instead of
+    listed; bijectivity is automatic for maps of this shape. `jobs` is
+    accepted and ignored; it stays because bench/run.py:268-274 compares
+    jobs=1 with jobs=2.
     """
     return _gauges(c, aut0_listing(c))
 

@@ -36,12 +36,13 @@ stabilizer with phi = id.
 
 `cohomologous` decides whether two cocycles lie in the same orbit of the
 gauges with phi = id. Over a finite field it searches in log coordinates
-(see `_logs.py`): mu is a Frobenius exponent per idempotent, fixed by the
-alpha relations up to one free choice per connected component of the
-semigroup, and eta a vector of logs mod q - 1, found by `_logs.solve` from
-the relations of the action formula as integer rows. Over the rationals
-the same rows are solved by `_multsolve.solve_multiplicative`; both bring
-them to echelon form by the one elimination, `_multsolve.eliminate`. The
+(see `_logs.py`): mu is a Frobenius exponent per idempotent and eta a
+vector of logs mod q - 1. The alpha relations are integer rows mod k in
+mu and the relations of the action formula integer rows mod q - 1 in eta,
+and `_logs.solve_rows` solves both, mu first. Over the rationals, where
+mu is the identity, the eta rows are solved by
+`_multsolve.solve_multiplicative`; it and `solve_rows` bring their rows to
+echelon form by the one elimination, `_multsolve.eliminate`. The
 finite-field "no" is definitive, and so is the rational one, except where
 the elimination cannot decide and raises Undecided (a NotEnumerable); the
 quaternions raise NotEnumerable. The Aut0 enumeration runs `_logs.solve`
@@ -59,10 +60,9 @@ key.
 
 from __future__ import annotations
 
-import itertools
 import json
 
-from ._logs import field_logs, power, solve
+from ._logs import field_logs, power, solve, solve_rows
 from ._multsolve import solve_multiplicative
 from .cochain import TwoCochain, unique_entries
 from .errors import DomainMismatch, NotEnumerable, Undecided
@@ -239,37 +239,21 @@ def _mu_choices(c1, c2):
     rho is trivial on a field, so the automorphism relation
     mu_e^{-1} o alpha1_s o mu_f = alpha2_s does not involve eta, and
     Aut(GF(q)) is cyclic of order k, so it reads
-    mu_f - mu_e = a2_s - a1_s (mod k) on every element s = e.s.f. mu is
-    therefore free at the first idempotent of each connected component and
-    fixed elsewhere, or no mu works at all. Two such mu first differ at the
-    first idempotent of some component, so walking those in product order
-    lists the mu in product order over all idempotents.
+    mu_f - mu_e = a2_s - a1_s (mod k) on every element s = e.s.f: one
+    integer row per element, solved by `_logs.solve_rows` with the
+    idempotents in canonical order and the values in 0..k-1, hence in
+    product order. On an idempotent the row has no coefficient, so a
+    mismatch of alpha there rules out every mu.
     """
     sg, k = c1.sg, c1.domain.k
-    edges = {e: [] for e in sg.idempotents}
+    pos = {e: i for i, e in enumerate(sg.idempotents)}
+    rows = []
     for s in sg.elements:
-        d = power(c2.alpha_at(s)) - power(c1.alpha_at(s))
-        edges[sg.src[s]].append((sg.tgt[s], d))
-        edges[sg.tgt[s]].append((sg.src[s], -d))
-    offset, root = {}, {}
-    roots = 0
-    for e in sg.idempotents:
-        if e in offset:
-            continue
-        offset[e], root[e] = 0, roots
-        stack = [e]
-        while stack:
-            f = stack.pop()
-            for g, d in edges[f]:
-                want = (offset[f] + d) % k
-                if g not in offset:
-                    offset[g], root[g] = want, roots
-                    stack.append(g)
-                elif offset[g] != want:
-                    return
-        roots += 1
-    for free in itertools.product(range(k), repeat=roots):
-        yield tuple((free[root[e]] + offset[e]) % k for e in sg.idempotents)
+        e, f = pos[sg.src[s]], pos[sg.tgt[s]]
+        coef = {f: 1}
+        coef[e] = coef.get(e, 0) - 1
+        rows.append((coef, (power(c2.alpha_at(s)) - power(c1.alpha_at(s))) % k))
+    return solve_rows(rows, len(pos), k, range(k), range(k))
 
 
 def _gauge_solutions_ff(c1, c2):

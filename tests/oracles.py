@@ -9,8 +9,11 @@ listing layer that log coordinates replaced is kept here too: `solve_eta`
 backtracks Scalars over every unit, `gauge_solutions` loops mu over all of
 Aut(D)^E, and `cosets` partitions gauges through `Gauge.compose`;
 `product_aut0_logs` lists Aut0 in log coordinates with every mu of
-Aut(D)^E asked of the probes. Trial division decides primes and
-irreducible polynomials, and `integer_order_modulus` scans every monic
+Aut(D)^E asked of the probes. The Aut0 oracles read their eta relations
+from `probe_constraints`, which asks `ring.pair_sides` about every pair at
+every probe, and the Z1 ones from `action_constraints`, read off the
+action formula, so no oracle builds a relation with a fast route's helper.
+Trial division decides primes and irreducible polynomials, and `integer_order_modulus` scans every monic
 polynomial for the least irreducible. The componentwise-Fraction
 quaternion arithmetic that the integer kernel replaced is kept as
 `hamilton_product`, `hamilton_inverse` and `conjugate`. The checks that
@@ -26,10 +29,11 @@ from fractions import Fraction
 
 from cocycle_forge._logs import field_logs, solve
 from cocycle_forge.cochain import CocycleVerdict, CocycleViolation
-from cocycle_forge.cohomology import _aut0_constraints
 from cocycle_forge.errors import SemigroupInvalid
-from cocycle_forge.gauge import Gauge, _gauge_constraints
-from cocycle_forge.ring import HomVerdict, RingIso, TwistedRing, _probes, verify_ring_hom
+from cocycle_forge.gauge import Gauge
+from cocycle_forge.ring import (
+    HomVerdict, RingIso, TwistedRing, _probes, pair_sides, verify_ring_hom,
+)
 from cocycle_forge.scalars import (
     RingAuto, _poly_divmod, enumerate_autos, enumerate_units, random_scalar, rho,
 )
@@ -253,6 +257,39 @@ def solve_eta(sg, units, constraints, fixed=None):
     yield from extend(0)
 
 
+def action_constraints(c1, c2, mu):
+    """The relations act_gauge((mu, eta), c1) == c2 puts on eta, read off
+    its zeta formula mu_e^{-1}(eta(s) alpha1_s(eta(t)) xi1(s, t) eta(st)^{-1})
+    = xi2(s, t) on every composable pair, as solve_eta constraints."""
+    sg = c1.sg
+    out = []
+    for s, t in sg.tuples(2):
+        u = mu[sg.src[s]](c2.xi_at(s, t)) * c1.xi_at(s, t).inv()
+        out.append((s, t, sg.compose(s, t), c1.alpha_at(s), u))
+    return out
+
+
+def probe_constraints(c, phi, mu):
+    """The relations a ring automorphism over (phi, mu) puts on eta, or None
+    at the first composable pair whose probes disagree.
+
+    Each pair is asked through ring.pair_sides at eta = 1 and every probe
+    of ring._probes: the pair multiplies for eta exactly when
+    eta(s) alpha_{phi(s)}(eta(t)) eta(st)^{-1} = L / R at each probe."""
+    sg = c.sg
+    one = c.domain.one()
+    eta = {s: one for s in sg.elements}
+    probes = _probes(c.domain)
+    out = []
+    for s, t in sg.tuples(2):
+        (lhs, rhs), *rest = [pair_sides(c, c, mu, eta, phi, s, t, d) for d in probes]
+        u = lhs * rhs.inv()
+        if any(l != r * u for l, r in rest):
+            return None
+        out.append((s, t, sg.compose(s, t), c.alpha_at(phi(s)), u))
+    return out
+
+
 def gauge_solutions(c1, c2):
     """Every gauge carrying c1 to c2 over a finite field, in search order:
     mu over all of Aut(D)^E in product order, eta by solve_eta."""
@@ -263,7 +300,7 @@ def gauge_solutions(c1, c2):
         if any(mu[sg.src[s]].inverse().compose(c1.alpha_at(s)).compose(mu[sg.tgt[s]])
                != c2.alpha_at(s) for s in sg.elements):
             continue
-        for eta in solve_eta(sg, units, _gauge_constraints(c1, c2, mu)):
+        for eta in solve_eta(sg, units, action_constraints(c1, c2, mu)):
             yield Gauge(sg, domain, mu, eta)
 
 
@@ -275,13 +312,12 @@ def object_aut0(c):
     """Aut0 by propagation over the probes, with eta backtracked as Scalars."""
     sg, domain = c.sg, c.domain
     units = enumerate_units(domain)
-    probes = _probes(domain)
     fixed = {e: domain.one() for e in sg.idempotents}
     out = []
     for phi in sg.enumerate_autos():
         for mu_choice in itertools.product(enumerate_autos(domain), repeat=len(sg.idempotents)):
             mu = dict(zip(sg.idempotents, mu_choice))
-            constraints = _aut0_constraints(c, phi, mu, probes)
+            constraints = probe_constraints(c, phi, mu)
             if constraints is not None:
                 out.extend(Gauge(sg, domain, mu, eta, phi)
                            for eta in solve_eta(sg, units, constraints, fixed))
@@ -293,12 +329,11 @@ def product_aut0_logs(c):
     (phi, mu) in Aut S x Aut(D)^E and no mu pruned before them."""
     sg, domain = c.sg, c.domain
     logs = field_logs(domain)
-    probes = _probes(domain)
     out = []
     for phi in sg.enumerate_autos():
         for mu in itertools.product(range(domain.k), repeat=len(sg.idempotents)):
             autos = {e: RingAuto.frobenius(domain, i) for e, i in zip(sg.idempotents, mu)}
-            constraints = _aut0_constraints(c, phi, autos, probes)
+            constraints = probe_constraints(c, phi, autos)
             if constraints is not None:
                 out.extend((mu, x, phi) for x in solve(sg, logs, constraints))
     return sorted(out, key=logs.key)

@@ -254,6 +254,22 @@ def test_normalize_writes_files(runner, tmp_path):
     assert gauge_data["gauge"]["eta"]
 
 
+@pytest.mark.parametrize("command,option", [
+    ("demo", "--write-instance"), ("normalize", "--out"), ("normalize", "--gauge-out"),
+])
+def test_unwritable_output_path_exits_2(runner, demo_file, tmp_path, command, option):
+    missing = str(tmp_path / "no-such-dir" / "x.json")
+    args = [command] + ([demo_file] if command == "normalize" else []) + [option, missing]
+    result = runner.invoke(main, ["--output", "json"] + args)
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    payload = json.loads(result.output)
+    assert payload["ok"] is False and "no-such-dir" in payload["error"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+    assert result.output.startswith("error: ") and "no-such-dir" in result.output
+
+
 def test_normalize_stdout_round_trip(runner, demo_file):
     payload = run_json(runner, ["normalize", demo_file])
     assert payload["was_normal"]

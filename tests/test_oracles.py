@@ -30,7 +30,7 @@ from cocycle_forge.semigroup import SquareFreeSemigroup
 from conftest import make_chain4, make_demo_cocycle, make_diamond, make_triangle, random_gauge
 from oracles import (
     all_pairs_verify_ring_hom, brute_force_aut0, brute_force_b1, cosets, gauge_solutions,
-    hom_test_aut0, object_aut0, object_h1, object_z1,
+    hom_test_aut0, object_aut0, object_h1, object_z1, product_aut0_logs,
 )
 
 
@@ -40,6 +40,13 @@ def make_chain3():
         ["e1", "e2", "e3"], [("a", "e1", "e2"), ("b", "e2", "e3")], {})
 
 
+def make_two_arrows():
+    """e1 -> e2 and e3 -> e4 beside an isolated e5: three components, and
+    Aut S swaps the two arrows."""
+    return SquareFreeSemigroup.validate(
+        ["e1", "e2", "e3", "e4", "e5"], [("a", "e1", "e2"), ("b", "e3", "e4")], {})
+
+
 # shape and Frobenius-twisted arrows (closed under products, so alpha
 # stays a cocycle)
 SHAPES = {
@@ -47,6 +54,7 @@ SHAPES = {
     "chain3": (make_chain3, ["b"]),
     "tri": (make_triangle, ["b", "ab"]),
     "chain4": (make_chain4, ["b", "ab", "bc", "abc"]),
+    "two-arrows": (make_two_arrows, ["b"]),
 }
 
 
@@ -286,8 +294,8 @@ def test_aut0_and_out_r_match_object_oracles(shape, p, k):
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 @pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (3, 2)])
 def test_cohomologous_returns_the_first_witness(shape, p, k):
-    # mu is chosen per connected component now; the first witness must be
-    # the one a search over all of Aut(D)^E in product order finds first
+    # mu comes from solving its rows mod k; the first witness must be the
+    # one a search over all of Aut(D)^E in product order finds first
     dom = ScalarDomain.finite_field(p, k)
     c = twisted_normal(shape, dom)
     sg = c.sg
@@ -305,6 +313,65 @@ def test_cohomologous_returns_the_first_witness(shape, p, k):
             found += 1
     assert found >= 4
 
+
+@pytest.mark.parametrize("case", ["alpha-on-an-idempotent", "demo-twist"])
+def test_cohomologous_refuses_on_mu_alone(case, monkeypatch):
+    # the two refusals the mu rows decide before any eta relation is built:
+    # alpha on an idempotent leaves a row with no coefficient and a nonzero
+    # right-hand side, and the demo twist asks mu to differ by 1 between
+    # the two paths around the diamond
+    from cocycle_forge import gauge
+
+    dom = ScalarDomain.finite_field(2, 3)
+    sg = make_diamond()
+    if case == "demo-twist":
+        source = make_demo_cocycle(dom, sg)
+    else:
+        source = TwoCochain(sg, dom, alpha={"e2": RingAuto.frobenius(dom, 1)})
+    target = TwoCochain.trivial(sg, dom)
+    assert next(gauge_solutions(source, target), None) is None
+    calls = []
+    monkeypatch.setattr(gauge, "_gauge_constraints", lambda *a: calls.append(a) or [])
+    assert cohomologous(source, target) is None
+    assert calls == []
+
+
+# pair_sides calls of aut0_listing: (by a pass that probes the arrow pairs
+# of each surviving mu again, by one that probes each pair once per
+# (phi, mu))
+PROBE_CALLS = {
+    ("demo", 2, 2): (152, 120), ("demo", 2, 3): (192, 168), ("demo", 3, 2): (152, 120),
+    ("chain4", 2, 2): (116, 92), ("chain4", 2, 3): (192, 156), ("chain4", 3, 2): (116, 92),
+    ("tri", 2, 2): (60, 48), ("tri", 2, 3): (102, 84), ("tri", 3, 2): (60, 48),
+}
+
+
+@pytest.mark.parametrize("shape,p,k", sorted(PROBE_CALLS))
+def test_aut0_probes_each_pair_once(shape, p, k, monkeypatch):
+    from cocycle_forge import cohomology
+
+    dom = ScalarDomain.finite_field(p, k)
+    c = make_demo_cocycle(dom) if shape == "demo" else twisted_normal(shape, dom)
+    calls = []
+    pair_sides = cohomology.pair_sides
+    monkeypatch.setattr(cohomology, "pair_sides", lambda *a: calls.append(a) or pair_sides(*a))
+    assert cohomology.aut0_listing(c) == product_aut0_logs(c)
+    twice, once = PROBE_CALLS[(shape, p, k)]
+    assert len(calls) == once < twice
+
+
+def test_oracles_use_no_private_route_helper():
+    # the oracles check the Z1 and Aut0 routes, so they may not build their
+    # relations with those routes' own helpers
+    import ast
+    from pathlib import Path
+
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
+    borrowed = [(node.module, alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and node.module in ("cocycle_forge.cohomology", "cocycle_forge.gauge")
+                for alias in node.names if alias.name.startswith("_")]
+    assert borrowed == []
 
 
 # -- the gauge-list writer against json.dumps of the dict tree -------------------

@@ -359,7 +359,7 @@ def test_miller_rabin_matches_trial_division():
         [n for n in range(200) if trial_division_is_prime(n)]
 
 
-def test_rabin_matches_trial_division():
+def test_ben_or_matches_trial_division():
     checked = 0
     for p in (n for n in range(2, 730) if trial_division_is_prime(n)):
         k = 1

@@ -10,7 +10,7 @@ from .cohomology import (
 from .errors import (
     DivisionByZero, DomainMismatch, ForgeError, InstanceFileInvalid, NotACocycle,
     NotAUnit, NotEnumerable, NotNilpotent, NotNormal, RingMismatch,
-    SemigroupInvalid, Undecided, UnknownElement, WitnessInvalid,
+    SemigroupInvalid, UnknownElement, WitnessInvalid,
 )
 from .gauge import Gauge, act_gauge, act_phi, cohomologous, stabilizer_of_class
 from .instances import Instance, RunConfig, diamond_demo_instance, load_instance, save_instance

@@ -21,17 +21,16 @@ coordinates. In them the group law of `gauge.py` reads
 and the key (mu, ranks of the x, phi.sort_key()) orders gauges exactly as
 `Gauge.sort_key` does, since `rank` numbers the units in the order of
 `enumerate_units`. `solve` turns the eta relations into integer rows mod n
-and hands them to `solve_rows`, the one enumerator of the solutions of
-integer rows mod n; `gauge._mu_choices` hands it the mu relations of Z1 as
-rows mod k. `solve_rows` runs on the echelon of `_multsolve.eliminate`,
-the one elimination it shares with the rational solver.
+and hands them to `_multsolve.solve_rows`, the one enumerator of the
+solutions of integer rows mod n; `gauge._mu_choices` hands it the mu
+relations of Z1 as rows mod k, and the rational solver the sign rows mod 2.
+`solve_rows` runs on the echelon of `_multsolve.eliminate`, the one
+elimination in the package.
 """
 
 from __future__ import annotations
 
-from math import gcd
-
-from ._multsolve import eliminate
+from ._multsolve import solve_rows
 from .scalars import _prime_divisors, enumerate_units
 
 
@@ -123,52 +122,3 @@ def solve(sg, logs, constraints):
             coef[pos[name]] = coef.get(pos[name], 0) + c
         rows.append((coef, logs.of(u)))
     return solve_rows(rows, len(sg.elements), logs.n, logs.rank, logs.by_rank)
-
-
-def solve_rows(rows, size, n, rank, by_rank):
-    """Yield every x in (Z/n)^size meeting each integer row mod n.
-
-    A row is (dict position -> coefficient, right-hand side in 0..n-1).
-    `_multsolve.eliminate` brings the rows to echelon form mod n with at
-    most one row per position, filed under its last position with a
-    nonzero coefficient, and a row that loses every coefficient with a
-    nonzero right-hand side leaves no solution. Positions are assigned in
-    order; a position with a row is solved for there once the earlier
-    positions are assigned: c y = r mod n has no solution unless gcd(c, n)
-    divides r, and then gcd(c, n) of them. A position without a row ranges
-    over all of 0..n-1. The values are tried in the order of by_rank
-    (rank[v] being the place of v in it), so the solutions come out in the
-    lexicographic order of their ranks.
-    """
-    plan, zeros = eliminate(rows, size, lambda r2, r1, m: (r2 + m * r1) % n, n)
-    if any(zeros):
-        return
-    plan = [row and (gcd(row[0][i], n), row[0][i],
-                     tuple((j, c) for j, c in row[0].items() if j != i), row[1])
-            for i, row in enumerate(plan)]
-    x = [0] * size
-
-    def options(i):
-        if plan[i] is None:
-            return by_rank
-        d, lead, rest, rhs = plan[i]
-        r = (rhs - sum(c * x[j] for j, c in rest)) % n
-        if r % d:
-            return []
-        step = n // d
-        first = (r // d) * pow(lead // d, -1, step) % step
-        return [first] if d == 1 else sorted(range(first, n, step), key=rank.__getitem__)
-
-    last = size - 1
-    stack = [iter(options(0))]
-    while stack:
-        i = len(stack) - 1
-        v = next(stack[-1], None)
-        if v is None:
-            stack.pop()
-            continue
-        x[i] = v
-        if i == last:
-            yield tuple(x)
-        else:
-            stack.append(iter(options(i + 1)))

@@ -1,27 +1,41 @@
-"""One integer elimination for the eta relations, and the exact solver over
-the nonzero rationals that runs on it.
+"""One integer elimination for the linear relations, the enumerator of
+their solutions mod n, and the exact solver over the nonzero rationals.
 
 The relations eta(s) . a(eta(t)) . eta(st)^{-1} = u are integer rows: log
 rows mod q - 1 over GF(q) (see `_logs.solve`) and exponent rows
-prod_v v^{c_v} = const over Q*. `eliminate` triangularizes both with the
-same Euclid row steps (the Hermite-style echelon of Cohen, *A Course in
-Computational Algebraic Number Theory*, GTM 138, 2.4), leaving at most one
-row per position.
+prod_v v^{c_v} = const over Q*. `eliminate` triangularizes rows by Euclid
+steps (the Hermite-style echelon of Cohen, *A Course in Computational
+Algebraic Number Theory*, GTM 138, 2.4), leaving at most one row per
+position, and `solve_rows` enumerates the solutions of rows mod n on that
+echelon.
 
-`solve_multiplicative` back-substitutes that echelon over Q* by exact
-rational roots, branching over sign choices when an even root appears, and
-sets every variable without a row to 1. It returns one solution dict or
-None. The None is definitive: where a root fails at a pivot that depends,
-directly or through earlier pivots, on a variable set to 1, another value
-of that variable could have given a root, so the solver raises
-Undecided instead of answering.
+`solve_multiplicative` solves over Q* in log coordinates. Q* is {+1, -1}
+times the free abelian group on the primes. Over a coprime base of the
+constants (naive gcd refinement, after Bernstein, "Factoring into coprimes
+in essentially linear time", J. Algorithms 54, 2005), each element reduced
+to its least root so that the exponents of its primes have gcd 1, a
+solution is x_v = +-prod_b b^{y_vb}, exponents at other primes being 0.
+The system then splits into rows mod 2 for the signs, solved by
+`solve_rows`, and one integer system A y = f_b per base element b, with f_b
+the exponents of b in the constants. `eliminate` run on the columns of A
+brings them to a column echelon with the same lattice, and membership of
+f_b in that lattice is decided exactly by peeling it off from the last row
+down; one column echelon serves every base element. So None is a
+definitive "no".
+
+The witness is canonical: each system is solved first with every variable
+that has no row in the row echelon of A pinned (sign +, exponents 0), and
+without the pins only where that fails. Wherever the back-substitution of
+the row echelon with those variables set to 1 and the signs tried + first
+finds a solution, this is the solution it finds.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-from .errors import Undecided
+from functools import cache
+from itertools import chain
+from math import gcd
 
 
 def eliminate(rows, size, combine, n=0):
@@ -70,11 +84,61 @@ def eliminate(rows, size, combine, n=0):
     return [held[0] if held else None for held in plan], zeros
 
 
+def solve_rows(rows, size, n, rank, by_rank):
+    """Yield every x in (Z/n)^size meeting each integer row mod n.
+
+    A row is (dict position -> coefficient, right-hand side in 0..n-1).
+    `_multsolve.eliminate` brings the rows to echelon form mod n with at
+    most one row per position, filed under its last position with a
+    nonzero coefficient, and a row that loses every coefficient with a
+    nonzero right-hand side leaves no solution. Positions are assigned in
+    order; a position with a row is solved for there once the earlier
+    positions are assigned: c y = r mod n has no solution unless gcd(c, n)
+    divides r, and then gcd(c, n) of them. A position without a row ranges
+    over all of 0..n-1. The values are tried in the order of by_rank
+    (rank[v] being the place of v in it), so the solutions come out in the
+    lexicographic order of their ranks.
+    """
+    plan, zeros = eliminate(rows, size, lambda r2, r1, m: (r2 + m * r1) % n, n)
+    if any(zeros):
+        return
+    if not size:
+        yield ()
+        return
+    plan = [row and (gcd(row[0][i], n), row[0][i],
+                     tuple((j, c) for j, c in row[0].items() if j != i), row[1])
+            for i, row in enumerate(plan)]
+    x = [0] * size
+
+    def options(i):
+        if plan[i] is None:
+            return by_rank
+        d, lead, rest, rhs = plan[i]
+        r = (rhs - sum(c * x[j] for j, c in rest)) % n
+        if r % d:
+            return []
+        step = n // d
+        first = (r // d) * pow(lead // d, -1, step) % step
+        return [first] if d == 1 else sorted(range(first, n, step), key=rank.__getitem__)
+
+    last = size - 1
+    stack = [iter(options(0))]
+    while stack:
+        i = len(stack) - 1
+        v = next(stack[-1], None)
+        if v is None:
+            stack.pop()
+            continue
+        x[i] = v
+        if i == last:
+            yield tuple(x)
+        else:
+            stack.append(iter(options(i + 1)))
+
+
 def _int_nth_root(x, k):
     """Exact integer k-th root of x >= 0, or None."""
-    if x < 0:
-        return None
-    if x in (0, 1) or k == 1:
+    if x < 2:
         return x
     r = 1 << ((x.bit_length() + k - 1) // k)  # upper-ish Newton seed
     while True:
@@ -82,83 +146,124 @@ def _int_nth_root(x, k):
         if nxt >= r:
             break
         r = nxt
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand ** k == x:
-            return cand
-    return None
+    # Newton from above stops at the floor of the root
+    return r if r ** k == x else None
 
 
-def _rat_nth_roots(val, k):
-    """All rational solutions x of x^k = val (val a nonzero Fraction)."""
-    if k < 0:
-        val, k = 1 / val, -k
-    if k == 1:
-        return [val]
-    neg = val < 0
-    if neg and k % 2 == 0:
-        return []
-    num = _int_nth_root(abs(val.numerator), k)
-    den = _int_nth_root(val.denominator, k)
-    if num is None or den is None:
-        return []
-    root = Fraction(num, den)
-    if k % 2 == 1:
-        return [-root if neg else root]
-    return [root, -root]
+def _least_root(b):
+    """The least r of which the integer b > 1 is a power."""
+    roots = (_int_nth_root(b, k) for k in range(b.bit_length(), 1, -1))
+    return next((r for r in roots if r is not None), b)
+
+
+def _coprime_base(numbers):
+    """Pairwise coprime integers > 1, none a perfect power, over which every
+    one of the positive integers in numbers factors: a number sharing a
+    factor g > 1 with a base element is split into g and the two
+    cofactors until none does, and each element is then replaced by its
+    least root."""
+    todo = [x for x in set(numbers) if x > 1]
+    base = []
+    while todo:
+        x = todo.pop()
+        for i, b in enumerate(base):
+            g = gcd(x, b)
+            if g > 1:
+                del base[i]
+                todo.extend(y for y in (g, x // g, b // g) if y > 1)
+                break
+        else:
+            base.append(x)
+    return sorted({_least_root(b) for b in base})
+
+
+def _valuation(x, b):
+    """The exponent of b > 1 in the positive integer x."""
+    e = 0
+    while x % b == 0:
+        x, e = x // b, e + 1
+    return e
+
+
+def _add(u, v, m):
+    """The integer vector u + m v, vectors as dicts."""
+    w = dict(u)
+    for j, c in v.items():
+        w[j] = w.get(j, 0) + m * c
+    return w
+
+
+def _integer_solver(rows, size, pins=()):
+    """A function taking b to an integer y in Z^size, zero at the pins,
+    with sum_j rows[i][j] y_j = b[i] for every row i, or to None where
+    there is none.
+
+    `eliminate` runs on the columns, each carrying its unit vector as the
+    right-hand side, so every column left is an integer combination of the
+    given ones, and they span the same lattice. A column is filed under its
+    last row with a nonzero entry, so peeling b off from the last row down
+    decides membership in that lattice exactly: the column filed under the
+    last nonzero row of b must divide it there. The columns that cancel
+    leave a basis of the integer kernel; brought to echelon form by
+    `eliminate` too, it reduces y from the last position down to the one
+    solution whose entry at each kernel pivot c lies between 0 and c, which
+    keeps the exponents small.
+    """
+    cols = (({i: row[j] for i, row in enumerate(rows) if j in row}, {j: 1})
+            for j in range(size) if j not in pins)
+    plan, kernel = eliminate(cols, len(rows), _add)
+    kernel = eliminate(((k, None) for k in kernel), size, lambda *_: None)[0]
+
+    def solve(b):
+        b, y = list(b), {}
+        for i in reversed(range(len(b))):
+            if b[i]:
+                if plan[i] is None:
+                    return None
+                col, comb = plan[i]
+                q, r = divmod(b[i], col[i])
+                if r:
+                    return None
+                for k, c in col.items():
+                    b[k] -= q * c
+                y = _add(y, comb, q)
+        for i in reversed(range(size)):
+            if kernel[i]:
+                k = kernel[i][0]
+                y = _add(y, k, -(y.get(i, 0) // k[i]))
+        return y
+
+    return solve
 
 
 def solve_multiplicative(equations, variables):
-    """Solve the system; variables without a pivot come back as 1.
+    """One rational solution of the system, or None when there is none.
 
-    equations: iterable of (dict var -> int exponent, Fraction constant).
-    The first variable takes the last position, so it is eliminated first.
-    Returns dict var -> Fraction, or None when no rational solution exists;
-    raises Undecided where the 1s chosen for the free variables left no
-    root at a pivot depending on them (module docstring).
+    equations: a list of (dict var -> int exponent, nonzero Fraction
+    constant). The first variable takes the last position, so it is
+    eliminated first. Returns dict var -> Fraction (module docstring).
     """
     size = len(variables)
     pos = {v: size - 1 - i for i, v in enumerate(variables)}
-    rows = [({pos[v]: c for v, c in coeffs.items()}, const) for coeffs, const in equations]
-    plan, zeros = eliminate(rows, size, lambda r2, r1, m: r2 * r1 ** m)
-    if any(r != 1 for r in zeros):
+    rows = [{pos[v]: c for v, c in coeffs.items()} for coeffs, _ in equations]
+    consts = [const for _, const in equations]
+    plan, _ = eliminate(((row, None) for row in rows), size, lambda *_: None)
+    signs = [(row, int(c < 0)) for row, c in zip(rows, consts)]
+    free = {j for j, row in enumerate(plan) if row is None}
+    sign = next(chain(solve_rows(signs + [({j: 1}, 0) for j in free], size, 2, (0, 1), (0, 1)),
+                      solve_rows(signs, size, 2, (0, 1), (0, 1))), None)
+    if sign is None:
         return None
-    # loose[i]: position i is free, or its pivot depends on a free one
-    loose = []
-    for i, row in enumerate(plan):
-        loose.append(row is None or any(loose[j] for j in row[0] if j != i))
-    pivots = [i for i, row in enumerate(plan) if row is not None]
-    values = [Fraction(1)] * size
-    unsure = False
-
-    def back(at):
-        nonlocal unsure
-        if at == len(pivots):
-            return all(_holds(row, values) for row in rows)
-        i = pivots[at]
-        coeffs, value = plan[i]
-        for j, c in coeffs.items():
-            if j != i:
-                value *= values[j] ** (-c)
-        roots = _rat_nth_roots(value, coeffs[i])
-        unsure = unsure or (not roots and loose[i])
-        for root in roots:
-            values[i] = root
-            if back(at + 1):
-                return True
-        values[i] = Fraction(1)
-        return False
-
-    if back(0):
-        return {v: values[pos[v]] for v in variables}
-    if unsure:
-        raise Undecided("the rational elimination left no root at a pivot that "
-                        "depends on a free variable, so its \"no\" is not definitive")
-    return None
-
-
-def _holds(row, values):
-    coeffs, const = row
-    acc = Fraction(1)
-    for j, c in coeffs.items():
-        acc *= values[j] ** c
-    return acc == const
+    pinned = _integer_solver(rows, size, free)
+    loose = cache(lambda: _integer_solver(rows, size))
+    num, den = [1] * size, [1] * size
+    for b in _coprime_base([abs(c.numerator) for c in consts] + [c.denominator for c in consts]):
+        f = [_valuation(abs(c.numerator), b) - _valuation(c.denominator, b) for c in consts]
+        # f is nonzero, so a solution y is a nonempty dict
+        y = pinned(f) or loose()(f)
+        if y is None:
+            return None
+        for j, e in y.items():
+            num[j] *= b ** max(e, 0)
+            den[j] *= b ** max(-e, 0)
+    return {v: Fraction(-num[i] if sign[i] else num[i], den[i]) for v, i in pos.items()}

@@ -15,7 +15,7 @@ import click
 
 from .cochain import is_cocycle, is_normal, normalize
 from .cohomology import aut0_listing, b1_listing, h1, out_r, verify_ses, z1_listing
-from .errors import ForgeError, InstanceFileInvalid, NotEnumerable, Undecided
+from .errors import ForgeError, InstanceFileInvalid, NotEnumerable
 from .gauge import act_gauge, gauge_list_text, gauge_to_json
 from .instances import (
     Instance, RunConfig, diamond_demo_instance, instance_to_json, load_instance,
@@ -174,11 +174,6 @@ def iso_check_cmd(cfg, file_a, file_b):
         _fail(cfg, "both files must carry the same division ring and semigroup")
     try:
         iso = find_ring_iso(a.cocycle, b.cocycle)
-    except Undecided:
-        _emit(cfg, {"isomorphic": "unknown",
-                    "reason": "the rational elimination could not decide"},
-              ["isomorphic: UNKNOWN (the rational elimination could not decide)"])
-        return
     except NotEnumerable:
         _emit(cfg, {"isomorphic": "unknown",
                     "reason": "coefficient domain is not enumerable"},

@@ -17,11 +17,6 @@ class NotEnumerable(ForgeError):
     """An exhaustive enumeration was requested over an infinite set."""
 
 
-class Undecided(NotEnumerable):
-    """A search over an infinite set cannot make its negative answer
-    definitive (the rational gauge elimination, see _multsolve)."""
-
-
 class NotNormal(ForgeError, ValueError):
     """An enumeration that assumes a normal cocycle got a non-normal one."""
 

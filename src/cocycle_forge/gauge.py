@@ -39,15 +39,16 @@ gauges with phi = id. Over a finite field it searches in log coordinates
 (see `_logs.py`): mu is a Frobenius exponent per idempotent and eta a
 vector of logs mod q - 1. The alpha relations are integer rows mod k in
 mu and the relations of the action formula integer rows mod q - 1 in eta,
-and `_logs.solve_rows` solves both, mu first. Over the rationals, where
-mu is the identity, the eta rows are solved by
-`_multsolve.solve_multiplicative`; it and `solve_rows` bring their rows to
-echelon form by the one elimination, `_multsolve.eliminate`. The
-finite-field "no" is definitive, and so is the rational one, except where
-the elimination cannot decide and raises Undecided (a NotEnumerable); the
-quaternions raise NotEnumerable. The Aut0 enumeration runs `_logs.solve`
-too, on relations it derives from ring multiplicativity rather than from
-the action formula.
+and `_multsolve.solve_rows` solves both, mu first. Over the rationals,
+where mu is the identity, the eta rows are solved by
+`_multsolve.solve_multiplicative` in log coordinates over Q*: sign rows
+mod 2, again through `solve_rows`, and integer exponent rows over a
+coprime base of the constants, decided exactly on a column echelon. Both
+solvers bring their rows to echelon form by the one elimination,
+`_multsolve.eliminate`. The finite-field "no" and the rational "no" are
+definitive; the quaternions raise NotEnumerable. The Aut0 enumeration
+runs `_logs.solve` too, on relations it derives from ring
+multiplicativity rather than from the action formula.
 
 Over a finite field the searches run on log coordinates, and the lists
 they make are the listing surface of `cohomology.py`: a `Gauge` is built,
@@ -62,10 +63,10 @@ from __future__ import annotations
 
 import json
 
-from ._logs import field_logs, power, solve, solve_rows
-from ._multsolve import solve_multiplicative
+from ._logs import field_logs, power, solve
+from ._multsolve import solve_multiplicative, solve_rows
 from .cochain import TwoCochain, unique_entries
-from .errors import DomainMismatch, NotEnumerable, Undecided
+from .errors import DomainMismatch, NotEnumerable
 from .scalars import (
     RingAuto, Scalar, auto_from_json, auto_to_json, rho, scalar_from_json,
     scalar_to_json,
@@ -240,7 +241,7 @@ def _mu_choices(c1, c2):
     mu_e^{-1} o alpha1_s o mu_f = alpha2_s does not involve eta, and
     Aut(GF(q)) is cyclic of order k, so it reads
     mu_f - mu_e = a2_s - a1_s (mod k) on every element s = e.s.f: one
-    integer row per element, solved by `_logs.solve_rows` with the
+    integer row per element, solved by `_multsolve.solve_rows` with the
     idempotents in canonical order and the values in 0..k-1, hence in
     product order. On an idempotent the row has no coefficient, so a
     mismatch of alpha there rules out every mu.
@@ -282,8 +283,8 @@ def from_logs(sg, domain, g):
 def _cohomologous_rational(c1, c2):
     """Exact decision over the rationals. Every automorphism is the
     identity there, so only the scalar relations constrain eta; they form a
-    multiplicative linear system solved by elimination (Undecided where
-    that cannot decide, see _multsolve)."""
+    multiplicative linear system, solved in log coordinates over Q* (see
+    _multsolve), whose None is definitive."""
     sg, domain = c1.sg, c1.domain
     ident = RingAuto.identity(domain)
     equations = []
@@ -302,11 +303,9 @@ def _cohomologous_rational(c1, c2):
 def cohomologous(c1, c2):
     """A gauge g with act_gauge(g, c1) == c2, or None (definitively).
 
-    Supported for finite fields (search) and the rationals (elimination);
-    the quaternions raise NotEnumerable since a failed search there could
-    not be exhaustive, and the rationals raise Undecided where the
-    elimination leaves a root that a free variable could change (see
-    _multsolve).
+    Supported for finite fields (search) and the rationals (exact integer
+    elimination); the quaternions raise NotEnumerable since a failed search
+    there could not be exhaustive.
     """
     if c1.sg is not c2.sg or c1.domain is not c2.domain:
         raise DomainMismatch("cocycles compared over different settings")
@@ -320,20 +319,10 @@ def cohomologous(c1, c2):
 
 
 def stabilizer_of_class(c):
-    """The semigroup automorphisms phi with [c] = [c^phi].
-
-    Every phi is tried; Undecided is raised after the loop if some phi was
-    left undecided (over the rationals, see _multsolve)."""
-    stab, undecided = [], None
-    for phi in c.sg.enumerate_autos():
-        try:
-            if cohomologous(c, act_phi(phi, c)) is not None:
-                stab.append(phi)
-        except Undecided as exc:
-            undecided = exc
-    if undecided is not None:
-        raise undecided
-    return stab
+    """The semigroup automorphisms phi with [c] = [c^phi], exactly over
+    finite fields and the rationals (see cohomologous)."""
+    return [phi for phi in c.sg.enumerate_autos()
+            if cohomologous(c, act_phi(phi, c)) is not None]
 
 
 # ---------------------------------------------------------------------------

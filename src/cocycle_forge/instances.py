@@ -131,15 +131,17 @@ def instance_to_json(inst):
 
 
 def read_json(path):
-    """Decode a JSON file; a syntax error is an InstanceFileInvalid at the
-    root pointer."""
-    with open(path) as fh:
-        try:
+    """Decode a UTF-8 JSON file; a file that cannot be read, is not UTF-8
+    or is not JSON is an InstanceFileInvalid at the root pointer."""
+    try:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InstanceFileInvalid(
-                [("", f"not valid JSON: {exc.msg} at line {exc.lineno}, "
-                      f"column {exc.colno}")]) from None
+    except json.JSONDecodeError as exc:
+        raise InstanceFileInvalid(
+            [("", f"not valid JSON: {exc.msg} at line {exc.lineno}, "
+                  f"column {exc.colno}")]) from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InstanceFileInvalid([("", f"cannot read the file: {exc}")]) from None
 
 
 def load_instance(path, max_idempotents=8):

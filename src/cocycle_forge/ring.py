@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .cochain import is_cocycle
 from .errors import (
-    NotACocycle, NotAUnit, NotNilpotent, RingMismatch, Undecided, WitnessInvalid,
+    NotACocycle, NotAUnit, NotNilpotent, RingMismatch, WitnessInvalid,
 )
 from .gauge import Gauge, act_gauge, act_phi, cohomologous
 from .scalars import Scalar, scalar_from_json, scalar_to_json
@@ -289,27 +289,19 @@ def find_ring_iso(c_source, c_target):
     search). Iterates phi over Aut(S) and asks for a gauge carrying the
     relabeled target onto the source; the two rings are isomorphic exactly
     when some phi succeeds. Returns a RingIso or None; None is definitive
-    whenever the gauge search is (enumerable coefficient domains). A phi
-    the rational elimination leaves undecided does not stop the search;
-    Undecided is raised only if no phi gives a witness.
+    over finite fields and the rationals, and the quaternions raise
+    NotEnumerable (see gauge.cohomologous).
     """
     sg, domain = c_source.sg, c_source.domain
     if c_target.sg is not sg or c_target.domain is not domain:
         raise RingMismatch("isomorphism search needs a common semigroup and domain")
     source, target = TwistedRing(c_source), TwistedRing(c_target)
-    undecided = None
     for phi in sg.enumerate_autos():
-        try:
-            gauge = cohomologous(act_phi(phi, c_target), c_source)
-        except Undecided as exc:
-            undecided = exc
-            continue
+        gauge = cohomologous(act_phi(phi, c_target), c_source)
         if gauge is not None:
             # act_gauge(witness, c_target) == c_source by construction
             witness = Gauge(sg, domain, gauge.mu, gauge.eta, phi)
             return RingIso(source, target, witness)
-    if undecided is not None:
-        raise undecided
     return None
 
 

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from cocycle_forge.cochain import TwoCochain
-from cocycle_forge.gauge import Gauge
+from cocycle_forge.gauge import Gauge, act_gauge
 from cocycle_forge.scalars import RingAuto, ScalarDomain, enumerate_autos, enumerate_units, random_scalar
 from cocycle_forge.semigroup import SquareFreeSemigroup
 
@@ -58,14 +58,15 @@ def make_sphere():
     return SquareFreeSemigroup.validate(["a1", "a2", "b1", "b2", "c1", "c2"], arrows, products)
 
 
-def tetrahedron():
-    """The face poset of the tetrahedron's boundary as validate's
-    (idempotents, arrows, products): 4 vertices, 6 edges and 4 triangles,
-    an arrow from each face to each face containing it (36), and
-    (v < e)(e < t) = v < t for the 24 flags."""
-    vertices = [(i,) for i in range(4)]
-    edges = list(itertools.combinations(range(4), 2))
-    triangles = list(itertools.combinations(range(4), 3))
+def face_poset(triangles):
+    """The face poset of the 2-complex with the given triangles (vertex
+    triples) as validate's (idempotents, arrows, products): a face "f" +
+    its vertices per vertex, edge and triangle, in that order and sorted
+    within each, an arrow "lo<hi" from each face to each face containing
+    it, and (v < e)(e < t) = v < t for every flag."""
+    triangles = sorted(tuple(sorted(t)) for t in triangles)
+    vertices = sorted({(v,) for t in triangles for v in t})
+    edges = sorted({e for t in triangles for e in itertools.combinations(t, 2)})
     name = {f: "f" + "".join(map(str, f)) for f in vertices + edges + triangles}
     arrows, products = [], {}
     for lo, hi in itertools.chain(itertools.product(vertices, edges),
@@ -77,6 +78,19 @@ def tetrahedron():
         if set(v) < set(e) < set(t):
             products[(f"{name[v]}<{name[e]}", f"{name[e]}<{name[t]}")] = f"{name[v]}<{name[t]}"
     return list(name.values()), arrows, products
+
+
+def tetrahedron():
+    """The face poset of the tetrahedron's boundary: 4 vertices, 6 edges
+    and 4 triangles, 36 arrows and 24 flags."""
+    return face_poset(itertools.combinations(range(4), 3))
+
+
+# the 6-vertex real projective plane: 6 vertices, 15 edges and 10
+# triangles, so 31 idempotents, 90 arrows and 60 flags; H^2(RP^2; Q*) is
+# Q*/Q*^2
+RP2_6 = [(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+         (2, 3, 5), (2, 4, 5), (2, 4, 6), (3, 4, 6), (3, 5, 6)]
 
 
 def make_demo_cocycle(domain, sg=None):
@@ -107,6 +121,22 @@ def random_relabeling_gauge(sg, domain, rng):
     """A seeded random gauge with a random phi in Aut S."""
     g = random_gauge(sg, domain, rng)
     return Gauge(sg, domain, g.mu, g.eta, rng.choice(sg.enumerate_autos()))
+
+
+def random_twist(sg, domain, rng):
+    """A seeded random cocycle: a random gauge applied to the trivial one,
+    so alpha is nontrivial wherever the domain has automorphisms."""
+    return act_gauge(random_gauge(sg, domain, rng), TwoCochain.trivial(sg, domain))
+
+
+def shapes_and_domains():
+    """Every (semigroup, domain) of the diamond, the triangle, chain4 and
+    the sphere over GF(2)-GF(9), Q and H(Q)."""
+    domains = [ScalarDomain.finite_field(p, k)
+               for p, k in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2))]
+    domains += [ScalarDomain.rational(), ScalarDomain.quaternion()]
+    return [(make(), domain) for make in (make_diamond, make_triangle, make_chain4, make_sphere)
+            for domain in domains]
 
 
 @pytest.fixture(scope="session")

@@ -19,15 +19,21 @@ quaternion arithmetic that the integer kernel replaced is kept as
 `hamilton_product`, `hamilton_inverse` and `conjugate`. The checks that
 now cost what the data holds keep their full scans here:
 `full_scan_validate` tests associativity on all |S*|^3 triples and
-`full_scan_is_cocycle` evaluates every cocycle identity. All are slow and
+`full_scan_is_cocycle` evaluates every cocycle identity. The root-taking
+rational solver that log coordinates over Q* replaced is kept as
+`root_solve_multiplicative`, the witness reference, and `rational_verdict`
+decides a multiplicative system over Q* on its own: determinantal divisors
+per prime of the constants, and the signs by brute force. All are slow and
 deliberately direct.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 from cocycle_forge._logs import field_logs, solve
+from cocycle_forge._multsolve import _int_nth_root, eliminate
 from cocycle_forge.cochain import CocycleVerdict, CocycleViolation
 from cocycle_forge.errors import SemigroupInvalid
 from cocycle_forge.gauge import Gauge
@@ -405,6 +411,157 @@ def integer_order_modulus(p, k):
         m = tuple(value // p ** i % p for i in range(k + 1))
         if trial_division_is_irreducible(m, p):
             return m
+
+
+# ---------------------------------------------------------------------------
+# multiplicative systems over Q*: prod_v v^{c_v} = const, a list of
+# (dict var -> int exponent, nonzero Fraction constant)
+
+
+class RootUndecided(Exception):
+    """The root-taking solver met a failed root that a free variable could
+    change."""
+
+
+def root_solve_multiplicative(equations, variables):
+    """The root-taking solver that log coordinates replaced, kept as the
+    witness reference: back-substitute the row echelon of `eliminate`,
+    taking exact rational roots at the pivots (+ before -) with every
+    variable that has no row set to 1. Returns dict var -> Fraction or
+    None, and raises RootUndecided where a root fails at a pivot that
+    depends on a variable set to 1."""
+    size = len(variables)
+    pos = {v: size - 1 - i for i, v in enumerate(variables)}
+    rows = [({pos[v]: c for v, c in coeffs.items()}, const) for coeffs, const in equations]
+    plan, zeros = eliminate(rows, size, lambda r2, r1, m: r2 * r1 ** m)
+    if any(r != 1 for r in zeros):
+        return None
+    loose = []
+    for i, row in enumerate(plan):
+        loose.append(row is None or any(loose[j] for j in row[0] if j != i))
+    pivots = [i for i, row in enumerate(plan) if row is not None]
+    values = [Fraction(1)] * size
+    unsure = False
+
+    def back(at):
+        nonlocal unsure
+        if at == len(pivots):
+            return all(product_of_powers(coeffs, values) == const for coeffs, const in rows)
+        i = pivots[at]
+        coeffs, value = plan[i]
+        for j, c in coeffs.items():
+            if j != i:
+                value *= values[j] ** (-c)
+        roots = rational_roots(value, coeffs[i])
+        unsure = unsure or (not roots and loose[i])
+        for root in roots:
+            values[i] = root
+            if back(at + 1):
+                return True
+        values[i] = Fraction(1)
+        return False
+
+    if back(0):
+        return {v: values[pos[v]] for v in variables}
+    if unsure:
+        raise RootUndecided
+    return None
+
+
+def product_of_powers(coeffs, values):
+    acc = Fraction(1)
+    for j, c in coeffs.items():
+        acc *= values[j] ** c
+    return acc
+
+
+def rational_roots(val, k):
+    """Every rational x with x^k = val (val a nonzero Fraction), + first."""
+    if k < 0:
+        val, k = 1 / val, -k
+    if k == 1:
+        return [val]
+    if val < 0 and k % 2 == 0:
+        return []
+    num = _int_nth_root(abs(val.numerator), k)
+    den = _int_nth_root(val.denominator, k)
+    if num is None or den is None:
+        return []
+    root = Fraction(num, den)
+    if k % 2 == 1:
+        return [-root if val < 0 else root]
+    return [root, -root]
+
+
+def prime_factors(n):
+    """The primes dividing the positive integer n, by trial division."""
+    primes, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            primes.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return primes + [n] if n > 1 else primes
+
+
+def fraction_echelon(m):
+    """Gaussian elimination of an integer matrix over Fractions: the
+    rank, and for a square matrix the determinant."""
+    m = [[Fraction(x) for x in row] for row in m]
+    rank, det = 0, Fraction(1)
+    for j in range(len(m[0])):
+        pivot = next((r for r in range(rank, len(m)) if m[r][j]), None)
+        if pivot is None:
+            det = Fraction(0)
+            continue
+        if pivot != rank:
+            m[rank], m[pivot] = m[pivot], m[rank]
+            det = -det
+        det *= m[rank][j]
+        for r in range(rank + 1, len(m)):
+            if m[r][j]:
+                f = m[r][j] / m[rank][j]
+                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
+        rank += 1
+    return rank, det
+
+
+def determinantal(m, rank=None):
+    """(rank, gcd of the rank x rank minors) of an integer matrix; only the
+    rank where it differs from the one given."""
+    r = fraction_echelon(m)[0]
+    if not r or (rank is not None and r != rank):
+        return r, 1
+    return r, math.gcd(*[int(fraction_echelon([[m[i][j] for j in cols] for i in rows])[1])
+                         for rows in itertools.combinations(range(len(m)), r)
+                         for cols in itertools.combinations(range(len(m[0])), r)])
+
+
+def rational_verdict(equations, variables):
+    """Whether the system has a rational solution: signs by brute force
+    over {+1, -1}^n, and the exponent rows over Z at every prime of the
+    constants."""
+    a = [[coeffs.get(v, 0) for v in variables] for coeffs, _ in equations]
+    consts = [const for _, const in equations]
+    if not any(all(sum(c * s for c, s in zip(row, signs)) % 2 == (const < 0)
+                   for row, const in zip(a, consts))
+               for signs in itertools.product((0, 1), repeat=len(variables))):
+        return False
+    primes = set()
+    for const in consts:
+        primes.update(prime_factors(abs(const.numerator)), prime_factors(const.denominator))
+
+    def valuation(x, p):
+        return 0 if x % p else 1 + valuation(x // p, p)
+
+    # a y = b has an integer solution exactly when [a | b] has the rank of
+    # a and the same gcd of its rank x rank minors (determinantal divisors;
+    # Newman, *Integral Matrices*, 1972, II.15)
+    divisors = determinantal(a)
+    return all(determinantal([row + [valuation(abs(c.numerator), p) - valuation(c.denominator, p)]
+                              for row, c in zip(a, consts)], divisors[0]) == divisors
+               for p in primes)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from cocycle_forge.errors import InstanceFileInvalid
 from cocycle_forge.instances import Instance
 from cocycle_forge.scalars import RingAuto, ScalarDomain
 
-from conftest import make_triangle, random_gauge
+from conftest import make_triangle, random_gauge, random_twist, shapes_and_domains
 
 
 @pytest.fixture()
@@ -51,13 +51,16 @@ def run_json(runner, args):
 
 
 def test_instance_round_trip(tmp_path):
-    inst = diamond_demo_instance()
+    # the demo, and a seeded random twist on every shape and domain
+    rng = random.Random("instance-round-trip")
     path = tmp_path / "x.json"
-    save_instance(path, inst)
-    again = load_instance(path)
-    assert again.domain == inst.domain
-    assert again.sg == inst.sg
-    assert again.cocycle == inst.cocycle
+    for inst in [diamond_demo_instance()] + [Instance(dom, sg, random_twist(sg, dom, rng))
+                                              for sg, dom in shapes_and_domains()]:
+        save_instance(path, inst)
+        again = load_instance(path)
+        assert again.domain == inst.domain
+        assert again.sg == inst.sg
+        assert again.cocycle == inst.cocycle
 
 
 def test_save_instance_writes_what_json_dump_wrote(tmp_path, rng):
@@ -196,6 +199,32 @@ def test_malformed_section_exits_2(runner, tmp_path):
     assert [e["pointer"] for e in payload["errors"]] == ["/cocycle"]
 
 
+def unreadable(tmp_path, kind):
+    """A directory, or a file that is not UTF-8."""
+    path = tmp_path / kind
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b'{"semigroup": "\xff"}')
+    return str(path)
+
+
+@pytest.mark.parametrize("kind", ["directory", "not-utf-8"])
+def test_unreadable_instance_exits_2(runner, tmp_path, kind):
+    result = runner.invoke(main, ["--output", "json", "validate", unreadable(tmp_path, kind)])
+    assert result.exit_code == 2, result.output
+    (error,) = json.loads(result.output)["errors"]
+    assert error["pointer"] == "" and error["message"].startswith("cannot read the file")
+
+
+@pytest.mark.parametrize("kind", ["directory", "not-utf-8"])
+def test_unreadable_witness_exits_2(runner, tmp_path, demo_file, kind):
+    result = runner.invoke(main, ["--output", "json", "act", demo_file, unreadable(tmp_path, kind)])
+    assert result.exit_code == 2, result.output
+    (error,) = json.loads(result.output)["errors"]
+    assert error["pointer"] == "" and error["message"].startswith("cannot read the file")
+
+
 def test_prime_beyond_the_primality_bound_exits_2(runner, tmp_path):
     from cocycle_forge.scalars import MAX_PRIME
     data = instance_to_json(diamond_demo_instance())
@@ -323,25 +352,6 @@ def test_iso_check_unknown_for_quaternions(runner, tmp_path):
     path.write_text(json.dumps(data))
     payload = run_json(runner, ["iso-check", str(path), str(path)])
     assert payload["isomorphic"] == "unknown"
-
-
-def test_iso_check_unknown_when_the_rational_elimination_cannot_decide(
-        runner, tmp_path, monkeypatch):
-    from cocycle_forge import cli
-    from cocycle_forge.errors import Undecided
-
-    def undecided(c_source, c_target):
-        raise Undecided("left undecided")
-
-    monkeypatch.setattr(cli, "find_ring_iso", undecided)
-    data = instance_to_json(diamond_demo_instance())
-    data["division_ring"] = {"kind": "rational"}
-    data["cocycle"] = {}
-    path = tmp_path / "rat.json"
-    path.write_text(json.dumps(data))
-    payload = run_json(runner, ["iso-check", str(path), str(path)])
-    assert payload == {"isomorphic": "unknown",
-                       "reason": "the rational elimination could not decide"}
 
 
 def test_iso_check_setting_mismatch(runner, tmp_path, demo_file):

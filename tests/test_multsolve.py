@@ -1,11 +1,11 @@
 """The exact multiplicative solver used for rational-domain gauge searches."""
 
+import random
 from fractions import Fraction
 
-import pytest
+from cocycle_forge._multsolve import _coprime_base, _int_nth_root, solve_multiplicative
 
-from cocycle_forge._multsolve import _int_nth_root, _rat_nth_roots, solve_multiplicative
-from cocycle_forge.errors import Undecided
+from oracles import RootUndecided, rational_verdict, root_solve_multiplicative
 
 F = Fraction
 
@@ -30,12 +30,14 @@ def test_int_nth_root():
     assert _int_nth_root(10 ** 30, 10) == 1000
 
 
-def test_rat_nth_roots():
-    assert _rat_nth_roots(F(4, 9), 2) == [F(2, 3), F(-2, 3)]
-    assert _rat_nth_roots(F(-8, 27), 3) == [F(-2, 3)]
-    assert _rat_nth_roots(F(-4), 2) == []
-    assert _rat_nth_roots(F(5), 2) == []
-    assert _rat_nth_roots(F(1, 2), -1) == [F(2)]
+def test_coprime_base():
+    # least roots: 4 = 2^2 and 8 = 2^3 share the base element 2, and 36
+    # splits into 2 and 3 only once 4 has refined it
+    assert _coprime_base([4, 8, 36, 1]) == [2, 3]
+    assert _coprime_base([12, 18, 35]) == [2, 3, 35]
+    assert _coprime_base([6, 10]) == [2, 3, 5]
+    assert _coprime_base([36, 1]) == [6]
+    assert _coprime_base([1, 1]) == []
 
 
 def test_simple_chain():
@@ -46,6 +48,10 @@ def test_simple_chain():
 def test_free_variable_defaults_to_one():
     sol = check([({"x": 1}, F(5))], ["x", "z"])
     assert sol["z"] == F(1)
+    # the sign of -2 goes on the pivot x, whose square allows it, and not
+    # on the free y, although y = -1 with x = 2 would come first in order
+    eqs = [({"x": 2}, F(4)), ({"x": 1, "y": 1, "z": 2}, F(-2))]
+    assert check(eqs, ["z", "y", "x"]) == {"x": F(-2), "y": F(1), "z": F(1)}
 
 
 def test_inconsistent():
@@ -56,6 +62,11 @@ def test_cancelling_unknowns():
     # x appears with net exponent zero: only the constant matters
     assert check([({"x": 0}, F(1))], ["x"]) is not None
     assert check([({}, F(2))], ["x"]) is None
+    # no variables at all
+    assert check([], []) == {}
+    assert check([({}, F(1))], []) == {}
+    assert check([({}, F(-1))], []) is None
+    assert check([({}, F(2))], []) is None
 
 
 def test_square_pivot_with_root():
@@ -64,11 +75,17 @@ def test_square_pivot_with_root():
                 ["x", "y"])
     assert sol is not None
     assert sol["x"] * sol["y"] == 6
+    # x^2 = 4 needs the least root: over the base {4} it has no exponent
+    assert check([({"x": 2}, F(4))], ["x"]) == {"x": F(2)}
+    assert check([({"x": 2, "y": 2, "z": -2}, F(4))], ["x", "y", "z"]) is not None
 
 
 def test_square_pivot_without_rational_root():
     assert check([({"x": 1, "y": 1}, F(2)), ({"x": 1, "y": -1}, F(1))],
                  ["x", "y"]) is None
+    # the sign rows alone refuse x^2 = -1, the exponent rows x^2 = 8
+    assert check([({"x": 2}, F(-1))], ["x"]) is None
+    assert check([({"x": 2}, F(8))], ["x"]) is None
 
 
 def test_negative_root_branch_needed():
@@ -88,16 +105,51 @@ def test_diamond_consistency():
 
 def test_square_pivot_on_a_free_variable_is_never_a_no():
     # a^2 b = 2 has the solution a = 1, b = 2; eliminating a first leaves
-    # the pivot a^2 = 2 / b with b free, and b = 1 gives no rational root
+    # the pivot a^2 = 2 / b with b free, where b = 1 gives no rational root,
+    # so the pinned solve fails and the unpinned one finds it
     eqs = [({"a": 2, "b": 1}, F(2))]
-    with pytest.raises(Undecided):
-        check(eqs, ["a", "b"])
+    assert check(eqs, ["a", "b"]) == {"a": F(1), "b": F(2)}
     assert check(eqs, ["b", "a"]) == {"a": F(1), "b": F(2)}
     # the same through an earlier pivot: b c = 1 ties b to the free c, and
     # c = 1/2, b = 2, a = 1 solves a^2 b = 2
     eqs.append(({"b": 1, "c": 1}, F(1)))
-    with pytest.raises(Undecided):
-        check(eqs, ["a", "b", "c"])
+    assert check(eqs, ["a", "b", "c"]) == {"a": F(1), "b": F(2), "c": F(1, 2)}
+
+
+def random_system(rng):
+    """1-6 variables and 1-5 equations with exponents in -2..3, whose
+    constants come from a random solution, half of them then perturbed."""
+    variables = [f"v{i}" for i in range(rng.randint(1, 6))]
+    x = {v: F(rng.choice((1, -1)) * rng.choice((1, 2, 3, 4, 6, 9)), rng.choice((1, 2, 3, 4)))
+         for v in variables}
+    equations = []
+    for _ in range(rng.randint(1, 5)):
+        coeffs = {v: rng.randint(-2, 3)
+                  for v in rng.sample(variables, rng.randint(1, len(variables)))}
+        const = F(1)
+        for v, c in coeffs.items():
+            const *= x[v] ** c
+        if rng.random() < 0.5:
+            const *= rng.choice((-1, 2, F(1, 3), 4, -8, 6, F(9, 4)))
+        equations.append((coeffs, const))
+    return equations, variables
+
+
+def test_random_systems_match_the_oracles():
+    # the verdict of the determinantal-divisor oracle, a witness that
+    # checks, and the root-taking solver's witness wherever it decides
+    rng = random.Random(20261019)
+    seen = {"yes": 0, "no": 0, "root-undecided": 0}
+    for _ in range(1500):
+        equations, variables = random_system(rng)
+        sol = check(equations, variables)
+        assert (sol is not None) == rational_verdict(equations, variables), equations
+        try:
+            assert root_solve_multiplicative(equations, variables) == sol, equations
+        except RootUndecided:
+            seen["root-undecided"] += 1
+        seen["yes" if sol is not None else "no"] += 1
+    assert min(seen.values()) > 100, seen
 
 
 def test_square_pivot_without_free_variables_is_a_definitive_no():

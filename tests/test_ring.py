@@ -8,8 +8,7 @@ import random
 import pytest
 
 from cocycle_forge.cochain import TwoCochain, normalize
-from cocycle_forge import ring as ring_module
-from cocycle_forge.errors import NotAUnit, RingMismatch, Undecided, WitnessInvalid
+from cocycle_forge.errors import NotAUnit, RingMismatch, WitnessInvalid
 from cocycle_forge.gauge import Gauge, act_gauge, act_phi, cohomologous
 from cocycle_forge.ring import (
     RingElement, RingIso, TwistedRing, build_iso, element_from_json,
@@ -17,7 +16,9 @@ from cocycle_forge.ring import (
 )
 from cocycle_forge.scalars import rho, random_scalar
 
-from conftest import make_demo_cocycle, make_diamond, make_triangle, random_gauge
+from conftest import (
+    make_demo_cocycle, make_diamond, make_triangle, random_gauge, random_twist, shapes_and_domains,
+)
 
 
 @pytest.fixture()
@@ -307,39 +308,13 @@ def test_element_json_round_trip(ring4, rng):
     for _ in range(10):
         x = random_element(ring4, rng)
         assert element_from_json(ring4, element_to_json(x)) == x
-
-
-def undecided_at(calls, undecided):
-    """cohomologous, raising Undecided at the listed call numbers (from 0)."""
-    def search(c1, c2):
-        calls.append(len(calls))
-        if calls[-1] in undecided:
-            raise Undecided("left undecided")
-        return cohomologous(c1, c2)
-    return search
-
-
-def test_an_undecided_phi_does_not_stop_the_iso_search(monkeypatch, rat):
-    sg = make_diamond()
-    c = TwoCochain.trivial(sg, rat)
-    autos = list(sg.enumerate_autos())
-    assert len(autos) == 2
-    calls = []
-    monkeypatch.setattr(ring_module, "cohomologous", undecided_at(calls, {0}))
-    iso = find_ring_iso(c, c)
-    # the first phi is undecided; the second gives a verified witness
-    assert calls == [0, 1]
-    assert iso.gauge.phi.sort_key() == autos[1].sort_key() and verify_ring_hom(iso)
-
-
-def test_iso_search_with_every_phi_undecided_raises_at_the_end(monkeypatch, rat):
-    sg = make_diamond()
-    c = TwoCochain.trivial(sg, rat)
-    calls = []
-    monkeypatch.setattr(ring_module, "cohomologous", undecided_at(calls, {0, 1}))
-    with pytest.raises(Undecided):
-        find_ring_iso(c, c)
-    assert calls == [0, 1]
+    # sparse and dense elements of a seeded random twist on every shape
+    # and domain
+    for sg, dom in shapes_and_domains():
+        ring = TwistedRing(random_twist(sg, dom, rng))
+        for dense in (False, True):
+            x = random_element(ring, rng, dense)
+            assert element_from_json(ring, element_to_json(x)) == x
 
 
 # SHA-256 of json.dumps(..., sort_keys=True) of the element_to_json of a

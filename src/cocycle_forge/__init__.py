@@ -9,8 +9,8 @@ from .cohomology import (
 )
 from .errors import (
     DivisionByZero, DomainMismatch, ForgeError, InstanceFileInvalid, NotACocycle,
-    NotAUnit, NotEnumerable, NotNilpotent, NotNormal, RingMismatch,
-    SemigroupInvalid, UnknownElement, WitnessInvalid,
+    NotAUnit, NotEnumerable, NotNormal, RingMismatch, SemigroupInvalid,
+    UnknownElement, WitnessInvalid,
 )
 from .gauge import Gauge, act_gauge, act_phi, cohomologous, stabilizer_of_class
 from .instances import Instance, RunConfig, diamond_demo_instance, load_instance, save_instance

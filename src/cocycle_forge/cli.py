@@ -19,7 +19,7 @@ from .errors import ForgeError, InstanceFileInvalid, NotEnumerable
 from .gauge import act_gauge, gauge_list_text, gauge_to_json
 from .instances import (
     Instance, RunConfig, diamond_demo_instance, instance_to_json, load_instance,
-    parse_witness, read_json, save_instance, witness_to_json,
+    parse_witness, read_json, save_instance, witness_to_json, write_json,
 )
 from .ring import TwistedRing, find_ring_iso, require_cocycle, verify_ring_hom
 from .scalars import scalar_to_json
@@ -132,11 +132,9 @@ def normalize_cmd(cfg, file, out, gauge_out):
                "was_normal": gauge.is_identity()}
     try:
         if out:
-            with open(out, "w") as fh:
-                json.dump(payload["instance"], fh, indent=2, sort_keys=True)
+            write_json(out, payload["instance"])
         if gauge_out:
-            with open(gauge_out, "w") as fh:
-                json.dump({"gauge": payload["gauge"]}, fh, indent=2, sort_keys=True)
+            write_json(gauge_out, {"gauge": payload["gauge"]})
     except OSError as exc:
         _fail(cfg, exc)
     if out or gauge_out:

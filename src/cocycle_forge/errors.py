@@ -47,10 +47,6 @@ class NotAUnit(ForgeError):
     """Inverse of a non-invertible ring element requested."""
 
 
-class NotNilpotent(ForgeError):
-    """The span of non-idempotent elements fails to be nilpotent."""
-
-
 class WitnessInvalid(ForgeError):
     """An isomorphism witness does not satisfy its defining relations."""
 

@@ -148,11 +148,17 @@ def load_instance(path, max_idempotents=8):
     return parse_instance(read_json(path), max_idempotents=max_idempotents)
 
 
-def save_instance(path, inst):
-    # one write: json.dump would call fh.write once per encoder chunk
-    text = json.dumps(instance_to_json(inst), indent=2, sort_keys=True) + "\n"
+def write_json(path, value):
+    """Write a JSON file the one way every command writes one: indented,
+    keys sorted, a trailing newline, in one write (json.dump would call
+    fh.write once per encoder chunk)."""
+    text = json.dumps(value, indent=2, sort_keys=True) + "\n"
     with open(path, "w") as fh:
         fh.write(text)
+
+
+def save_instance(path, inst):
+    write_json(path, instance_to_json(inst))
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,13 @@ rather than the first.
 There is one semigroup object per product table per process: build
 semigroups through `SquareFreeSemigroup.validate`, which returns the object
 already made for the same table, and compare them with `is`.
+
+A `SemigroupAuto` is a checked value: its constructor accepts only a
+bijection of the elements that preserves every product, and it returns one
+object per automorphism of its semigroup, so automorphisms too compare
+with `is`. The product check reads only the composable pairs (see
+`SquareFreeSemigroup.preserves`), and nothing downstream checks an
+automorphism again.
 """
 
 from __future__ import annotations
@@ -50,7 +57,7 @@ class SquareFreeSemigroup:
     """Validated square-free semigroup. Immutable after construction."""
 
     __slots__ = ("idempotents", "elements", "src", "tgt", "_table", "_slots",
-                 "_tuple_cache", "_composable", "_identity", "_autos")
+                 "_tuple_cache", "_composable", "_made_autos", "_identity", "_autos")
 
     def __init__(self, idempotents, elements, src, tgt, table):
         self.idempotents = tuple(idempotents)
@@ -63,6 +70,7 @@ class SquareFreeSemigroup:
             self._slots[(self.src[s], self.tgt[s])] = s
         self._tuple_cache = {}
         self._composable = None
+        self._made_autos = {}
         self._identity = SemigroupAuto(self, {s: s for s in self.elements})
         self._autos = None
 
@@ -170,15 +178,30 @@ class SquareFreeSemigroup:
 
     # -- automorphisms -----------------------------------------------------
 
+    def preserves(self, mapping):
+        """Whether a bijection of the elements preserves every product.
+
+        Only the composable pairs (s, t, s.t) are read: a bijection phi that
+        sends each of them to a composable pair (phi s, phi t) with product
+        phi(s.t) maps the finite set of composable pairs injectively into
+        itself, so onto itself, and the pairs with product theta then go to
+        pairs with product theta.
+        """
+        table = self._table
+        return all(table[(mapping[s], mapping[t])] == mapping[st]
+                   for s, t, st in self.composable().pairs)
+
     def enumerate_autos(self):
         """All product-preserving bijections, driven by permutations of E.
 
         Each permutation of the idempotents extends to the arrows in at most
-        one way (an arrow in slot (e, f) must land in slot (perm e, perm f));
-        candidates whose extension exists are then checked against the whole
-        product table. The |E|! loop is bounded where input arrives: instance
-        files are refused above the idempotent cap. It runs once per
-        semigroup; every call returns a fresh list.
+        one way: an arrow in slot (e, f), e != f, must land in the slot
+        (perm e, perm f), which holds no idempotent, and distinct slots have
+        distinct images, so every extension is a bijection. The extensions
+        that preserve products are the automorphisms. The |E|! loop is
+        bounded where input arrives: instance files are refused above the
+        idempotent cap. It runs once per semigroup; every call returns a
+        fresh list.
         """
         if self._autos is None:
             self._autos = self._search_autos()
@@ -189,18 +212,14 @@ class SquareFreeSemigroup:
         arrows = self.arrows()
         for perm in itertools.permutations(self.idempotents):
             mapping = dict(zip(self.idempotents, perm))
-            ok = True
             for s in arrows:
                 image = self._slots.get((mapping[self.src[s]], mapping[self.tgt[s]]))
-                if image is None or self.is_idempotent(image):
-                    ok = False
+                if image is None:
                     break
                 mapping[s] = image
-            if not ok or len(set(mapping.values())) != len(self.elements):
-                continue
-            cand = SemigroupAuto(self, mapping)
-            if all(cand._preserves(a, b) for a in self.elements for b in self.elements):
-                found.append(cand)
+            else:
+                if self.preserves(mapping):
+                    found.append(SemigroupAuto(self, mapping))
         found.sort(key=SemigroupAuto.sort_key)
         return found
 
@@ -334,23 +353,35 @@ _SEMIGROUPS = {}
 class SemigroupAuto:
     """A semigroup automorphism as a bijection on element names; immutable.
 
-    Its key, the images of the elements in canonical order, is built once
-    with it, and the identity of each semigroup is one shared object."""
+    `SemigroupAuto(sg, mapping)` accepts only a bijection of the elements
+    that preserves every product: it raises UnknownElement for a map that
+    is not a bijection and SemigroupInvalid for one that breaks a product.
+    It returns one object per automorphism of its semigroup, made and
+    checked the first time its images arise, so automorphisms compare and
+    hash by identity. Its key, the images of the elements in canonical
+    order, is built once with it."""
 
     __slots__ = ("sg", "mapping", "_key")
 
-    def __init__(self, sg, mapping):
-        self.sg = sg
-        self.mapping = dict(mapping)
-        self._key = tuple(self.mapping[s] for s in sg.elements)
+    def __new__(cls, sg, mapping):
+        key = tuple([mapping.get(s) for s in sg.elements])
+        made = sg._made_autos
+        try:
+            if len(mapping) == len(key):
+                return made[key]
+        except (KeyError, TypeError):
+            pass
+        if sorted(mapping) != sorted(sg.elements) or sorted(mapping.values()) != sorted(sg.elements):
+            raise UnknownElement("automorphism map is not a bijection on the elements")
+        # the identity, made with its semigroup, preserves products trivially
+        if key != sg.elements and not sg.preserves(mapping):
+            raise SemigroupInvalid([Violation("structure", (), "map does not preserve products")])
+        self = made[key] = object.__new__(cls)
+        self.sg, self.mapping, self._key = sg, dict(mapping), key
+        return self
 
     def __call__(self, s):
         return self.mapping[s]
-
-    def _preserves(self, a, b):
-        prod = self.sg._table[(a, b)]
-        image = self.sg._table[(self.mapping[a], self.mapping[b])]
-        return image == (None if prod is None else self.mapping[prod])
 
     def compose(self, other):
         """self after other: composed(s) = self(other(s))."""
@@ -367,7 +398,7 @@ class SemigroupAuto:
         return SemigroupAuto(self.sg, {v: k for k, v in self.mapping.items()})
 
     def is_identity(self):
-        return self._key == self.sg.elements
+        return self is self.sg._identity
 
     @classmethod
     def identity(cls, sg):
@@ -375,13 +406,6 @@ class SemigroupAuto:
 
     def sort_key(self):
         return self._key
-
-    def __eq__(self, other):
-        return (isinstance(other, SemigroupAuto) and self.sg is other.sg
-                and self._key == other._key)
-
-    def __hash__(self):
-        return hash(self._key)
 
     def __repr__(self):
         moved = {k: v for k, v in self.mapping.items() if k != v}
@@ -393,15 +417,9 @@ class SemigroupAuto:
 
 
 def semigroup_to_json(sg):
-    products = []
-    for a in sg.elements:
-        for b in sg.elements:
-            r = sg._table[(a, b)]
-            if r is None:
-                continue
-            if sg.is_idempotent(a) or sg.is_idempotent(b):
-                continue  # forced by the idempotent laws
-            products.append({"left": a, "right": b, "result": r})
+    # the composable pairs in `tuples` order, less those the idempotent laws force
+    products = [{"left": a, "right": b, "result": r} for a, b, r in sg.composable().pairs
+                if not (sg.is_idempotent(a) or sg.is_idempotent(b))]
     return {
         "idempotents": list(sg.idempotents),
         "elements": [{"name": s, "src": sg.src[s], "tgt": sg.tgt[s]}
@@ -415,12 +433,7 @@ def auto_to_json(phi):
 
 
 def auto_from_json(sg, data):
-    mapping = data["map"] if isinstance(data, dict) and "map" in data else data
-    if not isinstance(mapping, dict):
-        raise TypeError("a semigroup automorphism map is a JSON object")
-    if sorted(mapping) != sorted(sg.elements) or sorted(mapping.values()) != sorted(sg.elements):
-        raise UnknownElement("automorphism map is not a bijection on the elements")
-    phi = SemigroupAuto(sg, mapping)
-    if not all(phi._preserves(a, b) for a in sg.elements for b in sg.elements):
-        raise SemigroupInvalid([Violation("structure", (), "map does not preserve products")])
-    return phi
+    """The automorphism of a witness file's `{"map": {element: image}}`."""
+    if not (isinstance(data, dict) and isinstance(data.get("map"), dict)):
+        raise TypeError('a semigroup automorphism is a JSON object {"map": {...}}')
+    return SemigroupAuto(sg, data["map"])

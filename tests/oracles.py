@@ -19,7 +19,11 @@ quaternion arithmetic that the integer kernel replaced is kept as
 `hamilton_product`, `hamilton_inverse` and `conjugate`. The checks that
 now cost what the data holds keep their full scans here:
 `full_scan_validate` tests associativity on all |S*|^3 triples and
-`full_scan_is_cocycle` evaluates every cocycle identity. The root-taking
+`full_scan_is_cocycle` evaluates every cocycle identity,
+`permutation_scan_autos` keeps each permutation of E whose extension
+through the slots preserves all |S*|^2 products, and
+`arrow_nilpotency_index` powers the support of the arrow span until it
+dies out. The root-taking
 rational solver that log coordinates over Q* replaced is kept as
 `root_solve_multiplicative`, the witness reference, and `rational_verdict`
 decides a multiplicative system over Q* on its own: determinantal divisors
@@ -225,6 +229,50 @@ def full_scan_is_cocycle(c):
         if lhs != rhs:
             bad.append(CocycleViolation("automorphism", (s, t), lhs, rhs))
     return CocycleVerdict(not bad, tuple(bad))
+
+
+def all_products_preserved(sg, mapping):
+    """Whether a map of the elements preserves all |S*|^2 products, the
+    ones with product theta included."""
+    def image(x):
+        return None if x is None else mapping[x]
+
+    return all(sg.compose(mapping[a], mapping[b]) == image(sg.compose(a, b))
+               for a in sg.elements for b in sg.elements)
+
+
+def permutation_scan_autos(sg):
+    """The sort keys (images in canonical order) of every automorphism:
+    each permutation of E, extended to the arrows through the slots, is
+    kept when the extension is a bijection that preserves all |S*|^2
+    products."""
+    found = []
+    for perm in itertools.permutations(sg.idempotents):
+        mapping = dict(zip(sg.idempotents, perm))
+        for s in sg.arrows():
+            image = sg.slot(mapping[sg.src[s]], mapping[sg.tgt[s]])
+            if image is None or sg.is_idempotent(image):
+                break
+            mapping[s] = image
+        else:
+            if (len(set(mapping.values())) == len(sg.elements)
+                    and all_products_preserved(sg, mapping)):
+                found.append(tuple(mapping[s] for s in sg.elements))
+    return sorted(found)
+
+
+def arrow_nilpotency_index(sg):
+    """The least m such that every product of m arrows is theta, by
+    powering the support of the arrow span; None if it never dies out."""
+    arrows = set(sg.arrows())
+    support, index = set(arrows), 1
+    while support:
+        if index > len(sg.elements) + 1:
+            return None
+        support = {sg.compose(s, t) for s in support for t in arrows
+                   if sg.compose(s, t) is not None}
+        index += 1
+    return index
 
 
 # ---------------------------------------------------------------------------

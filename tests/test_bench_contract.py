@@ -10,13 +10,15 @@ benchmark drops.
 
 import ast
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
 import cocycle_forge
 from cocycle_forge import cohomology
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
 
 # callables bench/tracing.py still lists though the package no longer has them
 STALE = {
@@ -62,3 +64,22 @@ def test_tracer_misses_only_the_stale_names():
         tracer.uninstall()
     assert cohomology.verify_ses is original and cocycle_forge.verify_ses is original
     assert missing <= STALE, missing - STALE
+
+
+def test_check_goldens_matches_every_job():
+    result = subprocess.run([sys.executable, "tools/check_goldens.py"], cwd=ROOT,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert result.stdout.splitlines() == ["704/704 bench outputs match bench/goldens.json"]
+
+
+def test_check_goldens_reports_a_corrupted_digest(monkeypatch, tmp_path):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location("check_goldens", ROOT / "tools" / "check_goldens.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    jobs = tool.workloads.all_jobs("h1-iso")[:3]
+    goldens = tool.run.load_goldens()
+    assert tool.differing(jobs, goldens, str(tmp_path)) == []
+    goldens[jobs[1].id] = "0" * 64
+    assert tool.differing(jobs, goldens, str(tmp_path)) == [jobs[1].id]

@@ -283,6 +283,80 @@ def test_normalize_writes_files(runner, tmp_path):
     assert gauge_data["gauge"]["eta"]
 
 
+def test_normalize_writes_what_save_instance_writes(runner, tmp_path):
+    # one writer: the same instance gets the same bytes from normalize --out
+    # and save_instance (demo --write-instance), trailing newline included
+    from cocycle_forge.cochain import normalize
+    from cocycle_forge.gauge import gauge_to_json
+
+    data = instance_to_json(diamond_demo_instance())
+    data["cocycle"]["xi"] = [{"left": "e1", "right": "e1", "value": [0, 1]},
+                             {"left": "e2", "right": "s24", "value": [1, 1]}]
+    path = tmp_path / "nonnormal.json"
+    path.write_text(json.dumps(data))
+    out, gout, saved = tmp_path / "normal.json", tmp_path / "gauge.json", tmp_path / "saved.json"
+    result = runner.invoke(main, ["normalize", str(path), "--out", str(out),
+                                  "--gauge-out", str(gout)])
+    assert result.exit_code == 0, result.output
+    inst = parse_instance(data)
+    normalized, gauge = normalize(inst.cocycle)
+    save_instance(saved, Instance(inst.domain, inst.sg, normalized))
+    assert out.read_bytes() == saved.read_bytes()
+    assert gout.read_bytes().endswith(b"}\n")
+    assert json.loads(gout.read_text()) == {"gauge": gauge_to_json(gauge)}
+    result = runner.invoke(main, ["demo", "--write-instance", str(saved)])
+    assert result.exit_code == 0, result.output
+    runner.invoke(main, ["normalize", str(saved), "--out", str(out)])
+    assert out.read_bytes() == saved.read_bytes()
+
+
+def test_witness_phi_is_read_only_in_its_documented_form(runner, tmp_path, demo_file):
+    # {"phi": {"map": {...}}} is the one form, even on a semigroup with an
+    # element named "map"; a bare mapping is refused at /phi on every one
+    from cocycle_forge.semigroup import SquareFreeSemigroup
+
+    gf4 = ScalarDomain.finite_field(2, 2)
+    sg = SquareFreeSemigroup.validate(
+        ["e1", "e2", "e3", "e4"],
+        [("map", "e1", "e2"), ("s13", "e1", "e3"), ("s24", "e2", "e4"), ("s34", "e3", "e4")], {})
+    path = tmp_path / "map.json"
+    save_instance(path, Instance(gf4, sg, TwoCochain(
+        sg, gf4, alpha={"s34": RingAuto.frobenius(gf4, 1)})))
+    swap = {"e1": "e1", "e2": "e3", "e3": "e2", "e4": "e4",
+            "map": "s13", "s13": "map", "s24": "s34", "s34": "s24"}
+    wpath = tmp_path / "w.json"
+    wpath.write_text(json.dumps({"phi": {"map": swap}}))
+    payload = run_json(runner, ["act", str(path), str(wpath)])
+    assert payload["cocycle"]["alpha"] == [{"on": "s24", "auto": {"frobenius": 1}}]
+    demo_swap = {"e1": "e1", "e2": "e3", "e3": "e2", "e4": "e4",
+                 "s12": "s13", "s13": "s12", "s24": "s34", "s34": "s24"}
+    for instance, bare in ((str(path), swap), (demo_file, demo_swap)):
+        wpath.write_text(json.dumps({"phi": bare}))
+        result = runner.invoke(main, ["--output", "json", "act", instance, str(wpath)])
+        assert result.exit_code == 2, result.output
+        errors = json.loads(result.output)["errors"]
+        assert [e["pointer"] for e in errors] == ["/phi"]
+        assert '{"map": {...}}' in errors[0]["message"]
+
+
+@pytest.mark.parametrize("witness,message", [
+    ('{"phi": {"map": {"e1": "e1"}}}', "automorphism map is not a bijection on the elements"),
+    ('{"phi": {"map": {"e1": "e1", "e2": "e2", "e3": "e3", "e4": "e4", "s12": "s12", '
+     '"s13": "s13", "s24": "s24", "s34": "s34", "zz": "e1"}}}',
+     "automorphism map is not a bijection on the elements"),
+    ('{"phi": {"map": {"e1": "e4", "e2": "e2", "e3": "e3", "e4": "e1", "s12": "s12", '
+     '"s13": "s13", "s24": "s24", "s34": "s34"}}}', "map does not preserve products"),
+], ids=["missing", "extra", "not-multiplicative"])
+def test_act_rejects_a_phi_that_is_not_an_automorphism(runner, tmp_path, demo_file,
+                                                       witness, message):
+    wpath = tmp_path / "w.json"
+    wpath.write_text(witness)
+    result = runner.invoke(main, ["--output", "json", "act", demo_file, str(wpath)])
+    assert result.exit_code == 2, result.output
+    errors = json.loads(result.output)["errors"]
+    assert [e["pointer"] for e in errors] == ["/phi"] and message in errors[0]["message"]
+
+
 @pytest.mark.parametrize("command,option", [
     ("demo", "--write-instance"), ("normalize", "--out"), ("normalize", "--gauge-out"),
 ])

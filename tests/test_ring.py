@@ -1,5 +1,6 @@
 """Twisted ring arithmetic, units, inner automorphisms, and isomorphisms."""
 
+import collections
 import hashlib
 import itertools
 import json
@@ -14,10 +15,12 @@ from cocycle_forge.ring import (
     RingElement, RingIso, TwistedRing, build_iso, element_from_json,
     element_to_json, find_ring_iso, identity_iso, inner_auto, verify_ring_hom,
 )
-from cocycle_forge.scalars import rho, random_scalar
+from cocycle_forge.scalars import ScalarDomain, rho, random_scalar
+from cocycle_forge.semigroup import SquareFreeSemigroup
 
 from conftest import (
-    make_demo_cocycle, make_diamond, make_triangle, random_gauge, random_twist, shapes_and_domains,
+    make_chain4, make_demo_cocycle, make_diamond, make_sphere, make_triangle, random_gauge,
+    random_twist, shapes_and_domains, tetrahedron,
 )
 
 
@@ -122,9 +125,35 @@ def test_dimension_condition(ring4, diamond):
             assert products == ({expected} if expected else set())
 
 
-def test_nilpotency_index(ring4):
-    # all arrow.arrow products vanish, so N^2 = 0
-    assert ring4.nilpotency_index == 2
+def test_validated_arrows_are_nilpotent():
+    # validate refuses an arrow in a slot (e, e) and an arrow.arrow product
+    # on an idempotent, so products of |E| arrows are theta on every table
+    # it accepts; the inverse sums powers until they vanish on that bound
+    from oracles import arrow_nilpotency_index
+    from test_semigroup import valid_random_tables
+
+    indices = collections.Counter()
+    for sg in valid_random_tables():
+        index = arrow_nilpotency_index(sg)
+        assert index is not None and index <= len(sg.idempotents)
+        indices[index] += 1
+    assert set(indices) >= {1, 2, 3, 4}
+    assert arrow_nilpotency_index(make_diamond()) == 2
+    assert arrow_nilpotency_index(make_chain4()) == 4
+
+
+@pytest.mark.parametrize("make", [make_chain4, make_sphere, lambda: SquareFreeSemigroup.validate(
+    *tetrahedron())], ids=["chain4", "sphere", "tetrahedron"])
+@pytest.mark.parametrize("domain", [ScalarDomain.finite_field(3), ScalarDomain.rational()],
+                         ids=["gf3", "q"])
+def test_dense_units_invert_two_sided(make, domain):
+    sg = make()
+    rng = random.Random(f"dense-units:{domain!r}:{len(sg.elements)}")
+    ring = TwistedRing(random_twist(sg, domain, rng))
+    one = ring.one()
+    for _ in range(3):
+        x = random_element(ring, rng, dense=True)
+        assert x * x.inverse() == one == x.inverse() * x
 
 
 # -- units ---------------------------------------------------------------------

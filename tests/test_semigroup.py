@@ -13,7 +13,7 @@ from cocycle_forge.semigroup import (
     semigroup_to_json,
 )
 
-from conftest import CHAIN4, make_chain4, tetrahedron
+from conftest import CHAIN4, make_chain4, make_sphere, tetrahedron
 
 
 def semigroup_from_json(data, max_idempotents=8):
@@ -356,3 +356,143 @@ def test_tetrahedron_face_poset():
     assert sum(1 for s, t in sg.tuples(2)
                if not sg.is_idempotent(s) and not sg.is_idempotent(t)) == 24
     assert full_scan_validate(idempotents, arrows, products) == []
+
+
+# ---------------------------------------------------------------------------
+# automorphisms: the constructor's check and enumerate_autos against the
+# permutation scan over all |S*|^2 products
+
+
+def layered_poset(layers=4):
+    """Two idempotents per layer, an arrow from each to each one in every
+    higher layer, and every composite: 8 idempotents and |Aut S| = 16."""
+    idempotents = [f"{n}{i}" for n in "abcd"[:layers] for i in "12"]
+    arrows = [(f"{x}{y}", x, y) for x in idempotents for y in idempotents if x[0] < y[0]]
+    products = {(f"{x}{y}", f"{y}{z}"): f"{x}{z}"
+                for x, y, z in itertools.product(idempotents, repeat=3) if x[0] < y[0] < z[0]}
+    return idempotents, arrows, products
+
+
+# the diamond with a long arrow and one of its two paths composing to it:
+# swapping e2 and e3 extends through the slots but breaks s12.s24 = s14
+HALF_DIAMOND = (["e1", "e2", "e3", "e4"],
+                [("s12", "e1", "e2"), ("s13", "e1", "e3"), ("s14", "e1", "e4"),
+                 ("s24", "e2", "e4"), ("s34", "e3", "e4")],
+                {("s12", "s24"): "s14"})
+
+
+def valid_random_tables(draws=3000, seed=1717):
+    """The semigroups among seeded random_table draws."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(draws):
+        try:
+            out.append(SquareFreeSemigroup.validate(*random_table(rng)))
+        except SemigroupInvalid:
+            pass
+    return out
+
+
+def test_enumerate_autos_matches_permutation_scan():
+    from oracles import permutation_scan_autos
+    from test_bench_contract import load
+
+
+    shapes = [diamond(), chain2(), make_chain4(), make_sphere(),
+              SquareFreeSemigroup.validate(*HALF_DIAMOND),
+              SquareFreeSemigroup.validate(*layered_poset())]
+    shapes += [SquareFreeSemigroup.validate(*shape) for shape in load("workloads").SHAPES.values()]
+    for sg in shapes:
+        assert [a.sort_key() for a in sg.enumerate_autos()] == permutation_scan_autos(sg)
+    assert len(shapes[3].enumerate_autos()) == 8 and len(shapes[5].enumerate_autos()) == 16
+    assert len(shapes[4].enumerate_autos()) == 1
+    tables = valid_random_tables()
+    nontrivial = 0
+    for sg in tables:
+        autos = sg.enumerate_autos()
+        assert [a.sort_key() for a in autos] == permutation_scan_autos(sg)
+        nontrivial += len(autos) > 1
+    assert len(tables) > 1500 and nontrivial > 250
+
+
+def test_constructor_accepts_exactly_the_automorphisms():
+    from oracles import all_products_preserved
+
+    rng = random.Random(2718)
+    outcomes = collections.Counter()
+    for sg in valid_random_tables():
+        autos = sg.enumerate_autos()
+        elements = list(sg.elements)
+        arrows = sg.arrows()
+        maps = []
+        for _ in range(2):
+            images = rng.sample(elements, len(elements))
+            maps.append(dict(zip(elements, images)))
+        maps.append(dict(rng.choice(autos).mapping))
+        if arrows:
+            for _ in range(2):
+                e, s = rng.choice(sg.idempotents), rng.choice(arrows)
+                swapped = dict(rng.choice(autos).mapping)
+                inverse = {v: k for k, v in swapped.items()}
+                swapped[inverse[e]], swapped[inverse[s]] = s, e
+                maps.append(swapped)
+        for m in maps:
+            if all_products_preserved(sg, m):
+                phi = SemigroupAuto(sg, m)
+                assert phi.mapping == m and any(phi is a for a in autos)
+                outcomes["auto"] += 1
+            else:
+                with pytest.raises(SemigroupInvalid, match="map does not preserve products"):
+                    SemigroupAuto(sg, m)
+                outcomes["refused"] += 1
+        # not bijections: an element left out, or an image repeated
+        m = dict(autos[0].mapping)
+        missing = dict(m)
+        del missing[elements[-1]]
+        repeated = dict(m, **{elements[0]: m[elements[-1]]}) if len(elements) > 1 else {}
+        for bad in (missing, repeated, dict(m, zz=elements[0])):
+            with pytest.raises(UnknownElement, match="not a bijection"):
+                SemigroupAuto(sg, bad)
+        # the store holds the automorphisms and nothing else
+        assert sorted(sg._made_autos) == [a.sort_key() for a in autos]
+        assert all(sg._made_autos[a.sort_key()] is a for a in autos)
+    assert outcomes["auto"] > 2000 and outcomes["refused"] > 2000
+
+
+def test_one_object_per_automorphism():
+    for sg in (diamond(), make_sphere(), SquareFreeSemigroup.validate(*layered_poset())):
+        autos = sg.enumerate_autos()
+        assert sg.enumerate_autos() is not autos
+        assert all(x is y for x, y in zip(sg.enumerate_autos(), autos))
+        for a in autos:
+            assert SemigroupAuto(sg, dict(a.mapping)) is a
+            assert auto_from_json(sg, auto_to_json(a)) is a
+            assert any(a.inverse() is b for b in autos)
+            assert a.compose(a.inverse()) is SemigroupAuto.identity(sg)
+            for b in autos:
+                assert any(a.compose(b) is c for c in autos)
+        assert len(set(autos)) == len(autos)
+        assert [a.is_identity() for a in autos].count(True) == 1
+
+
+def test_rejected_candidates_are_not_stored():
+    # each permutation of E extends through the slots of the half diamond,
+    # and the swap of e2 and e3 is refused
+    sg = SquareFreeSemigroup.validate(*HALF_DIAMOND)
+    assert list(sg._made_autos.values()) == [SemigroupAuto.identity(sg)]
+    assert len(sg.enumerate_autos()) == 1
+    assert list(sg._made_autos.values()) == [SemigroupAuto.identity(sg)]
+    swap = {"e2": "e3", "e3": "e2", "s12": "s13", "s13": "s12", "s24": "s34", "s34": "s24"}
+    with pytest.raises(SemigroupInvalid, match="map does not preserve products"):
+        SemigroupAuto(sg, {**{s: s for s in sg.elements}, **swap})
+    assert len(sg._made_autos) == 1
+
+
+def test_semigroup_json_lists_the_declared_products():
+    # the non-forced products in the order of the |S*|^2 scan over the table
+    for sg in [diamond(), make_chain4(), make_sphere()] + valid_random_tables(300):
+        expected = [{"left": a, "right": b, "result": sg.compose(a, b)}
+                    for a in sg.elements for b in sg.elements
+                    if not (sg.is_idempotent(a) or sg.is_idempotent(b))
+                    and sg.compose(a, b) is not None]
+        assert semigroup_to_json(sg)["products"] == expected

@@ -103,15 +103,13 @@ def compose(sg, logs, g1, g2):
     return mu, x, phi2.compose(phi1)
 
 
-def solve(sg, logs, constraints):
-    """Yield the log vector x of every eta: S* -> D* meeting each
-    constraint, in canonical order.
+def eta_rows(sg, logs, constraints):
+    """The integer rows mod n of the constraints, as (dict position ->
+    coefficient, right-hand side).
 
     A constraint (s, t, st, a, u) asks eta(s) . a(eta(t)) . eta(st)^{-1} = u,
-    that is the integer row x[s] + p^i x[t] - x[st] = log u mod n for
-    a = Frob^i, solved by `solve_rows` over the units in unit order, so the
-    solutions come out in the order an exhaustive search over every unit
-    would list them.
+    that is the row x[s] + p^i x[t] - x[st] = log u mod n for a = Frob^i,
+    positions in the canonical order of the elements.
     """
     frob = logs.frob
     pos = {s: j for j, s in enumerate(sg.elements)}
@@ -121,4 +119,14 @@ def solve(sg, logs, constraints):
         for name, c in ((s, 1), (t, frob[power(a)]), (st, -1)):
             coef[pos[name]] = coef.get(pos[name], 0) + c
         rows.append((coef, logs.of(u)))
-    return solve_rows(rows, len(sg.elements), logs.n, logs.rank, logs.by_rank)
+    return rows
+
+
+def solve(sg, logs, constraints):
+    """Yield the log vector x of every eta: S* -> D* meeting each
+    constraint (see eta_rows), in canonical order: `solve_rows` runs over
+    the units in unit order, so the solutions come out in the order an
+    exhaustive search over every unit would list them.
+    """
+    return solve_rows(eta_rows(sg, logs, constraints), len(sg.elements),
+                      logs.n, logs.rank, logs.by_rank)

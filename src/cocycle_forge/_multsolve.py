@@ -1,5 +1,6 @@
 """One integer elimination for the linear relations, the enumerator of
-their solutions mod n, and the exact solver over the nonzero rationals.
+their solutions mod n, their solution lattices, and the exact solver over
+the nonzero rationals.
 
 The relations eta(s) . a(eta(t)) . eta(st)^{-1} = u are integer rows: log
 rows mod q - 1 over GF(q) (see `_logs.solve`) and exponent rows
@@ -8,6 +9,15 @@ steps (the Hermite-style echelon of Cohen, *A Course in Computational
 Algebraic Number Theory*, GTM 138, 2.4), leaving at most one row per
 position, and `solve_rows` enumerates the solutions of rows mod n on that
 echelon.
+
+The lattices serve `cohomology.h1` and `cohomology.out_r`, which count
+and split solution sets instead of listing them. `triangular` gives a
+triangular basis of span(vectors) + n Z^size, each pivot dividing n, from
+`eliminate` over Z; `order` is the size of that lattice mod n, and
+`least` the member of a coset x + lattice that comes first in rank order.
+`kernel_mod` gives generators of the solutions of homogeneous rows mod n
+from the integer kernel of [A | n I], by the column elimination that
+`_integer_solver` runs.
 
 `solve_multiplicative` solves over Q* in log coordinates. Q* is {+1, -1}
 times the free abelian group on the primes. Over a coprime base of the
@@ -136,6 +146,72 @@ def solve_rows(rows, size, n, rank, by_rank):
             stack.append(iter(options(i + 1)))
 
 
+def triangular(vectors, size, n):
+    """A triangular basis of the lattice span(vectors) + n Z^size.
+
+    vectors: iterable of dicts position -> int. Basis vector j is a dict
+    that is zero before position j; its entry at j, the pivot h_j, divides
+    n, and its other entries lie in 1..n-1. It is `eliminate` over Z on the
+    vectors and the n e_j with the positions reversed, since `eliminate`
+    files a row under its last position: the row left at position j
+    carries, up to sign, the gcd of the entries at j of the lattice vectors
+    that vanish before j, and n e_j is one of them.
+    """
+    last = size - 1
+    rows = [({last - j: c for j, c in v.items()}, None) for v in vectors]
+    rows += [({last - j: n}, None) for j in range(size)]
+    plan, _ = eliminate(rows, size, lambda *_: None)
+    basis = []
+    for j in range(size):
+        row = plan[last - j][0]
+        sign = 1 if row[last - j] > 0 else -1
+        vec = {last - i: sign * c % n for i, c in row.items() if sign * c % n}
+        vec[j] = sign * row[last - j]
+        basis.append(vec)
+    return basis
+
+
+def order(basis, n):
+    """The order of the lattice of a triangular basis modulo n Z^size."""
+    out = 1
+    for j, vec in enumerate(basis):
+        out *= n // vec[j]
+    return out
+
+
+def least(x, basis, n, rank):
+    """The member of x + lattice (mod n) that comes first in the order of
+    the ranks of its entries, lexicographically.
+
+    Greedy from the first position: at position j the lattice vectors that
+    vanish before j are the combinations of basis vectors j, j+1, ... (n e_i
+    lies in the lattice), so the entry there ranges over the residue class
+    of x[j] mod h_j; the value of least rank in it is taken by subtracting a
+    multiple of basis vector j, which leaves the earlier positions alone.
+    """
+    x = list(x)
+    for j, vec in enumerate(basis):
+        h = vec[j]
+        if h == n:
+            continue
+        v = min(range(x[j] % h, n, h), key=rank.__getitem__)
+        t = (x[j] - v) // h
+        if t:
+            for i, c in vec.items():
+                x[i] = (x[i] - t * c) % n
+    return tuple(x)
+
+
+def kernel_mod(rows, size, n):
+    """Generators of the x in Z^size with sum_j row[j] x_j = 0 mod n for
+    every row (dicts position -> int): the integer kernel of [A | n I],
+    from the column elimination of `_integer_solver`, cut to its first
+    size entries."""
+    wide = [{**row, size + i: n} for i, row in enumerate(rows)]
+    _, zeros = _column_echelon(wide, size + len(rows))
+    return [{j: c for j, c in k.items() if j < size} for k in zeros]
+
+
 def _int_nth_root(x, k):
     """Exact integer k-th root of x >= 0, or None."""
     if x < 2:
@@ -193,6 +269,16 @@ def _add(u, v, m):
     return w
 
 
+def _column_echelon(rows, size, pins=()):
+    """`eliminate` on the columns of integer rows (dicts position -> int),
+    the pinned positions left out, each column carrying its unit vector as
+    the right-hand side: (plan, kernel), plan the column echelon over the
+    rows and kernel a basis of the integer kernel, as dicts."""
+    cols = (({i: row[j] for i, row in enumerate(rows) if j in row}, {j: 1})
+            for j in range(size) if j not in pins)
+    return eliminate(cols, len(rows), _add)
+
+
 def _integer_solver(rows, size, pins=()):
     """A function taking b to an integer y in Z^size, zero at the pins,
     with sum_j rows[i][j] y_j = b[i] for every row i, or to None where
@@ -209,9 +295,7 @@ def _integer_solver(rows, size, pins=()):
     solution whose entry at each kernel pivot c lies between 0 and c, which
     keeps the exponents small.
     """
-    cols = (({i: row[j] for i, row in enumerate(rows) if j in row}, {j: 1})
-            for j in range(size) if j not in pins)
-    plan, kernel = eliminate(cols, len(rows), _add)
+    plan, kernel = _column_echelon(rows, size, pins)
     kernel = eliminate(((k, None) for k in kernel), size, lambda *_: None)[0]
 
     def solve(b):

@@ -16,17 +16,29 @@ here is a set of gauges (mu, eta, phi) (see `gauge.py`):
     inclusion Z1 <= Aut0.
 
 Over GF(q) each of Z1, B1 and Aut0 has one checked listing in log
-coordinates (mu exponents, eta logs mod q - 1, phi; see `_logs.py`), and
-everything else reads these three: `z1_listing` solves the action-formula
-relations by `_logs.solve`, `b1_listing` spans the subgroup of log vectors
-generated by the star action's columns, and `aut0_listing` solves
-relations read from the multiplicativity probes. The CLI prints a listing
-through `gauge.gauge_list_text`; the `*_enumerate` functions translate one
-into gauges; `h1`, `out_r` and `verify_ses` partition them by `_cosets`,
-which walks the sorted group and makes each unassigned element the
-representative, hence the least element, of its coset. The reports hold
-values only: orders, the H1 representatives (the one gauge list they
-build) with their coset table, and the realized idempotent permutations.
+coordinates (mu exponents, eta logs mod q - 1, phi; see `_logs.py`):
+`z1_listing` solves the action-formula relations by `_logs.solve`,
+`b1_listing` spans the subgroup of log vectors generated by the star
+action's columns, and `aut0_listing` solves relations read from the
+multiplicativity probes. The CLI prints a listing through
+`gauge.gauge_list_text`; the `*_enumerate` functions translate one into
+gauges; only `verify_ses` partitions them, by `_cosets`, which walks the
+sorted group and makes each unassigned element the representative, hence
+the least element, of its coset.
+
+`h1` and `out_r` list neither group. They read the same relations as
+lattices mod n = q - 1 (`_multsolve.triangular`): for one mu (and phi)
+the eta solutions are x0 + L, L the kernel of the rows' coefficients,
+which depend on phi but not on mu, and B1 is the lattice of the star
+action's columns. So |Z1| and |Aut0| are sums of |L| over the fibers that
+have a first solution x0, and |B1| divides both. On Z1, mu is constant
+along every arrow, so the scaling by p^{mu[src s]} in h . g maps B1 onto
+itself and a coset B1 . g is the plain translate g.x + B1; `h1` reads the
+cosets in each fiber off the triangular bases of L and B1 and reports
+each by its least member (`_multsolve.least`), the representative the
+walk of `_cosets` would pick. The reports hold values only: orders, the
+H1 representatives (the one gauge list they build) with their coset
+table, and the realized idempotent permutations.
 
 Aut0 R is found by propagation over the exact multiplicativity probes of
 `ring._probes`: for each (phi, mu) they fix, with eta = 1, the value u that
@@ -58,11 +70,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._logs import compose, field_logs, power, solve
+from ._logs import compose, eta_rows, field_logs, power, solve
+from ._multsolve import kernel_mod, least, order, triangular
 from .cochain import TwoCochain, is_normal
 from .errors import NotEnumerable, NotNormal
 from .gauge import (
-    Gauge, _gauge_solutions_ff, cohomologous, from_logs, stabilizer_of_class,
+    Gauge, _gauge_fibers, _gauge_solutions_ff, cohomologous, from_logs, stabilizer_of_class,
 )
 from .ring import RingIso, TwistedRing, _probes, pair_sides, verify_ring_hom
 from .scalars import RingAuto
@@ -98,6 +111,34 @@ def z1_enumerate(c):
     return _gauges(c, z1_listing(c))
 
 
+def _b1_columns(c):
+    """The star action's columns, one per idempotent (see b1_listing)."""
+    sg = c.sg
+    logs = field_logs(c.domain)
+    n, frob = logs.n, logs.frob
+    return [tuple(((1 if sg.src[s] == e else 0)
+                   - (frob[power(c.alpha_at(s))] if sg.tgt[s] == e else 0)) % n
+                  for s in sg.elements)
+            for e in sg.idempotents]
+
+
+def _b1_lattice(c):
+    """(columns, basis): the star action's columns and the triangular basis
+    (see _multsolve.triangular) of the lattice they span mod n, B1."""
+    columns = _b1_columns(c)
+    n = field_logs(c.domain).n
+    return columns, triangular([dict(enumerate(col)) for col in columns], len(c.sg.elements), n)
+
+
+def _kernel(sg, logs, constraints):
+    """The triangular basis of the lattice L of the homogeneous eta rows of
+    the constraints: the solutions of the rows are x0 + L for any one
+    solution x0."""
+    size, n = len(sg.elements), logs.n
+    rows = [coef for coef, _ in eta_rows(sg, logs, constraints)]
+    return triangular(kernel_mod(rows, size, n), size, n), rows
+
+
 def b1_listing(c):
     """B1 in log coordinates, sorted; see b1_enumerate.
 
@@ -115,10 +156,7 @@ def b1_listing(c):
     n = logs.n
     zero = (0,) * len(sg.elements)
     group, members = [zero], {zero}
-    for e in sg.idempotents:
-        col = tuple(((1 if sg.src[s] == e else 0)
-                     - (logs.frob[power(c.alpha_at(s))] if sg.tgt[s] == e else 0)) % n
-                    for s in sg.elements)
+    for col in _b1_columns(c):
         base, shift = list(group), col
         while shift not in members:
             for v in base:
@@ -169,16 +207,6 @@ def _cosets(c, group, sub):
     return coset_of, reps
 
 
-def _h1_cosets(c):
-    """(Z1, B1, coset_of, reps): Z1 partitioned into B1-cosets, all in log
-    coordinates (see _cosets)."""
-    z1, b1 = z1_listing(c), b1_listing(c)
-    coset_of, reps = _cosets(c, z1, b1)
-    if not all(g in coset_of for g in b1):
-        raise AssertionError("coboundaries failed to stabilize the cocycle")
-    return z1, b1, coset_of, reps
-
-
 @dataclass(frozen=True)
 class H1Report:
     """Z1/B1 by its orders, its coset representatives (sorted gauges) and a
@@ -191,11 +219,48 @@ class H1Report:
 
 
 def h1(c):
-    """Group Z1 into B1-cosets; the factor group is reported by table."""
-    z1, b1, coset_of, reps = _h1_cosets(c)
+    """Group Z1 into B1-cosets; the factor group is reported by table.
+
+    Neither group is listed; both are lattices mod n = q - 1. Z1 is the
+    union over the mu of _mu_choices(c, c) of the solutions of their eta
+    rows, each x0 + L for a first solution x0, with L the kernel of the
+    rows' coefficients, which do not depend on mu. B1 is the lattice of the
+    star action's columns (b1_listing). On Z1, mu is constant along every
+    arrow (mu_f - mu_e = 0 mod k), and each column lives on the arrows of
+    one component, so the scaling by p^{mu[src s]} inside h . g (see
+    _cosets) maps B1 onto itself: the coset B1 . g is g.x + B1. The cosets
+    in a fiber are x0 + o + B1, with o = sum_j t_j l_j over the triangular
+    bases l of L and b of B1, 0 <= t_j < b_j[j] / l_j[j]. Each is reported
+    by its least member, as a walk of the sorted Z1 would find it.
+    """
+    _require_listable(c)
+    sg = c.sg
     logs = field_logs(c.domain)
-    table = [[coset_of[compose(c.sg, logs, a, b)] for b in reps] for a in reps]
-    return H1Report(len(z1), len(b1), len(reps), _gauges(c, reps), table)
+    n, rank = logs.n, logs.rank
+    columns, b1 = _b1_lattice(c)
+    fibers = []
+    for mu, constraints in _gauge_fibers(c, c):
+        x0 = next(solve(sg, logs, constraints), None)
+        if x0 is not None:
+            fibers.append((mu, x0))
+    # the coefficients are the same for every mu, and mu = 0 is one
+    z1, rows = _kernel(sg, logs, constraints)
+    if any(sum(a * col[j] for j, a in row.items()) % n for row in rows for col in columns):
+        raise AssertionError("coboundaries failed to stabilize the cocycle")
+    offsets = [(0,) * len(sg.elements)]
+    for j, (l, b) in enumerate(zip(z1, b1)):
+        if b[j] % l[j]:
+            raise AssertionError("B1 is not a sublattice of the Z1 fiber")
+        offsets = [tuple([(o[i] + t * l.get(i, 0)) % n for i in range(len(o))])
+                   for o in offsets for t in range(b[j] // l[j])]
+    ident = SemigroupAuto.identity(sg)
+    reps = sorted(((mu, least([(a + b) % n for a, b in zip(x0, o)], b1, n, rank), ident)
+                   for mu, x0 in fibers for o in offsets), key=logs.key)
+    index = {g[:2]: i for i, g in enumerate(reps)}
+    table = [[index[g[0], least(g[1], b1, n, rank)]
+              for g in (compose(sg, logs, a, b) for b in reps)] for a in reps]
+    return H1Report(len(fibers) * order(z1, n), order(b1, n), len(reps),
+                    _gauges(c, reps), table)
 
 
 # ---------------------------------------------------------------------------
@@ -315,11 +380,28 @@ class OutRReport:
 
 
 def out_r(c):
-    """Aut0 modulo the idempotent-fixing inner automorphisms."""
-    aut0, inn0 = aut0_listing(c), b1_listing(c)
-    _, reps = _cosets(c, aut0, inn0)
-    phi_image = sorted({g[2] for g in aut0}, key=SemigroupAuto.sort_key)
-    return OutRReport(len(aut0), len(inn0), len(reps), phi_image)
+    """Aut0 modulo the idempotent-fixing inner automorphisms.
+
+    Neither group is listed. The eta rows of a (phi, mu) of _aut0_fibers
+    have coefficients (1, p^{a_phi(s)}, -1), which depend on phi only, so
+    their solutions, where there is one, are a translate of the kernel
+    L_phi of those coefficients: |Aut0| sums |L_phi| over the (phi, mu)
+    with a solution, and |Out R| = |Aut0| / |B1|.
+    """
+    _require_listable(c)
+    sg = c.sg
+    logs = field_logs(c.domain)
+    sizes = {}
+    aut0 = 0
+    for phi, _, constraints in _aut0_fibers(c):
+        if next(solve(sg, logs, constraints), None) is not None:
+            if phi not in sizes:
+                sizes[phi] = order(_kernel(sg, logs, constraints)[0], logs.n)
+            aut0 += sizes[phi]
+    inn0 = order(_b1_lattice(c)[1], logs.n)
+    if aut0 % inn0:
+        raise AssertionError("|Aut0| is not a multiple of |Inn0|")
+    return OutRReport(aut0, inn0, aut0 // inn0, sorted(sizes, key=SemigroupAuto.sort_key))
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +432,10 @@ def verify_ses(c):
     the middle, image of the idempotent-permutation map = class stabilizer,
     the order equation, and (for the trivial class) the splitting section.
     """
-    z1, b1, _, h1_reps = _h1_cosets(c)
+    z1, b1 = z1_listing(c), b1_listing(c)
+    h1_of, h1_reps = _cosets(c, z1, b1)
+    if not all(g in h1_of for g in b1):
+        raise AssertionError("coboundaries failed to stabilize the cocycle")
     aut0 = aut0_listing(c)
     coset_of, out_reps = _cosets(c, aut0, b1)
     stab = stabilizer_of_class(c)

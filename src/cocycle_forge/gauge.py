@@ -62,6 +62,8 @@ key.
 from __future__ import annotations
 
 import json
+from itertools import compress, count
+from operator import ne
 
 from ._logs import field_logs, power, solve
 from ._multsolve import solve_multiplicative, solve_rows
@@ -257,17 +259,25 @@ def _mu_choices(c1, c2):
     return solve_rows(rows, len(pos), k, range(k), range(k))
 
 
+def _gauge_fibers(c1, c2):
+    """Yield (mu, constraints) for each mu of _mu_choices(c1, c2), in
+    product order, with the _logs.solve constraints it puts on eta."""
+    sg, domain = c1.sg, c1.domain
+    for mu in _mu_choices(c1, c2):
+        autos = {e: RingAuto.frobenius(domain, i) for e, i in zip(sg.idempotents, mu)}
+        yield mu, _gauge_constraints(c1, c2, autos)
+
+
 def _gauge_solutions_ff(c1, c2):
     """Yield every gauge carrying c1 to c2 over a finite field, in log
     coordinates (mu, x, id) (see _logs.py) and in Gauge.sort_key order.
     Exhaustive: mu ranges over every choice the alpha relations allow, eta
     is searched by _logs.solve."""
-    sg, domain = c1.sg, c1.domain
-    logs = field_logs(domain)
+    sg = c1.sg
+    logs = field_logs(c1.domain)
     ident = SemigroupAuto.identity(sg)
-    for mu in _mu_choices(c1, c2):
-        autos = {e: RingAuto.frobenius(domain, i) for e, i in zip(sg.idempotents, mu)}
-        for x in solve(sg, logs, _gauge_constraints(c1, c2, autos)):
+    for mu, constraints in _gauge_fibers(c1, c2):
+        for x in solve(sg, logs, constraints):
             yield mu, x, ident
 
 
@@ -363,6 +373,20 @@ def _join(open_, items, close, depth):
     return open_ + inner + ("," + inner).join(items) + "\n" + "  " * depth + close
 
 
+class _Pieces(dict):
+    """The entries of one position of a JSON array by value, each with the
+    separator that puts it after an earlier entry, rendered on first use;
+    value 0, the identity that gauge_to_json omits, renders as ""."""
+
+    def __init__(self, render):
+        super().__init__()
+        self.render = render
+
+    def __missing__(self, v):
+        piece = self[v] = self.render(v) if v else ""
+        return piece
+
+
 def gauge_list_text(sg, domain, field, group, witnesses=False):
     """json.dumps({"order": len(group), field: entries}, indent=2,
     sort_keys=True) for a list of gauges in log coordinates (mu, x, phi),
@@ -371,47 +395,48 @@ def gauge_list_text(sg, domain, field, group, witnesses=False):
     Gauge or the dict tree.
 
     Each distinct piece is rendered once by json.dumps itself, on first use:
-    an eta entry per (element, log), a mu entry per (idempotent, Frobenius
-    exponent) and a phi block per phi. Log 0 and exponent 0 are the identity
-    values gauge_to_json omits. The pieces are then joined in the layout of
-    json.dumps.
+    an eta entry per (element, log), a mu block per mu and a phi block per
+    phi. Log 0 and exponent 0 are the identity values gauge_to_json omits.
+    The eta text of every prefix of the last x is kept, so a gauge that
+    shares its first d logs with the one before it, as neighbours in a
+    sorted list mostly do, is rendered from position d on. The pieces are
+    joined in the layout of json.dumps.
     """
     exp = field_logs(domain).exp
     depth = 3 if witnesses else 2          # of each gauge object
-    etas = [{} for _ in sg.elements]
-    mus = [{} for _ in sg.idempotents]
-    phis = {}
+    sep = ",\n" + "  " * (depth + 2)
+    etas = [_Pieces(lambda v, s=s: sep + _dumps(
+        {"on": s, "value": scalar_to_json(exp[v])}, depth + 2)) for s in sg.elements]
+    mus = [_Pieces(lambda m, e=e: sep + _dumps(
+        {"on": e, "auto": auto_to_json(RingAuto.frobenius(domain, m))}, depth + 2))
+           for e in sg.idempotents]
+    close = "\n" + "  " * (depth + 1) + "]"
 
-    def gauge_text(mu, x):
-        eta_items = []
-        for j, v in enumerate(x):
-            if v:
-                piece = etas[j].get(v)
-                if piece is None:
-                    piece = etas[j][v] = _dumps(
-                        {"on": sg.elements[j], "value": scalar_to_json(exp[v])}, depth + 2)
-                eta_items.append(piece)
-        mu_items = []
-        for i, m in enumerate(mu):
-            if m:
-                piece = mus[i].get(m)
-                if piece is None:
-                    piece = mus[i][m] = _dumps(
-                        {"on": sg.idempotents[i],
-                         "auto": auto_to_json(RingAuto.frobenius(domain, m))}, depth + 2)
-                mu_items.append(piece)
-        return _join("{", ['"eta": ' + _join("[", eta_items, "]", depth + 1),
-                           '"mu": ' + _join("[", mu_items, "]", depth + 1)], "}", depth)
+    def array(joined):
+        return "[" + joined[1:] + close if joined else "[]"
 
-    def witness_text(mu, x, phi):
-        piece = phis.get(phi)
-        if piece is None:
-            piece = phis[phi] = _dumps(sg_auto_to_json(phi), depth)
-        return _join("{", ['"gauge": ' + gauge_text(mu, x), '"phi": ' + piece], "}", depth - 1)
-
-    if witnesses:
-        entries = [witness_text(mu, x, phi) for mu, x, phi in group]
-    else:
-        entries = [gauge_text(mu, x) for mu, x, _ in group]
+    mu_blocks, phis, entries = {}, {}, []
+    size = len(sg.elements)
+    prefix = [""] * (size + 1)             # prefix[j]: the eta pieces before position j
+    last = None
+    head = "{\n" + "  " * (depth + 1) + '"eta": '
+    middle = ",\n" + "  " * (depth + 1) + '"mu": '
+    tail = "\n" + "  " * depth + "}"
+    for mu, x, phi in group:
+        d = 0 if last is None else next(compress(count(), map(ne, x, last)), size)
+        for j in range(d, size):
+            prefix[j + 1] = prefix[j] + etas[j][x[j]]
+        last = x
+        mu_text = mu_blocks.get(mu)
+        if mu_text is None:
+            mu_text = mu_blocks[mu] = middle + array(
+                "".join([mus[i][m] for i, m in enumerate(mu)])) + tail
+        text = head + array(prefix[size]) + mu_text
+        if witnesses:
+            piece = phis.get(phi)
+            if piece is None:
+                piece = phis[phi] = _dumps(sg_auto_to_json(phi), depth)
+            text = _join("{", ['"gauge": ' + text, '"phi": ' + piece], "}", depth - 1)
+        entries.append(text)
     fields = sorted([("order", json.dumps(len(group))), (field, _join("[", entries, "]", 1))])
     return _join("{", [f"{json.dumps(k)}: {v}" for k, v in fields], "}", 0)

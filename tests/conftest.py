@@ -92,6 +92,12 @@ def tetrahedron():
 RP2_6 = [(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
          (2, 3, 5), (2, 4, 5), (2, 4, 6), (3, 4, 6), (3, 5, 6)]
 
+# the 7-vertex torus: the triangles {i, i+1, i+3} and {i, i+2, i+3} mod 7,
+# so 7 vertices, 21 edges and 14 triangles (42 idempotents), each edge in
+# exactly two triangles; H_1 is Z^2
+TORUS_7 = [t for i in range(7)
+           for t in ((i, (i + 1) % 7, (i + 3) % 7), (i, (i + 2) % 7, (i + 3) % 7))]
+
 
 def make_demo_cocycle(domain, sg=None):
     """The demo twist: alpha is the Frobenius on s34 only, xi = 1."""

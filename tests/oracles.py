@@ -9,7 +9,9 @@ listing layer that log coordinates replaced is kept here too: `solve_eta`
 backtracks Scalars over every unit, `gauge_solutions` loops mu over all of
 Aut(D)^E, and `cosets` partitions gauges through `Gauge.compose`;
 `product_aut0_logs` lists Aut0 in log coordinates with every mu of
-Aut(D)^E asked of the probes. The Aut0 oracles read their eta relations
+Aut(D)^E asked of the probes. The lattices mod n that count H1 and Out R
+are checked against `span_mod`, which closes a subgroup of (Z/n)^size
+under its generators, and `kernel_by_scan`, which tests every vector. The Aut0 oracles read their eta relations
 from `probe_constraints`, which asks `ring.pair_sides` about every pair at
 every probe, and the Z1 ones from `action_constraints`, read off the
 action formula, so no oracle builds a relation with a fast route's helper.
@@ -419,6 +421,27 @@ def pack(g):
     logs = field_logs(g.domain)
     return (tuple(power(g.mu[e]) for e in g.sg.idempotents),
             tuple(logs.of(g.eta[s]) for s in g.sg.elements), g.phi)
+
+
+def span_mod(vectors, size, n):
+    """The subgroup of (Z/n)^size the vectors (dicts position -> int)
+    generate, as a set of tuples, closed under adding each vector until
+    nothing new appears."""
+    group = {(0,) * size}
+    for v in vectors:
+        step = tuple(v.get(j, 0) % n for j in range(size))
+        new = group
+        while new:
+            new = {tuple((a + b) % n for a, b in zip(x, step)) for x in new} - group
+            group |= new
+    return group
+
+
+def kernel_by_scan(rows, size, n):
+    """Every x in (Z/n)^size with sum_j row[j] x_j = 0 mod n on every row,
+    by testing all n^size of them."""
+    return {x for x in itertools.product(range(n), repeat=size)
+            if all(sum(c * x[j] for j, c in row.items()) % n == 0 for row in rows)}
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,14 @@ src/ can break `bench/run.py --record` or leave a per-layer span reading 0
 without any bench file failing to load. These tests load the benchmark
 modules by file path and check that everything they name still exists,
 apart from the stale names listed here, which the next change to the
-benchmark drops.
+benchmark drops. The tools that run the benchmark are checked here too:
+`tools/check_goldens.py` against the recorded digests, and the summary of
+`tools/ab_bench.py` on canned run records.
 """
 
 import ast
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -83,3 +86,36 @@ def test_check_goldens_reports_a_corrupted_digest(monkeypatch, tmp_path):
     assert tool.differing(jobs, goldens, str(tmp_path)) == []
     goldens[jobs[1].id] = "0" * 64
     assert tool.differing(jobs, goldens, str(tmp_path)) == [jobs[1].id]
+
+
+def test_ab_bench_summary_applies_the_claim_rule():
+    spec = importlib.util.spec_from_file_location("ab_bench", ROOT / "tools" / "ab_bench.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    specs = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    setup = [0.5, 1.5, 0.6, 1.4, 0.7, 1.3, 0.8, 1.2, 0.9, 1.1]
+    pairs = []
+    for i in range(10):
+        parent = {"setup_s": setup[i], "jobs_per_s": 300 + 2 * i,
+                  "job_p50_s": 0.002 + 0.0001 * i, "job_p90_s": 0.004 + 0.0001 * i,
+                  "peak_rss_mb": 32.0}
+        change = {"setup_s": setup[i], "jobs_per_s": 1.4 * parent["jobs_per_s"],
+                  "job_p50_s": parent["job_p50_s"] - 0.00001,
+                  "job_p90_s": 1.3 * parent["job_p90_s"], "peak_rss_mb": 32.0}
+        pairs.append((parent, change))
+    rows = {row["name"]: row for row in tool.summarize(pairs, specs)}
+    # a gain: 10/10 pairs and a median difference beyond the parent's spread
+    assert rows["jobs_per_s"]["verdict"] == "gain" and rows["jobs_per_s"]["wins"] == 10
+    assert abs(rows["jobs_per_s"]["ratio"] - 1.4) < 1e-9
+    # every pair won, by less than the parent's quartile spread
+    assert (rows["job_p50_s"]["wins"], rows["job_p50_s"]["verdict"]) == (10, "held")
+    assert rows["job_p90_s"]["verdict"] == "worse"
+    # ties count for neither side; a spread wider than the bound decides nothing
+    assert (rows["setup_s"]["wins"], rows["setup_s"]["verdict"]) == (0, "unresolved")
+    assert (rows["peak_rss_mb"]["wins"], rows["peak_rss_mb"]["verdict"]) == (0, "held")
+    assert rows["setup_s"]["parent"][1] == 1.0
+    # two lost pairs of ten break the 9/10 rule, however large the median gain
+    for parent, change in pairs[:2]:
+        change["jobs_per_s"] = parent["jobs_per_s"] - 1
+    rows = {row["name"]: row for row in tool.summarize(pairs, specs)}
+    assert (rows["jobs_per_s"]["wins"], rows["jobs_per_s"]["verdict"]) == (8, "held")

@@ -18,8 +18,11 @@ from cocycle_forge.gauge import act_gauge
 from cocycle_forge.errors import InstanceFileInvalid
 from cocycle_forge.instances import Instance
 from cocycle_forge.scalars import RingAuto, ScalarDomain
+from cocycle_forge.semigroup import SquareFreeSemigroup
 
-from conftest import make_triangle, random_gauge, random_twist, shapes_and_domains
+from conftest import (
+    RP2_6, face_poset, make_triangle, random_gauge, random_twist, shapes_and_domains,
+)
 
 
 @pytest.fixture()
@@ -745,6 +748,16 @@ def test_max_idempotents_raised_for_every_command(runner, chain9_file):
     payload = run_json(runner, ["--max-idempotents", "9", "iso-check",
                                 chain9_file, chain9_file])
     assert payload["isomorphic"] is True
+
+
+def test_h1_of_the_projective_plane(runner, tmp_path):
+    # RP^2_6 has 31 idempotents; |H1| = gcd(2, q - 1) k = 2 over GF(5)
+    dom = ScalarDomain.finite_field(5, 1)
+    sg = SquareFreeSemigroup.validate(*face_poset(RP2_6))
+    path = tmp_path / "rp2.json"
+    save_instance(path, Instance(dom, sg, TwoCochain.trivial(sg, dom)))
+    payload = run_json(runner, ["--max-idempotents", "31", "h1", str(path)])
+    assert payload["h1_order"] == 2
 
 
 @pytest.fixture()

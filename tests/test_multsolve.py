@@ -1,11 +1,18 @@
-"""The exact multiplicative solver used for rational-domain gauge searches."""
+"""The exact multiplicative solver used for rational-domain gauge searches,
+and the lattices mod n that count H1 and Out R."""
 
 import random
 from fractions import Fraction
 
-from cocycle_forge._multsolve import _coprime_base, _int_nth_root, solve_multiplicative
+import pytest
 
-from oracles import RootUndecided, rational_verdict, root_solve_multiplicative
+from cocycle_forge._multsolve import (
+    _coprime_base, _int_nth_root, kernel_mod, least, order, solve_multiplicative, triangular,
+)
+
+from oracles import (
+    RootUndecided, kernel_by_scan, rational_verdict, root_solve_multiplicative, span_mod,
+)
 
 F = Fraction
 
@@ -155,3 +162,45 @@ def test_random_systems_match_the_oracles():
 def test_square_pivot_without_free_variables_is_a_definitive_no():
     # a^2 = 2 pins a with nothing free: no rational a exists
     assert check([({"a": 2}, F(2))], ["a", "b"]) is None
+
+
+# -- lattices mod n ----------------------------------------------------------
+
+MODULI = [1, 2, 3, 4, 6, 8, 9, 12]      # n = q - 1; n = 1 is GF(2)
+
+
+def random_vectors(rng, size, count, spread):
+    return [{j: rng.randint(-spread, spread) for j in range(size) if rng.random() < 0.6}
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("n", MODULI)
+def test_triangular_order_and_least_match_the_span(n):
+    rng = random.Random(f"lattice-{n}")
+    for _ in range(60):
+        size = rng.randint(0, 4)
+        vectors = random_vectors(rng, size, rng.randint(0, 3), 3 * n)
+        basis = triangular(vectors, size, n)
+        group = span_mod(vectors, size, n)
+        assert order(basis, n) == len(group)
+        for j, vec in enumerate(basis):
+            assert min(vec) == j and n % vec[j] == 0
+            assert all(0 < c < n for i, c in vec.items() if i != j)
+        # the basis spans the same subgroup
+        assert span_mod(basis, size, n) == group
+        rank = list(range(n))
+        rng.shuffle(rank)
+        x = tuple(rng.randrange(n) for _ in range(size))
+        coset = [tuple((a + b) % n for a, b in zip(x, h)) for h in group]
+        assert least(x, basis, n, rank) == min(coset, key=lambda y: [rank[v] for v in y])
+
+
+@pytest.mark.parametrize("n", MODULI)
+def test_kernel_mod_matches_a_scan(n):
+    rng = random.Random(f"kernel-{n}")
+    for _ in range(60):
+        size = rng.randint(0, 4)
+        rows = random_vectors(rng, size, rng.randint(0, 3), 2 * n + 1)
+        gens = kernel_mod(rows, size, n)
+        assert all(max(k, default=-1) < size for k in gens)
+        assert span_mod(gens, size, n) == kernel_by_scan(rows, size, n)

@@ -3,15 +3,21 @@ propagation against testing every candidate, B1 as a subgroup of log
 vectors against one gauge per map E -> D*, the composable-pair verifier
 against full products on every basis pair, and the log-coordinate listing
 layer (Z1, H1, Aut0, Out R, cohomologous) against the object-level one it
-replaced."""
+replaced. `h1` and `out_r`, which read solution lattices, are checked
+against partitioning the listings, and H1 of face posets against the
+topology of their complexes."""
 
 import itertools
 import json
 import random
+import time
 from fractions import Fraction
+from functools import cache
+from math import gcd
 
 import pytest
 
+from cocycle_forge._logs import compose, field_logs
 from cocycle_forge.cochain import TwoCochain, is_cocycle, is_normal, normalize
 from cocycle_forge.cohomology import (
     _cosets, aut0_enumerate, aut0_listing, b1_enumerate, b1_listing, h1, inner_triples,
@@ -25,9 +31,12 @@ from cocycle_forge.ring import (
     RingIso, TwistedRing, _probes, build_iso, identity_iso, verify_ring_hom,
 )
 from cocycle_forge.scalars import RingAuto, ScalarDomain, enumerate_autos, random_scalar
-from cocycle_forge.semigroup import SquareFreeSemigroup
+from cocycle_forge.semigroup import SemigroupAuto, SquareFreeSemigroup
 
-from conftest import make_chain4, make_demo_cocycle, make_diamond, make_triangle, random_gauge
+from conftest import (
+    RP2_6, TORUS_7, face_poset, make_chain4, make_demo_cocycle, make_diamond, make_sphere,
+    make_triangle, random_gauge,
+)
 from oracles import (
     all_pairs_verify_ring_hom, brute_force_aut0, brute_force_b1, cosets, gauge_solutions,
     hom_test_aut0, object_aut0, object_h1, object_z1, product_aut0_logs,
@@ -46,6 +55,8 @@ def make_two_arrows():
     return SquareFreeSemigroup.validate(
         ["e1", "e2", "e3", "e4", "e5"], [("a", "e1", "e2"), ("b", "e3", "e4")], {})
 
+
+FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
 
 # shape and Frobenius-twisted arrows (closed under products, so alpha
 # stays a cocycle)
@@ -234,7 +245,7 @@ def test_verifier_matches_all_pairs_oracle(label, iso):
 
 
 @pytest.mark.parametrize("shape", ["diamond", "chain3", "tri", "chain4"])
-@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2)])
+@pytest.mark.parametrize("p,k", FIELDS)
 def test_coset_orders_over_shapes(shape, p, k):
     c = twisted_normal(shape, ScalarDomain.finite_field(p, k))
     ses = verify_ses(c)
@@ -243,7 +254,7 @@ def test_coset_orders_over_shapes(shape, p, k):
     assert o["z1"] == o["b1"] * o["h1"]
     assert o["aut0"] == o["inn0"] * o["out_r"]
     assert o["out_r"] == o["h1"] * o["stab"]
-    # verify_ses reads the listings directly, not through h1 and out_r
+    # verify_ses partitions the listings; h1 and out_r read lattices
     rep, outer = h1(c), out_r(c)
     assert (o["z1"], o["b1"], o["h1"]) == (rep.z1_order, rep.b1_order, rep.h1_order)
     assert ((o["aut0"], o["inn0"], o["out_r"])
@@ -259,8 +270,6 @@ def test_inner_triples_come_sorted(shape, p, k):
 
 
 # -- the log-coordinate listing layer against the object-level one ----------------
-
-FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))
@@ -374,6 +383,145 @@ def test_oracles_use_no_private_route_helper():
     assert borrowed == []
 
 
+# -- h1 and out_r on lattices against the listing route ---------------------------
+
+
+def _sphere():
+    # the Frobenius on the arrows into the c's: a_(ai bj) + a_(bj cl) = a_(ai cl)
+    return make_sphere(), [s for s in make_sphere().arrows() if s[2] == "c"]
+
+
+# shapes for the lattice routes: SHAPES, the sphere, one idempotent and
+# three idempotents with no arrow
+LATTICE_SHAPES = {
+    **{name: (lambda make=make, frob=frob: (make(), frob)) for name, (make, frob) in SHAPES.items()},
+    "sphere": _sphere,
+    "one-idempotent": lambda: (SquareFreeSemigroup.validate(["e"], [], {}), []),
+    "arrowless": lambda: (SquareFreeSemigroup.validate(["e1", "e2", "e3"], [], {}), []),
+}
+SMALL = [(2, 1), (3, 1), (2, 2), (5, 1)]
+WIDE = FIELDS + [(11, 1), (13, 1)]
+# (shape, fields) where listing Z1 and Aut0 takes about a second or less
+LATTICE_CASES = (
+    [("diamond", f) for f in WIDE] + [("sphere", f) for f in SMALL]
+    + [(name, f) for name in ("tri", "chain3", "chain4", "two-arrows", "one-idempotent",
+                              "arrowless") for f in WIDE + [(2, 4)]]
+)
+
+
+def random_normal_twist(shape, domain, seed):
+    """The shape's Frobenius twist (k > 1) moved by a seeded random gauge,
+    then normalized."""
+    sg, frob = LATTICE_SHAPES[shape]()
+    alpha = {s: RingAuto.frobenius(domain, 1) for s in frob} if domain.k > 1 else {}
+    c, _ = normalize(act_gauge(random_gauge(sg, domain, random.Random(seed)),
+                               TwoCochain(sg, domain, alpha=alpha)))
+    return c
+
+
+def listing_h1(c):
+    """(|Z1|, |B1|, representatives, table) by partitioning the Z1 listing
+    into B1-cosets, in log coordinates."""
+    z1, b1 = z1_listing(c), b1_listing(c)
+    coset_of, reps = _cosets(c, z1, b1)
+    logs = field_logs(c.domain)
+    return (len(z1), len(b1), reps,
+            [[coset_of[compose(c.sg, logs, a, b)] for b in reps] for a in reps])
+
+
+def listing_out_r(c):
+    """(|Aut0|, |Inn0|, |Out R|, phi image) by partitioning the Aut0
+    listing into B1-cosets."""
+    aut0, b1 = aut0_listing(c), b1_listing(c)
+    _, reps = _cosets(c, aut0, b1)
+    return len(aut0), len(b1), len(reps), sorted({g[2] for g in aut0}, key=SemigroupAuto.sort_key)
+
+
+def assert_h1_matches(c, want):
+    z1, b1, reps, table = want
+    rep = h1(c)
+    assert (rep.z1_order, rep.b1_order, rep.h1_order) == (z1, b1, len(reps))
+    assert [g.key() for g in rep.h1_cosets] == [from_logs(c.sg, c.domain, g).key() for g in reps]
+    assert rep.coset_table == table
+
+
+def assert_out_r_matches(c, want):
+    rep = out_r(c)
+    assert (rep.aut0_order, rep.inn0_order, rep.out_order, rep.phi_image) == want
+
+
+@pytest.mark.parametrize("shape,p,k", [(shape, p, k) for shape, (p, k) in LATTICE_CASES])
+def test_h1_and_out_r_match_the_listing_route(shape, p, k):
+    dom = ScalarDomain.finite_field(p, k)
+    for seed in (f"{shape}-{p}-{k}-a", f"{shape}-{p}-{k}-b"):
+        c = random_normal_twist(shape, dom, seed)
+        assert_h1_matches(c, listing_h1(c))
+        assert_out_r_matches(c, listing_out_r(c))
+
+
+def test_the_lattice_routes_have_teeth(monkeypatch):
+    # a least that keeps x, or a B1 short of one column, must show
+    from cocycle_forge import cohomology
+
+    c = random_normal_twist("diamond", ScalarDomain.finite_field(3, 2), "teeth")
+    want_h1, want_out = listing_h1(c), listing_out_r(c)
+    assert_h1_matches(c, want_h1)
+    assert_out_r_matches(c, want_out)
+    with monkeypatch.context() as m:
+        m.setattr(cohomology, "least", lambda x, *_: tuple(x))
+        with pytest.raises((AssertionError, KeyError)):
+            assert_h1_matches(c, want_h1)
+    columns = cohomology._b1_columns
+    monkeypatch.setattr(cohomology, "_b1_columns", lambda c: columns(c)[:-1])
+    with pytest.raises(AssertionError):
+        assert_h1_matches(c, want_h1)
+    with pytest.raises(AssertionError):
+        assert_out_r_matches(c, want_out)
+
+
+@cache
+def face_poset_semigroup(name):
+    triangles = {"tetrahedron": itertools.combinations(range(4), 3),
+                 "RP2": RP2_6, "torus": TORUS_7}[name]
+    return SquareFreeSemigroup.validate(*face_poset(triangles))
+
+
+# |Hom(H_1, Z/n)| of the 2-sphere, RP^2 and the torus
+HOMS = {"tetrahedron": lambda n: 1, "RP2": lambda n: gcd(2, n), "torus": lambda n: n * n}
+
+
+@pytest.mark.parametrize("name,p,k", [
+    (name, p, k) for name in ("tetrahedron", "RP2") for p, k in FIELDS]
+    + [("torus", p, k) for p, k in FIELDS[:5]])
+def test_h1_of_a_face_poset_is_its_topology(name, p, k):
+    # for the trivial twist H1 is Hom(H_1(N(S)), Z/(q-1)) x Z/k on a
+    # connected complex (Stanley; Gerstenhaber & Schack)
+    sg = face_poset_semigroup(name)
+    rep = h1(TwoCochain.trivial(sg, ScalarDomain.finite_field(p, k)))
+    assert rep.h1_order == HOMS[name](p ** k - 1) * k
+    assert rep.z1_order == rep.b1_order * rep.h1_order
+    assert len(rep.coset_table) == rep.h1_order
+
+
+@pytest.mark.parametrize("p,k,h1_orders,out_r_orders", [
+    (5, 2, (663552, 82944, 8), (1327104, 82944, 16)),
+    (3, 3, (1370928, 228488, 6), None),
+])
+def test_baseline_diamond_orders_without_listing(p, k, h1_orders, out_r_orders):
+    # listing took 3.9 s (GF(25) h1), 9.6 s (GF(25) out_r) and 8.6 s
+    # (GF(27) h1); the lattices take milliseconds
+    c = make_demo_cocycle(ScalarDomain.finite_field(p, k))
+    start = time.perf_counter()
+    rep = h1(c)
+    assert time.perf_counter() - start < 1
+    assert (rep.z1_order, rep.b1_order, rep.h1_order) == h1_orders
+    if out_r_orders:
+        start = time.perf_counter()
+        outer = out_r(c)
+        assert time.perf_counter() - start < 1
+        assert (outer.aut0_order, outer.inn0_order, outer.out_order) == out_r_orders
+
+
 # -- the gauge-list writer against json.dumps of the dict tree -------------------
 
 
@@ -399,6 +547,20 @@ def test_gauge_list_text_matches_json_dumps(shape, p, k):
     assert any(not any(mu) and not any(x) for mu, x, _ in z1)
     if k > 1:
         assert any(any(mu) for mu, _, _ in z1 + aut0)
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@pytest.mark.parametrize("p,k", [(3, 1), (2, 2), (5, 1)])
+def test_gauge_list_text_in_any_order(shape, p, k):
+    # the writer keeps the eta text of the last gauge's prefixes; a list
+    # out of sort order shares few prefixes, and none with an empty or
+    # one-element list
+    c = twisted_normal(shape, ScalarDomain.finite_field(p, k))
+    rng = random.Random(f"writer-{shape}-{p}-{k}")
+    for field, group, witnesses in (("elements", z1_listing(c), False),
+                                    ("triples", aut0_listing(c), True)):
+        for order in ([], group[-1:], group[::-1], rng.sample(group, len(group))):
+            assert_writer_matches(c, field, order, witnesses)
 
 
 def test_gauge_list_text_with_relabelings():

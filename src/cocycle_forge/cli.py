@@ -172,7 +172,9 @@ def iso_check_cmd(cfg, file_a, file_b):
         _fail(cfg, "both files must carry the same division ring and semigroup")
     try:
         iso = find_ring_iso(a.cocycle, b.cocycle)
-    except NotEnumerable:
+    except NotEnumerable as exc:
+        if a.domain.kind == "finite_field":    # a field too large to tabulate
+            _fail(cfg, exc)
         _emit(cfg, {"isomorphic": "unknown",
                     "reason": "coefficient domain is not enumerable"},
               ["isomorphic: UNKNOWN (domain not enumerable)"])

@@ -21,24 +21,28 @@ coordinates (mu exponents, eta logs mod q - 1, phi; see `_logs.py`):
 `b1_listing` spans the subgroup of log vectors generated by the star
 action's columns, and `aut0_listing` solves relations read from the
 multiplicativity probes. The CLI prints a listing through
-`gauge.gauge_list_text`; the `*_enumerate` functions translate one into
-gauges; only `verify_ses` partitions them, by `_cosets`, which walks the
-sorted group and makes each unassigned element the representative, hence
-the least element, of its coset.
+`gauge.gauge_list_text`, and the `*_enumerate` functions translate one
+into gauges. Nothing here partitions a listing.
 
-`h1` and `out_r` list neither group. They read the same relations as
-lattices mod n = q - 1 (`_multsolve.triangular`): for one mu (and phi)
-the eta solutions are x0 + L, L the kernel of the rows' coefficients,
-which depend on phi but not on mu, and B1 is the lattice of the star
-action's columns. So |Z1| and |Aut0| are sums of |L| over the fibers that
+`h1`, `out_r` and `verify_ses` list no group. They read the same
+relations as lattices mod n = q - 1 (`_multsolve.triangular`): for one mu
+(and phi) the eta solutions are x0 + L_phi, L_phi the kernel of the rows'
+coefficients, which depend on phi but not on mu, and B1 is the lattice of
+the star action's columns. One kernel L = L_id serves every phi. The rows
+of phi are x[s] + p^{a(phi s)} x[t] - x[st] over the composable pairs
+(s, t), and phi is a product-preserving bijection of those pairs; so with
+y = x o phi^{-1} (y[phi s] = x[s]) they are exactly the phi = id rows
+y[s'] + p^{a(s')} y[t'] - y[s't'] over (s', t') = (phi s, phi t). Hence
+L_phi = {x : x o phi^{-1} in L}, a relabelling of positions, and
+|L_phi| = |L|. So |Z1| and |Aut0| are |L| times the number of fibers that
 have a first solution x0, and |B1| divides both. On Z1, mu is constant
 along every arrow, so the scaling by p^{mu[src s]} in h . g maps B1 onto
 itself and a coset B1 . g is the plain translate g.x + B1; `h1` reads the
 cosets in each fiber off the triangular bases of L and B1 and reports
-each by its least member (`_multsolve.least`), the representative the
-walk of `_cosets` would pick. The reports hold values only: orders, the
-H1 representatives (the one gauge list they build) with their coset
-table, and the realized idempotent permutations.
+each by its least member (`_multsolve.least`), the element a walk of the
+sorted Z1 would meet first. The reports hold values only: orders, the H1
+representatives (the one gauge list they build) with their coset table,
+and the realized idempotent permutations.
 
 Aut0 R is found by propagation over the exact multiplicativity probes of
 `ring._probes`: for each (phi, mu) they fix, with eta = 1, the value u that
@@ -56,8 +60,8 @@ no pair is probed twice for one (phi, mu).
 
     1 -> H1 -> Out R -> Stab(Aut S) -> 1
 
-clause by clause on the listings and their coset maps, with a
-split-section check when the class is trivial.
+clause by clause on these lattices, comparing the two routes' fibers as
+affine sets mod n, with a split-section check when the class is trivial.
 
 The enumeration route here (homomorphism testing) is deliberately
 independent of the gauge-search route in `gauge.py`: the two share the
@@ -175,38 +179,6 @@ def b1_enumerate(c):
     return _gauges(c, b1_listing(c))
 
 
-def _cosets(c, group, sub):
-    """Left cosets sub . g of a group listed in sort order, all in log
-    coordinates: (coset_of, reps), coset_of mapping each member to its
-    coset index and reps[i] the least element of coset i.
-
-    sub is B1, whose members h have mu = 0 and phi = id, so the group law
-    of _logs.py gives h . g = (g.mu, p^{g.mu[src s]} h[s] + g.x[s], g.phi).
-    """
-    sg = c.sg
-    logs = field_logs(c.domain)
-    n, frob = logs.n, logs.frob
-    e_pos = {e: i for i, e in enumerate(sg.idempotents)}
-    src = [e_pos[sg.src[s]] for s in sg.elements]
-    coset_of = dict.fromkeys(group)
-    reps = []
-    for g in group:
-        if coset_of[g] is not None:
-            continue
-        mu, x, phi = g
-        scale = [frob[mu[i]] for i in src]
-        index = len(reps)
-        for _, h, _ in sub:
-            hg = (mu, tuple([(a * b + v) % n for a, b, v in zip(scale, h, x)]), phi)
-            if hg not in coset_of:
-                raise AssertionError("a translate by the subgroup left the group")
-            coset_of[hg] = index
-        reps.append(g)
-    if len(reps) * len(sub) != len(group):
-        raise AssertionError("|group| != |subgroup| x |cosets|")
-    return coset_of, reps
-
-
 @dataclass(frozen=True)
 class H1Report:
     """Z1/B1 by its orders, its coset representatives (sorted gauges) and a
@@ -218,6 +190,26 @@ class H1Report:
     coset_table: list
 
 
+def _z1_lattice(c, logs):
+    """(fibers, L, rows, B1): the first solution x0 of each mu of
+    _gauge_fibers(c, c) that has one (a dict mu -> x0), the triangular
+    basis of the kernel L of their eta rows and those rows' coefficients,
+    and the basis of B1, once every star column is checked to meet every
+    row, i.e. B1 <= L."""
+    sg, n = c.sg, logs.n
+    columns, b1 = _b1_lattice(c)
+    fibers = {}
+    for mu, constraints in _gauge_fibers(c, c):
+        x0 = next(solve(sg, logs, constraints), None)
+        if x0 is not None:
+            fibers[mu] = x0
+    # the coefficients are the same for every mu, and mu = 0 is one
+    lattice, rows = _kernel(sg, logs, constraints)
+    if any(sum(a * col[j] for j, a in row.items()) % n for row in rows for col in columns):
+        raise AssertionError("coboundaries failed to stabilize the cocycle")
+    return fibers, lattice, rows, b1
+
+
 def h1(c):
     """Group Z1 into B1-cosets; the factor group is reported by table.
 
@@ -227,26 +219,18 @@ def h1(c):
     rows' coefficients, which do not depend on mu. B1 is the lattice of the
     star action's columns (b1_listing). On Z1, mu is constant along every
     arrow (mu_f - mu_e = 0 mod k), and each column lives on the arrows of
-    one component, so the scaling by p^{mu[src s]} inside h . g (see
-    _cosets) maps B1 onto itself: the coset B1 . g is g.x + B1. The cosets
-    in a fiber are x0 + o + B1, with o = sum_j t_j l_j over the triangular
-    bases l of L and b of B1, 0 <= t_j < b_j[j] / l_j[j]. Each is reported
-    by its least member, as a walk of the sorted Z1 would find it.
+    one component, so the scaling by p^{mu[src s]} inside h . g (the group
+    law of _logs.py, h in B1 having mu = 0 and phi = id) maps B1 onto
+    itself: the coset B1 . g is g.x + B1. The cosets in a fiber are
+    x0 + o + B1, with o = sum_j t_j l_j over the triangular bases l of L
+    and b of B1, 0 <= t_j < b_j[j] / l_j[j]. Each is reported by its least
+    member, as a walk of the sorted Z1 would find it.
     """
     _require_listable(c)
     sg = c.sg
     logs = field_logs(c.domain)
     n, rank = logs.n, logs.rank
-    columns, b1 = _b1_lattice(c)
-    fibers = []
-    for mu, constraints in _gauge_fibers(c, c):
-        x0 = next(solve(sg, logs, constraints), None)
-        if x0 is not None:
-            fibers.append((mu, x0))
-    # the coefficients are the same for every mu, and mu = 0 is one
-    z1, rows = _kernel(sg, logs, constraints)
-    if any(sum(a * col[j] for j, a in row.items()) % n for row in rows for col in columns):
-        raise AssertionError("coboundaries failed to stabilize the cocycle")
+    fibers, z1, _, b1 = _z1_lattice(c, logs)
     offsets = [(0,) * len(sg.elements)]
     for j, (l, b) in enumerate(zip(z1, b1)):
         if b[j] % l[j]:
@@ -255,10 +239,10 @@ def h1(c):
                    for o in offsets for t in range(b[j] // l[j])]
     ident = SemigroupAuto.identity(sg)
     reps = sorted(((mu, least([(a + b) % n for a, b in zip(x0, o)], b1, n, rank), ident)
-                   for mu, x0 in fibers for o in offsets), key=logs.key)
+                   for mu, x0 in fibers.items() for o in offsets), key=logs.key)
     index = {g[:2]: i for i, g in enumerate(reps)}
     table = [[index[g[0], least(g[1], b1, n, rank)]
-              for g in (compose(sg, logs, a, b) for b in reps)] for a in reps]
+              for g in (compose(logs, a, b) for b in reps)] for a in reps]
     return H1Report(len(fibers) * order(z1, n), order(b1, n), len(reps),
                     _gauges(c, reps), table)
 
@@ -342,6 +326,15 @@ def _aut0_fibers(c):
         yield from extend(0)
 
 
+def _aut0_solved(c, logs):
+    """Yield (phi, mu, x0, constraints) for each (phi, mu, constraints) of
+    _aut0_fibers whose eta rows have a solution, x0 the first."""
+    for phi, mu, constraints in _aut0_fibers(c):
+        x0 = next(solve(c.sg, logs, constraints), None)
+        if x0 is not None:
+            yield phi, mu, x0, constraints
+
+
 def aut0_listing(c):
     """Aut0 in log coordinates, sorted; see aut0_enumerate."""
     _require_listable(c)
@@ -385,23 +378,21 @@ def out_r(c):
     Neither group is listed. The eta rows of a (phi, mu) of _aut0_fibers
     have coefficients (1, p^{a_phi(s)}, -1), which depend on phi only, so
     their solutions, where there is one, are a translate of the kernel
-    L_phi of those coefficients: |Aut0| sums |L_phi| over the (phi, mu)
-    with a solution, and |Out R| = |Aut0| / |B1|.
+    L_phi of those coefficients, and |L_phi| = |L| for every phi (module
+    docstring). So one kernel, of the first fiber's rows, sizes them all:
+    |Aut0| = |L| times the number of (phi, mu) with a solution, and
+    |Out R| = |Aut0| / |B1|.
     """
     _require_listable(c)
-    sg = c.sg
     logs = field_logs(c.domain)
-    sizes = {}
-    aut0 = 0
-    for phi, _, constraints in _aut0_fibers(c):
-        if next(solve(sg, logs, constraints), None) is not None:
-            if phi not in sizes:
-                sizes[phi] = order(_kernel(sg, logs, constraints)[0], logs.n)
-            aut0 += sizes[phi]
+    fibers = list(_aut0_solved(c, logs))
+    # the identity gauge has a fiber, so there is a first one
+    aut0 = len(fibers) * order(_kernel(c.sg, logs, fibers[0][3])[0], logs.n)
     inn0 = order(_b1_lattice(c)[1], logs.n)
     if aut0 % inn0:
         raise AssertionError("|Aut0| is not a multiple of |Inn0|")
-    return OutRReport(aut0, inn0, aut0 // inn0, sorted(sizes, key=SemigroupAuto.sort_key))
+    return OutRReport(aut0, inn0, aut0 // inn0,
+                      sorted({f[0] for f in fibers}, key=SemigroupAuto.sort_key))
 
 
 # ---------------------------------------------------------------------------
@@ -426,59 +417,84 @@ class SesReport:
 
 
 def verify_ses(c):
-    """Check exactness of 1 -> H1 -> Out R -> Stab -> 1 by enumeration.
+    """Check exactness of 1 -> H1 -> Out R -> Stab -> 1 on the solution
+    lattices mod n = q - 1, listing no group.
 
-    Clauses: injectivity of the cohomology-to-outer map, image = kernel in
-    the middle, image of the idempotent-permutation map = class stabilizer,
-    the order equation, and (for the trivial class) the splitting section.
+    L is the kernel of the phi = id eta rows and B1 the lattice of the star
+    action's columns. The gauge route (_gauge_fibers, the action formula)
+    and the probe route (_aut0_fibers, ring multiplicativity) each give the
+    right-hand sides of their fibers; a fiber counts where it has a first
+    solution. First B1 <= L: every column meets every row.
+
+    (i) lambda injective and (ii) image lambda = kernel Phi hold when the
+    two routes' phi = id coefficient rows are equal, so both fibers of a mu
+    are translates of L, the same mus have a fiber in both, and for each the
+    two first solutions differ by a member of L (`least` of the difference
+    is `least` of 0). Then Aut0 and {phi = id} meet in Z1 as sets, and with
+    B1 <= L a B1-coset of Z1 is one of Aut0, so lambda is injective and its
+    image is the kernel. (i) needs each Z1 fiber to be an Aut0 fiber,
+    (ii) the converse too.
+    (iii) the phis with an Aut0 fiber are stabilizer_of_class(c).
+    (iv) |Out R| = #Aut0 fibers . |L| / |B1| (module docstring) against
+    |H1| . |Stab|, with |H1| = #Z1 fibers . |L| / |B1|.
+    (v) for the trivial class, phi -> (id, 1, phi) passes verify_ring_hom
+    for each phi in Aut S.
+
+    The orders, and the detail of each clause that holds, read as a
+    partition of the listings into B1-cosets would give them. A failing (i)
+    or (ii) reports fiber counts instead.
     """
-    z1, b1 = z1_listing(c), b1_listing(c)
-    h1_of, h1_reps = _cosets(c, z1, b1)
-    if not all(g in h1_of for g in b1):
-        raise AssertionError("coboundaries failed to stabilize the cocycle")
-    aut0 = aut0_listing(c)
-    coset_of, out_reps = _cosets(c, aut0, b1)
+    _require_listable(c)
+    sg = c.sg
+    logs = field_logs(c.domain)
+    n, rank = logs.n, logs.rank
+    z1_fibers, lattice, rows, b1 = _z1_lattice(c, logs)
+    size, inn0 = order(lattice, n), order(b1, n)
+    if size % inn0:
+        raise AssertionError("|B1| does not divide |L|")
+    aut0_fibers = list(_aut0_solved(c, logs))
+    id_fibers = [f for f in aut0_fibers if f[0].is_identity()]
     stab = stabilizer_of_class(c)
+    h1_order = len(z1_fibers) * size // inn0
+    out_order = len(aut0_fibers) * size // inn0
     clauses = []
 
-    # (i) distinct H1 cosets induce distinct outer classes; lambda is the
-    # inclusion Z1 <= Aut0, so each representative is looked up as it is
-    images = [coset_of.get(g) for g in h1_reps]
-    ok_i = None not in images and len(set(images)) == len(images)
+    # (i) and (ii): Z1 = Aut0 with phi = id, fiber by fiber
+    same_rows = bool(id_fibers) and [
+        coef for coef, _ in eta_rows(sg, logs, id_fibers[0][3])] == rows
+    zero = least((0,) * len(sg.elements), lattice, n, rank)
+    shared = sum(mu in z1_fibers and least([(a - b) % n for a, b in zip(x0, z1_fibers[mu])],
+                                          lattice, n, rank) == zero
+                 for _, mu, x0, _ in id_fibers) if same_rows else 0
+    rows_note = "" if same_rows else "; the two routes' phi = id eta rows differ"
+    ok_i = shared == len(z1_fibers)
     clauses.append(SesClause(
         "lambda_injective", ok_i,
-        f"{len(set(i for i in images if i is not None))} distinct outer classes "
-        f"from {len(h1_reps)} cohomology cosets"))
-
-    # (ii) the outer classes with identity idempotent permutation are
-    # exactly the lambda images
-    kernel_keys = {i for g, i in coset_of.items() if g[2].is_identity()}
-    ok_ii = set(images) == kernel_keys
+        f"{h1_order} distinct outer classes from {h1_order} cohomology cosets" if ok_i else
+        f"{shared} of {len(z1_fibers)} Z1 fibers are Aut0 fibers{rows_note}"))
+    ok_ii = ok_i and len(id_fibers) == shared
     clauses.append(SesClause(
         "image_lambda_is_kernel_phi", ok_ii,
-        f"kernel has {len(kernel_keys)} outer classes, lambda image has "
-        f"{len(set(images))}"))
+        f"kernel has {h1_order} outer classes, lambda image has {h1_order}" if ok_ii else
+        f"{len(id_fibers)} Aut0 fibers over phi = id, {shared} of them Z1 fibers{rows_note}"))
 
     # (iii) the idempotent permutations realized by Aut0 are the stabilizer
-    got = {g[2] for g in aut0}
-    want = set(stab)
+    phis, want = {f[0] for f in aut0_fibers}, set(stab)
     clauses.append(SesClause(
-        "image_phi_is_stabilizer", got == want,
-        f"realized {len(got)} permutations, stabilizer has {len(want)}"))
+        "image_phi_is_stabilizer", phis == want,
+        f"realized {len(phis)} permutations, stabilizer has {len(want)}"))
 
     # (iv) |Out R| = |H1| . |Stab|
-    ok_iv = len(out_reps) == len(h1_reps) * len(stab)
     clauses.append(SesClause(
-        "order_equation", ok_iv,
-        f"|Out R| = {len(out_reps)}, |H1| x |Stab| = "
-        f"{len(h1_reps)} x {len(stab)}"))
+        "order_equation", out_order == h1_order * len(stab),
+        f"|Out R| = {out_order}, |H1| x |Stab| = {h1_order} x {len(stab)}"))
 
     # (v) split section for the trivial class: phi -> (id, 1, phi)
-    trivial = TwoCochain.trivial(c.sg, c.domain)
+    trivial = TwoCochain.trivial(sg, c.domain)
     if cohomologous(c, trivial) is not None:
         ring = TwistedRing(trivial)
-        ok_v = all(verify_ring_hom(RingIso(ring, ring, Gauge(c.sg, c.domain, phi=phi)))
-                   for phi in c.sg.enumerate_autos())
+        ok_v = all(verify_ring_hom(RingIso(ring, ring, Gauge(sg, c.domain, phi=phi)))
+                   for phi in sg.enumerate_autos())
         clauses.append(SesClause(
             "split_section", ok_v,
             "phi -> (id, 1, phi) lands in Aut0 with Phi o Psi = id"))
@@ -488,13 +504,13 @@ def verify_ses(c):
 
     ok = all(cl.ok for cl in clauses if cl.ok is not None)
     orders = {
-        "aut_s": len(c.sg.enumerate_autos()),
-        "z1": len(z1),
-        "b1": len(b1),
-        "h1": len(h1_reps),
-        "aut0": len(aut0),
-        "inn0": len(b1),
-        "out_r": len(out_reps),
+        "aut_s": len(sg.enumerate_autos()),
+        "z1": len(z1_fibers) * size,
+        "b1": inn0,
+        "h1": h1_order,
+        "aut0": len(aut0_fibers) * size,
+        "inn0": inn0,
+        "out_r": out_order,
         "stab": len(stab),
     }
     return SesReport(ok, tuple(clauses), orders)

@@ -14,7 +14,8 @@ class DivisionByZero(ForgeError):
 
 
 class NotEnumerable(ForgeError):
-    """An exhaustive enumeration was requested over an infinite set."""
+    """An exhaustive enumeration was requested over an infinite set, or
+    over a finite field too large to tabulate (see _logs.MAX_LOG_ENTRIES)."""
 
 
 class NotNormal(ForgeError, ValueError):

@@ -9,7 +9,10 @@ listing layer that log coordinates replaced is kept here too: `solve_eta`
 backtracks Scalars over every unit, `gauge_solutions` loops mu over all of
 Aut(D)^E, and `cosets` partitions gauges through `Gauge.compose`;
 `product_aut0_logs` lists Aut0 in log coordinates with every mu of
-Aut(D)^E asked of the probes. The lattices mod n that count H1 and Out R
+Aut(D)^E asked of the probes. The listing route that the solution lattices
+replaced is kept too: `_cosets` partitions a listing in log coordinates
+into B1-cosets, and `listing_verify_ses` checks the exact sequence on
+the Z1, B1 and Aut0 listings and their coset maps. The lattices mod n that count H1 and Out R
 are checked against `span_mod`, which closes a subgroup of (Z/n)^size
 under its generators, and `kernel_by_scan`, which tests every vector. The Aut0 oracles read their eta relations
 from `probe_constraints`, which asks `ring.pair_sides` about every pair at
@@ -40,9 +43,12 @@ from fractions import Fraction
 
 from cocycle_forge._logs import field_logs, solve
 from cocycle_forge._multsolve import _int_nth_root, eliminate
-from cocycle_forge.cochain import CocycleVerdict, CocycleViolation
+from cocycle_forge.cochain import CocycleVerdict, CocycleViolation, TwoCochain
 from cocycle_forge.errors import SemigroupInvalid
-from cocycle_forge.gauge import Gauge
+from cocycle_forge.cohomology import (
+    SesClause, SesReport, aut0_listing, b1_listing, z1_listing,
+)
+from cocycle_forge.gauge import Gauge, cohomologous, stabilizer_of_class
 from cocycle_forge.ring import (
     HomVerdict, RingIso, TwistedRing, _probes, pair_sides, verify_ring_hom,
 )
@@ -413,6 +419,111 @@ def object_h1(c):
     """(representatives, coset table) of Z1 / B1 through Gauge.compose."""
     coset_of, reps = cosets(object_z1(c), brute_force_b1(c))
     return reps, [[coset_of[a.compose(b)] for b in reps] for a in reps]
+
+
+def _cosets(c, group, sub):
+    """Left cosets sub . g of a group listed in sort order, all in log
+    coordinates: (coset_of, reps), coset_of mapping each member to its
+    coset index and reps[i] the least element of coset i, found by walking
+    the sorted group and making each unassigned element the representative
+    of its coset.
+
+    sub is B1, whose members h have mu = 0 and phi = id, so the group law
+    of cocycle_forge._logs gives h . g = (g.mu, p^{g.mu[src s]} h[s] + g.x[s], g.phi).
+    """
+    sg = c.sg
+    logs = field_logs(c.domain)
+    n, frob = logs.n, logs.frob
+    e_pos = {e: i for i, e in enumerate(sg.idempotents)}
+    src = [e_pos[sg.src[s]] for s in sg.elements]
+    coset_of = dict.fromkeys(group)
+    reps = []
+    for g in group:
+        if coset_of[g] is not None:
+            continue
+        mu, x, phi = g
+        scale = [frob[mu[i]] for i in src]
+        index = len(reps)
+        for _, h, _ in sub:
+            hg = (mu, tuple([(a * b + v) % n for a, b, v in zip(scale, h, x)]), phi)
+            if hg not in coset_of:
+                raise AssertionError("a translate by the subgroup left the group")
+            coset_of[hg] = index
+        reps.append(g)
+    if len(reps) * len(sub) != len(group):
+        raise AssertionError("|group| != |subgroup| x |cosets|")
+    return coset_of, reps
+
+
+def listing_verify_ses(c):
+    """verify_ses by listing Z1, B1 and Aut0 and partitioning them into
+    B1-cosets (`_cosets`): each clause compares the coset maps."""
+    z1, b1 = z1_listing(c), b1_listing(c)
+    h1_of, h1_reps = _cosets(c, z1, b1)
+    if not all(g in h1_of for g in b1):
+        raise AssertionError("coboundaries failed to stabilize the cocycle")
+    aut0 = aut0_listing(c)
+    coset_of, out_reps = _cosets(c, aut0, b1)
+    stab = stabilizer_of_class(c)
+    clauses = []
+
+    # (i) distinct H1 cosets induce distinct outer classes; lambda is the
+    # inclusion Z1 <= Aut0, so each representative is looked up as it is
+    images = [coset_of.get(g) for g in h1_reps]
+    ok_i = None not in images and len(set(images)) == len(images)
+    clauses.append(SesClause(
+        "lambda_injective", ok_i,
+        f"{len(set(i for i in images if i is not None))} distinct outer classes "
+        f"from {len(h1_reps)} cohomology cosets"))
+
+    # (ii) the outer classes with identity idempotent permutation are
+    # exactly the lambda images
+    kernel_keys = {i for g, i in coset_of.items() if g[2].is_identity()}
+    ok_ii = set(images) == kernel_keys
+    clauses.append(SesClause(
+        "image_lambda_is_kernel_phi", ok_ii,
+        f"kernel has {len(kernel_keys)} outer classes, lambda image has "
+        f"{len(set(images))}"))
+
+    # (iii) the idempotent permutations realized by Aut0 are the stabilizer
+    got = {g[2] for g in aut0}
+    want = set(stab)
+    clauses.append(SesClause(
+        "image_phi_is_stabilizer", got == want,
+        f"realized {len(got)} permutations, stabilizer has {len(want)}"))
+
+    # (iv) |Out R| = |H1| . |Stab|
+    ok_iv = len(out_reps) == len(h1_reps) * len(stab)
+    clauses.append(SesClause(
+        "order_equation", ok_iv,
+        f"|Out R| = {len(out_reps)}, |H1| x |Stab| = "
+        f"{len(h1_reps)} x {len(stab)}"))
+
+    # (v) split section for the trivial class: phi -> (id, 1, phi)
+    trivial = TwoCochain.trivial(c.sg, c.domain)
+    if cohomologous(c, trivial) is not None:
+        ring = TwistedRing(trivial)
+        ok_v = all(verify_ring_hom(RingIso(ring, ring, Gauge(c.sg, c.domain, phi=phi)))
+                   for phi in c.sg.enumerate_autos())
+        clauses.append(SesClause(
+            "split_section", ok_v,
+            "phi -> (id, 1, phi) lands in Aut0 with Phi o Psi = id"))
+    else:
+        clauses.append(SesClause(
+            "split_section", None, "class is not trivial; not applicable"))
+
+    ok = all(cl.ok for cl in clauses if cl.ok is not None)
+    orders = {
+        "aut_s": len(c.sg.enumerate_autos()),
+        "z1": len(z1),
+        "b1": len(b1),
+        "h1": len(h1_reps),
+        "aut0": len(aut0),
+        "inn0": len(b1),
+        "out_r": len(out_reps),
+        "stab": len(stab),
+    }
+    return SesReport(ok, tuple(clauses), orders)
 
 
 def pack(g):

@@ -606,6 +606,41 @@ def test_ring_table_internal_value_error_is_not_a_usage_error(runner, demo_file,
     assert isinstance(result.exception, ValueError)
 
 
+@pytest.mark.parametrize("command", ["h1", "out-r", "verify-ses", "iso-check"])
+def test_a_field_too_large_for_log_tables_exits_2(runner, tmp_path, monkeypatch, command):
+    # GF(2^31 - 1) would need about 0.9 TB of log tables: refused by name,
+    # before any table is built, and never answered "unknown"
+    from cocycle_forge._logs import FieldLogs
+
+    def refuse(self, domain):
+        raise AssertionError("log tables were built")
+
+    monkeypatch.setattr(FieldLogs, "__init__", refuse)
+    dom = ScalarDomain.finite_field(2 ** 31 - 1)
+    sg = diamond_demo_instance().sg
+    path = tmp_path / "huge.json"
+    save_instance(path, Instance(dom, sg, TwoCochain.trivial(sg, dom)))
+    files = [str(path)] * (2 if command == "iso-check" else 1)
+    result = runner.invoke(main, ["--output", "json", command, *files])
+    assert result.exit_code == 2, result.output
+    payload = json.loads(result.output)
+    assert payload["ok"] is False and "GF(2147483647)" in payload["error"]
+
+
+def test_verify_ses_cmd_on_the_gf25_demo(runner, tmp_path):
+    # the lattices reach what listing took 13.5 s and 653 MB for
+    sg = diamond_demo_instance().sg
+    dom = ScalarDomain.finite_field(5, 2)
+    path = tmp_path / "gf25.json"
+    save_instance(path, Instance(dom, sg, TwoCochain(
+        sg, dom, alpha={"s34": RingAuto.frobenius(dom, 1)})))
+    payload = run_json(runner, ["verify-ses", str(path)])
+    assert payload["ok"]
+    assert payload["orders"] == {"aut_s": 2, "z1": 663552, "b1": 82944, "h1": 8,
+                                 "aut0": 1327104, "inn0": 82944, "out_r": 16, "stab": 2}
+    assert [cl["ok"] for cl in payload["clauses"]] == [True, True, True, True, None]
+
+
 def test_verify_ses_not_enumerable(runner, tmp_path):
     inst = diamond_demo_instance()
     data = instance_to_json(inst)

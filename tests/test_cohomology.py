@@ -427,18 +427,16 @@ def test_phi_components_compose(demo):
             assert t1.compose(t2).phi == t2.phi.compose(t1.phi)
 
 
-def test_verify_ses_enumerates_b1_once(demo, monkeypatch):
-    # Z1, B1 and Aut0 each have one checked listing, and verify_ses runs
-    # each of them once, sharing B1 between H1 and Out R
+def test_verify_ses_lists_no_group(demo, monkeypatch):
+    # verify_ses reads the solution lattices; none of the listings runs
     from cocycle_forge import cohomology
-    calls = []
+
+    def refuse(c):
+        raise AssertionError("verify_ses listed a group")
+
     for name in ("z1_listing", "b1_listing", "aut0_listing"):
-        def counted(c, name=name, original=getattr(cohomology, name)):
-            calls.append(name)
-            return original(c)
-        monkeypatch.setattr(cohomology, name, counted)
+        monkeypatch.setattr(cohomology, name, refuse)
     assert verify_ses(demo).ok
-    assert sorted(calls) == ["aut0_listing", "b1_listing", "z1_listing"]
 
 
 def test_verify_ses_enumerates_aut_s_once(demo, monkeypatch):

@@ -38,6 +38,25 @@ def test_log_tables(p, k):
         assert all(logs.exp[logs.frob[i] * x % n] is a(logs.exp[x]) for x in range(n))
 
 
+def test_log_tables_past_the_bound_are_refused_before_any_is_built(monkeypatch):
+    from cocycle_forge import _logs
+    from cocycle_forge.errors import NotEnumerable
+
+    built = []
+    monkeypatch.setattr(_logs.FieldLogs, "__init__",
+                        lambda self, domain: built.append(domain) or 1 / 0)
+    # GF(65537) and GF(2^20) have at most 2^20 units: admitted
+    for p, k in ((65537, 1), (2, 20)):
+        dom = ScalarDomain.finite_field(p, k)
+        monkeypatch.setattr(dom, "_logs", None)
+        with pytest.raises(ZeroDivisionError):
+            field_logs(dom)
+    big = ScalarDomain.finite_field(2 ** 31 - 1)
+    with pytest.raises(NotEnumerable, match=r"GF\(2147483647\)"):
+        field_logs(big)
+    assert len(built) == 2 and big._logs is None
+
+
 def test_building_a_field_builds_no_tables():
     dom = ScalarDomain.finite_field(2, 16)
     assert dom._logs is None and len(dom._elements) <= 8
@@ -53,7 +72,7 @@ def test_packed_group_law_and_key(make, p, k):
     assert any(not g.phi.is_identity() for g in gauges)
     for g1, g2 in zip(gauges, gauges[1:]):
         assert from_logs(sg, dom, pack(g1)) == g1
-        assert from_logs(sg, dom, compose(sg, logs, pack(g1), pack(g2))) == g1.compose(g2)
+        assert from_logs(sg, dom, compose(logs, pack(g1), pack(g2))) == g1.compose(g2)
         assert ((logs.key(pack(g1)) < logs.key(pack(g2)))
                 == (g1.sort_key() < g2.sort_key()))
     assert (sorted(gauges, key=lambda g: logs.key(pack(g)))

@@ -3,8 +3,9 @@ propagation against testing every candidate, B1 as a subgroup of log
 vectors against one gauge per map E -> D*, the composable-pair verifier
 against full products on every basis pair, and the log-coordinate listing
 layer (Z1, H1, Aut0, Out R, cohomologous) against the object-level one it
-replaced. `h1` and `out_r`, which read solution lattices, are checked
-against partitioning the listings, and H1 of face posets against the
+replaced. `h1`, `out_r` and `verify_ses`, which read solution lattices,
+are checked against partitioning the listings (`verify_ses` against
+`listing_verify_ses`, clause by clause), and H1 of face posets against the
 topology of their complexes."""
 
 import itertools
@@ -17,10 +18,11 @@ from math import gcd
 
 import pytest
 
-from cocycle_forge._logs import compose, field_logs
+from cocycle_forge._logs import compose, field_logs, power
+from cocycle_forge._multsolve import least, order
 from cocycle_forge.cochain import TwoCochain, is_cocycle, is_normal, normalize
 from cocycle_forge.cohomology import (
-    _cosets, aut0_enumerate, aut0_listing, b1_enumerate, b1_listing, h1, inner_triples,
+    aut0_enumerate, aut0_listing, b1_enumerate, b1_listing, h1, inner_triples,
     out_r, verify_ses, z1_enumerate, z1_listing,
 )
 from cocycle_forge.gauge import (
@@ -38,8 +40,9 @@ from conftest import (
     make_triangle, random_gauge,
 )
 from oracles import (
-    all_pairs_verify_ring_hom, brute_force_aut0, brute_force_b1, cosets, gauge_solutions,
-    hom_test_aut0, object_aut0, object_h1, object_z1, product_aut0_logs,
+    _cosets, all_pairs_verify_ring_hom, brute_force_aut0, brute_force_b1, cosets,
+    gauge_solutions, hom_test_aut0, listing_verify_ses, object_aut0, object_h1, object_z1,
+    product_aut0_logs,
 )
 
 
@@ -254,7 +257,7 @@ def test_coset_orders_over_shapes(shape, p, k):
     assert o["z1"] == o["b1"] * o["h1"]
     assert o["aut0"] == o["inn0"] * o["out_r"]
     assert o["out_r"] == o["h1"] * o["stab"]
-    # verify_ses partitions the listings; h1 and out_r read lattices
+    # the orders verify_ses reports are those of h1 and out_r
     rep, outer = h1(c), out_r(c)
     assert (o["z1"], o["b1"], o["h1"]) == (rep.z1_order, rep.b1_order, rep.h1_order)
     assert ((o["aut0"], o["inn0"], o["out_r"])
@@ -426,7 +429,7 @@ def listing_h1(c):
     coset_of, reps = _cosets(c, z1, b1)
     logs = field_logs(c.domain)
     return (len(z1), len(b1), reps,
-            [[coset_of[compose(c.sg, logs, a, b)] for b in reps] for a in reps])
+            [[coset_of[compose(logs, a, b)] for b in reps] for a in reps])
 
 
 def listing_out_r(c):
@@ -477,6 +480,181 @@ def test_the_lattice_routes_have_teeth(monkeypatch):
         assert_h1_matches(c, want_h1)
     with pytest.raises(AssertionError):
         assert_out_r_matches(c, want_out)
+
+
+# -- verify_ses on lattices against the listing route -----------------------------
+
+
+def assert_ses_matches(c):
+    got, want = verify_ses(c), listing_verify_ses(c)
+    assert (got.ok, got.orders) == (want.ok, want.orders)
+    assert [(cl.name, cl.ok, cl.detail) for cl in got.clauses] == [
+        (cl.name, cl.ok, cl.detail) for cl in want.clauses]
+    return got
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@pytest.mark.parametrize("p,k", FIELDS)
+def test_verify_ses_matches_the_listing_route(shape, p, k):
+    assert assert_ses_matches(twisted_normal(shape, ScalarDomain.finite_field(p, k))).ok
+
+
+@pytest.mark.parametrize("shape,p,k", [
+    (shape, p, k) for shape in ("diamond", "tri", "chain4", "sphere") for p, k in
+    [(2, 2), (2, 3), (3, 2)]] + [("chain3", 2, 4), ("tri", 2, 4)])
+def test_verify_ses_on_twisted_alpha_matches_the_listing_route(shape, p, k):
+    # the shape's Frobenius twist on alpha, moved by a seeded gauge
+    c = random_normal_twist(shape, ScalarDomain.finite_field(p, k), f"ses-{shape}-{p}-{k}")
+    assert any(power(a) for a in c.alpha.values())
+    assert assert_ses_matches(c).ok
+
+
+@pytest.mark.parametrize("case", ["demo-gf4", "demo-gf9", "sphere-gf2", "sphere-gf3",
+                                  "sphere-gf4"])
+def test_verify_ses_on_the_fixtures_matches_the_listing_route(case):
+    name, field = case.split("-")
+    p, k = {"gf2": (2, 1), "gf3": (3, 1), "gf4": (2, 2), "gf9": (3, 2)}[field]
+    dom = ScalarDomain.finite_field(p, k)
+    c = make_demo_cocycle(dom) if name == "demo" else TwoCochain.trivial(make_sphere(), dom)
+    assert assert_ses_matches(c).ok
+
+
+def _arrow_pair(sg):
+    """A composable pair of two arrows, or else an arrow and its target."""
+    pairs = [(s, t) for s, t, _ in sg.composable().pairs if not sg.is_idempotent(s)]
+    return next(((s, t) for s, t in pairs if not sg.is_idempotent(t)), pairs[0])
+
+
+def _corrupt_probe_pair(monkeypatch, c):
+    """pair_sides with the left side scaled by a generator on one
+    composable arrow pair, for every probe: the probe route then asks eta
+    for another value there."""
+    from cocycle_forge import cohomology
+
+    g, pair = c.domain.generator(), _arrow_pair(c.sg)
+    pair_sides = cohomology.pair_sides
+
+    def corrupted(c_src, c_tgt, mu, eta, phi, s, t, d):
+        lhs, rhs = pair_sides(c_src, c_tgt, mu, eta, phi, s, t, d)
+        return (lhs * g, rhs) if (s, t) == pair else (lhs, rhs)
+
+    monkeypatch.setattr(cohomology, "pair_sides", corrupted)
+
+
+def _corrupt_gauge_pair(monkeypatch, c):
+    """_gauge_constraints with the value asked on one composable arrow pair
+    scaled by a generator: the gauge route's fibers move."""
+    from cocycle_forge import gauge
+
+    g, pair = c.domain.generator(), _arrow_pair(c.sg)
+    constraints = gauge._gauge_constraints
+
+    def corrupted(c1, c2, mu):
+        return [(s, t, st, a, u * g if (s, t) == pair else u)
+                for s, t, st, a, u in constraints(c1, c2, mu)]
+
+    monkeypatch.setattr(gauge, "_gauge_constraints", corrupted)
+
+
+def _failing(report):
+    return {cl.name for cl in report.clauses if cl.ok is False}
+
+
+@pytest.mark.parametrize("corrupt", [_corrupt_probe_pair, _corrupt_gauge_pair],
+                         ids=["probe-route", "gauge-route"])
+@pytest.mark.parametrize("shape,p,k", [("demo", 2, 2), ("demo", 3, 2), ("demo", 5, 1),
+                                       ("tri", 2, 2), ("chain4", 3, 1)])
+def test_verify_ses_has_teeth(corrupt, shape, p, k, monkeypatch):
+    # on the demo no two arrows compose, so the arrow s and its target
+    # are corrupted; on the triangle and chain4 two arrows
+    dom = ScalarDomain.finite_field(p, k)
+    c = make_demo_cocycle(dom) if shape == "demo" else twisted_normal(shape, dom)
+    assert verify_ses(c).ok
+    corrupt(monkeypatch, c)
+    report = verify_ses(c)
+    assert not report.ok
+    if corrupt is _corrupt_probe_pair:
+        assert _failing(report) & {"lambda_injective", "image_lambda_is_kernel_phi"}
+    else:
+        assert _failing(report)
+
+
+def _same_lattice(a, b, n, rank):
+    """Whether two triangular bases span the same lattice mod n: equal
+    orders, and each vector of a lies in the lattice of b."""
+    zero = least((0,) * len(a), b, n, rank)
+    return order(a, n) == order(b, n) and all(
+        least([v.get(j, 0) % n for j in range(len(a))], b, n, rank) == zero for v in a)
+
+
+@pytest.mark.parametrize("case", [
+    *(f"{shape}-{p}-{k}" for shape in sorted(SHAPES) for p, k in FIELDS),
+    "demo-2-2", "demo-3-2", "demo-5-2", "sphere-2-2", "sphere-3-2"])
+def test_one_kernel_serves_every_phi(case):
+    # the probe rows of phi are the phi = id rows relabelled by phi, so
+    # their kernel is L relabelled: x o phi^{-1} in L
+    from cocycle_forge._logs import eta_rows
+    from cocycle_forge._multsolve import triangular
+    from cocycle_forge.cohomology import _aut0_fibers, _kernel
+
+    name, p, k = case.rsplit("-", 2)
+    dom = ScalarDomain.finite_field(int(p), int(k))
+    if name == "demo":
+        c = make_demo_cocycle(dom)
+    elif name == "sphere":
+        c = random_normal_twist("sphere", dom, case)
+    else:
+        c = twisted_normal(name, dom)
+    sg, logs = c.sg, field_logs(dom)
+    n, size = logs.n, len(sg.elements)
+    pos = {s: j for j, s in enumerate(sg.elements)}
+    one = dom.one()
+
+    def probe_rows(phi):
+        return [(s, t, sg.compose(s, t), c.alpha_at(phi(s)), one) for s, t in sg.tuples(2)]
+
+    ident = SemigroupAuto.identity(sg)
+    lattice = _kernel(sg, logs, probe_rows(ident))[0]
+    # the route's rows are these, whatever mu
+    for phi, _, constraints in _aut0_fibers(c):
+        assert ([coef for coef, _ in eta_rows(sg, logs, constraints)]
+                == [coef for coef, _ in eta_rows(sg, logs, probe_rows(phi))])
+    for phi in sg.enumerate_autos():
+        kernel = _kernel(sg, logs, probe_rows(phi))[0]
+        relabelled = triangular([{pos[s]: y[pos[phi(s)]] for s in sg.elements
+                                  if pos[phi(s)] in y} for y in lattice], size, n)
+        assert order(kernel, n) == order(lattice, n)
+        assert _same_lattice(kernel, relabelled, n, logs.rank)
+        assert _same_lattice(relabelled, kernel, n, logs.rank)
+
+
+# (shape, p, k): the orders, with verify_ses under a second where listing
+# took 13.5 s (GF(25) diamond) and 15.7 s (sphere over GF(9))
+SES_REACH = {
+    ("demo", 5, 2): {"aut_s": 2, "z1": 663552, "b1": 82944, "h1": 8, "aut0": 1327104,
+                     "inn0": 82944, "out_r": 16, "stab": 2},
+    ("sphere", 3, 2): {"aut_s": 8, "z1": 65536, "b1": 32768, "h1": 2, "aut0": 524288,
+                       "inn0": 32768, "out_r": 16, "stab": 8},
+}
+
+
+@pytest.mark.parametrize("shape,p,k", [("demo", 5, 2), ("sphere", 3, 2), ("demo", 3, 3),
+                                       ("demo", 7, 2), ("demo", 3, 4), ("sphere", 5, 2)])
+def test_verify_ses_reaches_past_listing(shape, p, k):
+    dom = ScalarDomain.finite_field(p, k)
+    c = make_demo_cocycle(dom) if shape == "demo" else TwoCochain.trivial(make_sphere(), dom)
+    start = time.perf_counter()
+    report = verify_ses(c)
+    assert time.perf_counter() - start < 1
+    assert report.ok
+    o = report.orders
+    if (shape, p, k) in SES_REACH:
+        assert o == SES_REACH[shape, p, k]
+    rep, outer = h1(c), out_r(c)
+    assert (o["z1"], o["b1"], o["h1"]) == (rep.z1_order, rep.b1_order, rep.h1_order)
+    assert ((o["aut0"], o["inn0"], o["out_r"])
+            == (outer.aut0_order, outer.inn0_order, outer.out_order))
+    assert o["out_r"] == o["h1"] * o["stab"] and o["z1"] == o["b1"] * o["h1"]
 
 
 @cache

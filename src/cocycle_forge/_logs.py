@@ -20,19 +20,21 @@ coordinates. In them the group law of `gauge.py` reads
 
 and the key (mu, ranks of the x, phi.sort_key()) orders gauges exactly as
 `Gauge.sort_key` does, since `rank` numbers the units in the order of
-`enumerate_units`. `solve` turns the eta relations into integer rows mod n
-and hands them to `_multsolve.solve_rows`, the one enumerator of the
-solutions of integer rows mod n; `gauge._mu_choices` hands it the mu
-relations of Z1 as rows mod k, and the rational solver the sign rows mod 2.
-`solve_rows` runs on the echelon of `_multsolve.eliminate`, the one
-elimination in the package.
+`enumerate_units`. `system` turns the eta relations into integer rows mod n
+and takes the lattice of their coefficient matrix (`_multsolve.graph`, one
+elimination per matrix), which decides them and gives one solution x;
+`solve` walks x + L in unit order (`_multsolve.members`), with the order
+the tables keep as `classes`, the residue classes of each modulus h
+dividing n in rank order, built once per h. `gauge._mu_choices` walks the
+mu relations of Z1 as rows mod k the same way, and the rational solver
+takes the least solution of its sign rows mod 2.
 """
 
 from __future__ import annotations
 
 from functools import cache
 
-from ._multsolve import solve_rows
+from ._multsolve import graph, ranked
 from .errors import NotEnumerable
 from .scalars import _prime_divisors, enumerate_units
 
@@ -50,10 +52,11 @@ class FieldLogs:
     g is the least unit, in sort order, of order n = q - 1; exp[x] is the
     interned Scalar g^x; log[i] is the log of the element with domain index
     i (None for zero); rank[x] is the position of g^x in `enumerate_units`
-    and by_rank its inverse; frob[i] = p^i mod n is Frob^i on logs.
+    and by_rank its inverse; classes is the order of rank (see
+    _multsolve.ranked); frob[i] = p^i mod n is Frob^i on logs.
     """
 
-    __slots__ = ("n", "k", "g", "exp", "log", "rank", "by_rank", "frob")
+    __slots__ = ("n", "k", "g", "exp", "log", "rank", "by_rank", "classes", "frob")
 
     def __init__(self, domain):
         units = enumerate_units(domain)
@@ -73,6 +76,7 @@ class FieldLogs:
         self.rank = rank = [0] * n
         for r, x in enumerate(self.by_rank):
             rank[x] = r
+        self.classes = ranked(self.by_rank)
         self.frob = [pow(domain.p, i, n) for i in range(domain.k)]
 
     def of(self, u):
@@ -130,29 +134,34 @@ def compose(logs, g1, g2):
 
 
 def eta_rows(sg, logs, constraints):
-    """The integer rows mod n of the constraints, as (dict position ->
-    coefficient, right-hand side).
+    """(matrix, b): the integer rows mod n of the constraints, their
+    coefficients as a matrix for _multsolve.graph (a tuple of rows, each a
+    tuple of (position, coefficient) pairs) and their right-hand sides.
 
     A constraint (s, t, st, a, u) asks eta(s) . a(eta(t)) . eta(st)^{-1} = u,
     that is the row x[s] + p^i x[t] - x[st] = log u mod n for a = Frob^i,
     positions in the canonical order of the elements.
     """
-    frob = logs.frob
     pos = {s: j for j, s in enumerate(sg.elements)}
-    rows = []
-    for s, t, st, a, u in constraints:
-        coef = {}
-        for name, c in ((s, 1), (t, frob[power(a)]), (st, -1)):
-            coef[pos[name]] = coef.get(pos[name], 0) + c
-        rows.append((coef, logs.of(u)))
-    return rows
+    matrix = tuple(((pos[s], 1), (pos[t], logs.frob[power(a)]), (pos[st], -1))
+                   for s, t, st, a, _ in constraints)
+    return matrix, [logs.of(u) for *_, u in constraints]
+
+
+def system(sg, logs, constraints):
+    """(lattice, x): the _multsolve.Graph of the constraints' eta rows
+    (see eta_rows) and one solution x of them, or None when there is
+    none."""
+    matrix, b = eta_rows(sg, logs, constraints)
+    lattice = graph(matrix, len(sg.elements), logs.n)
+    return lattice, lattice.solve(b)
 
 
 def solve(sg, logs, constraints):
     """Yield the log vector x of every eta: S* -> D* meeting each
-    constraint (see eta_rows), in canonical order: `solve_rows` runs over
-    the units in unit order, so the solutions come out in the order an
-    exhaustive search over every unit would list them.
+    constraint (see eta_rows), in canonical order: the walk of the solution
+    lattice runs over the units in unit order, so the solutions come out
+    in the order an exhaustive search over every unit would list them.
     """
-    return solve_rows(eta_rows(sg, logs, constraints), len(sg.elements),
-                      logs.n, logs.rank, logs.by_rank)
+    matrix, b = eta_rows(sg, logs, constraints)
+    return graph(matrix, len(sg.elements), logs.n).solutions(b, logs.classes)

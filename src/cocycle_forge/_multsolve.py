@@ -1,23 +1,24 @@
-"""One integer elimination for the linear relations, the enumerator of
-their solutions mod n, their solution lattices, and the exact solver over
-the nonzero rationals.
+"""One integer elimination for the linear relations, their solutions mod n
+on lattices, and the exact solver over the nonzero rationals.
 
 The relations eta(s) . a(eta(t)) . eta(st)^{-1} = u are integer rows: log
-rows mod q - 1 over GF(q) (see `_logs.solve`) and exponent rows
-prod_v v^{c_v} = const over Q*. `eliminate` triangularizes rows by Euclid
-steps (the Hermite-style echelon of Cohen, *A Course in Computational
-Algebraic Number Theory*, GTM 138, 2.4), leaving at most one row per
-position, and `solve_rows` enumerates the solutions of rows mod n on that
-echelon.
+rows mod q - 1 over GF(q) (see `_logs.py`), exponent rows
+prod_v v^{c_v} = const over Q*, and the mu rows mod k of `gauge.py`.
+`eliminate` triangularizes rows by Euclid steps (the Hermite-style echelon
+of Cohen, *A Course in Computational Algebraic Number Theory*, GTM 138,
+2.4), leaving at most one row per position.
 
-The lattices serve `cohomology.h1` and `cohomology.out_r`, which count
-and split solution sets instead of listing them. `triangular` gives a
-triangular basis of span(vectors) + n Z^size, each pivot dividing n, from
-`eliminate` over Z; `order` is the size of that lattice mod n, and
-`least` the member of a coset x + lattice that comes first in rank order.
-`kernel_mod` gives generators of the solutions of homogeneous rows mod n
-from the integer kernel of [A | n I], by the column elimination that
-`_integer_solver` runs.
+Rows mod n are solved on lattices. `triangular` gives a triangular basis
+of span(vectors) + n Z^size, each pivot dividing n, from `eliminate` over
+Z; `order` is the size of that lattice mod n. For a coefficient matrix A,
+`graph` takes the triangular basis of the graph lattice
+{(A x, x)} + n Z^(rows + size), row positions first, once per matrix:
+its last size vectors are the kernel L, and reducing (b, 0) through its
+first pivots decides A x = b mod n exactly and yields one solution x (see
+`Graph.solve`), so the solutions are x + L. `least` is the member of a
+coset x + L that comes first in rank order, and `members` walks the coset
+in that order; every pivot divides n, so the walk meets no dead end. An
+order on Z/n is given by its residue classes (`ranked`).
 
 `solve_multiplicative` solves over Q* in log coordinates. Q* is {+1, -1}
 times the free abelian group on the primes. Over a coprime base of the
@@ -25,30 +26,28 @@ constants (naive gcd refinement, after Bernstein, "Factoring into coprimes
 in essentially linear time", J. Algorithms 54, 2005), each element reduced
 to its least root so that the exponents of its primes have gcd 1, a
 solution is x_v = +-prod_b b^{y_vb}, exponents at other primes being 0.
-The system then splits into rows mod 2 for the signs, solved by
-`solve_rows`, and one integer system A y = f_b per base element b, with f_b
-the exponents of b in the constants. `eliminate` run on the columns of A
-brings them to a column echelon with the same lattice, and membership of
+The system then splits into rows mod 2 for the signs, solved on their
+graph lattice, and one integer system A y = f_b per base element b, with
+f_b the exponents of b in the constants. `eliminate` run on the columns of
+A brings them to a column echelon with the same lattice, and membership of
 f_b in that lattice is decided exactly by peeling it off from the last row
 down; one column echelon serves every base element. So None is a
 definitive "no".
 
 The witness is canonical: each system is solved first with every variable
 that has no row in the row echelon of A pinned (sign +, exponents 0), and
-without the pins only where that fails. Wherever the back-substitution of
-the row echelon with those variables set to 1 and the signs tried + first
-finds a solution, this is the solution it finds.
+without the pins only where that fails; the signs are the least solution
+of their rows, + before -.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
-from itertools import chain
+from functools import cache, lru_cache
 from math import gcd
 
 
-def eliminate(rows, size, combine, n=0):
+def eliminate(rows, size, combine):
     """Triangularize integer rows by Euclid steps.
 
     rows: iterable of (dict position -> int coefficient, right-hand side),
@@ -58,9 +57,8 @@ def eliminate(rows, size, combine, n=0):
     and the second loses m times the first, m the floored quotient of the
     two coefficients; combine(r2, r1, -m) gives its new right-hand side.
     A row whose coefficient there drops to 0 is filed again under its new
-    last position. With n > 0 every coefficient is reduced mod n, so the
-    rows live in Z/n. The steps are invertible over Z, so the rows left
-    have the same solutions.
+    last position. The steps are invertible over Z, so the rows left have
+    the same solutions.
 
     Returns (plan, zeros): plan[i] is the one row left at position i, as
     (coefficients, right-hand side), or None; zeros lists the right-hand
@@ -70,10 +68,7 @@ def eliminate(rows, size, combine, n=0):
     zeros = []
 
     def file(coef, rhs):
-        if n:
-            coef = {j: c % n for j, c in coef.items() if c % n}
-        else:
-            coef = {j: c for j, c in coef.items() if c}
+        coef = {j: c for j, c in coef.items() if c}
         if coef:
             plan[max(coef)].append((coef, rhs))
         else:
@@ -92,58 +87,6 @@ def eliminate(rows, size, combine, n=0):
                 coef[j] = coef.get(j, 0) - m * c
             file(coef, combine(r2, r1, -m))
     return [held[0] if held else None for held in plan], zeros
-
-
-def solve_rows(rows, size, n, rank, by_rank):
-    """Yield every x in (Z/n)^size meeting each integer row mod n.
-
-    A row is (dict position -> coefficient, right-hand side in 0..n-1).
-    `_multsolve.eliminate` brings the rows to echelon form mod n with at
-    most one row per position, filed under its last position with a
-    nonzero coefficient, and a row that loses every coefficient with a
-    nonzero right-hand side leaves no solution. Positions are assigned in
-    order; a position with a row is solved for there once the earlier
-    positions are assigned: c y = r mod n has no solution unless gcd(c, n)
-    divides r, and then gcd(c, n) of them. A position without a row ranges
-    over all of 0..n-1. The values are tried in the order of by_rank
-    (rank[v] being the place of v in it), so the solutions come out in the
-    lexicographic order of their ranks.
-    """
-    plan, zeros = eliminate(rows, size, lambda r2, r1, m: (r2 + m * r1) % n, n)
-    if any(zeros):
-        return
-    if not size:
-        yield ()
-        return
-    plan = [row and (gcd(row[0][i], n), row[0][i],
-                     tuple((j, c) for j, c in row[0].items() if j != i), row[1])
-            for i, row in enumerate(plan)]
-    x = [0] * size
-
-    def options(i):
-        if plan[i] is None:
-            return by_rank
-        d, lead, rest, rhs = plan[i]
-        r = (rhs - sum(c * x[j] for j, c in rest)) % n
-        if r % d:
-            return []
-        step = n // d
-        first = (r // d) * pow(lead // d, -1, step) % step
-        return [first] if d == 1 else sorted(range(first, n, step), key=rank.__getitem__)
-
-    last = size - 1
-    stack = [iter(options(0))]
-    while stack:
-        i = len(stack) - 1
-        v = next(stack[-1], None)
-        if v is None:
-            stack.pop()
-            continue
-        x[i] = v
-        if i == last:
-            yield tuple(x)
-        else:
-            stack.append(iter(options(i + 1)))
 
 
 def triangular(vectors, size, n):
@@ -179,37 +122,135 @@ def order(basis, n):
     return out
 
 
-def least(x, basis, n, rank):
-    """The member of x + lattice (mod n) that comes first in the order of
-    the ranks of its entries, lexicographically.
+def ranked(by_rank):
+    """The order on Z/n that lists its values as by_rank does (n being
+    len(by_rank)), as a function h -> its residue classes mod h for each h
+    dividing n: the values sorted stably by residue, so that the class of r
+    is the slice [r n/h, (r + 1) n/h), in rank order. Built once per h."""
+    return cache(lambda h: sorted(by_rank, key=h.__rmod__))
 
-    Greedy from the first position: at position j the lattice vectors that
-    vanish before j are the combinations of basis vectors j, j+1, ... (n e_i
-    lies in the lattice), so the entry there ranges over the residue class
-    of x[j] mod h_j; the value of least rank in it is taken by subtracting a
-    multiple of basis vector j, which leaves the earlier positions alone.
-    """
+
+def least(x, basis, n, classes):
+    """The member of x + lattice (mod n) that comes first in the order of
+    the ranks of its entries, lexicographically, for an order `classes`
+    (see ranked): the first member the walk of `members` meets, found
+    without it by taking at each position the first value of its residue
+    class."""
     x = list(x)
     for j, vec in enumerate(basis):
         h = vec[j]
-        if h == n:
-            continue
-        v = min(range(x[j] % h, n, h), key=rank.__getitem__)
-        t = (x[j] - v) // h
+        t = 0 if h == n else (x[j] - classes(h)[x[j] % h * (n // h)]) // h
         if t:
             for i, c in vec.items():
                 x[i] = (x[i] - t * c) % n
     return tuple(x)
 
 
-def kernel_mod(rows, size, n):
-    """Generators of the x in Z^size with sum_j row[j] x_j = 0 mod n for
-    every row (dicts position -> int): the integer kernel of [A | n I],
-    from the column elimination of `_integer_solver`, cut to its first
-    size entries."""
-    wide = [{**row, size + i: n} for i, row in enumerate(rows)]
-    _, zeros = _column_echelon(wide, size + len(rows))
-    return [{j: c for j, c in k.items() if j < size} for k in zeros]
+def members(x, basis, n, classes):
+    """Yield every member of x + lattice (mod n) once, in the order of the
+    ranks of its entries, lexicographically.
+
+    At position j the lattice vectors that vanish before j are the
+    combinations of basis vectors j, j+1, ... (n e_i lies in the lattice),
+    so the members that agree with x before j are x plus those
+    combinations: the entry at j runs over the residue class of x[j] mod
+    h_j in rank order, each value reached by subtracting a multiple of
+    basis vector j, which leaves the earlier positions alone. Every value
+    extends to members, so the walk has no dead end; a position with
+    h_j = n has one value and is not a step of it.
+    """
+    x = list(x)
+    steps = [(j, vec[j], tuple(vec.items()), classes(vec[j]))
+             for j, vec in enumerate(basis) if vec[j] < n]
+    if not steps:
+        yield tuple(x)
+        return
+
+    def options(k):
+        j, h, _, cls = steps[k]
+        r = x[j] % h * (n // h)
+        return iter(cls[r:r + n // h])
+
+    last = len(steps) - 1
+    stack = [options(0)]
+    while stack:
+        k = len(stack) - 1
+        v = next(stack[-1], None)
+        if v is None:
+            stack.pop()
+            continue
+        j, h, vec, _ = steps[k]
+        t = (x[j] - v) // h
+        if t:
+            for i, c in vec:
+                x[i] = (x[i] - t * c) % n
+        if k == last:
+            yield tuple(x)
+        else:
+            stack.append(options(k + 1))
+
+
+class Graph:
+    """The solutions mod n of A x = b for one coefficient matrix A and any
+    right-hand side b; get it through `graph`.
+
+    matrix holds the rows of A, each a tuple of (position, coefficient)
+    pairs, positions in range(size); the coefficients of a position that a
+    row names twice add up. The basis is the triangular basis of the graph
+    lattice G = {(A x, x)} + n Z^(rows + size), from `triangular` on the
+    vectors (A e_j, e_j), row positions first. Its first `rows` vectors are
+    the pivots; the vectors of G that vanish on the row positions are the
+    (0, y) with A y = 0 mod n, and they are the combinations of the last
+    size vectors, which give the triangular basis of the kernel L.
+    """
+
+    __slots__ = ("matrix", "n", "pivots", "kernel")
+
+    def __init__(self, matrix, size, n):
+        rows = len(matrix)
+        columns = [{rows + j: 1} for j in range(size)]
+        for i, row in enumerate(matrix):
+            for j, c in row:
+                columns[j][i] = columns[j].get(i, 0) + c
+        basis = triangular(columns, rows + size, n)
+        self.matrix, self.n = matrix, n
+        self.pivots = basis[:rows]
+        self.kernel = [{j - rows: c for j, c in vec.items()} for vec in basis[rows:]]
+
+    def solve(self, b):
+        """One x with A x = b mod n, or None when there is none.
+
+        A x = b has a solution exactly when (b, x) lies in G for some x.
+        (b, 0) is reduced through the pivots in turn: the vectors of G that
+        vanish before row position i hold a multiple of the pivot h_i at i,
+        so a residue there that h_i does not divide refuses every x, and
+        otherwise a multiple of pivot vector i clears it. What is left is
+        (0, w) with (b, -w) in G, so x = -w.
+        """
+        n, rows = self.n, len(self.pivots)
+        v = [c % n for c in b] + [0] * len(self.kernel)
+        for i, vec in enumerate(self.pivots):
+            t, r = divmod(v[i], vec[i])
+            if r:
+                return None
+            if t:
+                for j, c in vec.items():
+                    v[j] = (v[j] - t * c) % n
+        return tuple([-c % n for c in v[rows:]])
+
+    def solutions(self, b, classes):
+        """Every x with A x = b mod n, in rank order (see members)."""
+        x = self.solve(b)
+        return iter(()) if x is None else members(x, self.kernel, self.n, classes)
+
+
+@lru_cache(maxsize=256)
+def graph(matrix, size, n):
+    """The Graph of a coefficient matrix mod n, one per matrix: the
+    callers that meet a matrix again (each mu of one call, each phi whose
+    rows equal another's, the routes `verify_ses` compares) share its
+    elimination."""
+    return Graph(matrix, size, n)
 
 
 def _int_nth_root(x, k):
@@ -332,10 +373,16 @@ def solve_multiplicative(equations, variables):
     rows = [{pos[v]: c for v, c in coeffs.items()} for coeffs, _ in equations]
     consts = [const for _, const in equations]
     plan, _ = eliminate(((row, None) for row in rows), size, lambda *_: None)
-    signs = [(row, int(c < 0)) for row, c in zip(rows, consts)]
-    free = {j for j, row in enumerate(plan) if row is None}
-    sign = next(chain(solve_rows(signs + [({j: 1}, 0) for j in free], size, 2, (0, 1), (0, 1)),
-                      solve_rows(signs, size, 2, (0, 1), (0, 1))), None)
+    signs = tuple(tuple(row.items()) for row in rows)
+    negative = [int(c < 0) for c in consts]
+    free = [j for j, row in enumerate(plan) if row is None]
+
+    def first_sign(matrix, b):
+        return next(graph(matrix, size, 2).solutions(b, ranked((0, 1))), None)
+
+    sign = first_sign(signs + tuple(((j, 1),) for j in free), negative + [0] * len(free))
+    if sign is None:
+        sign = first_sign(signs, negative)
     if sign is None:
         return None
     pinned = _integer_solver(rows, size, free)

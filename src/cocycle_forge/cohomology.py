@@ -17,30 +17,32 @@ here is a set of gauges (mu, eta, phi) (see `gauge.py`):
 
 Over GF(q) each of Z1, B1 and Aut0 has one checked listing in log
 coordinates (mu exponents, eta logs mod q - 1, phi; see `_logs.py`):
-`z1_listing` solves the action-formula relations by `_logs.solve`,
-`b1_listing` spans the subgroup of log vectors generated by the star
-action's columns, and `aut0_listing` solves relations read from the
-multiplicativity probes. The CLI prints a listing through
+`z1_listing` walks the solutions of the action-formula relations,
+`b1_listing` walks the lattice spanned by the star action's columns, and
+`aut0_listing` walks the solutions of relations read from the
+multiplicativity probes, each on a triangular basis
+(`_multsolve.members`). The CLI prints a listing through
 `gauge.gauge_list_text`, and the `*_enumerate` functions translate one
 into gauges. Nothing here partitions a listing.
 
-`h1`, `out_r` and `verify_ses` list no group. They read the same
-relations as lattices mod n = q - 1 (`_multsolve.triangular`): for one mu
-(and phi) the eta solutions are x0 + L_phi, L_phi the kernel of the rows'
-coefficients, which depend on phi but not on mu, and B1 is the lattice of
-the star action's columns. One kernel L = L_id serves every phi. The rows
-of phi are x[s] + p^{a(phi s)} x[t] - x[st] over the composable pairs
-(s, t), and phi is a product-preserving bijection of those pairs; so with
-y = x o phi^{-1} (y[phi s] = x[s]) they are exactly the phi = id rows
+`h1`, `out_r` and `verify_ses` list no group. They read the same relations
+as lattices mod n = q - 1 (`_multsolve.triangular`): for one mu (and phi)
+the eta solutions are x0 + L_phi, L_phi the kernel of the rows'
+coefficients, which depend on phi but not on mu, so one lattice per phi
+(`_multsolve.graph`) decides every mu's rows and gives x0, and B1 is the
+lattice of the star action's columns. One kernel L = L_id sizes every phi.
+The rows of phi are x[s] + p^{a(phi s)} x[t] - x[st] over the composable
+pairs (s, t), and phi is a product-preserving bijection of those pairs; so
+with y = x o phi^{-1} (y[phi s] = x[s]) they are exactly the phi = id rows
 y[s'] + p^{a(s')} y[t'] - y[s't'] over (s', t') = (phi s, phi t). Hence
 L_phi = {x : x o phi^{-1} in L}, a relabelling of positions, and
 |L_phi| = |L|. So |Z1| and |Aut0| are |L| times the number of fibers that
-have a first solution x0, and |B1| divides both. On Z1, mu is constant
-along every arrow, so the scaling by p^{mu[src s]} in h . g maps B1 onto
-itself and a coset B1 . g is the plain translate g.x + B1; `h1` reads the
-cosets in each fiber off the triangular bases of L and B1 and reports
-each by its least member (`_multsolve.least`), the element a walk of the
-sorted Z1 would meet first. The reports hold values only: orders, the H1
+have a solution x0, and |B1| divides both. On Z1, mu is constant along every
+arrow, so the scaling by p^{mu[src s]} in h . g maps B1 onto itself and a
+coset B1 . g is the plain translate g.x + B1; `h1` reads the cosets in
+each fiber off the triangular bases of L and B1 and reports each by its
+least member (`_multsolve.least`), the element a walk of the sorted Z1
+would meet first. The reports hold values only: orders, the H1
 representatives (the one gauge list they build) with their coset table,
 and the realized idempotent permutations.
 
@@ -48,9 +50,9 @@ Aut0 R is found by propagation over the exact multiplicativity probes of
 `ring._probes`: for each (phi, mu) they fix, with eta = 1, the value u that
 eta(s) alpha_{phi(s)}(eta(t)) eta(s.t)^{-1} must take on a composable pair
 for the induced map d.s -> mu_e(d) eta(s) phi(s) to multiply (or rule the
-choice out), and `_logs.solve` finds eta. Nothing pins eta on E: on a pair
-(e, e) of a normal cocycle alpha is the identity and u = 1, so its row
-reads x_e = log 1 = 0. One pass (`_aut0_fibers`) asks the probes: mu is
+choice out), and the lattice of those rows (`_logs.system`) finds eta.
+Nothing pins eta on E: on a pair (e, e) of a normal cocycle alpha is the
+identity and u = 1, so its row reads x_e = log 1 = 0. One pass (`_aut0_fibers`) asks the probes: mu is
 assigned one idempotent at a time, the probes on each pair (s, tgt s), the
 only ones that can rule a mu out, run as soon as both ends of s have a
 value, and every other composable pair is probed once mu is complete, so
@@ -65,7 +67,7 @@ affine sets mod n, with a split-section check when the class is trivial.
 
 The enumeration route here (homomorphism testing) is deliberately
 independent of the gauge-search route in `gauge.py`: the two share the
-coordinates and the eta search but take the required values from different
+coordinates and the eta lattices but take the required values from different
 places, ring multiplicativity here and the action formula there.
 `verify_ses` gains its force from comparing the two.
 """
@@ -74,12 +76,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._logs import compose, eta_rows, field_logs, power, solve
-from ._multsolve import kernel_mod, least, order, triangular
+from ._logs import compose, field_logs, power, solve, system
+from ._multsolve import least, members, order, triangular
 from .cochain import TwoCochain, is_normal
 from .errors import NotEnumerable, NotNormal
 from .gauge import (
-    Gauge, _gauge_fibers, _gauge_solutions_ff, cohomologous, from_logs, stabilizer_of_class,
+    Gauge, _gauge_fibers, _gauge_solutions_ff, _has_gauge, from_logs, stabilizer_of_class,
 )
 from .ring import RingIso, TwistedRing, _probes, pair_sides, verify_ring_hom
 from .scalars import RingAuto
@@ -134,44 +136,22 @@ def _b1_lattice(c):
     return columns, triangular([dict(enumerate(col)) for col in columns], len(c.sg.elements), n)
 
 
-def _kernel(sg, logs, constraints):
-    """The triangular basis of the lattice L of the homogeneous eta rows of
-    the constraints: the solutions of the rows are x0 + L for any one
-    solution x0."""
-    size, n = len(sg.elements), logs.n
-    rows = [coef for coef, _ in eta_rows(sg, logs, constraints)]
-    return triangular(kernel_mod(rows, size, n), size, n), rows
-
-
 def b1_listing(c):
     """B1 in log coordinates, sorted; see b1_enumerate.
 
     The star action of eps on the identity gauge keeps mu = id (rho is
     trivial on a field) and gives eta the logs
     x[s] = eps[src s] - p^{a_s} eps[tgt s] (alpha_s = Frob^{a_s}), so B1 is
-    the image of the torus (Z/n)^E under this linear map: the subgroup
-    generated by its columns, one per idempotent. Each column extends the
-    group by the translates that are new, until a multiple of it falls
-    back into the group, so every member is made once.
+    the image of the torus (Z/n)^E under this linear map: the lattice
+    spanned by its columns, one per idempotent, walked from 0 in rank
+    order on its triangular basis.
     """
     _require_listable(c)
     sg = c.sg
     logs = field_logs(c.domain)
-    n = logs.n
-    zero = (0,) * len(sg.elements)
-    group, members = [zero], {zero}
-    for col in _b1_columns(c):
-        base, shift = list(group), col
-        while shift not in members:
-            for v in base:
-                w = tuple([(a + b) % n for a, b in zip(v, shift)])
-                members.add(w)
-                group.append(w)
-            shift = tuple([(a + b) % n for a, b in zip(shift, col)])
-    rank = logs.rank
-    group.sort(key=lambda x: [rank[v] for v in x])
     mu, ident = (0,) * len(sg.idempotents), SemigroupAuto.identity(sg)
-    return [(mu, x, ident) for x in group]
+    return [(mu, x, ident) for x in
+            members((0,) * len(sg.elements), _b1_lattice(c)[1], logs.n, logs.classes)]
 
 
 def b1_enumerate(c):
@@ -191,23 +171,20 @@ class H1Report:
 
 
 def _z1_lattice(c, logs):
-    """(fibers, L, rows, B1): the first solution x0 of each mu of
-    _gauge_fibers(c, c) that has one (a dict mu -> x0), the triangular
-    basis of the kernel L of their eta rows and those rows' coefficients,
-    and the basis of B1, once every star column is checked to meet every
-    row, i.e. B1 <= L."""
-    sg, n = c.sg, logs.n
+    """(fibers, lattice, B1): a solution x0 of each mu of _gauge_fibers(c, c)
+    that has one (a dict mu -> x0), the lattice of their eta rows (one
+    coefficient matrix for every mu), whose kernel is L, and the basis of
+    B1, once every star column is checked to meet every row, i.e. B1 <= L."""
     columns, b1 = _b1_lattice(c)
     fibers = {}
-    for mu, constraints in _gauge_fibers(c, c):
-        x0 = next(solve(sg, logs, constraints), None)
+    for mu, lattice, x0 in _gauge_fibers(c, c):
         if x0 is not None:
             fibers[mu] = x0
-    # the coefficients are the same for every mu, and mu = 0 is one
-    lattice, rows = _kernel(sg, logs, constraints)
-    if any(sum(a * col[j] for j, a in row.items()) % n for row in rows for col in columns):
+    # mu = 0 is a choice, so lattice is bound
+    if any(sum(a * col[j] for j, a in row) % logs.n
+           for row in lattice.matrix for col in columns):
         raise AssertionError("coboundaries failed to stabilize the cocycle")
-    return fibers, lattice, rows, b1
+    return fibers, lattice, b1
 
 
 def h1(c):
@@ -215,7 +192,7 @@ def h1(c):
 
     Neither group is listed; both are lattices mod n = q - 1. Z1 is the
     union over the mu of _mu_choices(c, c) of the solutions of their eta
-    rows, each x0 + L for a first solution x0, with L the kernel of the
+    rows, each x0 + L for one solution x0, with L the kernel of the
     rows' coefficients, which do not depend on mu. B1 is the lattice of the
     star action's columns (b1_listing). On Z1, mu is constant along every
     arrow (mu_f - mu_e = 0 mod k), and each column lives on the arrows of
@@ -229,21 +206,21 @@ def h1(c):
     _require_listable(c)
     sg = c.sg
     logs = field_logs(c.domain)
-    n, rank = logs.n, logs.rank
-    fibers, z1, _, b1 = _z1_lattice(c, logs)
+    n, classes = logs.n, logs.classes
+    fibers, lattice, b1 = _z1_lattice(c, logs)
     offsets = [(0,) * len(sg.elements)]
-    for j, (l, b) in enumerate(zip(z1, b1)):
+    for j, (l, b) in enumerate(zip(lattice.kernel, b1)):
         if b[j] % l[j]:
             raise AssertionError("B1 is not a sublattice of the Z1 fiber")
         offsets = [tuple([(o[i] + t * l.get(i, 0)) % n for i in range(len(o))])
                    for o in offsets for t in range(b[j] // l[j])]
     ident = SemigroupAuto.identity(sg)
-    reps = sorted(((mu, least([(a + b) % n for a, b in zip(x0, o)], b1, n, rank), ident)
+    reps = sorted(((mu, least([(a + b) % n for a, b in zip(x0, o)], b1, n, classes), ident)
                    for mu, x0 in fibers.items() for o in offsets), key=logs.key)
     index = {g[:2]: i for i, g in enumerate(reps)}
-    table = [[index[g[0], least(g[1], b1, n, rank)]
+    table = [[index[g[0], least(g[1], b1, n, classes)]
               for g in (compose(logs, a, b) for b in reps)] for a in reps]
-    return H1Report(len(fibers) * order(z1, n), order(b1, n), len(reps),
+    return H1Report(len(fibers) * order(lattice.kernel, n), order(b1, n), len(reps),
                     _gauges(c, reps), table)
 
 
@@ -327,12 +304,13 @@ def _aut0_fibers(c):
 
 
 def _aut0_solved(c, logs):
-    """Yield (phi, mu, x0, constraints) for each (phi, mu, constraints) of
-    _aut0_fibers whose eta rows have a solution, x0 the first."""
+    """Yield (phi, mu, x0, lattice) for each (phi, mu, constraints) of
+    _aut0_fibers whose eta rows have a solution x0, lattice the Graph of
+    those rows (_logs.system; one per phi, whatever mu)."""
     for phi, mu, constraints in _aut0_fibers(c):
-        x0 = next(solve(c.sg, logs, constraints), None)
+        lattice, x0 = system(c.sg, logs, constraints)
         if x0 is not None:
-            yield phi, mu, x0, constraints
+            yield phi, mu, x0, lattice
 
 
 def aut0_listing(c):
@@ -379,7 +357,7 @@ def out_r(c):
     have coefficients (1, p^{a_phi(s)}, -1), which depend on phi only, so
     their solutions, where there is one, are a translate of the kernel
     L_phi of those coefficients, and |L_phi| = |L| for every phi (module
-    docstring). So one kernel, of the first fiber's rows, sizes them all:
+    docstring). So one kernel, of the first fiber's lattice, sizes them all:
     |Aut0| = |L| times the number of (phi, mu) with a solution, and
     |Out R| = |Aut0| / |B1|.
     """
@@ -387,7 +365,7 @@ def out_r(c):
     logs = field_logs(c.domain)
     fibers = list(_aut0_solved(c, logs))
     # the identity gauge has a fiber, so there is a first one
-    aut0 = len(fibers) * order(_kernel(c.sg, logs, fibers[0][3])[0], logs.n)
+    aut0 = len(fibers) * order(fibers[0][3].kernel, logs.n)
     inn0 = order(_b1_lattice(c)[1], logs.n)
     if aut0 % inn0:
         raise AssertionError("|Aut0| is not a multiple of |Inn0|")
@@ -423,13 +401,13 @@ def verify_ses(c):
     L is the kernel of the phi = id eta rows and B1 the lattice of the star
     action's columns. The gauge route (_gauge_fibers, the action formula)
     and the probe route (_aut0_fibers, ring multiplicativity) each give the
-    right-hand sides of their fibers; a fiber counts where it has a first
-    solution. First B1 <= L: every column meets every row.
+    right-hand sides of their fibers; a fiber counts where its rows reduce
+    to a solution. First B1 <= L: every column meets every row.
 
     (i) lambda injective and (ii) image lambda = kernel Phi hold when the
     two routes' phi = id coefficient rows are equal, so both fibers of a mu
     are translates of L, the same mus have a fiber in both, and for each the
-    two first solutions differ by a member of L (`least` of the difference
+    two solutions differ by a member of L (`least` of the difference
     is `least` of 0). Then Aut0 and {phi = id} meet in Z1 as sets, and with
     B1 <= L a B1-coset of Z1 is one of Aut0, so lambda is injective and its
     image is the kernel. (i) needs each Z1 fiber to be an Aut0 fiber,
@@ -447,9 +425,9 @@ def verify_ses(c):
     _require_listable(c)
     sg = c.sg
     logs = field_logs(c.domain)
-    n, rank = logs.n, logs.rank
-    z1_fibers, lattice, rows, b1 = _z1_lattice(c, logs)
-    size, inn0 = order(lattice, n), order(b1, n)
+    n, classes = logs.n, logs.classes
+    z1_fibers, lattice, b1 = _z1_lattice(c, logs)
+    size, inn0 = order(lattice.kernel, n), order(b1, n)
     if size % inn0:
         raise AssertionError("|B1| does not divide |L|")
     aut0_fibers = list(_aut0_solved(c, logs))
@@ -460,11 +438,10 @@ def verify_ses(c):
     clauses = []
 
     # (i) and (ii): Z1 = Aut0 with phi = id, fiber by fiber
-    same_rows = bool(id_fibers) and [
-        coef for coef, _ in eta_rows(sg, logs, id_fibers[0][3])] == rows
-    zero = least((0,) * len(sg.elements), lattice, n, rank)
+    same_rows = bool(id_fibers) and id_fibers[0][3].matrix == lattice.matrix
+    zero = least((0,) * len(sg.elements), lattice.kernel, n, classes)
     shared = sum(mu in z1_fibers and least([(a - b) % n for a, b in zip(x0, z1_fibers[mu])],
-                                          lattice, n, rank) == zero
+                                          lattice.kernel, n, classes) == zero
                  for _, mu, x0, _ in id_fibers) if same_rows else 0
     rows_note = "" if same_rows else "; the two routes' phi = id eta rows differ"
     ok_i = shared == len(z1_fibers)
@@ -491,7 +468,7 @@ def verify_ses(c):
 
     # (v) split section for the trivial class: phi -> (id, 1, phi)
     trivial = TwoCochain.trivial(sg, c.domain)
-    if cohomologous(c, trivial) is not None:
+    if _has_gauge(c, trivial):
         ring = TwistedRing(trivial)
         ok_v = all(verify_ring_hom(RingIso(ring, ring, Gauge(sg, c.domain, phi=phi)))
                    for phi in sg.enumerate_autos())

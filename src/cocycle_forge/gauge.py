@@ -35,20 +35,24 @@ the map of g1. So the automorphisms of a ring permuting its idempotents
 stabilizer with phi = id.
 
 `cohomologous` decides whether two cocycles lie in the same orbit of the
-gauges with phi = id. Over a finite field it searches in log coordinates
+gauges with phi = id. Over a finite field it works in log coordinates
 (see `_logs.py`): mu is a Frobenius exponent per idempotent and eta a
 vector of logs mod q - 1. The alpha relations are integer rows mod k in
-mu and the relations of the action formula integer rows mod q - 1 in eta,
-and `_multsolve.solve_rows` solves both, mu first. Over the rationals,
-where mu is the identity, the eta rows are solved by
-`_multsolve.solve_multiplicative` in log coordinates over Q*: sign rows
-mod 2, again through `solve_rows`, and integer exponent rows over a
-coprime base of the constants, decided exactly on a column echelon. Both
-solvers bring their rows to echelon form by the one elimination,
-`_multsolve.eliminate`. The finite-field "no" and the rational "no" are
-definitive; the quaternions raise NotEnumerable. The Aut0 enumeration
-runs `_logs.solve` too, on relations it derives from ring
-multiplicativity rather than from the action formula.
+mu and the relations of the action formula integer rows mod q - 1 in eta.
+Each kind has one coefficient matrix per call (the eta coefficients
+depend on c1 alone, not on mu), whose lattice (`_multsolve.graph`)
+decides every right-hand side by reduction; the mu solutions are walked
+in product order and the first mu whose eta rows reduce gives the first
+gauge. Over the rationals, where mu is the identity, the eta rows are
+solved by `_multsolve.solve_multiplicative` in log coordinates over Q*:
+sign rows mod 2 on their lattice, and integer exponent rows over a
+coprime base of the constants, decided exactly on a column echelon. All
+of them bring their rows to echelon form by the one elimination,
+`_multsolve.eliminate`. The finite-field "no" (a row pivot that does not
+divide its residue) and the rational "no" are definitive; the quaternions
+raise NotEnumerable. `stabilizer_of_class` asks only whether a gauge
+exists. The Aut0 enumeration runs `_logs.solve` too, on relations it
+derives from ring multiplicativity rather than from the action formula.
 
 Over a finite field the searches run on log coordinates, and the lists
 they make are the listing surface of `cohomology.py`: a `Gauge` is built,
@@ -65,8 +69,8 @@ import json
 from itertools import compress, count
 from operator import ne
 
-from ._logs import field_logs, power, solve
-from ._multsolve import solve_multiplicative, solve_rows
+from ._logs import field_logs, power, system
+from ._multsolve import graph, members, ranked, solve_multiplicative
 from .cochain import TwoCochain, unique_entries
 from .errors import DomainMismatch, NotEnumerable
 from .scalars import (
@@ -243,42 +247,41 @@ def _mu_choices(c1, c2):
     mu_e^{-1} o alpha1_s o mu_f = alpha2_s does not involve eta, and
     Aut(GF(q)) is cyclic of order k, so it reads
     mu_f - mu_e = a2_s - a1_s (mod k) on every element s = e.s.f: one
-    integer row per element, solved by `_multsolve.solve_rows` with the
-    idempotents in canonical order and the values in 0..k-1, hence in
-    product order. On an idempotent the row has no coefficient, so a
-    mismatch of alpha there rules out every mu.
+    integer row per element, with the idempotents in canonical order,
+    whose solutions are walked on their lattice in the natural order of
+    0..k-1, hence in product order. On an idempotent the row has no
+    coefficient, so a mismatch of alpha there rules out every mu.
     """
     sg, k = c1.sg, c1.domain.k
     pos = {e: i for i, e in enumerate(sg.idempotents)}
-    rows = []
-    for s in sg.elements:
-        e, f = pos[sg.src[s]], pos[sg.tgt[s]]
-        coef = {f: 1}
-        coef[e] = coef.get(e, 0) - 1
-        rows.append((coef, (power(c2.alpha_at(s)) - power(c1.alpha_at(s))) % k))
-    return solve_rows(rows, len(pos), k, range(k), range(k))
+    matrix = tuple(((pos[sg.tgt[s]], 1), (pos[sg.src[s]], -1)) for s in sg.elements)
+    b = [power(c2.alpha_at(s)) - power(c1.alpha_at(s)) for s in sg.elements]
+    return graph(matrix, len(pos), k).solutions(b, ranked(range(k)))
 
 
 def _gauge_fibers(c1, c2):
-    """Yield (mu, constraints) for each mu of _mu_choices(c1, c2), in
-    product order, with the _logs.solve constraints it puts on eta."""
+    """Yield (mu, lattice, x) for each mu of _mu_choices(c1, c2), in
+    product order: lattice is the _multsolve.Graph of the eta rows that mu
+    puts on eta (_logs.system; their coefficients depend on c1 alone, so
+    every mu shares one) and x one solution of them, or None."""
     sg, domain = c1.sg, c1.domain
+    logs = field_logs(domain)
     for mu in _mu_choices(c1, c2):
         autos = {e: RingAuto.frobenius(domain, i) for e, i in zip(sg.idempotents, mu)}
-        yield mu, _gauge_constraints(c1, c2, autos)
+        yield (mu, *system(sg, logs, _gauge_constraints(c1, c2, autos)))
 
 
 def _gauge_solutions_ff(c1, c2):
     """Yield every gauge carrying c1 to c2 over a finite field, in log
     coordinates (mu, x, id) (see _logs.py) and in Gauge.sort_key order.
-    Exhaustive: mu ranges over every choice the alpha relations allow, eta
-    is searched by _logs.solve."""
-    sg = c1.sg
+    Exhaustive: mu ranges over every choice the alpha relations allow, and
+    each fiber's eta solutions are walked on its lattice."""
     logs = field_logs(c1.domain)
-    ident = SemigroupAuto.identity(sg)
-    for mu, constraints in _gauge_fibers(c1, c2):
-        for x in solve(sg, logs, constraints):
-            yield mu, x, ident
+    ident = SemigroupAuto.identity(c1.sg)
+    for mu, lattice, x in _gauge_fibers(c1, c2):
+        if x is not None:
+            for y in members(x, lattice.kernel, logs.n, logs.classes):
+                yield mu, y, ident
 
 
 def from_logs(sg, domain, g):
@@ -328,11 +331,19 @@ def cohomologous(c1, c2):
     raise NotEnumerable("cannot search gauges over the rational quaternions")
 
 
+def _has_gauge(c1, c2):
+    """Whether cohomologous(c1, c2) finds a gauge, without building one:
+    over a finite field, whether the eta rows of some mu reduce."""
+    if c1.domain.kind == "finite_field":
+        return any(x is not None for _, _, x in _gauge_fibers(c1, c2))
+    return cohomologous(c1, c2) is not None
+
+
 def stabilizer_of_class(c):
     """The semigroup automorphisms phi with [c] = [c^phi], exactly over
-    finite fields and the rationals (see cohomologous)."""
-    return [phi for phi in c.sg.enumerate_autos()
-            if cohomologous(c, act_phi(phi, c)) is not None]
+    finite fields and the rationals (see cohomologous). c1 = c for every
+    phi, so every phi reduces through the same two lattices."""
+    return [phi for phi in c.sg.enumerate_autos() if _has_gauge(c, act_phi(phi, c))]
 
 
 # ---------------------------------------------------------------------------

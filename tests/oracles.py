@@ -14,7 +14,9 @@ replaced is kept too: `_cosets` partitions a listing in log coordinates
 into B1-cosets, and `listing_verify_ses` checks the exact sequence on
 the Z1, B1 and Aut0 listings and their coset maps. The lattices mod n that count H1 and Out R
 are checked against `span_mod`, which closes a subgroup of (Z/n)^size
-under its generators, and `kernel_by_scan`, which tests every vector. The Aut0 oracles read their eta relations
+under its generators, and `kernel_by_scan`, which tests every vector; the
+solutions their reduction and walk give, against `solve_rows`, the
+depth-first search over a row echelon mod n that they replaced. The Aut0 oracles read their eta relations
 from `probe_constraints`, which asks `ring.pair_sides` about every pair at
 every probe, and the Z1 ones from `action_constraints`, read off the
 action formula, so no oracle builds a relation with a fast route's helper.
@@ -553,6 +555,59 @@ def kernel_by_scan(rows, size, n):
     by testing all n^size of them."""
     return {x for x in itertools.product(range(n), repeat=size)
             if all(sum(c * x[j] for j, c in row.items()) % n == 0 for row in rows)}
+
+
+def solve_rows(rows, size, n, rank, by_rank):
+    """Yield every x in (Z/n)^size meeting each integer row mod n, in the
+    lexicographic order of their ranks, by depth-first search.
+
+    A row is (dict position -> coefficient, right-hand side). `eliminate`
+    brings the rows to echelon form over Z with at most one row per
+    position, filed under its last position with a nonzero coefficient,
+    and a row that loses every coefficient with a right-hand side that is
+    nonzero mod n leaves no solution. Positions are assigned in order; a
+    position with a row is solved for there once the earlier positions are
+    assigned: c y = r mod n has no solution unless d = gcd(c, n) divides r,
+    and then d of them. A position without a row ranges over all of
+    0..n-1. The values are tried in the order of by_rank (rank[v] being the
+    place of v in it). A "no" shows only when the walk reaches the row
+    that fails, possibly after every prefix of the positions before it.
+    """
+    plan, zeros = eliminate(rows, size, lambda r2, r1, m: r2 + m * r1)
+    if any(r % n for r in zeros):
+        return
+    if not size:
+        yield ()
+        return
+    plan = [row and (math.gcd(row[0][i], n), row[0][i] % n,
+                     tuple((j, c) for j, c in row[0].items() if j != i), row[1])
+            for i, row in enumerate(plan)]
+    x = [0] * size
+
+    def options(i):
+        if plan[i] is None:
+            return by_rank
+        d, lead, rest, rhs = plan[i]
+        r = (rhs - sum(c * x[j] for j, c in rest)) % n
+        if r % d:
+            return []
+        step = n // d
+        first = (r // d) * pow(lead // d, -1, step) % step
+        return [first] if d == 1 else sorted(range(first, n, step), key=rank.__getitem__)
+
+    last = size - 1
+    stack = [iter(options(0))]
+    while stack:
+        i = len(stack) - 1
+        v = next(stack[-1], None)
+        if v is None:
+            stack.pop()
+            continue
+        x[i] = v
+        if i == last:
+            yield tuple(x)
+        else:
+            stack.append(iter(options(i + 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import cocycle_forge
 from cocycle_forge import cohomology
 
@@ -119,3 +121,18 @@ def test_ab_bench_summary_applies_the_claim_rule():
         change["jobs_per_s"] = parent["jobs_per_s"] - 1
     rows = {row["name"]: row for row in tool.summarize(pairs, specs)}
     assert (rows["jobs_per_s"]["wins"], rows["jobs_per_s"]["verdict"]) == (8, "held")
+
+
+def test_ab_bench_exports_a_revision(tmp_path):
+    # a side that is no directory is a git revision, exported with git
+    # archive; a directory is used as it is
+    spec = importlib.util.spec_from_file_location("ab_bench", ROOT / "tools" / "ab_bench.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    if subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True).returncode:
+        pytest.skip("not a git checkout")
+    tree = Path(tool.checkout("HEAD", str(tmp_path)))
+    assert tree.parent == tmp_path
+    assert (tree / "bench" / "run.py").is_file()
+    assert (tree / "src" / "cocycle_forge" / "__init__.py").is_file()
+    assert tool.checkout(str(ROOT), str(tmp_path)) == str(ROOT)

@@ -537,3 +537,37 @@ def test_aut0_prunes_mu_by_arrows(sphere, monkeypatch):
     assert full == 22304
     assert len(got) == 3888 and got == expected
     assert len(calls) <= 1824
+
+
+@pytest.mark.parametrize("case", ["demo-gf4", "star3-gf5"])
+@pytest.mark.parametrize("call", ["verify_ses", "h1", "out_r", "stabilizer_of_class"])
+def test_each_coefficient_matrix_is_eliminated_once(case, call, monkeypatch):
+    # every fiber of one call (each mu, each phi, the gauge and the probe
+    # routes, the stabilizer and the split-section check) reduces through
+    # the one lattice of its coefficient matrix
+    from cocycle_forge import _multsolve, cohomology, gauge
+    from cocycle_forge.cochain import normalize
+    from cocycle_forge.scalars import ScalarDomain
+    from conftest import random_gauge
+
+    if case == "demo-gf4":
+        c = make_demo_cocycle(ScalarDomain.finite_field(2, 2))
+    else:
+        dom = ScalarDomain.finite_field(5, 1)
+        sg = SquareFreeSemigroup.validate(
+            ["c", "l1", "l2", "l3"], [("a1", "c", "l1"), ("a2", "c", "l2"), ("a3", "c", "l3")], {})
+        c, _ = normalize(act_gauge(random_gauge(sg, dom, random.Random(case)),
+                                   TwoCochain.trivial(sg, dom)))
+    eliminated = []
+    eliminate = _multsolve.eliminate
+
+    def counted(rows, size, combine):
+        rows = list(rows)
+        eliminated.append((size, tuple(sorted(tuple(sorted(coef.items())) for coef, _ in rows))))
+        return eliminate(rows, size, combine)
+
+    _multsolve.graph.cache_clear()
+    monkeypatch.setattr(_multsolve, "eliminate", counted)
+    getattr(cohomology if hasattr(cohomology, call) else gauge, call)(c)
+    assert len(eliminated) >= 2
+    assert len(set(eliminated)) == len(eliminated)

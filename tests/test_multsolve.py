@@ -1,17 +1,21 @@
 """The exact multiplicative solver used for rational-domain gauge searches,
-and the lattices mod n that count H1 and Out R."""
+and the lattices mod n that count H1 and Out R and solve rows mod n."""
 
+import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from cocycle_forge._multsolve import (
-    _coprime_base, _int_nth_root, kernel_mod, least, order, solve_multiplicative, triangular,
+    _coprime_base, _int_nth_root, graph, least, members, order, ranked, solve_multiplicative,
+    triangular,
 )
 
 from oracles import (
-    RootUndecided, kernel_by_scan, rational_verdict, root_solve_multiplicative, span_mod,
+    RootUndecided, kernel_by_scan, rational_verdict, root_solve_multiplicative, solve_rows,
+    span_mod,
 )
 
 F = Fraction
@@ -192,15 +196,103 @@ def test_triangular_order_and_least_match_the_span(n):
         rng.shuffle(rank)
         x = tuple(rng.randrange(n) for _ in range(size))
         coset = [tuple((a + b) % n for a, b in zip(x, h)) for h in group]
-        assert least(x, basis, n, rank) == min(coset, key=lambda y: [rank[v] for v in y])
+        assert least(x, basis, n, ranked(sorted(range(n), key=rank.__getitem__))) == min(
+            coset, key=lambda y: [rank[v] for v in y])
+
+
+def matrix_of(rows):
+    """The coefficient matrix of rows (dicts position -> int) for graph."""
+    return tuple(tuple(row.items()) for row in rows)
 
 
 @pytest.mark.parametrize("n", MODULI)
 def test_kernel_mod_matches_a_scan(n):
+    # the kernel of the graph lattice, its last size basis vectors
     rng = random.Random(f"kernel-{n}")
     for _ in range(60):
         size = rng.randint(0, 4)
         rows = random_vectors(rng, size, rng.randint(0, 3), 2 * n + 1)
-        gens = kernel_mod(rows, size, n)
+        gens = graph(matrix_of(rows), size, n).kernel
         assert all(max(k, default=-1) < size for k in gens)
         assert span_mod(gens, size, n) == kernel_by_scan(rows, size, n)
+
+
+SWEEP_MODULI = MODULI + [24, 26, 80]
+
+
+def random_rows(rng, n):
+    """Up to 9 rows over up to 7 positions, with coefficients in -2n..2n;
+    the right-hand sides come from a random x on half of the systems and
+    are random on the others."""
+    size = rng.randint(0, 7)
+    rows = [{j: rng.randint(-2 * n, 2 * n) for j in range(size) if rng.random() < 0.4}
+            for _ in range(rng.randint(0, 9))]
+    x = [rng.randrange(n) for _ in range(size)]
+    if rng.random() < 0.5:
+        b = [sum(c * x[j] for j, c in row.items()) % n for row in rows]
+    else:
+        b = [rng.randrange(n) for _ in rows]
+    return rows, b, size
+
+
+def test_solutions_match_a_scan_and_the_depth_first_search():
+    # existence, the first solution under a shuffled rank, and the members
+    # in rank order where there are at most 2 10^4 of them: against every
+    # vector where n^size <= 2 10^4, and against the depth-first search
+    # over the row echelon on every solvable system, but on a refused one
+    # only where n^size <= 2 10^4, since that search meets the failing row
+    # only after every prefix of the positions before it
+    rng = random.Random(20261020)
+    seen = {"scanned": 0, "searched": 0, "solvable": 0, "refused": 0, "listed": 0}
+    for _ in range(2000):
+        n = rng.choice(SWEEP_MODULI)
+        rows, b, size = random_rows(rng, n)
+        rank = list(range(n))
+        rng.shuffle(rank)
+        by_rank = sorted(range(n), key=rank.__getitem__)
+        lattice = graph(matrix_of(rows), size, n)
+        x = lattice.solve(b)
+        listed = None
+        if x is not None:
+            seen["solvable"] += 1
+            assert all(sum(c * x[j] for j, c in row.items()) % n == r
+                       for row, r in zip(rows, b))
+            first = least(x, lattice.kernel, n, ranked(by_rank))
+            if order(lattice.kernel, n) <= 2 * 10 ** 4:
+                seen["listed"] += 1
+                listed = list(members(x, lattice.kernel, n, ranked(by_rank)))
+                assert len(listed) == order(lattice.kernel, n) == len(set(listed))
+                assert listed[0] == first
+        else:
+            seen["refused"] += 1
+        if n ** size <= 2 * 10 ** 4:
+            seen["scanned"] += 1
+            scan = sorted((y for y in itertools.product(range(n), repeat=size)
+                           if all(sum(c * y[j] for j, c in row.items()) % n == r
+                                  for row, r in zip(rows, b))),
+                          key=lambda y: [rank[v] for v in y])
+            assert (x is not None) == bool(scan)
+            assert x is None or listed == scan
+        if x is not None or n ** size <= 2 * 10 ** 4:
+            seen["searched"] += 1
+            dfs = solve_rows(list(zip(rows, b)), size, n, rank, by_rank)
+            if x is None:
+                assert next(dfs, None) is None
+            elif listed is None:
+                assert next(dfs) == first
+            else:
+                assert list(itertools.islice(dfs, len(listed) + 1)) == listed
+    assert min(seen.values()) > 400, seen
+
+
+def test_a_dead_end_is_refused_at_once():
+    # -2 x5 = 57 has no solution mod 80 (57 is odd): the depth-first search
+    # meets that row only after the free positions 0-4, up to 80^5
+    # prefixes; the reduction refuses at the row pivot 2, which does not
+    # divide 57
+    rows = (((5, -2),), ((3, -1),))
+    start = time.perf_counter()
+    lattice = graph(rows, 7, 80)
+    assert lattice.solve([57, 23]) is None
+    assert time.perf_counter() - start < 1
+    assert lattice.solve([56, 23]) is not None

@@ -2,8 +2,12 @@
 
 Run from anywhere:
 
-    python tools/ab_bench.py PARENT_DIR CHANGE_DIR --workload W --pairs 10 --seconds 40 [--seed N]
+    python tools/ab_bench.py PARENT CHANGE --workload W --pairs 10 --seconds 40 [--seed N]
 
+PARENT and CHANGE are each a checkout directory or a git revision of the
+repository this script sits in (for example HEAD~1). A revision is
+exported with `git archive` into a temporary directory, which is removed
+at the end; the repository and its worktree list are left as they are.
 Each pair runs `python3 bench/run.py --workload W --seed N --seconds T
 --trace 0` once in each checkout, one after the other; even pairs start
 with the parent, odd pairs with the change. Each run's last output line is
@@ -28,13 +32,17 @@ It exits 1 if any run failed to finish, failed a job or read
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import statistics
 import subprocess
 import sys
+import tarfile
+import tempfile
 from pathlib import Path
 
-SPEC = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+ROOT = Path(__file__).resolve().parent.parent
+SPEC = ROOT / "BENCHMARK.json"
 
 
 def quartiles(values):
@@ -76,6 +84,20 @@ def summarize(pairs, specs):
     return rows
 
 
+def checkout(side, scratch):
+    """The directory to run one side in: side itself when it is a
+    directory, else the tree of the git revision side, exported into a new
+    directory under scratch."""
+    if Path(side).is_dir():
+        return side
+    tree = subprocess.run(["git", "archive", "--format=tar", side], cwd=ROOT,
+                          capture_output=True, check=True).stdout
+    target = tempfile.mkdtemp(dir=scratch)
+    with tarfile.open(fileobj=io.BytesIO(tree)) as archive:
+        archive.extractall(target)
+    return target
+
+
 def run(checkout, workload, seed, seconds):
     """The metrics of one bench/run.py run in the checkout, or None when it
     failed."""
@@ -103,17 +125,19 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
     specs = json.loads(SPEC.read_text())["end_to_end"]
-    pairs = []
-    for i in range(args.pairs):
-        sides = [args.parent, args.change] if i % 2 == 0 else [args.change, args.parent]
-        got = {side: run(side, args.workload, args.seed, args.seconds) for side in sides}
-        if None in got.values():
-            print(f"pair {i}: a run failed", file=sys.stderr)
-            return 1
-        pairs.append((got[args.parent], got[args.change]))
-        print(f"pair {i}: " + "  ".join(
-            f"{s['name']} {got[args.parent][s['name']]:.4g} -> {got[args.change][s['name']]:.4g}"
-            for s in specs), flush=True)
+    with tempfile.TemporaryDirectory() as scratch:
+        parent, change = (checkout(side, scratch) for side in (args.parent, args.change))
+        pairs = []
+        for i in range(args.pairs):
+            sides = [parent, change] if i % 2 == 0 else [change, parent]
+            got = {side: run(side, args.workload, args.seed, args.seconds) for side in sides}
+            if None in got.values():
+                print(f"pair {i}: a run failed", file=sys.stderr)
+                return 1
+            pairs.append((got[parent], got[change]))
+            print(f"pair {i}: " + "  ".join(
+                f"{s['name']} {got[parent][s['name']]:.4g} -> {got[change][s['name']]:.4g}"
+                for s in specs), flush=True)
     print(f"{args.workload}, seed {args.seed}, {len(pairs)} pairs of {args.seconds:g} s runs")
     for row in summarize(pairs, specs):
         p1, pm, p3 = row["parent"]

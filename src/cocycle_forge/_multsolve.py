@@ -18,31 +18,39 @@ first pivots decides A x = b mod n exactly and yields one solution x (see
 `Graph.solve`), so the solutions are x + L. `least` is the member of a
 coset x + L that comes first in rank order, and `members` walks the coset
 in that order; every pivot divides n, so the walk meets no dead end. An
-order on Z/n is given by its residue classes (`ranked`).
+order on Z/n is given by its residue classes (`ranked`), and the natural
+order of 0..n-1 is built once per modulus (`natural`).
 
 `solve_multiplicative` solves over Q* in log coordinates. Q* is {+1, -1}
-times the free abelian group on the primes. Over a coprime base of the
-constants (naive gcd refinement, after Bernstein, "Factoring into coprimes
-in essentially linear time", J. Algorithms 54, 2005), each element reduced
-to its least root so that the exponents of its primes have gcd 1, a
-solution is x_v = +-prod_b b^{y_vb}, exponents at other primes being 0.
-The system then splits into rows mod 2 for the signs, solved on their
-graph lattice, and one integer system A y = f_b per base element b, with
-f_b the exponents of b in the constants. `eliminate` run on the columns of
-A brings them to a column echelon with the same lattice, and membership of
-f_b in that lattice is decided exactly by peeling it off from the last row
-down; one column echelon serves every base element. So None is a
-definitive "no".
+times the free abelian group on the primes. The constants come as reduced
+integer pairs (numerator, denominator). Over a coprime base of their
+numerators and denominators (naive gcd refinement, after Bernstein,
+"Factoring into coprimes in essentially linear time", J. Algorithms 54,
+2005), each element reduced to its least root so that the exponents of its
+primes have gcd 1, a solution is x_v = +-prod_b b^{y_vb}, exponents at
+other primes being 0. The system then splits into rows mod 2 for the
+signs, solved on their graph lattice, and one integer system A y = f_b per
+base element b, with f_b the exponents of b in the constants.
 
-The witness is canonical: each system is solved first with every variable
-that has no row in the row echelon of A pinned (sign +, exponents 0), and
-without the pins only where that fails; the signs are the least solution
-of their rows, + before -.
+`eliminate` runs once on the rows of A, each carrying its combination of
+the equations as its right-hand side. Its row echelon names the free
+variables, those with no row. With them pinned to 0 the pivot columns have
+full rank, so the pinned solution is unique: back-substitution with exact
+division finds it, once the rows that lost every coefficient are checked
+to carry 0 (a zero row that carries f_b != 0 refuses every solution). Only
+where a pivot does not divide is the system solved without the pins:
+`eliminate` on the columns of A brings them to a column echelon with the
+same lattice, and membership of f_b in that lattice is decided exactly by
+peeling it off from the last row down; one column echelon, built on first
+need, serves every base element. So None is a definitive "no".
+
+The witness is canonical: each system is solved first with every free
+variable pinned (sign +, exponents 0), and without the pins only where
+that fails; the signs are the least solution of their rows, + before -.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache, lru_cache
 from math import gcd
 
@@ -128,6 +136,13 @@ def ranked(by_rank):
     dividing n: the values sorted stably by residue, so that the class of r
     is the slice [r n/h, (r + 1) n/h), in rank order. Built once per h."""
     return cache(lambda h: sorted(by_rank, key=h.__rmod__))
+
+
+@cache
+def natural(n):
+    """The order of ranked(range(n)), the natural order of 0..n-1, one
+    per modulus."""
+    return ranked(range(n))
 
 
 def least(x, basis, n, classes):
@@ -310,20 +325,10 @@ def _add(u, v, m):
     return w
 
 
-def _column_echelon(rows, size, pins=()):
-    """`eliminate` on the columns of integer rows (dicts position -> int),
-    the pinned positions left out, each column carrying its unit vector as
-    the right-hand side: (plan, kernel), plan the column echelon over the
-    rows and kernel a basis of the integer kernel, as dicts."""
-    cols = (({i: row[j] for i, row in enumerate(rows) if j in row}, {j: 1})
-            for j in range(size) if j not in pins)
-    return eliminate(cols, len(rows), _add)
-
-
-def _integer_solver(rows, size, pins=()):
-    """A function taking b to an integer y in Z^size, zero at the pins,
-    with sum_j rows[i][j] y_j = b[i] for every row i, or to None where
-    there is none.
+def _integer_solver(rows, size):
+    """A function taking b to an integer y in Z^size with
+    sum_j rows[i][j] y_j = b[i] for every row i, or to None where there is
+    none.
 
     `eliminate` runs on the columns, each carrying its unit vector as the
     right-hand side, so every column left is an integer combination of the
@@ -336,7 +341,9 @@ def _integer_solver(rows, size, pins=()):
     solution whose entry at each kernel pivot c lies between 0 and c, which
     keeps the exponents small.
     """
-    plan, kernel = _column_echelon(rows, size, pins)
+    cols = (({i: row[j] for i, row in enumerate(rows) if j in row}, {j: 1})
+            for j in range(size))
+    plan, kernel = eliminate(cols, len(rows), _add)
     kernel = eliminate(((k, None) for k in kernel), size, lambda *_: None)[0]
 
     def solve(b):
@@ -361,40 +368,66 @@ def _integer_solver(rows, size, pins=()):
     return solve
 
 
+def _pinned(plan, b):
+    """The integer y with A y = b that is zero at every free position of
+    the row echelon plan of A (rows carrying their combinations of the
+    equations, see solve_multiplicative), or None where there is none,
+    for a b on which every row that lost all its coefficients carries 0.
+
+    Pinned so, the pivot columns have full rank and the solution is
+    unique: back-substitution from the first position up, each pivot
+    dividing exactly, finds it, and a pivot that does not divide refuses
+    every integer y."""
+    y = {}
+    for i, row in enumerate(plan):
+        if row is not None:
+            coef, comb = row
+            r = sum(c * b[k] for k, c in comb.items())
+            r -= sum(c * y.get(j, 0) for j, c in coef.items() if j != i)
+            q, m = divmod(r, coef[i])
+            if m:
+                return None
+            if q:
+                y[i] = q
+    return y
+
+
 def solve_multiplicative(equations, variables):
     """One rational solution of the system, or None when there is none.
 
-    equations: a list of (dict var -> int exponent, nonzero Fraction
-    constant). The first variable takes the last position, so it is
-    eliminated first. Returns dict var -> Fraction (module docstring).
+    equations: a list of (dict var -> int exponent, nonzero constant as a
+    reduced pair (numerator, denominator > 0)). The first variable takes
+    the last position, so it is eliminated first. Returns dict var ->
+    reduced pair (module docstring).
     """
     size = len(variables)
     pos = {v: size - 1 - i for i, v in enumerate(variables)}
     rows = [{pos[v]: c for v, c in coeffs.items()} for coeffs, _ in equations]
     consts = [const for _, const in equations]
-    plan, _ = eliminate(((row, None) for row in rows), size, lambda *_: None)
+    plan, zeros = eliminate(((row, {i: 1}) for i, row in enumerate(rows)), size, _add)
     signs = tuple(tuple(row.items()) for row in rows)
-    negative = [int(c < 0) for c in consts]
+    negative = [int(n < 0) for n, _ in consts]
     free = [j for j, row in enumerate(plan) if row is None]
 
     def first_sign(matrix, b):
-        return next(graph(matrix, size, 2).solutions(b, ranked((0, 1))), None)
+        return next(graph(matrix, size, 2).solutions(b, natural(2)), None)
 
     sign = first_sign(signs + tuple(((j, 1),) for j in free), negative + [0] * len(free))
     if sign is None:
         sign = first_sign(signs, negative)
     if sign is None:
         return None
-    pinned = _integer_solver(rows, size, free)
     loose = cache(lambda: _integer_solver(rows, size))
     num, den = [1] * size, [1] * size
-    for b in _coprime_base([abs(c.numerator) for c in consts] + [c.denominator for c in consts]):
-        f = [_valuation(abs(c.numerator), b) - _valuation(c.denominator, b) for c in consts]
+    for b in _coprime_base([abs(n) for n, _ in consts] + [d for _, d in consts]):
+        f = [_valuation(abs(n), b) - _valuation(d, b) for n, d in consts]
+        if any(sum(c * f[k] for k, c in comb.items()) for comb in zeros):
+            return None
         # f is nonzero, so a solution y is a nonempty dict
-        y = pinned(f) or loose()(f)
+        y = _pinned(plan, f) or loose()(f)
         if y is None:
             return None
         for j, e in y.items():
             num[j] *= b ** max(e, 0)
             den[j] *= b ** max(-e, 0)
-    return {v: Fraction(-num[i] if sign[i] else num[i], den[i]) for v, i in pos.items()}
+    return {v: (-num[i] if sign[i] else num[i], den[i]) for v, i in pos.items()}

@@ -46,8 +46,10 @@ in product order and the first mu whose eta rows reduce gives the first
 gauge. Over the rationals, where mu is the identity, the eta rows are
 solved by `_multsolve.solve_multiplicative` in log coordinates over Q*:
 sign rows mod 2 on their lattice, and integer exponent rows over a
-coprime base of the constants, decided exactly on a column echelon. All
-of them bring their rows to echelon form by the one elimination,
+coprime base of the constants, back-substituted through their row echelon
+with the free variables pinned, and decided exactly on a column echelon
+where the pins fail. All of them bring their rows to echelon form by the
+one elimination,
 `_multsolve.eliminate`. The finite-field "no" (a row pivot that does not
 divide its residue) and the rational "no" are definitive; the quaternions
 raise NotEnumerable. `stabilizer_of_class` asks only whether a gauge
@@ -66,11 +68,10 @@ key.
 from __future__ import annotations
 
 import json
-from itertools import compress, count
-from operator import ne
+from operator import getitem
 
 from ._logs import field_logs, power, system
-from ._multsolve import graph, members, ranked, solve_multiplicative
+from ._multsolve import graph, members, natural, solve_multiplicative
 from .cochain import TwoCochain, unique_entries
 from .errors import DomainMismatch, NotEnumerable
 from .scalars import (
@@ -256,7 +257,7 @@ def _mu_choices(c1, c2):
     pos = {e: i for i, e in enumerate(sg.idempotents)}
     matrix = tuple(((pos[sg.tgt[s]], 1), (pos[sg.src[s]], -1)) for s in sg.elements)
     b = [power(c2.alpha_at(s)) - power(c1.alpha_at(s)) for s in sg.elements]
-    return graph(matrix, len(pos), k).solutions(b, ranked(range(k)))
+    return graph(matrix, len(pos), k).solutions(b, natural(k))
 
 
 def _gauge_fibers(c1, c2):
@@ -297,7 +298,8 @@ def _cohomologous_rational(c1, c2):
     """Exact decision over the rationals. Every automorphism is the
     identity there, so only the scalar relations constrain eta; they form a
     multiplicative linear system, solved in log coordinates over Q* (see
-    _multsolve), whose None is definitive."""
+    _multsolve) on the reduced pairs that are the payloads of rational
+    scalars, whose None is definitive."""
     sg, domain = c1.sg, c1.domain
     ident = RingAuto.identity(domain)
     equations = []
@@ -407,11 +409,9 @@ def gauge_list_text(sg, domain, field, group, witnesses=False):
 
     Each distinct piece is rendered once by json.dumps itself, on first use:
     an eta entry per (element, log), a mu block per mu and a phi block per
-    phi. Log 0 and exponent 0 are the identity values gauge_to_json omits.
-    The eta text of every prefix of the last x is kept, so a gauge that
-    shares its first d logs with the one before it, as neighbours in a
-    sorted list mostly do, is rendered from position d on. The pieces are
-    joined in the layout of json.dumps.
+    phi. Log 0 and exponent 0 are the identity values gauge_to_json omits,
+    and their pieces are empty, so each array is one join of the pieces of
+    its values, in the layout of json.dumps.
     """
     exp = field_logs(domain).exp
     depth = 3 if witnesses else 2          # of each gauge object
@@ -427,22 +427,14 @@ def gauge_list_text(sg, domain, field, group, witnesses=False):
         return "[" + joined[1:] + close if joined else "[]"
 
     mu_blocks, phis, entries = {}, {}, []
-    size = len(sg.elements)
-    prefix = [""] * (size + 1)             # prefix[j]: the eta pieces before position j
-    last = None
     head = "{\n" + "  " * (depth + 1) + '"eta": '
     middle = ",\n" + "  " * (depth + 1) + '"mu": '
     tail = "\n" + "  " * depth + "}"
     for mu, x, phi in group:
-        d = 0 if last is None else next(compress(count(), map(ne, x, last)), size)
-        for j in range(d, size):
-            prefix[j + 1] = prefix[j] + etas[j][x[j]]
-        last = x
         mu_text = mu_blocks.get(mu)
         if mu_text is None:
-            mu_text = mu_blocks[mu] = middle + array(
-                "".join([mus[i][m] for i, m in enumerate(mu)])) + tail
-        text = head + array(prefix[size]) + mu_text
+            mu_text = mu_blocks[mu] = middle + array("".join(map(getitem, mus, mu))) + tail
+        text = head + array("".join(map(getitem, etas, x))) + mu_text
         if witnesses:
             piece = phis.get(phi)
             if piece is None:

@@ -8,7 +8,11 @@ elements. The product is determined on the basis by
 
 and extended bilinearly; right scalar multiplication is rewritten through
 alpha immediately (s . d = alpha_s(d) . s), so every element has a unique
-left-coefficient normal form and equality is decidable.
+left-coefficient normal form and equality is decidable. A product visits,
+for each s in the support of its left factor, only the t with
+s.t != theta (the right partners of `SquareFreeSemigroup.composable`),
+and hands the terms of each output coefficient to `scalars.product_sum`,
+which over Q and H(Q) sums them on unreduced integers and reduces once.
 
 The multiplicative identity is sum_e xi(e,e)^{-1} . e, which reduces to
 sum_e e for normal twist data. An element is a unit exactly when all of
@@ -31,7 +35,7 @@ from dataclasses import dataclass
 from .cochain import is_cocycle
 from .errors import NotACocycle, NotAUnit, RingMismatch, WitnessInvalid
 from .gauge import Gauge, act_gauge, act_phi, cohomologous
-from .scalars import Scalar, scalar_from_json, scalar_to_json
+from .scalars import Scalar, product_sum, scalar_from_json, scalar_to_json
 
 
 def require_cocycle(c):
@@ -99,8 +103,18 @@ class RingElement:
                 clean[s] = d
         self.coeffs = clean
 
+    @classmethod
+    def _of(cls, ring, coeffs):
+        """The element of coefficients that arithmetic made, on basis
+        elements and in the domain of ring: only the zeros are dropped."""
+        x = object.__new__(cls)
+        x.ring = ring
+        x.coeffs = {s: d for s, d in coeffs.items() if not d.is_zero()}
+        return x
+
     def _check(self, other):
-        if not isinstance(other, RingElement) or other.ring != self.ring:
+        if not isinstance(other, RingElement) or (
+                other.ring is not self.ring and other.ring != self.ring):
             raise RingMismatch("elements of different rings combined")
 
     def coeff(self, s):
@@ -115,10 +129,10 @@ class RingElement:
         for s, d in other.coeffs.items():
             acc = out.get(s)
             out[s] = d if acc is None else acc + d
-        return RingElement(self.ring, out)
+        return RingElement._of(self.ring, out)
 
     def __neg__(self):
-        return RingElement(self.ring, {s: -d for s, d in self.coeffs.items()})
+        return RingElement._of(self.ring, {s: -d for s, d in self.coeffs.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -129,26 +143,32 @@ class RingElement:
                 return NotImplemented
             # right scalar action: s . d = alpha_s(d) . s
             c = self.ring.cocycle
-            return RingElement(self.ring, {s: d * c.alpha_at(s)(other)
-                                           for s, d in self.coeffs.items()})
+            return RingElement._of(self.ring, {s: d * c.alpha_at(s)(other)
+                                               for s, d in self.coeffs.items()})
         self._check(other)
-        sg, c = self.ring.sg, self.ring.cocycle
-        out = {}
+        ring = self.ring
+        c, domain = ring.cocycle, ring.domain
+        alpha, xi, one = c.alpha, c.xi, domain.one()
+        right, y = ring.sg.composable().right, other.coeffs
+        terms = {}
         for s, d1 in self.coeffs.items():
-            for t, d2 in other.coeffs.items():
-                st = sg.compose(s, t)
-                if st is None:
-                    continue
-                val = d1 * c.alpha_at(s)(d2) * c.xi_at(s, t)
-                acc = out.get(st)
-                out[st] = val if acc is None else acc + val
-        return RingElement(self.ring, out)
+            a = alpha.get(s)
+            for t, st in right[s]:
+                d2 = y.get(t)
+                if d2 is not None:
+                    term = (d1, a, d2, xi.get((s, t), one))
+                    acc = terms.get(st)
+                    if acc is None:
+                        terms[st] = [term]
+                    else:
+                        acc.append(term)
+        return RingElement._of(ring, {st: product_sum(domain, ts) for st, ts in terms.items()})
 
     def __rmul__(self, scalar):
         if not isinstance(scalar, Scalar):
             return NotImplemented
         # left scalar action: plain coefficient scaling
-        return RingElement(self.ring, {s: scalar * d for s, d in self.coeffs.items()})
+        return RingElement._of(self.ring, {s: scalar * d for s, d in self.coeffs.items()})
 
     # -- units ----------------------------------------------------------------
 
@@ -157,18 +177,19 @@ class RingElement:
 
     def diagonal_part(self):
         E = set(self.ring.sg.idempotents)
-        return RingElement(self.ring, {s: d for s, d in self.coeffs.items() if s in E})
+        return RingElement._of(self.ring, {s: d for s, d in self.coeffs.items() if s in E})
 
     def inverse(self):
         if not self.is_unit():
             raise NotAUnit("an inverse needs every idempotent coefficient nonzero")
         ring = self.ring
         c = ring.cocycle
-        # diagonal inverse: solve (c_e e)(d_e e) = xi(e,e)^{-1} e exactly
-        v = RingElement(ring, {
-            e: c.xi_at(e, e).inv() * self.coeffs[e].inv() * c.xi_at(e, e).inv()
-            for e in ring.sg.idempotents})
-        n = self - self.diagonal_part()
+        # diagonal inverse: solve (c_e e)(d_e e) = xi(e,e)^{-1} e exactly, by
+        # d_e = xi(e,e)^{-1} c_e^{-1} xi(e,e)^{-1}
+        E = ring.sg.idempotents
+        v = RingElement._of(ring, {e: (c.xi_at(e, e) * self.coeffs[e] * c.xi_at(e, e)).inv()
+                                   for e in E})
+        n = RingElement._of(ring, {s: d for s, d in self.coeffs.items() if s not in E})
         x = -(n * v)
         # total = 1 + x + x^2 + ..., up to the first zero power (x^|E| at the latest)
         total, power = ring.one(), x
@@ -178,7 +199,8 @@ class RingElement:
         return v * total
 
     def __eq__(self, other):
-        return (isinstance(other, RingElement) and self.ring == other.ring
+        return (isinstance(other, RingElement)
+                and (self.ring is other.ring or self.ring == other.ring)
                 and self.coeffs == other.coeffs)
 
     def __hash__(self):

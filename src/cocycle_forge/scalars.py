@@ -2,7 +2,10 @@
 
 Three domains are available:
 
-  * ``rational`` -- exact fractions (``fractions.Fraction``);
+  * ``rational`` -- exact rationals, stored as one integer pair (n, d)
+    meaning n/d, with gcd(n, d) = 1 and d > 0: a product takes two gcds
+    (Henrici's, Knuth, *TAOCP* Vol. 2, 4.5.1), a sum one and an inverse
+    none;
   * ``finite_field`` -- GF(p^k) = Z_p[x]/(m), elements stored as coefficient
     tuples of length k, lowest degree first, with m a monic irreducible
     polynomial of degree k over Z_p;
@@ -10,7 +13,14 @@ Three domains are available:
     the Hamilton relations i^2 = j^2 = k^2 = -1, ij = k, stored as one
     integer tuple (a, b, c, d, n) meaning (a + bi + cj + dk)/n, with
     gcd(a, b, c, d, n) = 1 and n > 0, so arithmetic is plain int arithmetic
-    and one gcd; Fractions are derived only for sort keys, repr and JSON.
+    and one gcd.
+
+Neither infinite domain builds a ``fractions.Fraction`` in its arithmetic.
+Strings of the canonical forms "n/d" and "n" (ASCII digits, an optional
+minus on n) are read with int(); every other spelling goes through
+``Fraction``, so a value reads, and a malformed one fails, as ``Fraction``
+reads it. `product_sum` sums products of scalars, as a ring product does,
+on unreduced integers over Q and H(Q), with one reduction per sum.
 
 Ring automorphisms are kept in a canonical form that makes equality
 decidable: the identity, a Frobenius power x -> x^(p^i) on a finite field,
@@ -44,6 +54,7 @@ from .errors import DivisionByZero, DomainMismatch, NotEnumerable
 RATIONAL = "rational"
 FINITE_FIELD = "finite_field"
 QUATERNION = "rational_quaternion"
+_RAT_ZERO = (0, 1)               # the rational payload of 0
 _QUAT_ZERO = (0, 0, 0, 0, 1)     # the quaternion payload of 0
 
 
@@ -303,7 +314,7 @@ class ScalarDomain:
         are refused.
         """
         if self.kind == RATIONAL:
-            return Scalar(self, _as_fraction(value))
+            return Scalar(self, _as_pair(value))
         if self.kind == FINITE_FIELD:
             if isinstance(value, int):
                 payload = (value % self.p,) + (0,) * (self.k - 1)
@@ -317,11 +328,13 @@ class ScalarDomain:
         if isinstance(value, (list, tuple)):
             if len(value) != 4:
                 raise ValueError("quaternion needs 4 components")
-            fs = [_as_fraction(v) for v in value]
-            n = lcm(*(f.denominator for f in fs))
-            return _quat(self, *(f.numerator * (n // f.denominator) for f in fs), n)
-        f = _as_fraction(value)
-        return Scalar(self, (f.numerator, 0, 0, 0, f.denominator))
+            pairs = [_as_pair(v) for v in value]
+            n = lcm(*[d for _, d in pairs])
+            # each a/d is reduced, so a prime dividing n divides some d
+            # to its full power in n and misses that numerator: gcd 1
+            return Scalar(self, (*[a * (n // d) for a, d in pairs], n))
+        a, d = _as_pair(value)
+        return Scalar(self, (a, 0, 0, 0, d))
 
     def _intern(self, payload):
         """The one Scalar of a reduced finite-field payload."""
@@ -350,23 +363,57 @@ _FIELDS = {}
 _DEFAULT_MODULI = {}    # (p, k) -> the default modulus, found once
 
 
-def _as_fraction(v):
-    if isinstance(v, Fraction):
-        return v
-    if not (_is_int(v) or isinstance(v, str)):
+def _as_pair(v):
+    """A rational-like value as a reduced pair (n, d), d > 0. Ints,
+    Fractions, and strings "n/d" and "n" of ASCII digits with an optional
+    minus on n and d > 0 are read directly; any other string as Fraction
+    reads it, with Fraction's errors."""
+    if isinstance(v, str):
+        num, slash, den = v.partition("/")
+        if v.isascii() and num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
+            n, d = int(num), int(den) if slash else 1
+            if d:
+                g = gcd(n, d)
+                return (n // g, d // g) if g != 1 else (n, d)
+    elif _is_int(v):
+        return v, 1
+    elif isinstance(v, Fraction):
+        return v.numerator, v.denominator
+    else:
         raise TypeError(f"cannot interpret {v!r} as an exact rational")
     try:
-        return Fraction(v)
+        f = Fraction(v)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {v!r}") from None
+    return f.numerator, f.denominator
 
 
-def _quat(domain, a, b, c, d, n):
-    """The quaternion (a + bi + cj + dk)/n for ints with n > 0, reduced."""
+def _rat(domain, n, d):
+    """The rational n/d for ints with d > 0, reduced."""
+    g = gcd(n, d)
+    if g != 1:
+        n, d = n // g, d // g
+    return Scalar(domain, (n, d))
+
+
+def _quat(domain, payload):
+    """The quaternion of an int tuple (a, b, c, d, n), n > 0, reduced."""
+    a, b, c, d, n = payload
     g = gcd(a, b, c, d, n)
     if g != 1:
-        a, b, c, d, n = a // g, b // g, c // g, d // g, n // g
-    return Scalar(domain, (a, b, c, d, n))
+        payload = (a // g, b // g, c // g, d // g, n // g)
+    return Scalar(domain, payload)
+
+
+def _qmul(x, y):
+    """The Hamilton product of two quaternion payloads, unreduced."""
+    a1, b1, c1, d1, n1 = x
+    a2, b2, c2, d2, n2 = y
+    return (a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
+            n1 * n2)
 
 
 def _quat_terms(payload):
@@ -387,9 +434,10 @@ def _quat_terms(payload):
 class Scalar:
     """An element of a :class:`ScalarDomain`; immutable, hashable.
 
-    Payloads: Fraction (rational), tuple of ints length k (finite field),
-    int tuple (a, b, c, d, n) for (a + bi + cj + dk)/n with gcd 1 and n > 0
-    (quaternion). Stored reduced, so equality is payload equality. A
+    Payloads: int pair (n, d) for n/d with gcd 1 and d > 0 (rational),
+    tuple of ints length k (finite field), int tuple (a, b, c, d, n) for
+    (a + bi + cj + dk)/n with gcd 1 and n > 0 (quaternion). Stored
+    reduced, so equality is payload equality. A
     finite-field Scalar carries the index of its payload in the domain's
     table in ``_i``; the first Scalar built for a payload becomes the one
     the domain hands out, so the domain and arithmetic return one object
@@ -413,7 +461,7 @@ class Scalar:
     def is_zero(self):
         kind = self.domain.kind
         if kind == RATIONAL:
-            return self.payload == 0
+            return self.payload == _RAT_ZERO
         if kind == QUATERNION:
             return self.payload == _QUAT_ZERO
         return not any(self.payload)
@@ -425,7 +473,13 @@ class Scalar:
         self._check(other)
         kind = self.domain.kind
         if kind == RATIONAL:
-            return Scalar(self.domain, self.payload + other.payload)
+            n1, d1 = self.payload
+            n2, d2 = other.payload
+            if d1 != d2:
+                return _rat(self.domain, n1 * d2 + n2 * d1, d1 * d2)
+            if d1 == 1:
+                return Scalar(self.domain, (n1 + n2, 1))
+            return _rat(self.domain, n1 + n2, d1)
         if kind == FINITE_FIELD:
             p = self.domain.p
             return self.domain._intern(
@@ -433,14 +487,15 @@ class Scalar:
         a1, b1, c1, d1, n1 = self.payload
         a2, b2, c2, d2, n2 = other.payload
         if n1 == n2:
-            return _quat(self.domain, a1 + a2, b1 + b2, c1 + c2, d1 + d2, n1)
-        return _quat(self.domain, a1 * n2 + a2 * n1, b1 * n2 + b2 * n1,
-                     c1 * n2 + c2 * n1, d1 * n2 + d2 * n1, n1 * n2)
+            return _quat(self.domain, (a1 + a2, b1 + b2, c1 + c2, d1 + d2, n1))
+        return _quat(self.domain, (a1 * n2 + a2 * n1, b1 * n2 + b2 * n1,
+                                   c1 * n2 + c2 * n1, d1 * n2 + d2 * n1, n1 * n2))
 
     def __neg__(self):
         kind = self.domain.kind
         if kind == RATIONAL:
-            return Scalar(self.domain, -self.payload)
+            n, d = self.payload
+            return Scalar(self.domain, (-n, d))
         if kind == FINITE_FIELD:
             p = self.domain.p
             return self.domain._intern(tuple((-a) % p for a in self.payload))
@@ -462,17 +517,15 @@ class Scalar:
                 _, rem = _poly_divmod(prod, domain.modulus, domain.p)
                 hit = products[key] = domain._intern(rem + (0,) * (domain.k - len(rem)))
                 return hit
-        self._check(other)
+        if not isinstance(other, Scalar) or other.domain is not domain:
+            self._check(other)      # raises
         if domain.kind == RATIONAL:
-            return Scalar(domain, self.payload * other.payload)
-        a1, b1, c1, d1, n1 = self.payload
-        a2, b2, c2, d2, n2 = other.payload
-        return _quat(domain,
-                     a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
-                     a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
-                     a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
-                     a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
-                     n1 * n2)
+            # Henrici: cancel across, and the product is reduced
+            n1, d1 = self.payload
+            n2, d2 = other.payload
+            g1, g2 = gcd(n1, d2), gcd(n2, d1)
+            return Scalar(domain, ((n1 // g1) * (n2 // g2), (d1 // g2) * (d2 // g1)))
+        return _quat(domain, _qmul(self.payload, other.payload))
 
     def inv(self):
         inverses = self.domain._inverses
@@ -488,11 +541,12 @@ class Scalar:
         if self.is_zero():
             raise DivisionByZero(f"inverse of zero in {self.domain!r}")
         if self.domain.kind == RATIONAL:
-            return Scalar(self.domain, 1 / self.payload)
+            n, d = self.payload
+            return Scalar(self.domain, (d, n) if n > 0 else (-d, -n))
         # conj(q)/|q|^2 with q = x/n is n conj(x)/|x|^2
         a, b, c, d, n = self.payload
-        return _quat(self.domain, a * n, -b * n, -c * n, -d * n,
-                     a * a + b * b + c * c + d * d)
+        return _quat(self.domain, (a * n, -b * n, -c * n, -d * n,
+                                   a * a + b * b + c * c + d * d))
 
     def __pow__(self, n):
         if n < 0:
@@ -514,21 +568,23 @@ class Scalar:
         return hash((self.domain, self.payload))
 
     def sort_key(self):
-        if self.domain.kind == RATIONAL:
-            return (self.payload.numerator, self.payload.denominator)
-        if self.domain.kind == FINITE_FIELD:
-            return self.payload
-        return _quat_terms(self.payload)
+        if self.domain.kind == QUATERNION:
+            return _quat_terms(self.payload)
+        return self.payload
 
     def __repr__(self):
         kind = self.domain.kind
         if kind == RATIONAL:
-            return str(self.payload)
+            return _rat_text(*self.payload)
         if kind == FINITE_FIELD:
             return "[" + ",".join(str(c) for c in self.payload) + "]"
-        *xs, n = self.payload
-        a, b, c, d = (Fraction(x, n) for x in xs)
+        a, b, c, d = (_rat_text(*t) for t in _quat_terms(self.payload))
         return f"({a}+{b}i+{c}j+{d}k)"
+
+
+def _rat_text(n, d):
+    """str(Fraction(n, d)) of a reduced pair."""
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 # ---------------------------------------------------------------------------
@@ -579,18 +635,10 @@ class RingAuto:
             raise DivisionByZero("conjugation by zero")
         if d.domain is not domain:
             raise DomainMismatch("unit and domain disagree")
-        if domain.is_commutative():
-            return cls.identity(domain)
+        if domain.kind != QUATERNION:
+            return domain._identity
         a, b, c, dd, _ = d.payload
-        if b == 0 and c == 0 and dd == 0:
-            return cls.identity(domain)  # central: trivial conjugation
-        # divide by the first nonzero coefficient: x/lead, with g carrying
-        # the sign of lead so that the denominator lead/g is positive
-        lead = next(x for x in (a, b, c, dd) if x)
-        g = gcd(a, b, c, dd)
-        if lead < 0:
-            g = -g
-        return cls(domain, INNER, (a // g, b // g, c // g, dd // g, lead // g))
+        return _inner(domain, a, b, c, dd)
 
     def __call__(self, x):
         if x.domain is not self.domain:
@@ -603,18 +651,25 @@ class RingAuto:
             except KeyError:
                 hit = self._images[x._i] = x ** (self.domain.p ** self.data)
                 return hit
-        a, b, c, d, n = x.payload
-        if not (b or c or d):
-            return x
+        p = self._conjugate(x.payload)
+        return x if p is x.payload else _quat(self.domain, p)
+
+    def _conjugate(self, payload):
+        """The image of a quaternion payload under this inner automorphism
+        (or the identity), unreduced; the payload itself where it is
+        central."""
+        a, b, c, d, n = payload
+        if not (b or c or d) or self.form == IDENTITY:
+            return payload
         m = self._images
         if m is None:
             m = self._images = _conjugation_matrix(self.data)
         den, m00, m01, m02, m10, m11, m12, m20, m21, m22 = m
-        return _quat(self.domain, a * den,
-                     m00 * b + m01 * c + m02 * d,
-                     m10 * b + m11 * c + m12 * d,
-                     m20 * b + m21 * c + m22 * d,
-                     n * den)
+        return (a * den,
+                m00 * b + m01 * c + m02 * d,
+                m10 * b + m11 * c + m12 * d,
+                m20 * b + m21 * c + m22 * d,
+                n * den)
 
     def compose(self, other):
         """self after other: (self.compose(other))(x) == self(other(x))."""
@@ -627,8 +682,7 @@ class RingAuto:
         if self.form == FROBENIUS and other.form == FROBENIUS:
             return RingAuto.frobenius(self.domain, self.data + other.data)
         if self.form == INNER and other.form == INNER:
-            d = Scalar(self.domain, self.data) * Scalar(self.domain, other.data)
-            return RingAuto.inner(self.domain, d)
+            return _inner(self.domain, *_qmul(self.data, other.data)[:4])
         raise DomainMismatch("cannot mix frobenius and inner forms")
 
     def inverse(self):
@@ -636,7 +690,9 @@ class RingAuto:
             return self
         if self.form == FROBENIUS:
             return RingAuto.frobenius(self.domain, -self.data)
-        return RingAuto.inner(self.domain, Scalar(self.domain, self.data).inv())
+        # conjugation by the conjugate, a positive multiple of the inverse
+        a, b, c, d, _ = self.data
+        return _inner(self.domain, a, -b, -c, -d)
 
     def is_identity(self):
         return self.form == IDENTITY
@@ -663,6 +719,21 @@ class RingAuto:
         return f"inner{Scalar(self.domain, self.data)!r}"
 
 
+def _inner(domain, a, b, c, d):
+    """Conjugation by the nonzero quaternion a + bi + cj + dk, in canonical
+    form: the identity when it is central, else its data divided by the
+    first nonzero coefficient, with one gcd."""
+    if not (b or c or d):
+        return domain._identity
+    # x/lead, with g carrying the sign of lead so that the denominator
+    # lead/g is positive
+    lead = a or b or c or d
+    g = gcd(a, b, c, d)
+    if lead < 0:
+        g = -g
+    return RingAuto(domain, INNER, (a // g, b // g, c // g, d // g, lead // g))
+
+
 def _conjugation_matrix(data):
     """x -> q x q^{-1} on the pure quaternions b i + c j + d k, for
     q = w + x i + y j + z k up to a central factor, as (den, m00, ..., m22):
@@ -679,6 +750,42 @@ def _conjugation_matrix(data):
 
 _RATIONALS = ScalarDomain(RATIONAL)
 _QUATERNIONS = ScalarDomain(QUATERNION)
+
+
+def product_sum(domain, terms):
+    """The sum of x . auto(y) . z over the (x, auto, y, z) in terms, a
+    nonempty list of scalars x, y, z and automorphisms auto of the domain,
+    None standing for the identity. Over Q and H(Q) the automorphisms, the
+    products and the sum run on unreduced integers and are reduced once;
+    over a finite field they are the interned images, products and sums."""
+    kind = domain.kind
+    if kind == RATIONAL:
+        # the identity is the only automorphism of Q
+        num, den = 0, 1
+        for x, _, y, z in terms:
+            (a, b), (c, d), (e, f) = x.payload, y.payload, z.payload
+            n, m = a * c * e, b * d * f
+            if m == den:
+                num += n
+            else:
+                num, den = num * m + n * den, den * m
+        return _rat(domain, num, den)
+    if kind == QUATERNION:
+        acc = _QUAT_ZERO
+        for x, auto, y, z in terms:
+            p = y.payload if auto is None else auto._conjugate(y.payload)
+            a, b, c, d, n = _qmul(_qmul(x.payload, p), z.payload)
+            A, B, C, D, N = acc
+            if n == N:
+                acc = (A + a, B + b, C + c, D + d, N)
+            else:
+                acc = (A * n + a * N, B * n + b * N, C * n + c * N, D * n + d * N, N * n)
+        return _quat(domain, acc)
+    total = None
+    for x, auto, y, z in terms:
+        v = x * (y if auto is None else auto(y)) * z
+        total = v if total is None else total + v
+    return total
 
 
 def rho(d):
@@ -726,7 +833,7 @@ def random_scalar(domain, rng, nonzero=False):
     """Draw a scalar using the supplied random.Random instance."""
     while True:
         if domain.kind == RATIONAL:
-            s = Scalar(domain, Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+            s = _rat(domain, rng.randint(-9, 9), rng.randint(1, 9))
         elif domain.kind == FINITE_FIELD:
             s = domain._intern(tuple(rng.randrange(domain.p) for _ in range(domain.k)))
         else:
@@ -744,7 +851,7 @@ def random_scalar(domain, rng, nonzero=False):
 def scalar_to_json(s):
     kind = s.domain.kind
     if kind == RATIONAL:
-        return f"{s.payload.numerator}/{s.payload.denominator}"
+        return "{}/{}".format(*s.payload)
     if kind == FINITE_FIELD:
         return list(s.payload)
     return [f"{num}/{den}" for num, den in _quat_terms(s.payload)]
@@ -761,7 +868,7 @@ def scalar_from_json(domain, data):
             raise ValueError("finite-field scalars are integer coefficient arrays")
         return domain.scalar(data)
     if (not isinstance(data, list) or len(data) != 4
-            or not all(isinstance(v, str) for v in data)):
+            or not all([isinstance(v, str) for v in data])):
         raise ValueError("quaternions are arrays of 4 rational strings")
     return domain.scalar(data)
 

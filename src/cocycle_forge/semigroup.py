@@ -51,6 +51,7 @@ class Composable(NamedTuple):
     triples: tuple   # (s, t, u, s.t, t.u)
     pairs: tuple     # (s, t, s.t)
     pair_set: frozenset
+    right: dict      # s -> ((t, s.t), ...), its right partners
 
 
 class SquareFreeSemigroup:
@@ -165,15 +166,19 @@ class SquareFreeSemigroup:
 
     def composable(self):
         """The composable triples (s, t, u, s.t, t.u) and pairs (s, t, s.t),
-        each in `tuples` order, and the set of composable pairs; built once
-        per semigroup."""
+        each in `tuples` order, the set of composable pairs, and for each
+        element s the (t, s.t) of its pairs; built once per semigroup."""
         if self._composable is None:
             table = self._table
-            pairs = self.tuples(2)
+            pairs = tuple((s, t, table[(s, t)]) for s, t in self.tuples(2))
+            right = {s: [] for s in self.elements}
+            for s, t, st in pairs:
+                right[s].append((t, st))
             self._composable = Composable(
                 tuple((s, t, u, table[(s, t)], table[(t, u)]) for s, t, u in self.tuples(3)),
-                tuple((s, t, table[(s, t)]) for s, t in pairs),
-                frozenset(pairs))
+                pairs,
+                frozenset((s, t) for s, t, _ in pairs),
+                {s: tuple(ts) for s, ts in right.items()})
         return self._composable
 
     # -- automorphisms -----------------------------------------------------

@@ -4,10 +4,13 @@
 on the idempotents, and `hom_test_aut0` every one with eta free there too,
 through `verify_ring_hom`; `brute_force_b1` builds the gauge of every map
 E -> D* by `star_act` and then drops repeats; `all_pairs_verify_ring_hom`
-multiplies full ring elements on every basis pair. The object-level
-listing layer that log coordinates replaced is kept here too: `solve_eta`
-backtracks Scalars over every unit, `gauge_solutions` loops mu over all of
-Aut(D)^E, and `cosets` partitions gauges through `Gauge.compose`;
+multiplies full ring elements on every basis pair, and `all_pairs_product`
+is the ring product over every pair of support elements, each term
+reduced as it is added, that walking the composable pairs replaced. The
+object-level listing layer that log coordinates replaced is kept here too:
+`solve_eta` backtracks Scalars over every unit, `gauge_solutions` loops mu
+over all of Aut(D)^E, and `cosets` partitions gauges through
+`Gauge.compose`;
 `product_aut0_logs` lists Aut0 in log coordinates with every mu of
 Aut(D)^E asked of the probes. The listing route that the solution lattices
 replaced is kept too: `_cosets` partitions a listing in log coordinates
@@ -52,7 +55,7 @@ from cocycle_forge.cohomology import (
 )
 from cocycle_forge.gauge import Gauge, cohomologous, stabilizer_of_class
 from cocycle_forge.ring import (
-    HomVerdict, RingIso, TwistedRing, _probes, pair_sides, verify_ring_hom,
+    HomVerdict, RingElement, RingIso, TwistedRing, _probes, pair_sides, verify_ring_hom,
 )
 from cocycle_forge.scalars import (
     RingAuto, _poly_divmod, enumerate_autos, enumerate_units, random_scalar, rho,
@@ -172,6 +175,24 @@ def brute_force_b1(c):
     seen = {star_act(dict(zip(c.sg.idempotents, choice)), ident, c)
             for choice in itertools.product(units, repeat=len(c.sg.idempotents))}
     return sorted(seen, key=Gauge.sort_key)
+
+
+def all_pairs_product(x, y):
+    """x . y summed over every pair (s, t) of the supports, skipping the
+    pairs with s.t = theta: the term d1 alpha_s(d2) xi(s, t) of each pair
+    is built and added by Scalar arithmetic, reduced at every step."""
+    ring = x.ring
+    sg, c = ring.sg, ring.cocycle
+    out = {}
+    for s, d1 in x.coeffs.items():
+        for t, d2 in y.coeffs.items():
+            st = sg.compose(s, t)
+            if st is None:
+                continue
+            val = d1 * c.alpha_at(s)(d2) * c.xi_at(s, t)
+            acc = out.get(st)
+            out[st] = val if acc is None else acc + val
+    return RingElement(ring, out)
 
 
 def all_pairs_verify_ring_hom(iso, seed=0):

@@ -2,6 +2,7 @@
 and the lattices mod n that count H1 and Out R and solve rows mod n."""
 
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -22,9 +23,14 @@ F = Fraction
 
 
 def check(equations, variables):
-    sol = solve_multiplicative(equations, variables)
+    """solve_multiplicative on Fraction constants, its solution as
+    Fractions, each checked against every equation."""
+    pairs = [(coeffs, (const.numerator, const.denominator)) for coeffs, const in equations]
+    sol = solve_multiplicative(pairs, variables)
     if sol is None:
         return None
+    assert all(d > 0 and math.gcd(n, d) == 1 for n, d in sol.values())
+    sol = {v: F(*pair) for v, pair in sol.items()}
     for coeffs, const in equations:
         acc = F(1)
         for v, c in coeffs.items():

@@ -22,6 +22,7 @@ from conftest import (
     make_chain4, make_demo_cocycle, make_diamond, make_sphere, make_triangle, random_gauge,
     random_twist, shapes_and_domains, tetrahedron,
 )
+from oracles import all_pairs_product
 
 
 @pytest.fixture()
@@ -154,6 +155,47 @@ def test_dense_units_invert_two_sided(make, domain):
     for _ in range(3):
         x = random_element(ring, rng, dense=True)
         assert x * x.inverse() == one == x.inverse() * x
+
+
+def make_star3():
+    """A centre c with arrows a1, a2, a3 out to the leaves l1, l2, l3."""
+    return SquareFreeSemigroup.validate(
+        ["c", "l1", "l2", "l3"], [("a1", "c", "l1"), ("a2", "c", "l2"), ("a3", "c", "l3")], {})
+
+
+@pytest.mark.parametrize("make", [make_chain4, make_diamond, make_star3, make_triangle],
+                         ids=["chain4", "diamond", "star3", "tri"])
+@pytest.mark.parametrize("domain", [
+    ScalarDomain.finite_field(2, 2), ScalarDomain.finite_field(3, 2), ScalarDomain.rational(),
+    ScalarDomain.quaternion()], ids=["gf4", "gf9", "q", "hq"])
+def test_product_matches_the_all_pairs_oracle(make, domain):
+    # the product over composable pairs, with one reduction per
+    # coefficient, against every pair of the supports with Scalar
+    # arithmetic; and each inverse, both ways round, through the oracle.
+    # Integral elements over the trivial twist give terms with equal
+    # denominators, which are summed without a common multiple.
+    sg = make()
+    rng = random.Random(f"all-pairs:{domain!r}:{sg.elements}")
+
+    def value():
+        if domain.kind == "rational_quaternion":
+            return domain.scalar([rng.randint(-2, 2) for _ in range(4)])
+        return domain.scalar(rng.randint(-3, 3))
+
+    def integral(ring):
+        return ring.element({s: value() for s in sg.elements if rng.random() < 0.8})
+
+    for ring in (TwistedRing(random_twist(sg, domain, rng)),
+                 TwistedRing(TwoCochain.trivial(sg, domain))):
+        one = ring.one()
+        for _ in range(8):
+            x = random_element(ring, rng, dense=rng.random() < 0.5)
+            y = random_element(ring, rng, dense=rng.random() < 0.5)
+            for a, b in ((x, y), (y, x), (integral(ring), integral(ring)), (x, integral(ring))):
+                assert a * b == all_pairs_product(a, b)
+            u = random_element(ring, rng, dense=True)
+            v = u.inverse()
+            assert all_pairs_product(u, v) == one == all_pairs_product(v, u)
 
 
 # -- units ---------------------------------------------------------------------

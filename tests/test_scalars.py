@@ -75,7 +75,7 @@ def test_quaternion_hamilton_relations():
 def test_rational_reduction():
     a = Q.scalar(Fraction(2, 4))
     assert a + Q.scalar(Fraction(1, 2)) == Q.one()
-    assert a.payload == Fraction(1, 2)
+    assert a.payload == (1, 2)
 
 
 def test_domain_mismatch_and_zero_division():
@@ -138,7 +138,7 @@ def test_inner_central_scaling_invariance():
     for _ in range(25):
         d = random_scalar(H, rng, nonzero=True)
         c = random_scalar(Q, rng, nonzero=True)
-        scaled = quat(c.payload, 0, 0, 0) * d
+        scaled = quat(Fraction(*c.payload), 0, 0, 0) * d
         assert rho(d) == rho(scaled)
 
 
@@ -537,3 +537,105 @@ def test_inner_auto_caches_its_conjugation(monkeypatch):
     products = [x * y for x in xs for y in xs]
     assert made == []
     assert len(calls) == len(products)
+
+
+# -- the rational pair kernel against Fraction ------------------------------------
+
+
+def _oracle_rationals(rng, count):
+    """Seeded Fractions: zero, units, large numerators and denominators,
+    and small values that cancel often."""
+    out = [Fraction(0), Fraction(1), Fraction(-1), Fraction(-3, 7)]
+    big = 10 ** 15
+    while len(out) < count:
+        if len(out) % 3:
+            out.append(Fraction(rng.randint(-12, 12), rng.randint(1, 12)))
+        else:
+            out.append(Fraction(rng.randint(-big, big), rng.randint(1, big)))
+    return out
+
+
+def _assert_rational(s, f):
+    assert s.payload == (f.numerator, f.denominator)
+    assert s.sort_key() == (f.numerator, f.denominator)
+    assert repr(s) == str(f)
+    text = json.dumps(scalar_to_json(s))
+    assert text == json.dumps(f"{f.numerator}/{f.denominator}")
+    assert scalar_from_json(Q, json.loads(text)) == s
+
+
+def test_rational_kernel_matches_fraction_oracle():
+    rng = random.Random(20261020)
+    fs = _oracle_rationals(rng, 200)
+    scalars = [Q.scalar(f) for f in fs]
+    for s, f in zip(scalars, fs):
+        _assert_rational(s, f)
+        _assert_rational(-s, -f)
+        if f:
+            _assert_rational(s.inv(), 1 / f)
+        else:
+            with pytest.raises(DivisionByZero):
+                s.inv()
+    for _ in range(600):
+        i, j = rng.randrange(len(fs)), rng.randrange(len(fs))
+        x, y, f, g = scalars[i], scalars[j], fs[i], fs[j]
+        _assert_rational(x + y, f + g)
+        _assert_rational(x - y, f - g)
+        _assert_rational(x * y, f * g)
+    assert sorted(scalars, key=Scalar.sort_key) == [Q.scalar(f) for f in sorted(
+        fs, key=lambda f: (f.numerator, f.denominator))]
+
+
+def _fraction_reading(value):
+    """(numerator, denominator) as Fraction reads value, or the error the
+    rational parser reports for it."""
+    try:
+        f = Fraction(value)
+    except ZeroDivisionError:
+        return ValueError, f"zero denominator in {value!r}"
+    except ValueError as exc:
+        return ValueError, str(exc)
+    return f.numerator, f.denominator
+
+
+@pytest.mark.parametrize("text", [
+    "6/8", "-0/7", "+3", " 3", "1.5", "3_0", "٣/4", "-12/35", "0", "007/014", "1e3"])
+def test_rational_spellings_read_as_fraction_reads_them(text):
+    pair = _fraction_reading(text)
+    assert Q.scalar(text).payload == pair
+    assert scalar_from_json(Q, text).payload == pair
+    num, den = pair
+    f = Fraction(num, den)
+    assert H.scalar([text, "0", text, "1/1"]) == H.scalar([f, 0, f, 1])
+
+
+@pytest.mark.parametrize("text", ["--3/4", "3/-4", "1/0", "3/", "/4", "-", "", "3/4/5", "3 / 4", "x", "²", "1/²"])
+def test_malformed_rational_spellings_raise_as_fraction_does(text):
+    kind, message = _fraction_reading(text)
+    for parse in (Q.scalar, lambda v: H.scalar([v, 0, 0, 0]), lambda v: scalar_from_json(Q, v)):
+        with pytest.raises(kind) as info:
+            parse(text)
+        assert str(info.value) == message
+
+
+def test_rational_arithmetic_builds_no_fraction(monkeypatch):
+    rng = random.Random(41)
+    xs = [random_scalar(Q, rng, nonzero=True) for _ in range(20)]
+    texts = [scalar_to_json(x) for x in xs]
+    new = Fraction.__new__
+    made = []
+
+    def counting_new(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    products = [x * y for x in xs for y in xs]
+    sums = [x + y - y for x in xs for y in xs]
+    inverses = [x.inv() for x in xs]
+    read = [scalar_from_json(Q, t) for t in texts]
+    [repr(x) for x in products + inverses]
+    [x.sort_key() for x in products]
+    assert made == []
+    assert read == xs and sums == [x for x in xs for _ in xs]
+    assert all((x * y) * y.inv() == x for x, y in zip(xs, inverses))

@@ -10,29 +10,23 @@ Frobenius power a = Frob^i acts on logs as x -> p^i x mod n. A gauge
 with mu_e = Frob^{mu[e]} per idempotent and eta(s) = g^{x[s]} per element,
 both in the semigroup's canonical order. `FieldLogs` holds the tables that
 translate (built on first use, once per field, and kept on the domain, so
-building a field stays O(1)); `solve`, `compose` and `FieldLogs.key` are the
-listing layer's constraint search, group law and sort key in these
-coordinates. In them the group law of `gauge.py` reads
+building a field stays O(1)), and `FieldLogs.key` is the listing layer's
+sort key in these coordinates: (mu, ranks of the x, phi.sort_key())
+orders gauges exactly as `Gauge.sort_key` does, since `rank` numbers the
+units in the order of `enumerate_units`.
 
-    (g1 g2).mu[e] = mu2[phi1(e)] + mu1[e]                         mod k
-    (g1 g2).x[s]  = p^{mu2[phi1(src s)]} x1[s] + x2[phi1(s)]      mod n
-    (g1 g2).phi   = phi2 o phi1
-
-and the key (mu, ranks of the x, phi.sort_key()) orders gauges exactly as
-`Gauge.sort_key` does, since `rank` numbers the units in the order of
-`enumerate_units`. `system` turns the eta relations into integer rows mod n
-and takes the lattice of their coefficient matrix (`_multsolve.graph`, one
-elimination per matrix), which decides them and gives one solution x;
-`solve` walks x + L in unit order (`_multsolve.members`), with the order
-the tables keep as `classes`, the residue classes of each modulus h
-dividing n in rank order, built once per h. `gauge._mu_choices` walks the
+`system` turns the eta relations into integer rows mod n and takes the
+lattice of their coefficient matrix (`_multsolve.graph`, one elimination
+per matrix), which decides them and gives one solution x. The solutions
+are x + L, L the lattice's kernel; `_multsolve.members` walks them in unit
+order with the order the tables keep as `classes`, the residue classes of
+each modulus h dividing n in rank order, built once per h, and
+`_multsolve.least` gives the first of them. `gauge._mu_choices` walks the
 mu relations of Z1 as rows mod k the same way, and the rational solver
 takes the least solution of its sign rows mod 2.
 """
 
 from __future__ import annotations
-
-from functools import cache
 
 from ._multsolve import graph, ranked
 from .errors import NotEnumerable
@@ -109,59 +103,18 @@ def field_logs(domain):
     return logs
 
 
-@cache
-def _positions(phi):
-    """For an automorphism phi, in canonical order: the position of
-    phi(e) for each idempotent e, and of phi(src s) and of phi(s) for each
-    element s; built once per automorphism."""
-    sg, p = phi.sg, phi.mapping
-    e_pos = {e: i for i, e in enumerate(sg.idempotents)}
-    s_pos = {s: j for j, s in enumerate(sg.elements)}
-    return ([e_pos[p[e]] for e in sg.idempotents],
-            [e_pos[p[sg.src[s]]] for s in sg.elements],
-            [s_pos[p[s]] for s in sg.elements])
-
-
-def compose(logs, g1, g2):
-    """The group law of gauge.py on log coordinates (module docstring)."""
-    mu1, x1, phi1 = g1
-    mu2, x2, phi2 = g2
-    k, n, frob = logs.k, logs.n, logs.frob
-    e_img, src_img, s_img = _positions(phi1)
-    mu = tuple([(mu2[i] + m) % k for i, m in zip(e_img, mu1)])
-    x = tuple([(frob[mu2[i]] * v + x2[j]) % n for i, v, j in zip(src_img, x1, s_img)])
-    return mu, x, phi2.compose(phi1)
-
-
-def eta_rows(sg, logs, constraints):
-    """(matrix, b): the integer rows mod n of the constraints, their
-    coefficients as a matrix for _multsolve.graph (a tuple of rows, each a
-    tuple of (position, coefficient) pairs) and their right-hand sides.
+def system(sg, logs, constraints):
+    """(lattice, x): the _multsolve.Graph of the integer rows mod n of the
+    constraints and one solution x of them, or None when there is none.
 
     A constraint (s, t, st, a, u) asks eta(s) . a(eta(t)) . eta(st)^{-1} = u,
     that is the row x[s] + p^i x[t] - x[st] = log u mod n for a = Frob^i,
-    positions in the canonical order of the elements.
+    positions in the canonical order of the elements. The lattice depends
+    on the rows' coefficients alone, so constraints that differ only in
+    their u share one.
     """
     pos = {s: j for j, s in enumerate(sg.elements)}
     matrix = tuple(((pos[s], 1), (pos[t], logs.frob[power(a)]), (pos[st], -1))
                    for s, t, st, a, _ in constraints)
-    return matrix, [logs.of(u) for *_, u in constraints]
-
-
-def system(sg, logs, constraints):
-    """(lattice, x): the _multsolve.Graph of the constraints' eta rows
-    (see eta_rows) and one solution x of them, or None when there is
-    none."""
-    matrix, b = eta_rows(sg, logs, constraints)
-    lattice = graph(matrix, len(sg.elements), logs.n)
-    return lattice, lattice.solve(b)
-
-
-def solve(sg, logs, constraints):
-    """Yield the log vector x of every eta: S* -> D* meeting each
-    constraint (see eta_rows), in canonical order: the walk of the solution
-    lattice runs over the units in unit order, so the solutions come out
-    in the order an exhaustive search over every unit would list them.
-    """
-    matrix, b = eta_rows(sg, logs, constraints)
-    return graph(matrix, len(sg.elements), logs.n).solutions(b, logs.classes)
+    lattice = graph(matrix, len(pos), logs.n)
+    return lattice, lattice.solve([logs.of(u) for *_, u in constraints])

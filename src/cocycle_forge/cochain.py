@@ -53,8 +53,9 @@ class TwoCochain:
                 raise ValueError(f"xi defined outside the composable pairs: {pair!r}")
         self.alpha = {s: a for s, a in alpha.items() if not a.is_identity()}
         self.xi = {pair: v for pair, v in xi.items() if v != one}
-        self._key = (tuple(sorted((s, a.sort_key()) for s, a in self.alpha.items())),
-                     tuple(sorted((p, v.sort_key()) for p, v in self.xi.items())))
+        # stored values are canonical (reduced payloads), so equal maps
+        # have equal item sets
+        self._key = (frozenset(self.alpha.items()), frozenset(self.xi.items()))
 
     @classmethod
     def trivial(cls, sg, domain):

@@ -17,13 +17,17 @@ here is a set of gauges (mu, eta, phi) (see `gauge.py`):
 
 Over GF(q) each of Z1, B1 and Aut0 has one checked listing in log
 coordinates (mu exponents, eta logs mod q - 1, phi; see `_logs.py`):
-`z1_listing` walks the solutions of the action-formula relations,
-`b1_listing` walks the lattice spanned by the star action's columns, and
-`aut0_listing` walks the solutions of relations read from the
-multiplicativity probes, each on a triangular basis
-(`_multsolve.members`). The CLI prints a listing through
-`gauge.gauge_list_text`, and the `*_enumerate` functions translate one
-into gauges. Nothing here partitions a listing.
+`z1_listing` walks the fibers of the action-formula relations
+(`gauge._gauge_fibers`), `b1_listing` the lattice spanned by the star
+action's columns, and `aut0_listing` the fibers of relations read from
+the multiplicativity probes (`_aut0_fibers`), each on a triangular basis
+(`_multsolve.members`). A fiber is one mu (and phi) that the route's mu
+relations admit, with the lattice of its eta rows and one solution x0
+of them where they reduce; each route solves its fibers once, in one
+stream, and its listing, `h1`, `out_r` and `verify_ses` read that
+stream. The CLI prints a listing through `gauge.gauge_list_text`, and
+the `*_enumerate` functions translate one into gauges. Nothing here
+partitions a listing.
 
 `h1`, `out_r` and `verify_ses` list no group. They read the same relations
 as lattices mod n = q - 1 (`_multsolve.triangular`): for one mu (and phi)
@@ -52,11 +56,12 @@ eta(s) alpha_{phi(s)}(eta(t)) eta(s.t)^{-1} must take on a composable pair
 for the induced map d.s -> mu_e(d) eta(s) phi(s) to multiply (or rule the
 choice out), and the lattice of those rows (`_logs.system`) finds eta.
 Nothing pins eta on E: on a pair (e, e) of a normal cocycle alpha is the
-identity and u = 1, so its row reads x_e = log 1 = 0. One pass (`_aut0_fibers`) asks the probes: mu is
-assigned one idempotent at a time, the probes on each pair (s, tgt s), the
-only ones that can rule a mu out, run as soon as both ends of s have a
-value, and every other composable pair is probed once mu is complete, so
-no pair is probed twice for one (phi, mu).
+identity and u = 1, so its row reads x_e = log 1 = 0. One pass
+(`_aut0_fibers`) asks the probes: mu is assigned one idempotent at a
+time, the probes on each pair (s, tgt s), the only ones that can rule a
+mu out, run as soon as both ends of s have a value, and every other
+composable pair is probed once mu is complete, so no pair is probed
+twice for one (phi, mu).
 
 `verify_ses` then checks exactness of
 
@@ -76,13 +81,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._logs import compose, field_logs, power, solve, system
+from ._logs import field_logs, power, system
 from ._multsolve import least, members, order, triangular
 from .cochain import TwoCochain, is_normal
 from .errors import NotEnumerable, NotNormal
-from .gauge import (
-    Gauge, _gauge_fibers, _gauge_solutions_ff, _has_gauge, from_logs, stabilizer_of_class,
-)
+from .gauge import Gauge, _gauge_fibers, _has_gauge, from_logs, stabilizer_of_class
 from .ring import RingIso, TwistedRing, _probes, pair_sides, verify_ring_hom
 from .scalars import RingAuto
 from .semigroup import SemigroupAuto
@@ -107,9 +110,14 @@ def _gauges(c, group):
 
 
 def z1_listing(c):
-    """Z1 in log coordinates, sorted; see z1_enumerate."""
+    """Z1 in log coordinates, sorted; see z1_enumerate. The fibers come
+    in product order of mu and each walks in rank order, so the walk is
+    sorted."""
     _require_listable(c)
-    return list(_gauge_solutions_ff(c, c))
+    logs = field_logs(c.domain)
+    ident = SemigroupAuto.identity(c.sg)
+    return [(mu, x, ident) for mu, lattice, x0 in _gauge_fibers(c, c) if x0 is not None
+            for x in members(x0, lattice.kernel, logs.n, logs.classes)]
 
 
 def z1_enumerate(c):
@@ -194,19 +202,27 @@ def h1(c):
     union over the mu of _mu_choices(c, c) of the solutions of their eta
     rows, each x0 + L for one solution x0, with L the kernel of the
     rows' coefficients, which do not depend on mu. B1 is the lattice of the
-    star action's columns (b1_listing). On Z1, mu is constant along every
-    arrow (mu_f - mu_e = 0 mod k), and each column lives on the arrows of
-    one component, so the scaling by p^{mu[src s]} inside h . g (the group
-    law of _logs.py, h in B1 having mu = 0 and phi = id) maps B1 onto
+    star action's columns (b1_listing).
+
+    Every gauge here has phi = id, and there the group law of gauge.py
+    reads, in log coordinates (see _logs.py),
+
+        (g1 g2).mu[e] = mu1[e] + mu2[e]                  mod k
+        (g1 g2).x[s]  = p^{mu2[src s]} x1[s] + x2[s]      mod n
+
+    On Z1, mu is constant along every arrow (mu_f - mu_e = 0 mod k), and
+    each column lives on the arrows of one component, so the scaling by
+    p^{mu[src s]} inside h . g (h in B1 having mu = 0) maps B1 onto
     itself: the coset B1 . g is g.x + B1. The cosets in a fiber are
     x0 + o + B1, with o = sum_j t_j l_j over the triangular bases l of L
     and b of B1, 0 <= t_j < b_j[j] / l_j[j]. Each is reported by its least
-    member, as a walk of the sorted Z1 would find it.
+    member, as a walk of the sorted Z1 would find it, and the table by the
+    coset of each product of representatives.
     """
     _require_listable(c)
     sg = c.sg
     logs = field_logs(c.domain)
-    n, classes = logs.n, logs.classes
+    n, k, frob, classes = logs.n, logs.k, logs.frob, logs.classes
     fibers, lattice, b1 = _z1_lattice(c, logs)
     offsets = [(0,) * len(sg.elements)]
     for j, (l, b) in enumerate(zip(lattice.kernel, b1)):
@@ -218,8 +234,11 @@ def h1(c):
     reps = sorted(((mu, least([(a + b) % n for a, b in zip(x0, o)], b1, n, classes), ident)
                    for mu, x0 in fibers.items() for o in offsets), key=logs.key)
     index = {g[:2]: i for i, g in enumerate(reps)}
-    table = [[index[g[0], least(g[1], b1, n, classes)]
-              for g in (compose(logs, a, b) for b in reps)] for a in reps]
+    src = [sg.idempotents.index(sg.src[s]) for s in sg.elements]
+    table = [[index[tuple([(a + b) % k for a, b in zip(mu1, mu2)]),
+                    least([(frob[mu2[i]] * a + b) % n for i, a, b in zip(src, x1, x2)],
+                          b1, n, classes)]
+              for mu2, x2, _ in reps] for mu1, x1, _ in reps]
     return H1Report(len(fibers) * order(lattice.kernel, n), order(b1, n), len(reps),
                     _gauges(c, reps), table)
 
@@ -237,10 +256,12 @@ def inner_triples(c):
 
 
 def _aut0_fibers(c):
-    """Yield (phi, mu, constraints) for each phi in Aut S and, in product
-    order, each mu (Frobenius exponents per idempotent) that a ring
-    automorphism over phi can have, with the _logs.solve constraints it
-    puts on eta.
+    """Yield (phi, mu, lattice, x0) for each phi in Aut S and, in product
+    order, each mu (Frobenius exponents per idempotent) that the probes
+    admit over phi: lattice is the _multsolve.Graph of the eta rows
+    (_logs.system) of the constraints they put on eta, one per phi
+    whatever mu, and x0 one solution of them, or None. The ring
+    automorphisms over (phi, mu) are the eta of x0 + lattice.kernel.
 
     Over a field, with L, R the two sides of pair_sides at eta = 1, the
     composable pair (s, t) multiplies for eta exactly when
@@ -259,6 +280,7 @@ def _aut0_fibers(c):
     every other composable pair is probed once mu is complete.
     """
     sg, domain = c.sg, c.domain
+    logs = field_logs(domain)
     probes = _probes(domain)
     one = domain.one()
     unit_eta = {s: one for s in sg.elements}
@@ -285,7 +307,7 @@ def _aut0_fibers(c):
                 if u is None:
                     return
                 constraints.append((s, t, sg.compose(s, t), c.alpha_at(phi(s)), u))
-            yield phi, tuple(mu), constraints
+            yield (phi, tuple(mu), *system(sg, logs, constraints))
             return
         e = sg.idempotents[i]
         for m in range(domain.k):
@@ -303,22 +325,12 @@ def _aut0_fibers(c):
         yield from extend(0)
 
 
-def _aut0_solved(c, logs):
-    """Yield (phi, mu, x0, lattice) for each (phi, mu, constraints) of
-    _aut0_fibers whose eta rows have a solution x0, lattice the Graph of
-    those rows (_logs.system; one per phi, whatever mu)."""
-    for phi, mu, constraints in _aut0_fibers(c):
-        lattice, x0 = system(c.sg, logs, constraints)
-        if x0 is not None:
-            yield phi, mu, x0, lattice
-
-
 def aut0_listing(c):
     """Aut0 in log coordinates, sorted; see aut0_enumerate."""
     _require_listable(c)
     logs = field_logs(c.domain)
-    out = [(mu, x, phi) for phi, mu, constraints in _aut0_fibers(c)
-           for x in solve(c.sg, logs, constraints)]
+    out = [(mu, x, phi) for phi, mu, lattice, x0 in _aut0_fibers(c) if x0 is not None
+           for x in members(x0, lattice.kernel, logs.n, logs.classes)]
     out.sort(key=logs.key)
     return out
 
@@ -363,9 +375,9 @@ def out_r(c):
     """
     _require_listable(c)
     logs = field_logs(c.domain)
-    fibers = list(_aut0_solved(c, logs))
+    fibers = [f for f in _aut0_fibers(c) if f[3] is not None]
     # the identity gauge has a fiber, so there is a first one
-    aut0 = len(fibers) * order(fibers[0][3].kernel, logs.n)
+    aut0 = len(fibers) * order(fibers[0][2].kernel, logs.n)
     inn0 = order(_b1_lattice(c)[1], logs.n)
     if aut0 % inn0:
         raise AssertionError("|Aut0| is not a multiple of |Inn0|")
@@ -430,7 +442,7 @@ def verify_ses(c):
     size, inn0 = order(lattice.kernel, n), order(b1, n)
     if size % inn0:
         raise AssertionError("|B1| does not divide |L|")
-    aut0_fibers = list(_aut0_solved(c, logs))
+    aut0_fibers = [f for f in _aut0_fibers(c) if f[3] is not None]
     id_fibers = [f for f in aut0_fibers if f[0].is_identity()]
     stab = stabilizer_of_class(c)
     h1_order = len(z1_fibers) * size // inn0
@@ -438,11 +450,11 @@ def verify_ses(c):
     clauses = []
 
     # (i) and (ii): Z1 = Aut0 with phi = id, fiber by fiber
-    same_rows = bool(id_fibers) and id_fibers[0][3].matrix == lattice.matrix
+    same_rows = bool(id_fibers) and id_fibers[0][2].matrix == lattice.matrix
     zero = least((0,) * len(sg.elements), lattice.kernel, n, classes)
     shared = sum(mu in z1_fibers and least([(a - b) % n for a, b in zip(x0, z1_fibers[mu])],
                                           lattice.kernel, n, classes) == zero
-                 for _, mu, x0, _ in id_fibers) if same_rows else 0
+                 for _, mu, _, x0 in id_fibers) if same_rows else 0
     rows_note = "" if same_rows else "; the two routes' phi = id eta rows differ"
     ok_i = shared == len(z1_fibers)
     clauses.append(SesClause(

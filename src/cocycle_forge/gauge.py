@@ -41,20 +41,24 @@ vector of logs mod q - 1. The alpha relations are integer rows mod k in
 mu and the relations of the action formula integer rows mod q - 1 in eta.
 Each kind has one coefficient matrix per call (the eta coefficients
 depend on c1 alone, not on mu), whose lattice (`_multsolve.graph`)
-decides every right-hand side by reduction; the mu solutions are walked
-in product order and the first mu whose eta rows reduce gives the first
-gauge. Over the rationals, where mu is the identity, the eta rows are
-solved by `_multsolve.solve_multiplicative` in log coordinates over Q*:
-sign rows mod 2 on their lattice, and integer exponent rows over a
-coprime base of the constants, back-substituted through their row echelon
-with the free variables pinned, and decided exactly on a column echelon
-where the pins fail. All of them bring their rows to echelon form by the
-one elimination,
-`_multsolve.eliminate`. The finite-field "no" (a row pivot that does not
-divide its residue) and the rational "no" are definitive; the quaternions
-raise NotEnumerable. `stabilizer_of_class` asks only whether a gauge
-exists. The Aut0 enumeration runs `_logs.solve` too, on relations it
-derives from ring multiplicativity rather than from the action formula.
+decides every right-hand side by reduction. `_gauge_fibers` is the one
+stream of this search: the mu solutions in product order, each with the
+lattice of its eta rows and one solution x0 where they reduce (a solved
+fiber). The solutions of a fiber are x0 + L, L the lattice's kernel, so
+the first gauge is `_multsolve.least` of the first solved fiber, and Z1
+is the walk of every solved fiber (`cohomology.z1_listing`). Over the
+rationals, where mu is the identity, the eta rows are solved by
+`_multsolve.solve_multiplicative` in log coordinates over Q*: sign rows
+mod 2 on their lattice, and integer exponent rows over a coprime base of
+the constants, back-substituted through their row echelon with the free
+variables pinned, and decided exactly on a column echelon where the pins
+fail. All of them bring their rows to echelon form by the one
+elimination, `_multsolve.eliminate`. The finite-field "no" (a row pivot
+that does not divide its residue) and the rational "no" are definitive;
+the quaternions raise NotEnumerable. `stabilizer_of_class` asks only
+whether a solved fiber exists. The Aut0 enumeration solves its fibers on
+the same lattices (`_logs.system`), on relations it derives from ring
+multiplicativity rather than from the action formula.
 
 Over a finite field the searches run on log coordinates, and the lists
 they make are the listing surface of `cohomology.py`: a `Gauge` is built,
@@ -71,7 +75,7 @@ import json
 from operator import getitem
 
 from ._logs import field_logs, power, system
-from ._multsolve import graph, members, natural, solve_multiplicative
+from ._multsolve import graph, least, natural, solve_multiplicative
 from .cochain import TwoCochain, unique_entries
 from .errors import DomainMismatch, NotEnumerable
 from .scalars import (
@@ -231,7 +235,7 @@ def act_phi(phi, c):
 
 def _gauge_constraints(c1, c2, mu):
     """The scalar relations of act_gauge((mu, eta), c1) == c2 in the form
-    _logs.solve takes:
+    _logs.system takes:
     eta(s) alpha_s(eta(t)) eta(st)^{-1} = mu_e(xi2(s, t)) xi1(s, t)^{-1}
     (commutative coefficients, so xi1 moves to the right-hand side)."""
     sg = c1.sg
@@ -261,28 +265,16 @@ def _mu_choices(c1, c2):
 
 
 def _gauge_fibers(c1, c2):
-    """Yield (mu, lattice, x) for each mu of _mu_choices(c1, c2), in
+    """Yield (mu, lattice, x0) for each mu of _mu_choices(c1, c2), in
     product order: lattice is the _multsolve.Graph of the eta rows that mu
     puts on eta (_logs.system; their coefficients depend on c1 alone, so
-    every mu shares one) and x one solution of them, or None."""
+    every mu shares one) and x0 one solution of them, or None. The
+    solutions of the fiber are x0 + lattice.kernel."""
     sg, domain = c1.sg, c1.domain
     logs = field_logs(domain)
     for mu in _mu_choices(c1, c2):
         autos = {e: RingAuto.frobenius(domain, i) for e, i in zip(sg.idempotents, mu)}
         yield (mu, *system(sg, logs, _gauge_constraints(c1, c2, autos)))
-
-
-def _gauge_solutions_ff(c1, c2):
-    """Yield every gauge carrying c1 to c2 over a finite field, in log
-    coordinates (mu, x, id) (see _logs.py) and in Gauge.sort_key order.
-    Exhaustive: mu ranges over every choice the alpha relations allow, and
-    each fiber's eta solutions are walked on its lattice."""
-    logs = field_logs(c1.domain)
-    ident = SemigroupAuto.identity(c1.sg)
-    for mu, lattice, x in _gauge_fibers(c1, c2):
-        if x is not None:
-            for y in members(x, lattice.kernel, logs.n, logs.classes):
-                yield mu, y, ident
 
 
 def from_logs(sg, domain, g):
@@ -326,8 +318,12 @@ def cohomologous(c1, c2):
         raise DomainMismatch("cocycles compared over different settings")
     kind = c1.domain.kind
     if kind == "finite_field":
-        g = next(_gauge_solutions_ff(c1, c2), None)
-        return None if g is None else from_logs(c1.sg, c1.domain, g)
+        logs = field_logs(c1.domain)
+        for mu, lattice, x0 in _gauge_fibers(c1, c2):
+            if x0 is not None:
+                x = least(x0, lattice.kernel, logs.n, logs.classes)
+                return from_logs(c1.sg, c1.domain, (mu, x, None))
+        return None
     if kind == "rational":
         return _cohomologous_rational(c1, c2)
     raise NotEnumerable("cannot search gauges over the rational quaternions")

@@ -175,10 +175,6 @@ class RingElement:
     def is_unit(self):
         return all(e in self.coeffs for e in self.ring.sg.idempotents)
 
-    def diagonal_part(self):
-        E = set(self.ring.sg.idempotents)
-        return RingElement._of(self.ring, {s: d for s, d in self.coeffs.items() if s in E})
-
     def inverse(self):
         if not self.is_unit():
             raise NotAUnit("an inverse needs every idempotent coefficient nonzero")

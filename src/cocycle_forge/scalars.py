@@ -47,6 +47,7 @@ are those of the payload.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import gcd, lcm
 
 from .errors import DivisionByZero, DomainMismatch, NotEnumerable
@@ -295,9 +296,6 @@ class ScalarDomain:
     def order(self):
         """Number of elements, or None when infinite."""
         return self.p ** self.k if self.kind == FINITE_FIELD else None
-
-    def is_commutative(self):
-        return self.kind != QUATERNION
 
     # -- element constructors
 
@@ -812,20 +810,14 @@ def enumerate_autos(domain):
 
 
 def enumerate_units(domain):
-    """All nonzero elements of a finite field, sorted canonically."""
+    """All nonzero elements of a finite field, sorted canonically: the
+    sort key of an element is its coefficient tuple, which `product`
+    yields in lexicographic order."""
     if domain.kind != FINITE_FIELD:
         raise NotEnumerable(f"{domain!r} has infinitely many units")
     if domain._units is None:
-        def vectors(i):
-            if i == domain.k:
-                yield ()
-                return
-            for c in range(domain.p):
-                for tail in vectors(i + 1):
-                    yield (c,) + tail
-
-        domain._units = sorted((domain._intern(v) for v in vectors(0) if any(v)),
-                               key=Scalar.sort_key)
+        domain._units = [domain._intern(v)
+                         for v in product(range(domain.p), repeat=domain.k) if any(v)]
     return list(domain._units)
 
 

@@ -46,8 +46,8 @@ import math
 import random
 from fractions import Fraction
 
-from cocycle_forge._logs import field_logs, solve
-from cocycle_forge._multsolve import _int_nth_root, eliminate
+from cocycle_forge._logs import field_logs, system
+from cocycle_forge._multsolve import _int_nth_root, eliminate, members
 from cocycle_forge.cochain import CocycleVerdict, CocycleViolation, TwoCochain
 from cocycle_forge.errors import SemigroupInvalid
 from cocycle_forge.cohomology import (
@@ -420,7 +420,10 @@ def product_aut0_logs(c):
             autos = {e: RingAuto.frobenius(domain, i) for e, i in zip(sg.idempotents, mu)}
             constraints = probe_constraints(c, phi, autos)
             if constraints is not None:
-                out.extend((mu, x, phi) for x in solve(sg, logs, constraints))
+                lattice, x0 = system(sg, logs, constraints)
+                if x0 is not None:
+                    out.extend((mu, x, phi) for x in
+                               members(x0, lattice.kernel, logs.n, logs.classes))
     return sorted(out, key=logs.key)
 
 
@@ -452,7 +455,8 @@ def _cosets(c, group, sub):
     of its coset.
 
     sub is B1, whose members h have mu = 0 and phi = id, so the group law
-    of cocycle_forge._logs gives h . g = (g.mu, p^{g.mu[src s]} h[s] + g.x[s], g.phi).
+    of cocycle_forge.gauge, in log coordinates, gives
+    h . g = (g.mu, p^{g.mu[src s]} h[s] + g.x[s], g.phi).
     """
     sg = c.sg
     logs = field_logs(c.domain)

@@ -137,11 +137,31 @@ def test_cochain_json_round_trip(diamond, gf4, gf9, rng):
             assert again == c
 
 
-def test_cochain_equality_is_sparse_canonical(diamond, gf4):
-    c1 = TwoCochain(diamond, gf4, alpha={"s12": RingAuto.identity(gf4)},
-                    xi={("e1", "e1"): gf4.one()})
-    c2 = TwoCochain.trivial(diamond, gf4)
-    assert c1 == c2
+def test_cochain_equality_is_sparse_canonical(diamond, gf4, rat, quat):
+    arrows, pairs = ["s12", "s24", "s34"], diamond.tuples(2)[:4]
+    # equal values spelled differently, over GF(4), Q and H(Q), with the
+    # automorphisms put on the arrows
+    cases = [
+        (gf4, ([1, 1], [3, 5]), RingAuto.frobenius(gf4, 1), RingAuto.frobenius(gf4, 1)),
+        (rat, ("1/2", "2/4"), RingAuto.identity(rat), RingAuto.identity(rat)),
+        (quat, (["1/2", 1, 0, 0], ["2/4", "3/3", "0/5", 0]),
+         RingAuto.inner(quat, quat.scalar([1, 2, 0, 0])),
+         RingAuto.inner(quat, quat.scalar([3, 6, 0, 0]))),
+    ]
+    for dom, spellings, a, b in cases:
+        c1 = TwoCochain(diamond, dom, alpha={"s12": RingAuto.identity(dom)},
+                        xi={("e1", "e1"): dom.one()})
+        c2 = TwoCochain.trivial(diamond, dom)
+        assert c1 == c2 and hash(c1) == hash(c2)
+        # ... inserted in different orders
+        u, v = (dom.scalar(x) for x in spellings)
+        c1 = TwoCochain(diamond, dom, {s: a for s in arrows}, {pair: u for pair in pairs})
+        c2 = TwoCochain(diamond, dom, {s: b for s in reversed(arrows)},
+                        {pair: v for pair in reversed(pairs)})
+        assert c1 == c2 and hash(c1) == hash(c2)
+        # one changed xi tells them apart
+        c3 = TwoCochain(diamond, dom, c2.alpha, {**c2.xi, pairs[2]: v * v})
+        assert c3 != c1 and c3 != c2
 
 
 # ---------------------------------------------------------------------------

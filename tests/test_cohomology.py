@@ -290,12 +290,16 @@ def test_aut0_ring_maps_compose_in_opposite_order(demo):
 def test_aut0_matches_gauge_route(demo, diamond_mod):
     # independent cross-check: (mu, eta, phi) induces an automorphism iff
     # the gauge carries the phi-relabeled cocycle back to the original
-    from cocycle_forge.gauge import act_phi, _gauge_solutions_ff, from_logs
+    from cocycle_forge._logs import field_logs
+    from cocycle_forge._multsolve import members
+    from cocycle_forge.gauge import act_phi, _gauge_fibers, from_logs
+    logs = field_logs(demo.domain)
     expected = []
     for phi in diamond_mod.enumerate_autos():
         twisted = act_phi(phi, demo)
-        for mu, x, _ in _gauge_solutions_ff(twisted, demo):
-            expected.append(from_logs(diamond_mod, demo.domain, (mu, x, phi)).key())
+        for mu, lattice, x0 in _gauge_fibers(twisted, demo):
+            for x in members(x0, lattice.kernel, logs.n, logs.classes):
+                expected.append(from_logs(diamond_mod, demo.domain, (mu, x, phi)).key())
     got = [t.key() for t in aut0_enumerate(demo)]
     assert sorted(expected) == got
 

@@ -64,7 +64,6 @@ def _load(cfg, path):
 @click.group()
 # a no-op kept because bench/run.py:75 passes --jobs 1 to every job
 @click.option("--jobs", type=int, default=1, show_default=True,
-              envvar="COCYCLE_FORGE_JOBS",
               help="Accepted for compatibility and ignored.")
 @click.option("--output", type=click.Choice(["text", "json"]), default="text",
               show_default=True)

@@ -38,7 +38,7 @@ class TwoCochain:
         one = domain.one()
         alpha = alpha or {}
         xi = xi or {}
-        pairs = sg.composable().pair_set
+        pairs = sg.composable().product
         for s, a in alpha.items():
             if a.domain is not domain:
                 raise DomainMismatch(f"alpha[{s!r}] lives in {a.domain!r}")
@@ -190,13 +190,25 @@ def unique_entries(section, items):
     return out
 
 
+def json_list(data, key):
+    """The list under data[key], [] when the key is absent; any other value
+    is refused rather than iterated."""
+    value = data.get(key, [])
+    if not isinstance(value, list):
+        raise TypeError(f"{key} must be a JSON list")
+    return value
+
+
 def cochain_from_json(sg, domain, data):
-    data = data or {}
+    """The cochain of an instance's cocycle section; an absent or null
+    section is the trivial twist."""
+    if data is None:
+        data = {}
     if not isinstance(data, dict):
         raise TypeError("a cocycle is a JSON object")
     alpha = unique_entries("alpha", ((entry["on"], auto_from_json(domain, entry["auto"]))
-                                     for entry in data.get("alpha", [])))
+                                     for entry in json_list(data, "alpha")))
     xi = unique_entries("xi", (((entry["left"], entry["right"]),
                                 scalar_from_json(domain, entry["value"]))
-                               for entry in data.get("xi", [])))
+                               for entry in json_list(data, "xi")))
     return TwoCochain(sg, domain, alpha, xi)

@@ -302,11 +302,11 @@ def _aut0_fibers(c):
     def extend(i):
         if i == len(due):
             constraints = []
-            for s, t in sg.tuples(2):
+            for s, t, st in sg.composable().pairs:
                 u = found[(s, t)] if (s, t) in found else probe(s, t)
                 if u is None:
                     return
-                constraints.append((s, t, sg.compose(s, t), c.alpha_at(phi(s)), u))
+                constraints.append((s, t, st, c.alpha_at(phi(s)), u))
             yield (phi, tuple(mu), *system(sg, logs, constraints))
             return
         e = sg.idempotents[i]

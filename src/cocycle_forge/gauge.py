@@ -76,7 +76,7 @@ from operator import getitem
 
 from ._logs import field_logs, power, system
 from ._multsolve import graph, least, natural, solve_multiplicative
-from .cochain import TwoCochain, unique_entries
+from .cochain import TwoCochain, json_list, unique_entries
 from .errors import DomainMismatch, NotEnumerable
 from .scalars import (
     RingAuto, Scalar, auto_from_json, auto_to_json, rho, scalar_from_json,
@@ -214,8 +214,7 @@ def act_gauge(g, c):
         a = rho(g.eta[s]).compose(c.alpha_at(s)).compose(g.mu[f])
         beta[s] = g.mu[e].inverse().compose(a)
     zeta = {}
-    for s, t in sg.tuples(2):
-        st = sg.compose(s, t)
+    for s, t, st in sg.composable().pairs:
         val = g.eta[s] * c.alpha_at(s)(g.eta[t]) * c.xi_at(s, t) * g.eta[st].inv()
         zeta[(s, t)] = g.mu[sg.src[s]].inverse()(val)
     return TwoCochain(sg, g.domain, beta, zeta)
@@ -225,7 +224,7 @@ def act_phi(phi, c):
     """Relabel twist data along a semigroup automorphism."""
     sg = c.sg
     beta = {s: c.alpha_at(phi(s)) for s in sg.elements}
-    zeta = {(s, t): c.xi_at(phi(s), phi(t)) for s, t in sg.tuples(2)}
+    zeta = {(s, t): c.xi_at(phi(s), phi(t)) for s, t, _ in sg.composable().pairs}
     return TwoCochain(sg, c.domain, beta, zeta)
 
 
@@ -239,9 +238,8 @@ def _gauge_constraints(c1, c2, mu):
     eta(s) alpha_s(eta(t)) eta(st)^{-1} = mu_e(xi2(s, t)) xi1(s, t)^{-1}
     (commutative coefficients, so xi1 moves to the right-hand side)."""
     sg = c1.sg
-    return [(s, t, sg.compose(s, t), c1.alpha_at(s),
-             mu[sg.src[s]](c2.xi_at(s, t)) * c1.xi_at(s, t).inv())
-            for s, t in sg.tuples(2)]
+    return [(s, t, st, c1.alpha_at(s), mu[sg.src[s]](c2.xi_at(s, t)) * c1.xi_at(s, t).inv())
+            for s, t, st in sg.composable().pairs]
 
 
 def _mu_choices(c1, c2):
@@ -362,9 +360,9 @@ def gauge_from_json(sg, domain, data):
     if not isinstance(data, dict):
         raise TypeError("a gauge is a JSON object")
     mu = unique_entries("mu", ((entry["on"], auto_from_json(domain, entry["auto"]))
-                               for entry in data.get("mu", [])))
+                               for entry in json_list(data, "mu")))
     eta = unique_entries("eta", ((entry["on"], scalar_from_json(domain, entry["value"]))
-                                 for entry in data.get("eta", [])))
+                                 for entry in json_list(data, "eta")))
     return Gauge(sg, domain, mu, eta)
 
 

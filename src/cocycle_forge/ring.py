@@ -272,9 +272,9 @@ def build_iso(c_source, c_target, witness):
         for s in c_source.sg.elements:
             if expected.alpha_at(s) != c_source.alpha_at(s):
                 failures.append((("alpha", s), expected.alpha_at(s), c_source.alpha_at(s)))
-        for pair in c_source.sg.tuples(2):
-            if expected.xi_at(*pair) != c_source.xi_at(*pair):
-                failures.append((("xi",) + pair, expected.xi_at(*pair), c_source.xi_at(*pair)))
+        for s, t, _ in c_source.sg.composable().pairs:
+            if expected.xi_at(s, t) != c_source.xi_at(s, t):
+                failures.append((("xi", s, t), expected.xi_at(s, t), c_source.xi_at(s, t)))
         raise WitnessInvalid(failures)
     return RingIso(TwistedRing(c_source), TwistedRing(c_target), witness)
 

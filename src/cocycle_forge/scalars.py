@@ -49,6 +49,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
+from numbers import Number
 
 from .errors import DivisionByZero, DomainMismatch, NotEnumerable
 
@@ -516,6 +517,8 @@ class Scalar:
                 hit = products[key] = domain._intern(rem + (0,) * (domain.k - len(rem)))
                 return hit
         if not isinstance(other, Scalar) or other.domain is not domain:
+            if not isinstance(other, (Scalar, Number)):
+                return NotImplemented   # e.g. the left scalar action on a ring element
             self._check(other)      # raises
         if domain.kind == RATIONAL:
             # Henrici: cancel across, and the product is reduced

@@ -8,14 +8,19 @@ idempotent: s = src(s) . s . tgt(s).
 
 Input tables list only the nonzero products beyond the forced idempotent
 laws (e.e = e, e.f = theta for e != f, e.s = s when src(s) = e, s.f = s
-when tgt(s) = f); everything unspecified is theta. Validation checks the
-at-most-one-per-slot condition and product typing, refuses the name
-"theta" (it spells the zero in product tables) and any arrow.arrow product
-that is an idempotent (so the arrows generate a nilpotent ideal), and then
-checks associativity on the paths a -> b -> c: once typing holds, a nonzero
-product keeps its left factor's src and its right factor's tgt, so on
-every other triple both sides are theta. It reports every violation
-rather than the first.
+when tgt(s) = f); everything unspecified is theta. A semigroup stores one
+table, of its nonzero products only: the idempotent laws (one entry per
+idempotent, two per arrow) and the nonzero arrow.arrow products. The
+composable pairs and triples, the right partners and the tuple spaces are
+all read off it.
+
+Validation checks the at-most-one-per-slot condition and product typing,
+refuses the name "theta" (it spells the zero in product tables) and any
+arrow.arrow product that is an idempotent (so the arrows generate a
+nilpotent ideal), and then checks associativity on the paths
+a -> b -> c: once typing holds, a nonzero product keeps its left factor's
+src and its right factor's tgt, so on every other triple both sides are
+theta. It reports every violation rather than the first.
 
 There is one semigroup object per product table per process: build
 semigroups through `SquareFreeSemigroup.validate`, which returns the object
@@ -50,7 +55,7 @@ class Violation:
 class Composable(NamedTuple):
     triples: tuple   # (s, t, u, s.t, t.u)
     pairs: tuple     # (s, t, s.t)
-    pair_set: frozenset
+    product: dict    # (s, t) -> s.t, the nonzero products in `pairs` order
     right: dict      # s -> ((t, s.t), ...), its right partners
 
 
@@ -97,18 +102,18 @@ class SquareFreeSemigroup:
         violations = []
         for a in elements:
             for b in starting[tgt[a]]:
-                ab = table[(a, b)]
+                ab = table.get((a, b))
                 for c in starting[tgt[b]]:
-                    bc = table[(b, c)]
-                    left = None if ab is None else table[(ab, c)]
-                    right = None if bc is None else table[(a, bc)]
+                    bc = table.get((b, c))
+                    left = None if ab is None else table.get((ab, c))
+                    right = None if bc is None else table.get((a, bc))
                     if left != right:
                         violations.append(Violation(
                             "not_associative", (a, b, c),
                             f"({a}.{b}).{c} = {left} but {a}.({b}.{c}) = {right}"))
         if violations:
             raise SemigroupInvalid(violations)
-        # the full table fixes src/tgt through the idempotent laws
+        # the table fixes src/tgt through the idempotent laws
         key = (tuple(idempotents), elements, frozenset(table.items()))
         sg = _SEMIGROUPS.get(key)
         if sg is None:
@@ -125,60 +130,44 @@ class SquareFreeSemigroup:
 
     def compose(self, s, t):
         """Product in S; returns None for theta."""
-        try:
-            return self._table[(s, t)]
-        except KeyError:
-            raise UnknownElement(f"({s!r}, {t!r}) not in the semigroup") from None
-
-    def compose_word(self, word):
-        """Product of a sequence of element names; None once it hits theta."""
-        out = None
-        for i, s in enumerate(word):
-            if s not in self.src:
-                raise UnknownElement(f"{s!r} not in the semigroup")
-            out = s if i == 0 else (None if out is None else self._table[(out, s)])
-        return out
+        st = self._table.get((s, t))
+        if st is None and (s not in self.src or t not in self.src):
+            raise UnknownElement(f"({s!r}, {t!r}) not in the semigroup")
+        return st
 
     def slot(self, e, f):
         """The unique element of e.S.f, or None."""
         return self._slots.get((e, f))
 
     def tuples(self, n):
-        """The n-tuples of nonzero elements with nonzero product, sorted;
-        n = 0 gives the idempotents as 1-tuples."""
-        if n in self._tuple_cache:
-            return self._tuple_cache[n]
-        if n == 0:
-            out = [(e,) for e in self.idempotents]
-        elif n == 1:
-            out = [(s,) for s in self.elements]
-        else:
-            out = []
-            for prefix in self.tuples(n - 1):
-                head = self.compose_word(prefix)
-                for s in self.elements:
-                    if self._table[(head, s)] is not None:
-                        out.append(prefix + (s,))
-            order = {s: i for i, s in enumerate(self.elements)}
-            out.sort(key=lambda t: tuple(order[s] for s in t))
-        self._tuple_cache[n] = out
-        return out
+        """The n-tuples of nonzero elements with nonzero product, in
+        lexicographic element order; n = 0 gives the idempotents as
+        1-tuples. Each word is extended by the right partners of its
+        product, which come in element order, so the words stay sorted."""
+        if n not in self._tuple_cache:
+            right = self.composable().right
+            words = [((s,), s) for s in (self.elements if n else self.idempotents)]
+            for _ in range(n - 1):
+                words = [(w + (t,), pt) for w, p in words for t, pt in right[p]]
+            self._tuple_cache[n] = [w for w, _ in words]
+        return self._tuple_cache[n]
 
     def composable(self):
         """The composable triples (s, t, u, s.t, t.u) and pairs (s, t, s.t),
-        each in `tuples` order, the set of composable pairs, and for each
-        element s the (t, s.t) of its pairs; built once per semigroup."""
+        each in `tuples` order, the table of nonzero products itself, and
+        for each element s the (t, s.t) of its pairs; built once per
+        semigroup in one pass over the table."""
         if self._composable is None:
             table = self._table
-            pairs = tuple((s, t, table[(s, t)]) for s, t in self.tuples(2))
             right = {s: [] for s in self.elements}
-            for s, t, st in pairs:
+            pairs = []
+            for (s, t), st in table.items():
                 right[s].append((t, st))
+                pairs.append((s, t, st))
+            # s.t.u != theta forces t.u != theta
             self._composable = Composable(
-                tuple((s, t, u, table[(s, t)], table[(t, u)]) for s, t, u in self.tuples(3)),
-                pairs,
-                frozenset((s, t) for s, t, _ in pairs),
-                {s: tuple(ts) for s, ts in right.items()})
+                tuple((s, t, u, st, table[(t, u)]) for s, t, st in pairs for u, _ in right[st]),
+                tuple(pairs), table, {s: tuple(ts) for s, ts in right.items()})
         return self._composable
 
     # -- automorphisms -----------------------------------------------------
@@ -193,7 +182,7 @@ class SquareFreeSemigroup:
         pairs with product theta.
         """
         table = self._table
-        return all(table[(mapping[s], mapping[t])] == mapping[st]
+        return all(table.get((mapping[s], mapping[t])) == mapping[st]
                    for s, t, st in self.composable().pairs)
 
     def enumerate_autos(self):
@@ -223,8 +212,11 @@ class SquareFreeSemigroup:
                     break
                 mapping[s] = image
             else:
-                if self.preserves(mapping):
+                # the extension is a bijection; the constructor checks products
+                try:
                     found.append(SemigroupAuto(self, mapping))
+                except SemigroupInvalid:
+                    pass
         found.sort(key=SemigroupAuto.sort_key)
         return found
 
@@ -237,8 +229,10 @@ def _typed_table(idempotents, arrows, products):
     """The checks of `SquareFreeSemigroup.validate` short of associativity:
     names, the at-most-one-per-slot condition, product typing and the
     refusals below. Returns (idempotents, elements, src, tgt, table) with
-    the elements in canonical order and theta as None; raises
-    SemigroupInvalid carrying every violation found.
+    the elements in canonical order and the table holding only the nonzero
+    products, keyed (left, right) in lexicographic element order; an absent
+    pair multiplies to theta. Raises SemigroupInvalid carrying every
+    violation found.
 
     An arrow.arrow product may not be an idempotent: the shortest word of
     arrows equal to an idempotent would contain such a product, so with
@@ -296,18 +290,10 @@ def _typed_table(idempotents, arrows, products):
                            key=lambda n: (eidx[src[n]], eidx[tgt[n]]))
     elements = tuple(idempotents) + tuple(arrows_sorted)
 
-    # forced laws, then declared products on top
+    # forced laws, then the nonzero declared products on top
     table = {}
-    for a in elements:
-        for b in elements:
-            if a in eset and b in eset:
-                table[(a, b)] = a if a == b else None
-            elif a in eset:
-                table[(a, b)] = b if src[b] == a else None
-            elif b in eset:
-                table[(a, b)] = a if tgt[a] == b else None
-            else:
-                table[(a, b)] = None
+    for s in elements:
+        table[(src[s], s)] = table[(s, tgt[s])] = s
 
     items = products.items() if hasattr(products, "items") else products
     declared = {}
@@ -328,7 +314,7 @@ def _typed_table(idempotents, arrows, products):
                                         f"product result {res!r} is unknown"))
             continue
         if left in eset or right in eset:
-            if table[(left, right)] != res:
+            if table.get((left, right)) != res:
                 violations.append(Violation(
                     "bad_typing", (left, right),
                     f"declared product {left}.{right} contradicts the idempotent laws"))
@@ -345,10 +331,13 @@ def _typed_table(idempotents, arrows, products):
                 f"arrow product {left}.{right} = {res} is an idempotent, so the "
                 f"arrows do not generate a nilpotent ideal"))
             continue
-        table[(left, right)] = res
+        if res is not None:
+            table[(left, right)] = res
 
     if violations:
         raise SemigroupInvalid(violations)
+    index = {s: i for i, s in enumerate(elements)}
+    table = {key: table[key] for key in sorted(table, key=lambda k: (index[k[0]], index[k[1]]))}
     return idempotents, elements, src, tgt, table
 
 

@@ -231,9 +231,10 @@ def full_scan_validate(idempotents, arrows, products):
         return list(exc.violations)
 
     def mul(a, b):
+        # the table holds the nonzero products only
         if a is None or b is None:
             return None
-        return table[(a, b)]
+        return table.get((a, b))
 
     return [Violation("not_associative", (a, b, c),
                       f"({a}.{b}).{c} = {mul(mul(a, b), c)} but "

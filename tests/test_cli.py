@@ -192,14 +192,19 @@ def test_missing_keys_are_named(edit, pointer, message):
 
 
 def test_malformed_section_exits_2(runner, tmp_path):
+    # only an absent or null cocycle is the trivial twist
     data = instance_to_json(diamond_demo_instance())
-    data["cocycle"] = [1]
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(data))
-    result = runner.invoke(main, ["--output", "json", "validate", str(path)])
-    assert result.exit_code == 2, result.output
-    payload = json.loads(result.output)
-    assert [e["pointer"] for e in payload["errors"]] == ["/cocycle"]
+    for cocycle, section in [([1], "cocycle"), ([], "cocycle"), (False, "cocycle"),
+                             (0, "cocycle"), ("", "cocycle"), ({"alpha": {}}, "alpha"),
+                             ({"alpha": None}, "alpha"), ({"xi": 5}, "xi"),
+                             ({"xi": "ab"}, "xi")]:
+        data["cocycle"] = cocycle
+        path.write_text(json.dumps(data))
+        result = runner.invoke(main, ["--output", "json", "validate", str(path)])
+        assert result.exit_code == 2, (cocycle, result.output)
+        (error,) = json.loads(result.output)["errors"]
+        assert error["pointer"] == "/cocycle" and section in error["message"], cocycle
 
 
 def unreadable(tmp_path, kind):
@@ -681,6 +686,12 @@ def test_jobs_flag(runner, demo_file):
     assert payload["out_order"] == 4
 
 
+def test_jobs_reads_no_environment(runner):
+    # the ignored knob has no environment fallback that could fail to parse
+    result = runner.invoke(main, ["demo"], env={"COCYCLE_FORGE_JOBS": "abc"})
+    assert result.exit_code == 0, result.output
+
+
 def test_json_output_keeps_no_redirected_stdout():
     import contextlib
     import gc
@@ -708,8 +719,11 @@ def test_json_output_keeps_no_redirected_stdout():
     ('{"gauge": {"eta": [{"on": "s12", "value": [0, 1]}, '
      '{"on": "s12", "value": [1, 1]}]}}', "/gauge"),
     ('{"gauge": {"eta": [{"on": "s12"}]}}', "/gauge"),
+    ('{"gauge": {"mu": {}}}', "/gauge"),
+    ('{"gauge": {"eta": 5}}', "/gauge"),
 ], ids=["unknown-name", "list", "not-json", "inner-by-zero", "frobenius-float",
-        "frobenius-bool", "mu-twice", "eta-twice", "eta-missing-value"])
+        "frobenius-bool", "mu-twice", "eta-twice", "eta-missing-value", "mu-object",
+        "eta-number"])
 def test_act_rejects_bad_witness(runner, tmp_path, demo_file, witness, pointer):
     wpath = tmp_path / "w.json"
     wpath.write_text(witness)

@@ -51,6 +51,21 @@ def test_basis_products(ring4, gf4):
     assert (ring4.basis("s12") * ring4.basis("s24")).is_zero()
 
 
+@pytest.mark.parametrize("name", ["gf4", "rat", "quat"])
+def test_left_scalar_action(name, request, diamond, rng):
+    # d * x reaches RingElement.__rmul__ and scales the coefficients on the
+    # left, under a twist moved off the trivial one by a random gauge
+    domain = request.getfixturevalue(name)
+    ring = TwistedRing(act_gauge(random_gauge(diamond, domain, rng),
+                                 TwoCochain.trivial(diamond, domain)))
+    for _ in range(5):
+        c, d = (random_scalar(domain, rng, nonzero=True) for _ in range(2))
+        for s in diamond.elements:
+            assert d * ring.basis(s, c) == ring.basis(s, d * c)
+        x = random_element(ring, rng)
+        assert (d * x).coeffs == {s: d * v for s, v in x.coeffs.items()}
+
+
 def test_one_is_identity(ring4, rng):
     one = ring4.one()
     for _ in range(20):

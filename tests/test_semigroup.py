@@ -9,11 +9,11 @@ import pytest
 from cocycle_forge.errors import InstanceFileInvalid, SemigroupInvalid, UnknownElement
 from cocycle_forge.instances import parse_instance
 from cocycle_forge.semigroup import (
-    SemigroupAuto, SquareFreeSemigroup, auto_from_json, auto_to_json,
+    SemigroupAuto, SquareFreeSemigroup, _typed_table, auto_from_json, auto_to_json,
     semigroup_to_json,
 )
 
-from conftest import CHAIN4, make_chain4, make_sphere, tetrahedron
+from conftest import CHAIN4, RP2_6, face_poset, make_chain4, make_sphere, tetrahedron
 
 
 def semigroup_from_json(data, max_idempotents=8):
@@ -135,8 +135,12 @@ def test_tuples_project():
 
 
 def test_unknown_element():
-    with pytest.raises(UnknownElement):
-        diamond().compose("e1", "zz")
+    # a zero product of known names is None, any product with an unknown one raises
+    sg = diamond()
+    assert sg.compose("e1", "e4") is None
+    for s, t in (("e1", "zz"), ("zz", "e1"), ("s12", "zz"), ("zz", "zz"), ("theta", "e1")):
+        with pytest.raises(UnknownElement):
+            sg.compose(s, t)
 
 
 def test_associativity_exhaustive():
@@ -329,6 +333,10 @@ def test_validate_compares_only_paths(monkeypatch):
             read.append(key)
             return dict.__getitem__(self, key)
 
+        def get(self, key, default=None):
+            read.append(key)
+            return dict.get(self, key, default)
+
     typed_table = semigroup._typed_table
 
     def counting(*args):
@@ -342,7 +350,7 @@ def test_validate_compares_only_paths(monkeypatch):
     paths = sum(tgt[a] == src[b] and tgt[b] == src[c]
                 for a in elements for b in elements for c in elements)
     assert paths == 35
-    assert all(tgt[x] == src[y] for x, y in read)
+    assert read and all(tgt[x] == src[y] for x, y in read)
     assert len(read) <= pairs + 3 * paths
 
 
@@ -391,6 +399,42 @@ def valid_random_tables(draws=3000, seed=1717):
         except SemigroupInvalid:
             pass
     return out
+
+
+def scan_words(sg, n):
+    """(word, product) for the n-tuples of elements in itertools.product
+    order whose theta-absorbing product is nonzero. A word is extended only
+    past a nonzero prefix: theta absorbs, so the words skipped all have
+    product theta."""
+    words = [((), None)]
+    for i in range(n):
+        words = [(w + (t,), t if i == 0 else sg.compose(p, t))
+                 for w, p in words for t in sg.elements]
+        words = [(w, p) for w, p in words if p is not None]
+    return words
+
+
+def test_tuples_and_composable_match_the_product_scan():
+    # order as well as content: the sparse table is laid down in tuples
+    # order, and the word extension keeps it
+    shapes = [tetrahedron(), face_poset(RP2_6)]
+    faces = [SquareFreeSemigroup.validate(*shape) for shape in shapes]
+    for shape, sg in zip(shapes, faces):
+        assert list(_typed_table(*shape)[4].items()) == scan_words(sg, 2)
+    for sg in faces + valid_random_tables():
+        assert sg.tuples(0) == [(s,) for s in sg.elements if sg.is_idempotent(s)]
+        for n in (1, 2, 3, 4):
+            assert sg.tuples(n) == [w for w, _ in scan_words(sg, n)]
+        frame = sg.composable()
+        pairs = scan_words(sg, 2)
+        assert list(frame.product.items()) == pairs and None not in frame.product.values()
+        assert frame.pairs == tuple((s, t, st) for (s, t), st in pairs)
+        assert frame.triples == tuple((s, t, u, sg.compose(s, t), sg.compose(t, u))
+                                      for (s, t, u), _ in scan_words(sg, 3))
+        assert frame.right == {s: tuple((t, st) for (s2, t), st in pairs if s2 == s)
+                               for s in sg.elements}
+        with pytest.raises(UnknownElement):
+            sg.compose(sg.elements[0], "zz")
 
 
 def test_enumerate_autos_matches_permutation_scan():

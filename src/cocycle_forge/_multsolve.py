@@ -32,21 +32,20 @@ other primes being 0. The system then splits into rows mod 2 for the
 signs, solved on their graph lattice, and one integer system A y = f_b per
 base element b, with f_b the exponents of b in the constants.
 
-`eliminate` runs once on the rows of A, each carrying its combination of
-the equations as its right-hand side. Its row echelon names the free
-variables, those with no row. With them pinned to 0 the pivot columns have
-full rank, so the pinned solution is unique: back-substitution with exact
-division finds it, once the rows that lost every coefficient are checked
-to carry 0 (a zero row that carries f_b != 0 refuses every solution). Only
-where a pivot does not divide is the system solved without the pins:
-`eliminate` on the columns of A brings them to a column echelon with the
-same lattice, and membership of f_b in that lattice is decided exactly by
-peeling it off from the last row down; one column echelon, built on first
-need, serves every base element. So None is a definitive "no".
+The exponent rows are solved on the graph lattice over Z, `graph` with
+n = 0: one per matrix, shared by every base element and by every call
+that meets the matrix again. A position there may have no pivot, and a
+row position without one refuses a nonzero residue, so None is a
+definitive "no". The kernel pivots over Z are the free variables: the
+positions whose column lies in the span of the later columns.
 
-The witness is canonical: each system is solved first with every free
-variable pinned (sign +, exponents 0), and without the pins only where
-that fails; the signs are the least solution of their rows, + before -.
+The witness is canonical: the signs are the least solution of their rows,
++ before -, with every free variable pinned to + where that solves them.
+For each base element, a solution reduced into [0, h_j) at each kernel
+pivot j (`_reduced`) is the one solution that is 0 on every free
+variable, whenever one exists; otherwise it is reduced so on the lattice
+of the mirrored matrix (position j becoming size - 1 - j), built only
+then, which keeps the exponents small.
 """
 
 from __future__ import annotations
@@ -107,11 +106,19 @@ def triangular(vectors, size, n):
     files a row under its last position: the row left at position j
     carries, up to sign, the gcd of the entries at j of the lattice vectors
     that vanish before j, and n e_j is one of them.
+
+    n = 0 means the lattice span(vectors) over Z: there is no n e_j, the
+    entries are not reduced, and basis vector j is None where no lattice
+    vector has its first nonzero entry at j.
     """
     last = size - 1
     rows = [({last - j: c for j, c in v.items()}, None) for v in vectors]
-    rows += [({last - j: n}, None) for j in range(size)]
+    if n:
+        rows += [({last - j: n}, None) for j in range(size)]
     plan, _ = eliminate(rows, size, lambda *_: None)
+    if not n:
+        return [row and {last - i: c if row[0][last - j] > 0 else -c for i, c in row[0].items()}
+                for j, row in enumerate(reversed(plan))]
     basis = []
     for j in range(size):
         row = plan[last - j][0]
@@ -216,7 +223,9 @@ class Graph:
     vectors (A e_j, e_j), row positions first. Its first `rows` vectors are
     the pivots; the vectors of G that vanish on the row positions are the
     (0, y) with A y = 0 mod n, and they are the combinations of the last
-    size vectors, which give the triangular basis of the kernel L.
+    size vectors, which give the triangular basis of the kernel L. With
+    n = 0 the lattice is G = {(A x, x)} over Z, and a pivot or kernel
+    vector is None where the basis has none (see triangular).
     """
 
     __slots__ = ("matrix", "n", "pivots", "kernel")
@@ -230,7 +239,7 @@ class Graph:
         basis = triangular(columns, rows + size, n)
         self.matrix, self.n = matrix, n
         self.pivots = basis[:rows]
-        self.kernel = [{j - rows: c for j, c in vec.items()} for vec in basis[rows:]]
+        self.kernel = [vec and {j - rows: c for j, c in vec.items()} for vec in basis[rows:]]
 
     def solve(self, b):
         """One x with A x = b mod n, or None when there is none.
@@ -243,6 +252,8 @@ class Graph:
         (0, w) with (b, -w) in G, so x = -w.
         """
         n, rows = self.n, len(self.pivots)
+        if not n:
+            return self._solve_over_z(b)
         v = [c % n for c in b] + [0] * len(self.kernel)
         for i, vec in enumerate(self.pivots):
             t, r = divmod(v[i], vec[i])
@@ -253,6 +264,25 @@ class Graph:
                     v[j] = (v[j] - t * c) % n
         return tuple([-c % n for c in v[rows:]])
 
+    def _solve_over_z(self, b):
+        """Graph.solve over Z, as a list: a row position with no pivot
+        refuses a nonzero residue, since no vector of G that vanishes
+        before it is nonzero there."""
+        rows = len(self.pivots)
+        v = list(b) + [0] * len(self.kernel)
+        for i, vec in enumerate(self.pivots):
+            if vec is None:
+                if v[i]:
+                    return None
+                continue
+            t, r = divmod(v[i], vec[i])
+            if r:
+                return None
+            if t:
+                for j, c in vec.items():
+                    v[j] -= t * c
+        return [-c for c in v[rows:]]
+
     def solutions(self, b, classes):
         """Every x with A x = b mod n, in rank order (see members)."""
         x = self.solve(b)
@@ -261,10 +291,10 @@ class Graph:
 
 @lru_cache(maxsize=256)
 def graph(matrix, size, n):
-    """The Graph of a coefficient matrix mod n, one per matrix: the
-    callers that meet a matrix again (each mu of one call, each phi whose
-    rows equal another's, the routes `verify_ses` compares) share its
-    elimination."""
+    """The Graph of a coefficient matrix mod n (over Z for n = 0), one per
+    matrix: the callers that meet a matrix again (each mu of one call, each
+    phi whose rows equal another's, the routes `verify_ses` compares, the
+    rational systems of one semigroup) share its elimination."""
     return Graph(matrix, size, n)
 
 
@@ -317,79 +347,21 @@ def _valuation(x, b):
     return e
 
 
-def _add(u, v, m):
-    """The integer vector u + m v, vectors as dicts."""
-    w = dict(u)
-    for j, c in v.items():
-        w[j] = w.get(j, 0) + m * c
-    return w
-
-
-def _integer_solver(rows, size):
-    """A function taking b to an integer y in Z^size with
-    sum_j rows[i][j] y_j = b[i] for every row i, or to None where there is
-    none.
-
-    `eliminate` runs on the columns, each carrying its unit vector as the
-    right-hand side, so every column left is an integer combination of the
-    given ones, and they span the same lattice. A column is filed under its
-    last row with a nonzero entry, so peeling b off from the last row down
-    decides membership in that lattice exactly: the column filed under the
-    last nonzero row of b must divide it there. The columns that cancel
-    leave a basis of the integer kernel; brought to echelon form by
-    `eliminate` too, it reduces y from the last position down to the one
-    solution whose entry at each kernel pivot c lies between 0 and c, which
-    keeps the exponents small.
-    """
-    cols = (({i: row[j] for i, row in enumerate(rows) if j in row}, {j: 1})
-            for j in range(size))
-    plan, kernel = eliminate(cols, len(rows), _add)
-    kernel = eliminate(((k, None) for k in kernel), size, lambda *_: None)[0]
-
-    def solve(b):
-        b, y = list(b), {}
-        for i in reversed(range(len(b))):
-            if b[i]:
-                if plan[i] is None:
-                    return None
-                col, comb = plan[i]
-                q, r = divmod(b[i], col[i])
-                if r:
-                    return None
-                for k, c in col.items():
-                    b[k] -= q * c
-                y = _add(y, comb, q)
-        for i in reversed(range(size)):
-            if kernel[i]:
-                k = kernel[i][0]
-                y = _add(y, k, -(y.get(i, 0) // k[i]))
-        return y
-
-    return solve
-
-
-def _pinned(plan, b):
-    """The integer y with A y = b that is zero at every free position of
-    the row echelon plan of A (rows carrying their combinations of the
-    equations, see solve_multiplicative), or None where there is none,
-    for a b on which every row that lost all its coefficients carries 0.
-
-    Pinned so, the pivot columns have full rank and the solution is
-    unique: back-substitution from the first position up, each pivot
-    dividing exactly, finds it, and a pivot that does not divide refuses
-    every integer y."""
-    y = {}
-    for i, row in enumerate(plan):
-        if row is not None:
-            coef, comb = row
-            r = sum(c * b[k] for k, c in comb.items())
-            r -= sum(c * y.get(j, 0) for j, c in coef.items() if j != i)
-            q, m = divmod(r, coef[i])
-            if m:
-                return None
-            if q:
-                y[i] = q
-    return y
+def _reduced(lattice, b):
+    """The integer solution x of A x = b on a Graph over Z with
+    0 <= x_j < h_j at each kernel pivot j, or None where there is none:
+    a solution less floor(x_j / h_j) times kernel vector j, from the first
+    position up. Two such solutions would differ by a kernel vector whose
+    first entry is a multiple of its pivot smaller than it, so it is one
+    per coset."""
+    x = lattice.solve(b)
+    if x is not None:
+        for j, vec in enumerate(lattice.kernel):
+            t = vec and x[j] // vec[j]
+            if t:
+                for i, c in vec.items():
+                    x[i] -= t * c
+    return x
 
 
 def solve_multiplicative(equations, variables):
@@ -402,32 +374,30 @@ def solve_multiplicative(equations, variables):
     """
     size = len(variables)
     pos = {v: size - 1 - i for i, v in enumerate(variables)}
-    rows = [{pos[v]: c for v, c in coeffs.items()} for coeffs, _ in equations]
+    matrix = tuple(tuple((pos[v], c) for v, c in coeffs.items()) for coeffs, _ in equations)
     consts = [const for _, const in equations]
-    plan, zeros = eliminate(((row, {i: 1}) for i, row in enumerate(rows)), size, _add)
-    signs = tuple(tuple(row.items()) for row in rows)
+    lattice = graph(matrix, size, 0)
+    free = [j for j, vec in enumerate(lattice.kernel) if vec]
     negative = [int(n < 0) for n, _ in consts]
-    free = [j for j, row in enumerate(plan) if row is None]
 
-    def first_sign(matrix, b):
-        return next(graph(matrix, size, 2).solutions(b, natural(2)), None)
+    def first_sign(rows, b):
+        return next(graph(rows, size, 2).solutions(b, natural(2)), None)
 
-    sign = first_sign(signs + tuple(((j, 1),) for j in free), negative + [0] * len(free))
+    sign = first_sign(matrix + tuple(((j, 1),) for j in free), negative + [0] * len(free))
     if sign is None:
-        sign = first_sign(signs, negative)
+        sign = first_sign(matrix, negative)
     if sign is None:
         return None
-    loose = cache(lambda: _integer_solver(rows, size))
     num, den = [1] * size, [1] * size
     for b in _coprime_base([abs(n) for n, _ in consts] + [d for _, d in consts]):
         f = [_valuation(abs(n), b) - _valuation(d, b) for n, d in consts]
-        if any(sum(c * f[k] for k, c in comb.items()) for comb in zeros):
-            return None
-        # f is nonzero, so a solution y is a nonempty dict
-        y = _pinned(plan, f) or loose()(f)
+        y = _reduced(lattice, f)
         if y is None:
             return None
-        for j, e in y.items():
+        if any(y[j] for j in free):
+            mirror = tuple(tuple((size - 1 - j, c) for j, c in row) for row in matrix)
+            y = _reduced(graph(mirror, size, 0), f)[::-1]
+        for j, e in enumerate(y):
             num[j] *= b ** max(e, 0)
             den[j] *= b ** max(-e, 0)
     return {v: (-num[i] if sign[i] else num[i], den[i]) for v, i in pos.items()}

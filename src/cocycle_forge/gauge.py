@@ -50,11 +50,12 @@ is the walk of every solved fiber (`cohomology.z1_listing`). Over the
 rationals, where mu is the identity, the eta rows are solved by
 `_multsolve.solve_multiplicative` in log coordinates over Q*: sign rows
 mod 2 on their lattice, and integer exponent rows over a coprime base of
-the constants, back-substituted through their row echelon with the free
-variables pinned, and decided exactly on a column echelon where the pins
-fail. All of them bring their rows to echelon form by the one
-elimination, `_multsolve.eliminate`. The finite-field "no" (a row pivot
-that does not divide its residue) and the rational "no" are definitive;
+the constants on their graph lattice over Z (`_multsolve.graph` with
+n = 0), which every pair of one semigroup shares; the witness is the
+solution with the free variables pinned to 0 where there is one. All of
+them bring their rows to echelon form by the one elimination,
+`_multsolve.eliminate`. The finite-field "no" (a row pivot that does not
+divide its residue) and the rational "no" are definitive;
 the quaternions raise NotEnumerable. `stabilizer_of_class` asks only
 whether a solved fiber exists. The Aut0 enumeration solves its fibers on
 the same lattices (`_logs.system`), on relations it derives from ring

@@ -46,6 +46,7 @@ are those of the payload.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
@@ -362,11 +363,24 @@ _FIELDS = {}
 _DEFAULT_MODULI = {}    # (p, k) -> the default modulus, found once
 
 
+def _exponent(text):
+    """The magnitude of the decimal exponent of a spelling such as
+    "1.5e-3": 0 where it has none, or one that Fraction would refuse."""
+    exp = text.lower().partition("e")[2]
+    try:
+        return abs(int(exp)) if exp else 0
+    except ValueError:
+        return 0
+
+
 def _as_pair(v):
     """A rational-like value as a reduced pair (n, d), d > 0. Ints,
     Fractions, and strings "n/d" and "n" of ASCII digits with an optional
     minus on n and d > 0 are read directly; any other string as Fraction
-    reads it, with Fraction's errors."""
+    reads it, with Fraction's errors. A numerator or denominator of more
+    digits than int() reads (sys.get_int_max_str_digits()) is refused as
+    int() refuses one spelled out, and an exponent past that limit before
+    Fraction raises 10 to it."""
     if isinstance(v, str):
         num, slash, den = v.partition("/")
         if v.isascii() and num.removeprefix("-").isdigit() and (den.isdigit() or not slash):
@@ -380,10 +394,16 @@ def _as_pair(v):
         return v.numerator, v.denominator
     else:
         raise TypeError(f"cannot interpret {v!r} as an exact rational")
+    limit = sys.get_int_max_str_digits()
+    too_long = ValueError(f"{v!r} exceeds the limit ({limit} digits) for integer string conversion")
+    if limit and _exponent(v) > limit:
+        raise too_long
     try:
         f = Fraction(v)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {v!r}") from None
+    if limit and max(abs(f.numerator), f.denominator) >= 10 ** limit:
+        raise too_long
     return f.numerator, f.denominator
 
 

@@ -818,13 +818,18 @@ def rational_verdict(equations, variables):
     def valuation(x, p):
         return 0 if x % p else 1 + valuation(x // p, p)
 
-    # a y = b has an integer solution exactly when [a | b] has the rank of
-    # a and the same gcd of its rank x rank minors (determinantal divisors;
-    # Newman, *Integral Matrices*, 1972, II.15)
-    divisors = determinantal(a)
-    return all(determinantal([row + [valuation(abs(c.numerator), p) - valuation(c.denominator, p)]
-                              for row, c in zip(a, consts)], divisors[0]) == divisors
+    return all(integer_solvable(a, [valuation(abs(c.numerator), p) - valuation(c.denominator, p)
+                                    for c in consts])
                for p in primes)
+
+
+def integer_solvable(a, b):
+    """Whether a y = b has an integer solution, for an integer matrix a of
+    at least one row: exactly when [a | b] has the rank of a and the same
+    gcd of its rank x rank minors (determinantal divisors; Newman,
+    *Integral Matrices*, 1972, II.15)."""
+    divisors = determinantal(a)
+    return determinantal([row + [r] for row, r in zip(a, b)], divisors[0]) == divisors
 
 
 # ---------------------------------------------------------------------------

@@ -135,4 +135,21 @@ def test_ab_bench_exports_a_revision(tmp_path):
     assert tree.parent == tmp_path
     assert (tree / "bench" / "run.py").is_file()
     assert (tree / "src" / "cocycle_forge" / "__init__.py").is_file()
-    assert tool.checkout(str(ROOT), str(tmp_path)) == str(ROOT)
+    assert tool.checkout(str(tree), str(tmp_path)) == str(tree)
+
+
+@pytest.mark.parametrize("where", ["src/cocycle_forge", "bench"])
+def test_ab_bench_refuses_a_compiled_checkout(tmp_path, capsys, where):
+    # a checkout that holds compiled files skips the compile that a run
+    # from source pays for, so its setup time would not compare
+    spec = importlib.util.spec_from_file_location("ab_bench", ROOT / "tools" / "ab_bench.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    for d in ("src/cocycle_forge", "bench", "tests/__pycache__"):
+        (tmp_path / d).mkdir(parents=True)
+    assert tool.checkout(str(tmp_path), str(tmp_path)) == str(tmp_path)
+    (tmp_path / where / "__pycache__").mkdir()
+    with pytest.raises(SystemExit) as exc:
+        tool.checkout(str(tmp_path), str(tmp_path))
+    assert exc.value.code == 2
+    assert str(tmp_path / where / "__pycache__") in capsys.readouterr().err

@@ -165,6 +165,21 @@ MALFORMED = [
         division_ring={"kind": "rational_quaternion"},
         cocycle={"xi": [{"left": "e1", "right": "s12", "value": [1, 0, 0, 0]}]}),
         "/cocycle", id="quaternion-xi-int"),
+    # a value whose numerator or denominator has more digits than int()
+    # reads would pass validation and then fail to print
+    pytest.param(lambda d: d.update(
+        division_ring={"kind": "rational"},
+        cocycle={"xi": [{"left": "e1", "right": "s12", "value": "1e5000"}]}),
+        "/cocycle", id="rational-xi-long-numerator"),
+    pytest.param(lambda d: d.update(
+        division_ring={"kind": "rational"},
+        cocycle={"xi": [{"left": "e1", "right": "s12", "value": "1e-5000"}]}),
+        "/cocycle", id="rational-xi-long-denominator"),
+    pytest.param(lambda d: d.update(
+        division_ring={"kind": "rational_quaternion"},
+        cocycle={"xi": [{"left": "e1", "right": "s12",
+                         "value": ["1e5000", "0", "0", "0"]}]}),
+        "/cocycle", id="quaternion-xi-long-component"),
 ]
 
 

@@ -543,25 +543,35 @@ def test_aut0_prunes_mu_by_arrows(sphere, monkeypatch):
     assert len(calls) <= 1824
 
 
-@pytest.mark.parametrize("case", ["demo-gf4", "star3-gf5"])
-@pytest.mark.parametrize("call", ["verify_ses", "h1", "out_r", "stabilizer_of_class"])
+@pytest.mark.parametrize("call,case", [
+    *itertools.product(["verify_ses", "h1", "out_r", "stabilizer_of_class"],
+                       ["demo-gf4", "star3-gf5"]),
+    ("cohomologous", "sphere-q"), ("stabilizer_of_class", "sphere-q")])
 def test_each_coefficient_matrix_is_eliminated_once(case, call, monkeypatch):
     # every fiber of one call (each mu, each phi, the gauge and the probe
     # routes, the stabilizer and the split-section check) reduces through
-    # the one lattice of its coefficient matrix
+    # the one lattice of its coefficient matrix; over Q the rational
+    # systems of one semigroup (two gauged pairs, each phi of the
+    # stabilizer) share the lattices of their sign and exponent rows
     from cocycle_forge import _multsolve, cohomology, gauge
     from cocycle_forge.cochain import normalize
     from cocycle_forge.scalars import ScalarDomain
-    from conftest import random_gauge
+    from conftest import make_sphere, random_gauge
 
+    rng = random.Random(case)
     if case == "demo-gf4":
         c = make_demo_cocycle(ScalarDomain.finite_field(2, 2))
     else:
-        dom = ScalarDomain.finite_field(5, 1)
-        sg = SquareFreeSemigroup.validate(
-            ["c", "l1", "l2", "l3"], [("a1", "c", "l1"), ("a2", "c", "l2"), ("a3", "c", "l3")], {})
-        c, _ = normalize(act_gauge(random_gauge(sg, dom, random.Random(case)),
-                                   TwoCochain.trivial(sg, dom)))
+        if case == "star3-gf5":
+            dom = ScalarDomain.finite_field(5, 1)
+            sg = SquareFreeSemigroup.validate(
+                ["c", "l1", "l2", "l3"], [("a1", "c", "l1"), ("a2", "c", "l2"), ("a3", "c", "l3")],
+                {})
+        else:
+            dom, sg = ScalarDomain.rational(), make_sphere()
+        c, _ = normalize(act_gauge(random_gauge(sg, dom, rng), TwoCochain.trivial(sg, dom)))
+    if call == "cohomologous":
+        pairs = [(c, act_gauge(random_gauge(c.sg, c.domain, rng), c)) for _ in range(2)]
     eliminated = []
     eliminate = _multsolve.eliminate
 
@@ -572,6 +582,9 @@ def test_each_coefficient_matrix_is_eliminated_once(case, call, monkeypatch):
 
     _multsolve.graph.cache_clear()
     monkeypatch.setattr(_multsolve, "eliminate", counted)
-    getattr(cohomology if hasattr(cohomology, call) else gauge, call)(c)
+    if call == "cohomologous":
+        assert all(gauge.cohomologous(*pair) is not None for pair in pairs)
+    else:
+        getattr(cohomology if hasattr(cohomology, call) else gauge, call)(c)
     assert len(eliminated) >= 2
     assert len(set(eliminated)) == len(eliminated)

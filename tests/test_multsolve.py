@@ -10,13 +10,13 @@ from fractions import Fraction
 import pytest
 
 from cocycle_forge._multsolve import (
-    _coprime_base, _int_nth_root, graph, least, members, order, ranked, solve_multiplicative,
+    _coprime_base, _int_nth_root, _reduced, graph, least, members, order, ranked, solve_multiplicative,
     triangular,
 )
 
 from oracles import (
-    RootUndecided, kernel_by_scan, rational_verdict, root_solve_multiplicative, solve_rows,
-    span_mod,
+    RootUndecided, fraction_echelon, integer_solvable, kernel_by_scan, rational_verdict,
+    root_solve_multiplicative, solve_rows, span_mod,
 )
 
 F = Fraction
@@ -289,6 +289,43 @@ def test_solutions_match_a_scan_and_the_depth_first_search():
             else:
                 assert list(itertools.islice(dfs, len(listed) + 1)) == listed
     assert min(seen.values()) > 400, seen
+
+
+def test_integer_graph_matches_the_determinantal_oracle():
+    # over Z (n = 0): solve refuses exactly where the determinantal
+    # divisors say no integer solution exists, and its solution checks
+    # exactly; the kernel vectors span the integer kernel, and the solution
+    # reduced at their pivots is 0 on every pivot exactly where the other
+    # columns alone solve the system
+    rng = random.Random(20261021)
+    seen = {"refused": 0, "pinned": 0, "unpinned": 0}
+    for _ in range(600):
+        size = rng.randint(0, 5)
+        rows = random_vectors(rng, size, rng.randint(1, 4), 4)
+        a = [[row.get(j, 0) for j in range(size)] for row in rows]
+        x = [rng.randint(-3, 3) for _ in range(size)]
+        b = [sum(c * v for c, v in zip(row, x)) + rng.choice((0, 0, 0, 1, -2)) for row in a]
+        lattice = graph(matrix_of(rows), size, 0)
+        y = lattice.solve(b)
+        assert (y is not None) == integer_solvable(a, b), (a, b)
+        if y is None:
+            seen["refused"] += 1
+            continue
+        assert [sum(c * v for c, v in zip(row, y)) for row in a] == b
+        pivots = [j for j, vec in enumerate(lattice.kernel) if vec]
+        assert len(pivots) == size - fraction_echelon(a)[0]
+        for j in pivots:
+            vec = lattice.kernel[j]
+            assert min(vec) == j and vec[j] > 0
+            assert all(sum(c * vec.get(i, 0) for i, c in enumerate(row)) == 0 for row in a)
+        z = _reduced(lattice, b)
+        assert [sum(c * v for c, v in zip(row, z)) for row in a] == b
+        assert all(0 <= z[j] < lattice.kernel[j][j] for j in pivots)
+        others = [j for j in range(size) if j not in pivots]
+        pinned = integer_solvable([[row[j] for j in others] for row in a], b)
+        assert (not any(z[j] for j in pivots)) == pinned, (a, b)
+        seen["pinned" if pinned else "unpinned"] += 1
+    assert min(seen.values()) > 40, seen
 
 
 def test_a_dead_end_is_refused_at_once():

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -616,6 +617,21 @@ def test_malformed_rational_spellings_raise_as_fraction_does(text):
         with pytest.raises(kind) as info:
             parse(text)
         assert str(info.value) == message
+
+
+def test_oversized_rational_spellings_are_refused_at_once():
+    # Fraction("1e10000000") alone takes seconds; a numerator or
+    # denominator past int()'s digit limit is refused before or after it
+    limit = sys.get_int_max_str_digits()
+    start = time.perf_counter()
+    for text in ["1e10000000", "-1e-10000000", f"1e{limit}", f"1e-{limit}",
+                 "1" * (limit // 2) + f"e{limit // 2 + 1}"]:
+        for parse in (Q.scalar, lambda v: H.scalar([0, v, 0, 0])):
+            with pytest.raises(ValueError, match="digits"):
+                parse(text)
+    assert time.perf_counter() - start < 1
+    assert Q.scalar(f"1e{limit - 1}").payload == (10 ** (limit - 1), 1)
+    assert Q.scalar(f"1e-{limit - 1}").payload == (1, 10 ** (limit - 1))
 
 
 def test_rational_arithmetic_builds_no_fraction(monkeypatch):

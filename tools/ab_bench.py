@@ -7,7 +7,9 @@ Run from anywhere:
 PARENT and CHANGE are each a checkout directory or a git revision of the
 repository this script sits in (for example HEAD~1). A revision is
 exported with `git archive` into a temporary directory, which is removed
-at the end; the repository and its worktree list are left as they are.
+at the end; the repository and its worktree list are left as they are. A
+checkout directory with a __pycache__ under src/ or bench/ is refused
+(exit 2), so that both sides compile from source.
 Each pair runs `python3 bench/run.py --workload W --seed N --seconds T
 --trace 0` once in each checkout, one after the other; even pairs start
 with the parent, odd pairs with the change. Each run's last output line is
@@ -87,8 +89,17 @@ def summarize(pairs, specs):
 def checkout(side, scratch):
     """The directory to run one side in: side itself when it is a
     directory, else the tree of the git revision side, exported into a new
-    directory under scratch."""
+    directory under scratch.
+
+    A directory holding a __pycache__ under src/ or bench/ is refused (exit
+    2): its runs would skip the compile that a run from source pays for, so
+    its setup time would not compare with the other side's."""
     if Path(side).is_dir():
+        cached = [str(p) for d in ("src", "bench") for p in Path(side, d).rglob("__pycache__")]
+        if cached:
+            print(f"{side} holds compiled files ({', '.join(cached)}); "
+                  "remove them to compare runs from source", file=sys.stderr)
+            sys.exit(2)
         return side
     tree = subprocess.run(["git", "archive", "--format=tar", side], cwd=ROOT,
                           capture_output=True, check=True).stdout

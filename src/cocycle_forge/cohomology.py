@@ -58,10 +58,11 @@ choice out), and the lattice of those rows (`_logs.system`) finds eta.
 Nothing pins eta on E: on a pair (e, e) of a normal cocycle alpha is the
 identity and u = 1, so its row reads x_e = log 1 = 0. One pass
 (`_aut0_fibers`) asks the probes: mu is assigned one idempotent at a
-time, the probes on each pair (s, tgt s), the only ones that can rule a
-mu out, run as soon as both ends of s have a value, and every other
-composable pair is probed once mu is complete, so no pair is probed
-twice for one (phi, mu).
+time by the search that also finds Aut S (`SquareFreeSemigroup.assignments`),
+the probes on each pair (s, tgt s), the only ones that can rule a mu out,
+run as soon as both ends of s have a value, and every other composable
+pair is probed once mu is complete, so no pair is probed twice for one
+(phi, mu).
 
 `verify_ses` then checks exactness of
 
@@ -275,22 +276,17 @@ def _aut0_fibers(c):
     A pair's probes read mu at src s and src t only, and with eta = 1 the
     probe d on a pair (s, tgt s) tests
     mu_{src s} o alpha_s = alpha_{phi(s)} o mu_{tgt s} at d, the one test
-    that can rule a mu out. So mu is assigned one idempotent at a time,
-    each arrow pair is probed as soon as both of its ends have a value, and
-    every other composable pair is probed once mu is complete.
+    that can rule a mu out. So mu is assigned by sg.assignments, the k
+    Frobenius powers for each idempotent in turn, each arrow pair is probed
+    as soon as both of its ends have a value, and every other composable
+    pair is probed once mu is complete.
     """
     sg, domain = c.sg, c.domain
-    logs = field_logs(domain)
-    probes = _probes(domain)
-    one = domain.one()
-    unit_eta = {s: one for s in sg.elements}
-    pos = {e: i for i, e in enumerate(sg.idempotents)}
-    due = [[] for _ in sg.idempotents]
-    for s in sg.arrows():
-        due[max(pos[sg.src[s]], pos[sg.tgt[s]])].append((s, sg.tgt[s]))
-    autos, mu, found = {}, [], {}
+    logs, probes, found = field_logs(domain), _probes(domain), {}
+    unit_eta = dict.fromkeys(sg.elements, domain.one())
+    frobs = [RingAuto.frobenius(domain, m) for m in range(domain.k)]
 
-    def probe(s, t):
+    def probe(autos, s, t):
         lhs, rhs = pair_sides(c, c, autos, unit_eta, phi, s, t, probes[0])
         u = lhs * rhs.inv()
         for d in probes[1:]:
@@ -299,30 +295,21 @@ def _aut0_fibers(c):
                 return None
         return u
 
-    def extend(i):
-        if i == len(due):
-            constraints = []
-            for s, t, st in sg.composable().pairs:
-                u = found[(s, t)] if (s, t) in found else probe(s, t)
-                if u is None:
-                    return
-                constraints.append((s, t, st, c.alpha_at(phi(s)), u))
-            yield (phi, tuple(mu), *system(sg, logs, constraints))
-            return
-        e = sg.idempotents[i]
-        for m in range(domain.k):
-            autos[e] = RingAuto.frobenius(domain, m)
-            for pair in due[i]:
-                found[pair] = probe(*pair)
-                if found[pair] is None:
-                    break
-            else:
-                mu.append(m)
-                yield from extend(i + 1)
-                mu.pop()
+    def fits(s, autos):
+        found[s, sg.tgt[s]] = u = probe(autos, s, sg.tgt[s])
+        return u is not None
 
     for phi in sg.enumerate_autos():
-        yield from extend(0)
+        for autos in sg.assignments(lambda e, autos: frobs, fits):
+            constraints = []
+            for s, t, st in sg.composable().pairs:
+                u = found[(s, t)] if (s, t) in found else probe(autos, s, t)
+                if u is None:
+                    break
+                constraints.append((s, t, st, c.alpha_at(phi(s)), u))
+            else:
+                yield (phi, tuple(power(a) for a in autos.values()),
+                       *system(sg, logs, constraints))
 
 
 def aut0_listing(c):

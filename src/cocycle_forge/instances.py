@@ -2,6 +2,9 @@
 twist data), plus witness files carrying one gauge (mu, eta, phi).
 
 The idempotent cap is checked here, where input arrives, and nowhere else.
+It bounds the size of a file, not a search: Aut S is found by a backtrack
+over the idempotents (`SquareFreeSemigroup.enumerate_autos`), and a larger
+file is read with a larger `max_idempotents`.
 
 Parse errors are collected as (json-pointer, message) pairs so a bad file
 reports every problem with its location instead of failing at the first.

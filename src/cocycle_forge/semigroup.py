@@ -36,7 +36,6 @@ automorphism again.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -185,38 +184,72 @@ class SquareFreeSemigroup:
         return all(table.get((mapping[s], mapping[t])) == mapping[st]
                    for s, t, st in self.composable().pairs)
 
-    def enumerate_autos(self):
-        """All product-preserving bijections, driven by permutations of E.
+    def assignments(self, values, fits):
+        """Yield every map of the idempotents whose arrows all fit.
 
-        Each permutation of the idempotents extends to the arrows in at most
-        one way: an arrow in slot (e, f), e != f, must land in the slot
-        (perm e, perm f), which holds no idempotent, and distinct slots have
-        distinct images, so every extension is a bijection. The extensions
-        that preserve products are the automorphisms. The |E|! loop is
-        bounded where input arrives: instance files are refused above the
-        idempotent cap. It runs once per semigroup; every call returns a
-        fresh list.
+        The idempotents are assigned one at a time in canonical order: e
+        tries each value of values(e, assigned) in turn, assigned holding
+        the values of the idempotents before e, and fits(s, assigned) is
+        asked of each arrow s, in element order, as soon as both of its
+        ends have a value; the first arrow that does not fit rules the
+        value out. So the maps come in product order, each once, and an
+        arrow is asked once for each partial map that reaches its later
+        end. Each map is yielded as the one dict, in canonical order, that
+        the search updates in place: copy it to keep it.
+        """
+        pos = {e: i for i, e in enumerate(self.idempotents)}
+        due = [[] for _ in pos]
+        for s in self.arrows():
+            due[max(pos[self.src[s]], pos[self.tgt[s]])].append(s)
+        assigned = {}
+
+        def extend(i):
+            if i == len(due):
+                yield assigned
+                return
+            for v in values(self.idempotents[i], assigned):
+                assigned[self.idempotents[i]] = v
+                if all(fits(s, assigned) for s in due[i]):
+                    yield from extend(i + 1)
+            assigned.pop(self.idempotents[i], None)
+
+        return extend(0)
+
+    def enumerate_autos(self):
+        """All product-preserving bijections, sorted by their images.
+
+        One search (`assignments`) sends each idempotent to an unused one
+        with as many in-arrows and as many out-arrows. An arrow in slot
+        (e, f), e != f, must land in the slot (phi e, phi f), which holds no
+        idempotent, so a partial map is dropped as soon as both ends of an
+        arrow are set and that slot is empty. A complete map extends to the
+        arrows in exactly one way, and distinct slots have distinct images,
+        so the extension is a bijection; the ones that preserve products
+        are the automorphisms. It runs once per semigroup; every call
+        returns a fresh list.
         """
         if self._autos is None:
             self._autos = self._search_autos()
         return list(self._autos)
 
     def _search_autos(self):
+        slots, src, tgt, arrows = self._slots, self.src, self.tgt, self.arrows()
+        degree = {e: (sum(tgt[s] == e for s in arrows), sum(src[s] == e for s in arrows))
+                  for e in self.idempotents}
+
+        def values(e, assigned):
+            used = set(assigned.values())
+            return [f for f in self.idempotents if degree[f] == degree[e] and f not in used]
+
         found = []
-        arrows = self.arrows()
-        for perm in itertools.permutations(self.idempotents):
-            mapping = dict(zip(self.idempotents, perm))
-            for s in arrows:
-                image = self._slots.get((mapping[self.src[s]], mapping[self.tgt[s]]))
-                if image is None:
-                    break
-                mapping[s] = image
-            else:
-                # the extension is a bijection; the constructor checks products
-                try:
-                    found.append(SemigroupAuto(self, mapping))
-                except SemigroupInvalid:
-                    pass
+        for assigned in self.assignments(values, lambda s, a: (a[src[s]], a[tgt[s]]) in slots):
+            mapping = dict(assigned)
+            mapping.update((s, slots[(assigned[src[s]], assigned[tgt[s]])]) for s in arrows)
+            # the constructor checks products
+            try:
+                found.append(SemigroupAuto(self, mapping))
+            except SemigroupInvalid:
+                pass
         found.sort(key=SemigroupAuto.sort_key)
         return found
 

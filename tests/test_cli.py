@@ -21,7 +21,7 @@ from cocycle_forge.scalars import RingAuto, ScalarDomain
 from cocycle_forge.semigroup import SquareFreeSemigroup
 
 from conftest import (
-    RP2_6, face_poset, make_triangle, random_gauge, random_twist, shapes_and_domains,
+    RP2_6, TORUS_7, face_poset, make_triangle, random_gauge, random_twist, shapes_and_domains,
 )
 
 
@@ -822,6 +822,25 @@ def test_h1_of_the_projective_plane(runner, tmp_path):
     save_instance(path, Instance(dom, sg, TwoCochain.trivial(sg, dom)))
     payload = run_json(runner, ["--max-idempotents", "31", "h1", str(path)])
     assert payload["h1_order"] == 2
+
+
+@pytest.mark.parametrize("triangles,q,h1_order,aut_p", [
+    pytest.param(RP2_6, 3, 2, 60, id="rp2-gf3"), pytest.param(RP2_6, 5, 2, 60, id="rp2-gf5"),
+    pytest.param(TORUS_7, 3, 4, 42, id="torus-gf3"),
+    pytest.param(TORUS_7, 5, 16, 42, id="torus-gf5")])
+def test_face_posets_past_the_default_cap(runner, tmp_path, triangles, q, h1_order, aut_p):
+    # with the trivial twist, Out of the incidence algebra is H1 x| Aut P
+    # (Stanley; Baclawski): |Out R| = |H1| |Aut P|, and the sequence is exact
+    dom = ScalarDomain.finite_field(q, 1)
+    sg = SquareFreeSemigroup.validate(*face_poset(triangles))
+    path = tmp_path / "faces.json"
+    save_instance(path, Instance(dom, sg, TwoCochain.trivial(sg, dom)))
+    ses = run_json(runner, ["--max-idempotents", "42", "verify-ses", str(path)])
+    assert ses["ok"] is True
+    assert {k: ses["orders"][k] for k in ("aut_s", "h1", "stab", "out_r")} == {
+        "aut_s": aut_p, "h1": h1_order, "stab": aut_p, "out_r": h1_order * aut_p}
+    payload = run_json(runner, ["--max-idempotents", "42", "out-r", str(path)])
+    assert payload["out_order"] == h1_order * aut_p and len(payload["phi_image"]) == aut_p
 
 
 @pytest.fixture()

@@ -13,7 +13,7 @@ from cocycle_forge.semigroup import (
     semigroup_to_json,
 )
 
-from conftest import CHAIN4, RP2_6, face_poset, make_chain4, make_sphere, tetrahedron
+from conftest import CHAIN4, RP2_6, TORUS_7, face_poset, make_chain4, make_sphere, tetrahedron
 
 
 def semigroup_from_json(data, max_idempotents=8):
@@ -457,6 +457,57 @@ def test_enumerate_autos_matches_permutation_scan():
         assert [a.sort_key() for a in autos] == permutation_scan_autos(sg)
         nontrivial += len(autos) > 1
     assert len(tables) > 1500 and nontrivial > 250
+
+
+def test_assignments_match_a_product_scan():
+    # with values that do not read the partial map, the search yields the
+    # maps of itertools.product whose arrows all fit, in that order, and
+    # asks each arrow as soon as both of its ends are set, once for each
+    # partial map that reaches its later end
+    fixtures = [diamond(), chain2(), make_chain4(), make_sphere(),
+                SquareFreeSemigroup.validate(*HALF_DIAMOND),
+                SquareFreeSemigroup.validate(*layered_poset()),
+                SquareFreeSemigroup.validate(*tetrahedron())]
+    for sg in fixtures + valid_random_tables():
+        index = {s: i for i, s in enumerate(sg.elements)}
+        last = {s: max(sg.idempotents.index(sg.src[s]), sg.idempotents.index(sg.tgt[s]))
+                for s in sg.arrows()}
+        for k in (2, 3) if len(sg.idempotents) <= 6 else (2,):
+            asked = []
+
+            def fit(s, assigned):
+                return (index[s] + assigned[sg.src[s]] + 2 * assigned[sg.tgt[s]]) % 3 != 0
+
+            def fits(s, assigned):
+                assert list(assigned) == list(sg.idempotents[:last[s] + 1])
+                asked.append((s, tuple(assigned.items())))
+                return fit(s, assigned)
+
+            def values(e, assigned):
+                assert list(assigned) == list(sg.idempotents[:sg.idempotents.index(e)])
+                return range(k)
+
+            got = [tuple(assigned.items()) for assigned in sg.assignments(values, fits)]
+            scan = [tuple(zip(sg.idempotents, m))
+                    for m in itertools.product(range(k), repeat=len(sg.idempotents))]
+            assert got == [m for m in scan if all(fit(s, dict(m)) for s in sg.arrows())]
+            assert len(asked) == len(set(asked))
+
+
+def test_aut_s_of_the_face_posets():
+    # the automorphisms of a face poset are those of its simplicial complex:
+    # S4 on the tetrahedron, A5 on RP^2_6 and Z7 x| Z6 on the 7-vertex torus
+    from sympy.combinatorics import Permutation, PermutationGroup
+
+    for shape, order in ((tetrahedron(), 24), (face_poset(RP2_6), 60),
+                         (face_poset(TORUS_7), 42)):
+        sg = SquareFreeSemigroup.validate(*shape)
+        autos = sg.enumerate_autos()
+        assert [a.sort_key() for a in autos] == sorted({a.sort_key() for a in autos})
+        assert len(autos) == order and autos.count(SemigroupAuto.identity(sg)) == 1
+        perms = [Permutation([sg.idempotents.index(a(e)) for e in sg.idempotents])
+                 for a in autos]
+        assert PermutationGroup(perms).order() == order
 
 
 def test_constructor_accepts_exactly_the_automorphisms():

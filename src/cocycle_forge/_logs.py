@@ -15,20 +15,23 @@ sort key in these coordinates: (mu, ranks of the x, phi.sort_key())
 orders gauges exactly as `Gauge.sort_key` does, since `rank` numbers the
 units in the order of `enumerate_units`.
 
-`system` turns the eta relations into integer rows mod n and takes the
-lattice of their coefficient matrix (`_multsolve.graph`, one elimination
-per matrix), which decides them and gives one solution x. The solutions
-are x + L, L the lattice's kernel; `_multsolve.members` walks them in unit
-order with the order the tables keep as `classes`, the residue classes of
-each modulus h dividing n in rank order, built once per h, and
-`_multsolve.least` gives the first of them. `gauge._mu_choices` walks the
-mu relations of Z1 as rows mod k the same way, and the rational solver
-takes the least solution of its sign rows mod 2.
+`eta_rows` is the one builder of the eta relations
+eta(s) . a_s(eta(t)) . eta(st)^{-1} = u over the composable pairs: their
+coefficient matrix, the rows x[s] + p^i x[t] - x[st] for a_s = Frob^i,
+depends on the twists a_s alone, and every route takes its lattice
+(`_multsolve.graph`, one elimination per matrix), which decides each
+right-hand side (the logs of the u) and gives one solution x. The
+solutions are x + L, L the lattice's kernel; `_multsolve.members` walks
+them in unit order with the order the tables keep as `classes`, the
+residue classes of each modulus h dividing n in rank order, built once per
+h, and `_multsolve.least` gives the first of them. `gauge._mu_choices`
+walks the mu relations of Z1 as rows mod k the same way, and the rational
+solver reads the same rows with scale 1 as exponent rows over Q*.
 """
 
 from __future__ import annotations
 
-from ._multsolve import graph, ranked
+from ._multsolve import ranked
 from .errors import NotEnumerable
 from .scalars import _prime_divisors, enumerate_units
 
@@ -103,18 +106,13 @@ def field_logs(domain):
     return logs
 
 
-def system(sg, logs, constraints):
-    """(lattice, x): the _multsolve.Graph of the integer rows mod n of the
-    constraints and one solution x of them, or None when there is none.
-
-    A constraint (s, t, st, a, u) asks eta(s) . a(eta(t)) . eta(st)^{-1} = u,
-    that is the row x[s] + p^i x[t] - x[st] = log u mod n for a = Frob^i,
-    positions in the canonical order of the elements. The lattice depends
-    on the rows' coefficients alone, so constraints that differ only in
-    their u share one.
-    """
+def eta_rows(sg, scale):
+    """The coefficient matrix of the eta relations over the composable
+    pairs (s, t, s.t), in `composable().pairs` order: the row
+    x[s] + scale[s] x[t] - x[s.t], a tuple of (position, coefficient)
+    pairs, with positions and scale in the canonical order of the
+    elements. Over GF(q) scale[s] is p^i mod q - 1 for a_s = Frob^i; over
+    Q*, where every a_s is the identity, it is 1."""
     pos = {s: j for j, s in enumerate(sg.elements)}
-    matrix = tuple(((pos[s], 1), (pos[t], logs.frob[power(a)]), (pos[st], -1))
-                   for s, t, st, a, _ in constraints)
-    lattice = graph(matrix, len(pos), logs.n)
-    return lattice, lattice.solve([logs.of(u) for *_, u in constraints])
+    return tuple(((pos[s], 1), (pos[t], scale[pos[s]]), (pos[st], -1))
+                 for s, t, st in sg.composable().pairs)

@@ -1,24 +1,28 @@
 """One integer elimination for the linear relations, their solutions mod n
 on lattices, and the exact solver over the nonzero rationals.
 
-The relations eta(s) . a(eta(t)) . eta(st)^{-1} = u are integer rows: log
-rows mod q - 1 over GF(q) (see `_logs.py`), exponent rows
-prod_v v^{c_v} = const over Q*, and the mu rows mod k of `gauge.py`.
+The relations eta(s) . a(eta(t)) . eta(st)^{-1} = u are integer rows, one
+coefficient matrix built by `_logs.eta_rows`: log rows mod q - 1 over
+GF(q), and exponent rows prod_j x_j^{c_j} = const over Q*. The mu rows
+mod k of `gauge.py` and the star matrix of B1 in `cohomology.py` are rows
+too.
 `eliminate` triangularizes rows by Euclid steps (the Hermite-style echelon
 of Cohen, *A Course in Computational Algebraic Number Theory*, GTM 138,
 2.4), leaving at most one row per position.
 
-Rows mod n are solved on lattices. `triangular` gives a triangular basis
-of span(vectors) + n Z^size, each pivot dividing n, from `eliminate` over
-Z; `order` is the size of that lattice mod n. For a coefficient matrix A,
-`graph` takes the triangular basis of the graph lattice
-{(A x, x)} + n Z^(rows + size), row positions first, once per matrix:
-its last size vectors are the kernel L, and reducing (b, 0) through its
-first pivots decides A x = b mod n exactly and yields one solution x (see
-`Graph.solve`), so the solutions are x + L. `least` is the member of a
-coset x + L that comes first in rank order, and `members` walks the coset
-in that order; every pivot divides n, so the walk meets no dead end. An
-order on Z/n is given by its residue classes (`ranked`), and the natural
+Rows mod n are solved on lattices, and every lattice comes from `graph`.
+`triangular` gives a triangular basis of span(vectors) + n Z^size, each
+pivot dividing n, from `eliminate` over Z; `order` is the size of that
+lattice mod n. For a coefficient matrix A, `graph` takes the triangular
+basis of the graph lattice {(A x, x)} + n Z^(rows + size), row positions
+first, once per matrix: its last size vectors are the kernel L, and
+reducing (b, 0) through its first pivots decides A x = b mod n exactly and
+yields one solution x (see `Graph.solve`), so the solutions are x + L.
+Cut to the row positions, those first pivots are a triangular basis of
+the image A Z^size + n Z^rows. `least` is the member of a coset x + L
+that comes first in rank order, and `members` walks the coset in that
+order; every pivot divides n, so the walk meets no dead end. An order on
+Z/n is given by its residue classes (`ranked`), and the natural
 order of 0..n-1 is built once per modulus (`natural`).
 
 `solve_multiplicative` solves over Q* in log coordinates. Q* is {+1, -1}
@@ -39,13 +43,15 @@ row position without one refuses a nonzero residue, so None is a
 definitive "no". The kernel pivots over Z are the free variables: the
 positions whose column lies in the span of the later columns.
 
-The witness is canonical: the signs are the least solution of their rows,
-+ before -, with every free variable pinned to + where that solves them.
-For each base element, a solution reduced into [0, h_j) at each kernel
-pivot j (`_reduced`) is the one solution that is 0 on every free
-variable, whenever one exists; otherwise it is reduced so on the lattice
-of the mirrored matrix (position j becoming size - 1 - j), built only
-then, which keeps the exponents small.
+The matrix is solved with its positions mirrored (position j becoming
+size - 1 - j), so that position 0 is eliminated first. The witness is
+canonical: the signs are the least solution of their rows, + before -,
+with every free variable pinned to + where that solves them. For each
+base element, a solution reduced into [0, h_j) at each kernel pivot j
+(`_reduced`) is the one solution that is 0 on every free variable,
+whenever one exists; otherwise it is reduced so on the lattice of the
+matrix as given, the mirror of the one solved, built only then, which
+keeps the exponents small.
 """
 
 from __future__ import annotations
@@ -364,18 +370,19 @@ def _reduced(lattice, b):
     return x
 
 
-def solve_multiplicative(equations, variables):
-    """One rational solution of the system, or None when there is none.
+def solve_multiplicative(rows, size, consts):
+    """One rational solution x of prod_j x_j^{A_ij} = consts[i], or None
+    when there is none.
 
-    equations: a list of (dict var -> int exponent, nonzero constant as a
-    reduced pair (numerator, denominator > 0)). The first variable takes
-    the last position, so it is eliminated first. Returns dict var ->
-    reduced pair (module docstring).
+    rows: the rows of A, each a tuple of (position, int exponent) pairs,
+    positions in range(size), as Graph takes them; consts: the nonzero
+    constants as reduced pairs (numerator, denominator > 0). The matrix is
+    solved with its positions mirrored (j becoming size - 1 - j), so that
+    position 0 is eliminated first, and rows itself is the mirror
+    (module docstring). Returns the values of the positions in order, as
+    reduced pairs.
     """
-    size = len(variables)
-    pos = {v: size - 1 - i for i, v in enumerate(variables)}
-    matrix = tuple(tuple((pos[v], c) for v, c in coeffs.items()) for coeffs, _ in equations)
-    consts = [const for _, const in equations]
+    matrix = tuple(tuple((size - 1 - j, c) for j, c in row) for row in rows)
     lattice = graph(matrix, size, 0)
     free = [j for j, vec in enumerate(lattice.kernel) if vec]
     negative = [int(n < 0) for n, _ in consts]
@@ -395,9 +402,8 @@ def solve_multiplicative(equations, variables):
         if y is None:
             return None
         if any(y[j] for j in free):
-            mirror = tuple(tuple((size - 1 - j, c) for j, c in row) for row in matrix)
-            y = _reduced(graph(mirror, size, 0), f)[::-1]
+            y = _reduced(graph(rows, size, 0), f)[::-1]
         for j, e in enumerate(y):
             num[j] *= b ** max(e, 0)
             den[j] *= b ** max(-e, 0)
-    return {v: (-num[i] if sign[i] else num[i], den[i]) for v, i in pos.items()}
+    return [(-num[j] if sign[j] else num[j], den[j]) for j in reversed(range(size))]

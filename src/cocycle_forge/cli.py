@@ -18,7 +18,7 @@ from .cohomology import aut0_listing, b1_listing, h1, out_r, verify_ses, z1_list
 from .errors import ForgeError, InstanceFileInvalid, NotEnumerable
 from .gauge import act_gauge, gauge_list_text, gauge_to_json
 from .instances import (
-    Instance, RunConfig, diamond_demo_instance, instance_to_json, load_instance,
+    MAX_IDEMPOTENTS, Instance, RunConfig, diamond_demo_instance, instance_to_json, load_instance,
     parse_witness, read_json, save_instance, witness_to_json, write_json,
 )
 from .ring import TwistedRing, find_ring_iso, require_cocycle, verify_ring_hom
@@ -67,7 +67,8 @@ def _load(cfg, path):
               help="Accepted for compatibility and ignored.")
 @click.option("--output", type=click.Choice(["text", "json"]), default="text",
               show_default=True)
-@click.option("--max-idempotents", type=int, default=8, show_default=True)
+@click.option("--max-idempotents", type=click.IntRange(min=1), default=MAX_IDEMPOTENTS,
+              show_default=True)
 @click.pass_context
 def main(ctx, jobs, output, max_idempotents):
     """Exact-arithmetic workbench for twisted semigroup rings."""

@@ -30,11 +30,12 @@ the `*_enumerate` functions translate one into gauges. Nothing here
 partitions a listing.
 
 `h1`, `out_r` and `verify_ses` list no group. They read the same relations
-as lattices mod n = q - 1 (`_multsolve.triangular`): for one mu (and phi)
-the eta solutions are x0 + L_phi, L_phi the kernel of the rows'
-coefficients, which depend on phi but not on mu, so one lattice per phi
-(`_multsolve.graph`) decides every mu's rows and gives x0, and B1 is the
-lattice of the star action's columns. One kernel L = L_id sizes every phi.
+as lattices mod n = q - 1, every one from the cached `_multsolve.graph`:
+for one mu (and phi) the eta solutions are x0 + L_phi, L_phi the kernel
+of the rows' coefficients (`_logs.eta_rows`), which depend on phi but not
+on mu, so one lattice per phi decides every mu's rows and gives x0, and
+B1 is the image of the star matrix, read off the pivots of its graph
+lattice (`_b1_lattice`). One kernel L = L_id sizes every phi.
 The rows of phi are x[s] + p^{a(phi s)} x[t] - x[st] over the composable
 pairs (s, t), and phi is a product-preserving bijection of those pairs; so
 with y = x o phi^{-1} (y[phi s] = x[s]) they are exactly the phi = id rows
@@ -54,7 +55,7 @@ Aut0 R is found by propagation over the exact multiplicativity probes of
 `ring._probes`: for each (phi, mu) they fix, with eta = 1, the value u that
 eta(s) alpha_{phi(s)}(eta(t)) eta(s.t)^{-1} must take on a composable pair
 for the induced map d.s -> mu_e(d) eta(s) phi(s) to multiply (or rule the
-choice out), and the lattice of those rows (`_logs.system`) finds eta.
+choice out), and the lattice of those rows (`_logs.eta_rows`) finds eta.
 Nothing pins eta on E: on a pair (e, e) of a normal cocycle alpha is the
 identity and u = 1, so its row reads x_e = log 1 = 0. One pass
 (`_aut0_fibers`) asks the probes: mu is assigned one idempotent at a
@@ -82,8 +83,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._logs import field_logs, power, system
-from ._multsolve import least, members, order, triangular
+from ._logs import eta_rows, field_logs, power
+from ._multsolve import graph, least, members, order
 from .cochain import TwoCochain, is_normal
 from .errors import NotEnumerable, NotNormal
 from .gauge import Gauge, _gauge_fibers, _has_gauge, from_logs, stabilizer_of_class
@@ -126,23 +127,24 @@ def z1_enumerate(c):
     return _gauges(c, z1_listing(c))
 
 
-def _b1_columns(c):
-    """The star action's columns, one per idempotent (see b1_listing)."""
+def _b1_lattice(c):
+    """The triangular basis of B1 mod n (see b1_listing), one vector per
+    element position.
+
+    The star matrix A has one row per element s,
+    eps[src s] - p^{a_s} eps[tgt s], so B1 = Im A + n Z^S. The pivots of
+    its graph lattice {(A eps, eps)} + n Z^(S + E) (`_multsolve.graph`)
+    vanish before their row positions and, with the kernel vectors, which
+    vanish on every row position, span it; cut to the row positions they
+    are a triangular basis of Im A + n Z^S."""
     sg = c.sg
     logs = field_logs(c.domain)
-    n, frob = logs.n, logs.frob
-    return [tuple(((1 if sg.src[s] == e else 0)
-                   - (frob[power(c.alpha_at(s))] if sg.tgt[s] == e else 0)) % n
-                  for s in sg.elements)
-            for e in sg.idempotents]
-
-
-def _b1_lattice(c):
-    """(columns, basis): the star action's columns and the triangular basis
-    (see _multsolve.triangular) of the lattice they span mod n, B1."""
-    columns = _b1_columns(c)
-    n = field_logs(c.domain).n
-    return columns, triangular([dict(enumerate(col)) for col in columns], len(c.sg.elements), n)
+    pos = {e: i for i, e in enumerate(sg.idempotents)}
+    star = tuple(((pos[sg.src[s]], 1), (pos[sg.tgt[s]], -logs.frob[power(c.alpha_at(s))]))
+                 for s in sg.elements)
+    size = len(star)
+    return [{j: v for j, v in vec.items() if j < size}
+            for vec in graph(star, len(pos), logs.n).pivots]
 
 
 def b1_listing(c):
@@ -151,16 +153,15 @@ def b1_listing(c):
     The star action of eps on the identity gauge keeps mu = id (rho is
     trivial on a field) and gives eta the logs
     x[s] = eps[src s] - p^{a_s} eps[tgt s] (alpha_s = Frob^{a_s}), so B1 is
-    the image of the torus (Z/n)^E under this linear map: the lattice
-    spanned by its columns, one per idempotent, walked from 0 in rank
-    order on its triangular basis.
+    the image of the torus (Z/n)^E under this linear map, the star matrix
+    of _b1_lattice, walked from 0 in rank order on its triangular basis.
     """
     _require_listable(c)
     sg = c.sg
     logs = field_logs(c.domain)
     mu, ident = (0,) * len(sg.idempotents), SemigroupAuto.identity(sg)
     return [(mu, x, ident) for x in
-            members((0,) * len(sg.elements), _b1_lattice(c)[1], logs.n, logs.classes)]
+            members((0,) * len(sg.elements), _b1_lattice(c), logs.n, logs.classes)]
 
 
 def b1_enumerate(c):
@@ -183,15 +184,16 @@ def _z1_lattice(c, logs):
     """(fibers, lattice, B1): a solution x0 of each mu of _gauge_fibers(c, c)
     that has one (a dict mu -> x0), the lattice of their eta rows (one
     coefficient matrix for every mu), whose kernel is L, and the basis of
-    B1, once every star column is checked to meet every row, i.e. B1 <= L."""
-    columns, b1 = _b1_lattice(c)
+    B1, once every basis vector of B1 is checked to meet every row, i.e.
+    B1 <= L."""
+    b1 = _b1_lattice(c)
     fibers = {}
     for mu, lattice, x0 in _gauge_fibers(c, c):
         if x0 is not None:
             fibers[mu] = x0
     # mu = 0 is a choice, so lattice is bound
-    if any(sum(a * col[j] for j, a in row) % logs.n
-           for row in lattice.matrix for col in columns):
+    if any(sum(a * vec.get(j, 0) for j, a in row) % logs.n
+           for row in lattice.matrix for vec in b1):
         raise AssertionError("coboundaries failed to stabilize the cocycle")
     return fibers, lattice, b1
 
@@ -202,8 +204,8 @@ def h1(c):
     Neither group is listed; both are lattices mod n = q - 1. Z1 is the
     union over the mu of _mu_choices(c, c) of the solutions of their eta
     rows, each x0 + L for one solution x0, with L the kernel of the
-    rows' coefficients, which do not depend on mu. B1 is the lattice of the
-    star action's columns (b1_listing).
+    rows' coefficients, which do not depend on mu. B1 is the image of the
+    star matrix (_b1_lattice).
 
     Every gauge here has phi = id, and there the group law of gauge.py
     reads, in log coordinates (see _logs.py),
@@ -260,9 +262,10 @@ def _aut0_fibers(c):
     """Yield (phi, mu, lattice, x0) for each phi in Aut S and, in product
     order, each mu (Frobenius exponents per idempotent) that the probes
     admit over phi: lattice is the _multsolve.Graph of the eta rows
-    (_logs.system) of the constraints they put on eta, one per phi
-    whatever mu, and x0 one solution of them, or None. The ring
-    automorphisms over (phi, mu) are the eta of x0 + lattice.kernel.
+    (_logs.eta_rows with scale p^{a_phi(s)}), one per phi whatever mu,
+    built on its first mu, and x0 one solution of them for the values the
+    probes ask, or None. The ring automorphisms over (phi, mu) are the eta
+    of x0 + lattice.kernel.
 
     Over a field, with L, R the two sides of pair_sides at eta = 1, the
     composable pair (s, t) multiplies for eta exactly when
@@ -300,16 +303,19 @@ def _aut0_fibers(c):
         return u is not None
 
     for phi in sg.enumerate_autos():
+        lattice = None
         for autos in sg.assignments(lambda e, autos: frobs, fits):
-            constraints = []
-            for s, t, st in sg.composable().pairs:
+            b = []
+            for s, t, _ in sg.composable().pairs:
                 u = found[(s, t)] if (s, t) in found else probe(autos, s, t)
                 if u is None:
                     break
-                constraints.append((s, t, st, c.alpha_at(phi(s)), u))
+                b.append(logs.of(u))
             else:
-                yield (phi, tuple(power(a) for a in autos.values()),
-                       *system(sg, logs, constraints))
+                if lattice is None:
+                    scale = [logs.frob[power(c.alpha_at(phi(s)))] for s in sg.elements]
+                    lattice = graph(eta_rows(sg, scale), len(scale), logs.n)
+                yield (phi, tuple(power(a) for a in autos.values()), lattice, lattice.solve(b))
 
 
 def aut0_listing(c):
@@ -365,7 +371,7 @@ def out_r(c):
     fibers = [f for f in _aut0_fibers(c) if f[3] is not None]
     # the identity gauge has a fiber, so there is a first one
     aut0 = len(fibers) * order(fibers[0][2].kernel, logs.n)
-    inn0 = order(_b1_lattice(c)[1], logs.n)
+    inn0 = order(_b1_lattice(c), logs.n)
     if aut0 % inn0:
         raise AssertionError("|Aut0| is not a multiple of |Inn0|")
     return OutRReport(aut0, inn0, aut0 // inn0,
@@ -401,7 +407,7 @@ def verify_ses(c):
     action's columns. The gauge route (_gauge_fibers, the action formula)
     and the probe route (_aut0_fibers, ring multiplicativity) each give the
     right-hand sides of their fibers; a fiber counts where its rows reduce
-    to a solution. First B1 <= L: every column meets every row.
+    to a solution. First B1 <= L: every basis vector of B1 meets every row.
 
     (i) lambda injective and (ii) image lambda = kernel Phi hold when the
     two routes' phi = id coefficient rows are equal, so both fibers of a mu

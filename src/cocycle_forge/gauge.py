@@ -38,7 +38,8 @@ stabilizer with phi = id.
 gauges with phi = id. Over a finite field it works in log coordinates
 (see `_logs.py`): mu is a Frobenius exponent per idempotent and eta a
 vector of logs mod q - 1. The alpha relations are integer rows mod k in
-mu and the relations of the action formula integer rows mod q - 1 in eta.
+mu and the relations of the action formula integer rows mod q - 1 in eta
+(`_logs.eta_rows`), whose right-hand sides are log arithmetic on the xi.
 Each kind has one coefficient matrix per call (the eta coefficients
 depend on c1 alone, not on mu), whose lattice (`_multsolve.graph`)
 decides every right-hand side by reduction. `_gauge_fibers` is the one
@@ -47,8 +48,8 @@ lattice of its eta rows and one solution x0 where they reduce (a solved
 fiber). The solutions of a fiber are x0 + L, L the lattice's kernel, so
 the first gauge is `_multsolve.least` of the first solved fiber, and Z1
 is the walk of every solved fiber (`cohomology.z1_listing`). Over the
-rationals, where mu is the identity, the eta rows are solved by
-`_multsolve.solve_multiplicative` in log coordinates over Q*: sign rows
+rationals, where mu is the identity, the same eta rows with scale 1 are
+solved by `_multsolve.solve_multiplicative` in log coordinates over Q*: sign rows
 mod 2 on their lattice, and integer exponent rows over a coprime base of
 the constants on their graph lattice over Z (`_multsolve.graph` with
 n = 0), which every pair of one semigroup shares; the witness is the
@@ -58,8 +59,8 @@ them bring their rows to echelon form by the one elimination,
 divide its residue) and the rational "no" are definitive;
 the quaternions raise NotEnumerable. `stabilizer_of_class` asks only
 whether a solved fiber exists. The Aut0 enumeration solves its fibers on
-the same lattices (`_logs.system`), on relations it derives from ring
-multiplicativity rather than from the action formula.
+the same lattices (`_logs.eta_rows`), with right-hand sides it derives
+from ring multiplicativity rather than from the action formula.
 
 Over a finite field the searches run on log coordinates, and the lists
 they make are the listing surface of `cohomology.py`: a `Gauge` is built,
@@ -75,7 +76,7 @@ from __future__ import annotations
 import json
 from operator import getitem
 
-from ._logs import field_logs, power, system
+from ._logs import eta_rows, field_logs, power
 from ._multsolve import graph, least, natural, solve_multiplicative
 from .cochain import TwoCochain, json_list, unique_entries
 from .errors import DomainMismatch, NotEnumerable
@@ -233,16 +234,6 @@ def act_phi(phi, c):
 # orbit membership: find g with act_gauge(g, c1) == c2
 
 
-def _gauge_constraints(c1, c2, mu):
-    """The scalar relations of act_gauge((mu, eta), c1) == c2 in the form
-    _logs.system takes:
-    eta(s) alpha_s(eta(t)) eta(st)^{-1} = mu_e(xi2(s, t)) xi1(s, t)^{-1}
-    (commutative coefficients, so xi1 moves to the right-hand side)."""
-    sg = c1.sg
-    return [(s, t, st, c1.alpha_at(s), mu[sg.src[s]](c2.xi_at(s, t)) * c1.xi_at(s, t).inv())
-            for s, t, st in sg.composable().pairs]
-
-
 def _mu_choices(c1, c2):
     """Yield the mu (Frobenius exponents per idempotent) that carry alpha1
     to alpha2 over a finite field, in product order.
@@ -265,15 +256,30 @@ def _mu_choices(c1, c2):
 
 def _gauge_fibers(c1, c2):
     """Yield (mu, lattice, x0) for each mu of _mu_choices(c1, c2), in
-    product order: lattice is the _multsolve.Graph of the eta rows that mu
-    puts on eta (_logs.system; their coefficients depend on c1 alone, so
-    every mu shares one) and x0 one solution of them, or None. The
-    solutions of the fiber are x0 + lattice.kernel."""
-    sg, domain = c1.sg, c1.domain
-    logs = field_logs(domain)
+    product order: lattice is the _multsolve.Graph of the eta rows and x0
+    one solution of them, or None. The solutions of the fiber are
+    x0 + lattice.kernel.
+
+    act_gauge((mu, eta), c1) == c2 asks
+    eta(s) alpha1_s(eta(t)) eta(st)^{-1} = mu_e(xi2(s, t)) xi1(s, t)^{-1}
+    (commutative coefficients, so xi1 moves to the right-hand side): the
+    rows of _logs.eta_rows with scale p^{a1_s}, which depend on c1 alone,
+    so every mu shares one lattice, and the right-hand sides
+    p^{mu[e]} log xi2(s, t) - log xi1(s, t). Both are built on the first
+    mu, so a refusal by the mu rows builds no eta relation.
+    """
+    sg = c1.sg
+    logs = field_logs(c1.domain)
+    lattice = None
     for mu in _mu_choices(c1, c2):
-        autos = {e: RingAuto.frobenius(domain, i) for e, i in zip(sg.idempotents, mu)}
-        yield (mu, *system(sg, logs, _gauge_constraints(c1, c2, autos)))
+        if lattice is None:
+            frob, of = logs.frob, logs.of
+            scale = [frob[power(c1.alpha_at(s))] for s in sg.elements]
+            lattice = graph(eta_rows(sg, scale), len(scale), logs.n)
+            src = {e: i for i, e in enumerate(sg.idempotents)}
+            xi = [(src[sg.src[s]], of(c2.xi_at(s, t)), of(c1.xi_at(s, t)))
+                  for s, t, _ in sg.composable().pairs]
+        yield mu, lattice, lattice.solve([frob[mu[e]] * x2 - x1 for e, x2, x1 in xi])
 
 
 def from_logs(sg, domain, g):
@@ -287,23 +293,20 @@ def from_logs(sg, domain, g):
 
 def _cohomologous_rational(c1, c2):
     """Exact decision over the rationals. Every automorphism is the
-    identity there, so only the scalar relations constrain eta; they form a
-    multiplicative linear system, solved in log coordinates over Q* (see
-    _multsolve) on the reduced pairs that are the payloads of rational
-    scalars, whose None is definitive."""
+    identity there, so only the scalar relations
+    eta(s) eta(t) eta(st)^{-1} = xi2(s, t) xi1(s, t)^{-1} constrain eta,
+    the rows of _logs.eta_rows with scale 1; they form a multiplicative
+    linear system, solved in log coordinates over Q* (see _multsolve) on
+    the reduced pairs that are the payloads of rational scalars, whose
+    None is definitive."""
     sg, domain = c1.sg, c1.domain
-    ident = RingAuto.identity(domain)
-    equations = []
-    for s, t, st, _, u in _gauge_constraints(c1, c2, {e: ident for e in sg.idempotents}):
-        coeffs = {}
-        for name, c in ((s, 1), (t, 1), (st, -1)):
-            coeffs[name] = coeffs.get(name, 0) + c
-        equations.append((coeffs, u.payload))
-    solution = solve_multiplicative(equations, list(sg.elements))
-    if solution is None:
+    consts = [(c2.xi_at(s, t) * c1.xi_at(s, t).inv()).payload
+              for s, t, _ in sg.composable().pairs]
+    size = len(sg.elements)
+    values = solve_multiplicative(eta_rows(sg, [1] * size), size, consts)
+    if values is None:
         return None
-    eta = {s: Scalar(domain, v) for s, v in solution.items()}
-    return Gauge(sg, domain, None, eta)
+    return Gauge(sg, domain, None, {s: Scalar(domain, v) for s, v in zip(sg.elements, values)})
 
 
 def cohomologous(c1, c2):

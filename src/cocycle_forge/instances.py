@@ -32,13 +32,17 @@ class Instance:
     cocycle: TwoCochain
 
 
+# the default cap on |E| of an instance file
+MAX_IDEMPOTENTS = 8
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    max_idempotents: int = 8
+    max_idempotents: int = MAX_IDEMPOTENTS
     output: str = "text"  # "json" | "text"
 
 
-def parse_instance(data, max_idempotents=8):
+def parse_instance(data, max_idempotents=MAX_IDEMPOTENTS):
     """Build an Instance from a decoded JSON document."""
     issues = []
     if not isinstance(data, dict):
@@ -147,7 +151,7 @@ def read_json(path):
         raise InstanceFileInvalid([("", f"cannot read the file: {exc}")]) from None
 
 
-def load_instance(path, max_idempotents=8):
+def load_instance(path, max_idempotents=MAX_IDEMPOTENTS):
     return parse_instance(read_json(path), max_idempotents=max_idempotents)
 
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cochain import is_cocycle
+from .cochain import is_cocycle, json_list, unique_entries
 from .errors import NotACocycle, NotAUnit, RingMismatch, WitnessInvalid
 from .gauge import Gauge, act_gauge, act_phi, cohomologous
 from .scalars import Scalar, product_sum, scalar_from_json, scalar_to_json
@@ -383,5 +383,8 @@ def element_to_json(x):
 
 
 def element_from_json(ring, data):
-    return RingElement(ring, {entry["on"]: scalar_from_json(ring.domain, entry["value"])
-                              for entry in data.get("coeffs", [])})
+    """The element of {"coeffs": [{"on": s, "value": ...}]}; a basis
+    element given twice is refused rather than letting the last entry win."""
+    return RingElement(ring, unique_entries(
+        "coeffs", ((entry["on"], scalar_from_json(ring.domain, entry["value"]))
+                   for entry in json_list(data, "coeffs"))))

@@ -22,7 +22,9 @@ solutions their reduction and walk give, against `solve_rows`, the
 depth-first search over a row echelon mod n that they replaced. The Aut0 oracles read their eta relations
 from `probe_constraints`, which asks `ring.pair_sides` about every pair at
 every probe, and the Z1 ones from `action_constraints`, read off the
-action formula, so no oracle builds a relation with a fast route's helper.
+action formula, so no oracle builds a relation with a fast route's helper;
+`system` solves such relations in log coordinates from their own
+(s, t, st, a, u) tuples, the object form `_logs.eta_rows` replaced.
 Trial division decides primes and irreducible polynomials, and `integer_order_modulus` scans every monic
 polynomial for the least irreducible. The componentwise-Fraction
 quaternion arithmetic that the integer kernel replaced is kept as
@@ -46,8 +48,8 @@ import math
 import random
 from fractions import Fraction
 
-from cocycle_forge._logs import field_logs, system
-from cocycle_forge._multsolve import _int_nth_root, eliminate, members
+from cocycle_forge._logs import field_logs, power
+from cocycle_forge._multsolve import _int_nth_root, eliminate, graph, members
 from cocycle_forge.cochain import CocycleVerdict, CocycleViolation, TwoCochain
 from cocycle_forge.errors import SemigroupInvalid
 from cocycle_forge.cohomology import (
@@ -374,6 +376,21 @@ def probe_constraints(c, phi, mu):
             return None
         out.append((s, t, sg.compose(s, t), c.alpha_at(phi(s)), u))
     return out
+
+
+def system(sg, logs, constraints):
+    """(lattice, x): the _multsolve.Graph of the integer rows mod n of the
+    constraints and one solution x of them, or None when there is none.
+
+    A constraint (s, t, st, a, u) asks eta(s) . a(eta(t)) . eta(st)^{-1} = u,
+    that is the row x[s] + p^i x[t] - x[st] = log u mod n for a = Frob^i,
+    positions in the canonical order of the elements, each row built from
+    its own tuple."""
+    pos = {s: j for j, s in enumerate(sg.elements)}
+    matrix = tuple(((pos[s], 1), (pos[t], logs.frob[power(a)]), (pos[st], -1))
+                   for s, t, st, a, _ in constraints)
+    lattice = graph(matrix, len(pos), logs.n)
+    return lattice, lattice.solve([logs.of(u) for *_, u in constraints])
 
 
 def gauge_solutions(c1, c2):

@@ -792,6 +792,14 @@ def test_max_idempotents_refuses_input(runner, demo_file):
         ["/semigroup/idempotents"]
 
 
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_max_idempotents_below_one_is_a_usage_error(runner, demo_file, cap):
+    result = runner.invoke(main, ["--max-idempotents", cap, "validate", demo_file])
+    assert result.exit_code == 2
+    assert "Invalid value for '--max-idempotents'" in result.output
+    assert "exceed the cap" not in result.output
+
+
 @pytest.fixture()
 def chain9_file(tmp_path):
     """A chain e0 -> e1 -> ... -> e8 of nine idempotents over GF(2)."""

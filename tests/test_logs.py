@@ -5,13 +5,13 @@ import random
 
 import pytest
 
-from cocycle_forge._logs import field_logs, system
+from cocycle_forge._logs import eta_rows, field_logs, power
 from cocycle_forge._multsolve import members
 from cocycle_forge.gauge import Gauge, from_logs
 from cocycle_forge.scalars import ScalarDomain, enumerate_autos, enumerate_units
 
 from conftest import make_diamond, make_sphere, make_triangle, random_relabeling_gauge
-from oracles import pack, solve_eta
+from oracles import pack, solve_eta, system
 
 # every GF(q) with q <= 81 that the tests build
 FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (5, 2), (3, 3), (2, 4),
@@ -108,3 +108,28 @@ def test_solve_matches_the_object_search(p, k):
         assert fast == slow
         found += bool(fast)
     assert 20 <= found < 40
+
+
+@pytest.mark.parametrize("make", [make_diamond, make_triangle, make_sphere],
+                         ids=["diamond", "tri", "sphere"])
+@pytest.mark.parametrize("p,k", [(2, 2), (5, 1), (2, 3), (3, 2)])
+def test_eta_rows_read_the_relation(make, p, k):
+    # on the logs of a random eta, each row is the log of
+    # eta(s) a_s(eta(t)) eta(st)^{-1} on its composable pair, for random
+    # twists a_s, and the matrix is the one the object-form oracle builds
+    sg, dom = make(), ScalarDomain.finite_field(p, k)
+    logs = field_logs(dom)
+    units, autos = enumerate_units(dom), enumerate_autos(dom)
+    rng = random.Random(f"rows{p}{k}{len(sg.elements)}")
+    pairs = sg.composable().pairs
+    for _ in range(5):
+        alpha = {s: rng.choice(autos) for s in sg.elements}
+        rows = eta_rows(sg, [logs.frob[power(alpha[s])] for s in sg.elements])
+        eta = {s: rng.choice(units) for s in sg.elements}
+        x = [logs.of(eta[s]) for s in sg.elements]
+        assert len(rows) == len(pairs)
+        for row, (s, t, st) in zip(rows, pairs):
+            u = eta[s] * alpha[s](eta[t]) * eta[st].inv()
+            assert sum(a * x[j] for j, a in row) % logs.n == logs.of(u)
+        constraints = [(s, t, st, alpha[s], dom.one()) for s, t, st in pairs]
+        assert system(sg, logs, constraints)[0].matrix == rows

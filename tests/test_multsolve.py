@@ -23,14 +23,16 @@ F = Fraction
 
 
 def check(equations, variables):
-    """solve_multiplicative on Fraction constants, its solution as
-    Fractions, each checked against every equation."""
-    pairs = [(coeffs, (const.numerator, const.denominator)) for coeffs, const in equations]
-    sol = solve_multiplicative(pairs, variables)
-    if sol is None:
+    """solve_multiplicative on Fraction constants, variable i at position
+    i, its solution as Fractions, each checked against every equation."""
+    pos = {v: j for j, v in enumerate(variables)}
+    rows = tuple(tuple((pos[v], c) for v, c in coeffs.items()) for coeffs, _ in equations)
+    consts = [(const.numerator, const.denominator) for _, const in equations]
+    values = solve_multiplicative(rows, len(variables), consts)
+    if values is None:
         return None
-    assert all(d > 0 and math.gcd(n, d) == 1 for n, d in sol.values())
-    sol = {v: F(*pair) for v, pair in sol.items()}
+    assert all(d > 0 and math.gcd(n, d) == 1 for n, d in values)
+    sol = {v: F(*pair) for v, pair in zip(variables, values)}
     for coeffs, const in equations:
         acc = F(1)
         for v, c in coeffs.items():

@@ -403,6 +403,17 @@ def test_element_json_round_trip(ring4, rng):
             assert element_from_json(ring, element_to_json(x)) == x
 
 
+def test_element_json_refuses_a_basis_element_given_twice(ring4):
+    data = {"coeffs": [{"on": "e1", "value": [1, 0]}, {"on": "e1", "value": [0, 1]}]}
+    with pytest.raises(ValueError, match="coeffs given twice on 'e1'"):
+        element_from_json(ring4, data)
+
+
+def test_element_json_refuses_coeffs_that_are_not_a_list(ring4):
+    with pytest.raises(TypeError, match="coeffs must be a JSON list"):
+        element_from_json(ring4, {"coeffs": {"on": "e1", "value": [1, 0]}})
+
+
 # SHA-256 of json.dumps(..., sort_keys=True) of the element_to_json of a
 # seeded product and three seeded inverses in the ring of a non-normal H(Q)
 # twist (a random gauge applied to the trivial one)

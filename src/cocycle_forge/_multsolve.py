@@ -38,10 +38,11 @@ base element b, with f_b the exponents of b in the constants.
 
 The exponent rows are solved on the graph lattice over Z, `graph` with
 n = 0: one per matrix, shared by every base element and by every call
-that meets the matrix again. A position there may have no pivot, and a
-row position without one refuses a nonzero residue, so None is a
-definitive "no". The kernel pivots over Z are the free variables: the
-positions whose column lies in the span of the later columns.
+that meets the matrix again. `triangular` and `Graph.solve` each run one
+loop for Z and Z/n. A position over Z may have no pivot, and a row
+position without one refuses a nonzero residue, so None is a definitive
+"no". The kernel pivots over Z are the free variables: the positions
+whose column lies in the span of the later columns.
 
 The matrix is solved with its positions mirrored (position j becoming
 size - 1 - j), so that position 0 is eliminated first. The witness is
@@ -122,15 +123,14 @@ def triangular(vectors, size, n):
     if n:
         rows += [({last - j: n}, None) for j in range(size)]
     plan, _ = eliminate(rows, size, lambda *_: None)
-    if not n:
-        return [row and {last - i: c if row[0][last - j] > 0 else -c for i, c in row[0].items()}
-                for j, row in enumerate(reversed(plan))]
     basis = []
-    for j in range(size):
-        row = plan[last - j][0]
-        sign = 1 if row[last - j] > 0 else -1
-        vec = {last - i: sign * c % n for i, c in row.items() if sign * c % n}
-        vec[j] = sign * row[last - j]
+    for j, row in enumerate(reversed(plan)):
+        vec = None
+        if row:
+            sign = 1 if row[0][last - j] > 0 else -1
+            vec = {last - i: e for i, c in row[0].items()
+                   if (e := sign * c % n if n else sign * c)}
+            vec[j] = sign * row[0][last - j]
         basis.append(vec)
     return basis
 
@@ -255,39 +255,27 @@ class Graph:
         vanish before row position i hold a multiple of the pivot h_i at i,
         so a residue there that h_i does not divide refuses every x, and
         otherwise a multiple of pivot vector i clears it. What is left is
-        (0, w) with (b, -w) in G, so x = -w.
+        (0, w) with (b, -w) in G, so x = -w. Over Z a row position may have
+        no pivot, and it refuses a nonzero residue, since no vector of G
+        that vanishes before it is nonzero there. Mod n an entry is reduced
+        only where a pivot reads it and at the end: the steps are ring
+        operations, so it stays congruent to its reduced value.
         """
         n, rows = self.n, len(self.pivots)
-        if not n:
-            return self._solve_over_z(b)
-        v = [c % n for c in b] + [0] * len(self.kernel)
-        for i, vec in enumerate(self.pivots):
-            t, r = divmod(v[i], vec[i])
-            if r:
-                return None
-            if t:
-                for j, c in vec.items():
-                    v[j] = (v[j] - t * c) % n
-        return tuple([-c % n for c in v[rows:]])
-
-    def _solve_over_z(self, b):
-        """Graph.solve over Z, as a list: a row position with no pivot
-        refuses a nonzero residue, since no vector of G that vanishes
-        before it is nonzero there."""
-        rows = len(self.pivots)
         v = list(b) + [0] * len(self.kernel)
         for i, vec in enumerate(self.pivots):
+            r = v[i] % n if n else v[i]
             if vec is None:
-                if v[i]:
+                if r:
                     return None
                 continue
-            t, r = divmod(v[i], vec[i])
+            t, r = divmod(r, vec[i])
             if r:
                 return None
             if t:
                 for j, c in vec.items():
                     v[j] -= t * c
-        return [-c for c in v[rows:]]
+        return [-c % n if n else -c for c in v[rows:]]
 
     def solutions(self, b, classes):
         """Every x with A x = b mod n, in rank order (see members)."""

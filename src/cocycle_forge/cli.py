@@ -21,7 +21,7 @@ from .instances import (
     MAX_IDEMPOTENTS, Instance, RunConfig, diamond_demo_instance, instance_to_json, load_instance,
     parse_witness, read_json, save_instance, witness_to_json, write_json,
 )
-from .ring import TwistedRing, find_ring_iso, require_cocycle, verify_ring_hom
+from .ring import TwistedRing, find_ring_iso, verify_ring_hom
 from .scalars import scalar_to_json
 from .semigroup import auto_to_json as sg_auto_to_json
 
@@ -255,7 +255,6 @@ def _cohomology_command(name, runner):
     def cmd(cfg, file):
         inst = _load(cfg, file)
         try:
-            require_cocycle(inst.cocycle)  # no answers about non-cocycles
             payload, lines = runner(cfg, inst)
         except ForgeError as exc:
             _fail(cfg, exc)

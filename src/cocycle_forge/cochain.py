@@ -190,13 +190,22 @@ def unique_entries(section, items):
     return out
 
 
-def json_list(data, key):
-    """The list under data[key], [] when the key is absent; any other value
-    is refused rather than iterated."""
+def json_list(data, section, key, *names):
+    """Yield the entries of the list under data[key], none when the key is
+    absent. data must be a JSON object (section names it), the value a
+    list, each entry an object, and the entry's names strings; anything
+    else is refused with a message, entry by entry, rather than read."""
+    if not isinstance(data, dict):
+        raise TypeError(f"{section} is a JSON object")
     value = data.get(key, [])
     if not isinstance(value, list):
         raise TypeError(f"{key} must be a JSON list")
-    return value
+    for entry in value:
+        if not isinstance(entry, dict):
+            raise TypeError(f"{key} entries are objects")
+        if not all(isinstance(entry[name], str) for name in names):
+            raise TypeError(f"{key} entries carry string {'/'.join(names)}")
+        yield entry
 
 
 def cochain_from_json(sg, domain, data):
@@ -204,11 +213,9 @@ def cochain_from_json(sg, domain, data):
     section is the trivial twist."""
     if data is None:
         data = {}
-    if not isinstance(data, dict):
-        raise TypeError("a cocycle is a JSON object")
     alpha = unique_entries("alpha", ((entry["on"], auto_from_json(domain, entry["auto"]))
-                                     for entry in json_list(data, "alpha")))
+                                     for entry in json_list(data, "a cocycle", "alpha", "on")))
     xi = unique_entries("xi", (((entry["left"], entry["right"]),
                                 scalar_from_json(domain, entry["value"]))
-                               for entry in json_list(data, "xi")))
+                               for entry in json_list(data, "a cocycle", "xi", "left", "right")))
     return TwoCochain(sg, domain, alpha, xi)

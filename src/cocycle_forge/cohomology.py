@@ -1,7 +1,9 @@
 """First cohomology of a cocycle and the outer automorphisms of its ring.
 
 For a normal cocycle c over an enumerable coefficient field, everything
-here is a set of gauges (mu, eta, phi) (see `gauge.py`):
+here is a set of gauges (mu, eta, phi) (see `gauge.py`). Each listing and
+report refuses twist data that is not a cocycle first, then a domain that
+is not a finite field, then a cocycle that is not normal:
 
   * Z1(c): the gauges with phi = id fixing c under the action.
   * B1(c): the orbit of the identity gauge under the pointwise action of
@@ -87,13 +89,14 @@ from ._logs import eta_rows, field_logs, power
 from ._multsolve import graph, least, members, order
 from .cochain import TwoCochain, is_normal
 from .errors import NotEnumerable, NotNormal
-from .gauge import Gauge, _gauge_fibers, _has_gauge, from_logs, stabilizer_of_class
-from .ring import RingIso, TwistedRing, _probes, pair_sides, verify_ring_hom
+from .gauge import Gauge, _gauge_fibers, cohomologous, from_logs, stabilizer_of_class
+from .ring import RingIso, TwistedRing, _probes, pair_sides, require_cocycle, verify_ring_hom
 from .scalars import RingAuto
 from .semigroup import SemigroupAuto
 
 
 def _require_listable(c):
+    require_cocycle(c)
     if c.domain.kind != "finite_field":
         raise NotEnumerable(
             "cohomology-group enumeration needs a finite coefficient field")
@@ -473,7 +476,7 @@ def verify_ses(c):
 
     # (v) split section for the trivial class: phi -> (id, 1, phi)
     trivial = TwoCochain.trivial(sg, c.domain)
-    if _has_gauge(c, trivial):
+    if cohomologous(c, trivial) is not None:
         ring = TwistedRing(trivial)
         ok_v = all(verify_ring_hom(RingIso(ring, ring, Gauge(sg, c.domain, phi=phi)))
                    for phi in sg.enumerate_autos())

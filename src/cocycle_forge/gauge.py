@@ -57,10 +57,11 @@ solution with the free variables pinned to 0 where there is one. All of
 them bring their rows to echelon form by the one elimination,
 `_multsolve.eliminate`. The finite-field "no" (a row pivot that does not
 divide its residue) and the rational "no" are definitive;
-the quaternions raise NotEnumerable. `stabilizer_of_class` asks only
-whether a solved fiber exists. The Aut0 enumeration solves its fibers on
-the same lattices (`_logs.eta_rows`), with right-hand sides it derives
-from ring multiplicativity rather than from the action formula.
+the quaternions raise NotEnumerable. `stabilizer_of_class` asks
+`cohomologous`, which stops at the first solved fiber. The Aut0
+enumeration solves its fibers on the same lattices (`_logs.eta_rows`),
+with right-hand sides it derives from ring multiplicativity rather than
+from the action formula.
 
 Over a finite field the searches run on log coordinates, and the lists
 they make are the listing surface of `cohomology.py`: a `Gauge` is built,
@@ -97,6 +98,7 @@ class Gauge:
         self.domain = domain
         mu = mu or {}
         eta = eta or {}
+        _check_names(sg, mu, eta)
         # one pass per dict fills the defaults, checks each value and
         # collects its sort key; every gauge of sg lists the same names in
         # the same positions, so the sort keys alone identify and order it
@@ -106,7 +108,6 @@ class Gauge:
         for e in sg.idempotents:
             a = mu.get(e, ident)
             if a.domain is not domain:
-                _check_names(sg, mu, eta)
                 raise DomainMismatch(f"mu[{e!r}] lives in {a.domain!r}")
             full_mu[e] = a
             mu_key.append(a.sort_key())
@@ -119,16 +120,12 @@ class Gauge:
         for s in sg.elements:
             v = eta.get(s, one)
             if v.domain is not domain:
-                _check_names(sg, mu, eta)
                 raise DomainMismatch(f"eta[{s!r}] lives in {v.domain!r}")
             k = v.sort_key()
             if k == zero_key:
-                _check_names(sg, mu, eta)
                 raise ValueError(f"eta[{s!r}] must be nonzero")
             full_eta[s] = v
             eta_key.append(k)
-        if not (mu.keys() <= full_mu.keys() and eta.keys() <= full_eta.keys()):
-            _check_names(sg, mu, eta)
         if phi is None:
             phi = SemigroupAuto.identity(sg)
         elif phi.sg is not sg:
@@ -185,11 +182,13 @@ class Gauge:
 
 def _check_names(sg, mu, eta):
     """Refuse mu off the idempotents or eta on unknown elements; checked
-    before any value, so a gauge with several faults reports this one."""
-    off = mu.keys() - set(sg.idempotents)
+    before any value, so a gauge with several faults reports this one.
+    An idempotent is its own source, so one lookup per name decides it."""
+    src = sg.src
+    off = [e for e in mu if e not in src or src[e] != e]
     if off:
         raise ValueError(f"mu defined off the idempotents: {sorted(off)}")
-    unknown = eta.keys() - set(sg.elements)
+    unknown = [s for s in eta if s not in src]
     if unknown:
         raise ValueError(f"eta defined on unknown elements: {sorted(unknown)}")
 
@@ -331,19 +330,12 @@ def cohomologous(c1, c2):
     raise NotEnumerable("cannot search gauges over the rational quaternions")
 
 
-def _has_gauge(c1, c2):
-    """Whether cohomologous(c1, c2) finds a gauge, without building one:
-    over a finite field, whether the eta rows of some mu reduce."""
-    if c1.domain.kind == "finite_field":
-        return any(x is not None for _, _, x in _gauge_fibers(c1, c2))
-    return cohomologous(c1, c2) is not None
-
-
 def stabilizer_of_class(c):
     """The semigroup automorphisms phi with [c] = [c^phi], exactly over
     finite fields and the rationals (see cohomologous). c1 = c for every
     phi, so every phi reduces through the same two lattices."""
-    return [phi for phi in c.sg.enumerate_autos() if _has_gauge(c, act_phi(phi, c))]
+    return [phi for phi in c.sg.enumerate_autos()
+            if cohomologous(c, act_phi(phi, c)) is not None]
 
 
 # ---------------------------------------------------------------------------
@@ -361,12 +353,10 @@ def gauge_to_json(g):
 
 
 def gauge_from_json(sg, domain, data):
-    if not isinstance(data, dict):
-        raise TypeError("a gauge is a JSON object")
     mu = unique_entries("mu", ((entry["on"], auto_from_json(domain, entry["auto"]))
-                               for entry in json_list(data, "mu")))
+                               for entry in json_list(data, "a gauge", "mu", "on")))
     eta = unique_entries("eta", ((entry["on"], scalar_from_json(domain, entry["value"]))
-                                 for entry in json_list(data, "eta")))
+                                 for entry in json_list(data, "a gauge", "eta", "on")))
     return Gauge(sg, domain, mu, eta)
 
 

@@ -387,4 +387,4 @@ def element_from_json(ring, data):
     element given twice is refused rather than letting the last entry win."""
     return RingElement(ring, unique_entries(
         "coeffs", ((entry["on"], scalar_from_json(ring.domain, entry["value"]))
-                   for entry in json_list(data, "coeffs"))))
+                   for entry in json_list(data, "an element", "coeffs", "on"))))

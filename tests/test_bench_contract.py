@@ -123,6 +123,41 @@ def test_ab_bench_summary_applies_the_claim_rule():
     assert (rows["jobs_per_s"]["wins"], rows["jobs_per_s"]["verdict"]) == (8, "held")
 
 
+def test_ab_bench_setup_only_compares_setup_s_alone(monkeypatch, tmp_path, capsys):
+    # canned set-up times: the parent starts the even pairs, the change the
+    # odd ones, and the summary is the setup_s row of summarize
+    spec = importlib.util.spec_from_file_location("ab_bench", ROOT / "tools" / "ab_bench.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    parent, change = str(tmp_path / "parent"), str(tmp_path / "change")
+    for side in (parent, change):
+        Path(side).mkdir()
+    times = {parent: iter([0.20, 0.30, 0.22, 0.21]), change: iter([0.24, 0.25, 0.23, 0.26])}
+    calls = []
+
+    def setup_time(side, workload, seed):
+        calls.append((side, workload, seed))
+        return {"setup_s": next(times[side])}
+
+    monkeypatch.setattr(tool, "setup_time", setup_time)
+    assert tool.main([parent, change, "--workload", "h1-iso", "--seed", "1",
+                      "--setup-only", "4"]) == 0
+    assert [c[0] for c in calls] == [parent, change, change, parent] * 2
+    assert {c[1:] for c in calls} == {("h1-iso", 1)}
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "pair 0: setup_s 0.2 -> 0.24"
+    assert out[4] == "h1-iso, seed 1, 4 pairs of set-up processes"
+    (row,) = out[5:]
+    specs = [s for s in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+             if s["name"] == "setup_s"]
+    pairs = [({"setup_s": p}, {"setup_s": c})
+             for p, c in zip([0.20, 0.30, 0.22, 0.21], [0.24, 0.25, 0.23, 0.26])]
+    (want,) = tool.summarize(pairs, specs)
+    assert row.startswith("setup_s ") and row.endswith(
+        f"won {want['wins']}/4  {want['verdict']}")
+    assert f"{want['ratio']:.3f}x" in row
+
+
 def test_ab_bench_exports_a_revision(tmp_path):
     # a side that is no directory is a git revision, exported with git
     # archive; a directory is used as it is

@@ -222,6 +222,33 @@ def test_malformed_section_exits_2(runner, tmp_path):
         assert error["pointer"] == "/cocycle" and section in error["message"], cocycle
 
 
+@pytest.mark.parametrize("file,content,pointer,message", [
+    ("instance", {"xi": ["x"]}, "/cocycle", "xi entries are objects"),
+    ("instance", {"alpha": [{"on": ["s34"], "auto": {"frobenius": 1}}]}, "/cocycle",
+     "alpha entries carry string on"),
+    ("instance", {"xi": [{"left": "e1", "right": 5, "value": [0, 1]}]}, "/cocycle",
+     "xi entries carry string left/right"),
+    ("witness", {"gauge": {"eta": [5]}}, "/gauge", "eta entries are objects"),
+    ("witness", {"gauge": {"mu": [{"on": 1, "auto": {"frobenius": 1}}]}}, "/gauge",
+     "mu entries carry string on"),
+], ids=["xi-string", "alpha-on-list", "xi-right-number", "eta-number", "mu-on-number"])
+def test_malformed_entries_are_named(runner, tmp_path, demo_file, file, content, pointer,
+                                     message):
+    # the message says what the entry should be, not what Python met
+    path = tmp_path / "bad.json"
+    if file == "instance":
+        data = instance_to_json(diamond_demo_instance())
+        data["cocycle"] = content
+        path.write_text(json.dumps(data))
+        args = ["validate", str(path)]
+    else:
+        path.write_text(json.dumps(content))
+        args = ["act", demo_file, str(path)]
+    result = runner.invoke(main, ["--output", "json"] + args)
+    assert result.exit_code == 2, result.output
+    assert json.loads(result.output)["errors"] == [{"pointer": pointer, "message": message}]
+
+
 def unreadable(tmp_path, kind):
     """A directory, or a file that is not UTF-8."""
     path = tmp_path / kind

@@ -97,6 +97,23 @@ def test_z1_requires_normal(diamond_mod, gf4_mod, rng):
             z1_enumerate(c)
 
 
+def test_non_cocycles_get_no_answer(rat):
+    # xi(a, b) = 2 alone breaks xi(a, b) xi(ab, c) = xi(a, bc) xi(b, c) at
+    # (a, b, c); every listing and report refuses the twist, and says so
+    # before it looks at the domain or at normality
+    from conftest import make_chain4
+    from cocycle_forge.cochain import is_cocycle
+    from cocycle_forge.errors import NotACocycle
+    from cocycle_forge.scalars import ScalarDomain
+    gf3 = ScalarDomain.finite_field(3)
+    for dom in (gf3, rat):
+        c = TwoCochain(make_chain4(), dom, xi={("a", "b"): dom.one() + dom.one()})
+        assert not is_cocycle(c).ok
+        for call in (z1_enumerate, b1_enumerate, h1, aut0_enumerate, out_r, verify_ses):
+            with pytest.raises(NotACocycle, match=r"\('a', 'b', 'c'\)"):
+                call(c)
+
+
 # -- star action -----------------------------------------------------------------
 
 

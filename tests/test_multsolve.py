@@ -330,6 +330,38 @@ def test_integer_graph_matches_the_determinantal_oracle():
     assert min(seen.values()) > 40, seen
 
 
+@pytest.mark.parametrize("n", MODULI)
+def test_z_and_mod_n_agree(n):
+    # the one loop of Graph.solve and of triangular, over Z and mod n, on
+    # the same integers: an integer solution reduces to a solution mod n,
+    # which differs from the one solve gives mod n by a kernel vector, and
+    # the vectors of the basis over Z span the same subgroup mod n as the
+    # basis mod n
+    rng = random.Random(f"z-and-mod-{n}")
+    seen = {"solved over Z": 0, "refused over Z": 0}
+    for _ in range(60):
+        size = rng.randint(0, 4)
+        rows = random_vectors(rng, size, rng.randint(1, 3), 2 * n + 1)
+        x = [rng.randint(-3 * n, 3 * n) for _ in range(size)]
+        b = [sum(c * x[j] for j, c in row.items()) + rng.choice((0, 0, 1, -n)) for row in rows]
+        y = graph(matrix_of(rows), size, 0).solve(b)
+        if y is None:
+            seen["refused over Z"] += 1
+        else:
+            seen["solved over Z"] += 1
+            lattice = graph(matrix_of(rows), size, n)
+            z = lattice.solve(b)
+            assert z is not None
+            y = [v % n for v in y]
+            assert all(sum(c * y[j] for j, c in row.items()) % n == r % n
+                       for row, r in zip(rows, b))
+            assert tuple((a - c) % n for a, c in zip(y, z)) in span_mod(lattice.kernel, size, n)
+        vectors = random_vectors(rng, size, rng.randint(0, 3), 3 * n)
+        over_z = [vec for vec in triangular(vectors, size, 0) if vec is not None]
+        assert span_mod(over_z, size, n) == span_mod(triangular(vectors, size, n), size, n)
+    assert min(seen.values()) > 5, seen
+
+
 def test_a_dead_end_is_refused_at_once():
     # -2 x5 = 57 has no solution mod 80 (57 is odd): the depth-first search
     # meets that row only after the free positions 0-4, up to 80^5

@@ -414,6 +414,17 @@ def test_element_json_refuses_coeffs_that_are_not_a_list(ring4):
         element_from_json(ring4, {"coeffs": {"on": "e1", "value": [1, 0]}})
 
 
+@pytest.mark.parametrize("data,message", [
+    (["x"], "an element is a JSON object"),
+    ({"coeffs": ["x"]}, "coeffs entries are objects"),
+    ({"coeffs": [{"on": 1, "value": [1, 0]}]}, "coeffs entries carry string on"),
+], ids=["list", "entry-string", "on-number"])
+def test_element_json_names_a_malformed_entry(ring4, data, message):
+    with pytest.raises(TypeError) as info:
+        element_from_json(ring4, data)
+    assert str(info.value) == message
+
+
 # SHA-256 of json.dumps(..., sort_keys=True) of the element_to_json of a
 # seeded product and three seeded inverses in the ring of a non-normal H(Q)
 # twist (a random gauge applied to the trivial one)

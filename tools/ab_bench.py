@@ -3,6 +3,7 @@
 Run from anywhere:
 
     python tools/ab_bench.py PARENT CHANGE --workload W --pairs 10 --seconds 40 [--seed N]
+    python tools/ab_bench.py PARENT CHANGE --workload W --setup-only 12 [--seed N]
 
 PARENT and CHANGE are each a checkout directory or a git revision of the
 repository this script sits in (for example HEAD~1). A revision is
@@ -27,6 +28,13 @@ count for neither) and a verdict:
               cannot show that the metric held;
   held        none of these.
 
+The --setup-only N mode compares set-up alone. It runs N alternating
+pairs of `python3 bench/run.py --setup-only --workload W` processes with
+the given seed, even pairs again starting with the parent, each timed
+from start to exit as bench/run.py times the processes behind setup_s,
+and reports the setup_s row alone. bench/run.py takes the median of 3
+such processes, which spreads widely; this mode takes as many as asked.
+
 It exits 1 if any run failed to finish, failed a job or read
 "correct": false.
 """
@@ -41,6 +49,8 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
+from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -126,6 +136,21 @@ def run(checkout, workload, seed, seconds):
     return {k: v["value"] for k, v in record["metrics"].items()}
 
 
+def setup_time(checkout, workload, seed):
+    """{"setup_s": wall time} of one `bench/run.py --setup-only` process in
+    the checkout, from start to exit, or None when it failed."""
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--setup-only", "--workload", workload,
+         "--seed", str(seed)],
+        cwd=checkout, capture_output=True, text=True)
+    elapsed = time.perf_counter() - start
+    if proc.returncode:
+        sys.stderr.write(proc.stderr)
+        return None
+    return {"setup_s": elapsed}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent")
@@ -134,14 +159,23 @@ def main(argv=None):
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=40)
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--setup-only", type=int, metavar="N",
+                        help="compare N alternating pairs of set-up processes instead")
     args = parser.parse_args(argv)
     specs = json.loads(SPEC.read_text())["end_to_end"]
+    if args.setup_only:
+        specs = [spec for spec in specs if spec["name"] == "setup_s"]
+        count, what = args.setup_only, "set-up processes"
+        measure = partial(setup_time, workload=args.workload, seed=args.seed)
+    else:
+        count, what = args.pairs, f"{args.seconds:g} s runs"
+        measure = partial(run, workload=args.workload, seed=args.seed, seconds=args.seconds)
     with tempfile.TemporaryDirectory() as scratch:
         parent, change = (checkout(side, scratch) for side in (args.parent, args.change))
         pairs = []
-        for i in range(args.pairs):
+        for i in range(count):
             sides = [parent, change] if i % 2 == 0 else [change, parent]
-            got = {side: run(side, args.workload, args.seed, args.seconds) for side in sides}
+            got = {side: measure(side) for side in sides}
             if None in got.values():
                 print(f"pair {i}: a run failed", file=sys.stderr)
                 return 1
@@ -149,7 +183,7 @@ def main(argv=None):
             print(f"pair {i}: " + "  ".join(
                 f"{s['name']} {got[parent][s['name']]:.4g} -> {got[change][s['name']]:.4g}"
                 for s in specs), flush=True)
-    print(f"{args.workload}, seed {args.seed}, {len(pairs)} pairs of {args.seconds:g} s runs")
+    print(f"{args.workload}, seed {args.seed}, {len(pairs)} pairs of {what}")
     for row in summarize(pairs, specs):
         p1, pm, p3 = row["parent"]
         c1, cm, c3 = row["change"]
